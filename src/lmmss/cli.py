@@ -319,11 +319,8 @@ def cmd_sweep(args) -> int:
     L = _build_scaling(cfg, problem.n)
     scfg = _solver_config(cfg)
     x0 = _resolve_x0(cfg, problem)
-    workers = args.workers or 1
     try:
-        report = diagnostics.regularization_sweep(
-            problem, L, x0, scfg, cfg.deltas, cfg.seeds, workers=workers
-        )
+        report = diagnostics.regularization_sweep(problem, L, x0, scfg, cfg.deltas, cfg.seeds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -598,7 +595,6 @@ def _add_common(sp):
     sp.add_argument("--seed", action="append", type=int, help="noise seed (repeatable)")
     sp.add_argument("--max-iter", dest="max_iter", type=int)
     sp.add_argument("--out", help="output directory")
-    sp.add_argument("--workers", type=int, help="parallel sweep workers")
     sp.add_argument("--matrix", help="matrix file for --problem file")
     sp.add_argument("--rhs", help="data vector file for --problem file")
     sp.add_argument("--exact-solution", dest="exact_solution", help="optional exact solution file")

@@ -9,7 +9,6 @@ trend of the stopped iterates.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -361,7 +360,6 @@ def regularization_sweep(
     cfg: SolverConfig,
     deltas,
     seeds,
-    workers: int = 1,
     slack_factor: float = 1.1,
 ) -> SweepReport:
     """Solve at every (delta, seed) and check the error trend as delta drops.
@@ -395,12 +393,7 @@ def regularization_sweep(
             stop_reason=run.stop_reason,
         )
 
-    jobs = [(d, s) for d in deltas for s in seeds]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda args: run_one(*args), jobs))
-    else:
-        rows = [run_one(d, s) for d, s in jobs]
+    rows = [run_one(d, s) for d in deltas for s in seeds]
 
     violations = trend_violations(rows, slack_factor)
     return SweepReport(

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import CompletenessViolated, DimensionMismatch, RankDeficientL
-from .scaling import RANK_RTOL
+from .errors import CompletenessViolated, DimensionMismatch
+from .scaling import ScalingOperator, completeness_holds
 
 #: Relative threshold when locating the first "nonzero" entry of a column.
 _SIGN_RTOL = 1e-12
@@ -57,16 +57,17 @@ def _as_matrix(L) -> np.ndarray:
     return np.asarray(getattr(L, "matrix", L), dtype=float)
 
 
-def gsvd(A, L, rank_rtol: float = RANK_RTOL) -> GsvdFactors:
+def gsvd(A, L) -> GsvdFactors:
     """Factor the pair (A, L).
+
+    One QR of [A; L] gives the factors; the singular values of its R factor
+    decide completeness by ``scaling.completeness_holds``.  A raw L array is
+    wrapped in a ScalingOperator, which checks its shape and rank.
 
     Parameters
     ----------
     A : (m, n) array
     L : (p, n) array or ScalingOperator
-    rank_rtol : float, optional
-        Relative threshold for the rank decisions on L and on the stacked
-        pair [A; L].
 
     Raises
     ------
@@ -75,32 +76,26 @@ def gsvd(A, L, rank_rtol: float = RANK_RTOL) -> GsvdFactors:
     RankDeficientL
         If L does not have full row rank.
     CompletenessViolated
-        If the stacked pair [A; L] is numerically rank deficient, i.e. the
-        null spaces of A and L intersect nontrivially.
+        If the stacked pair [A; L] fails the completeness rule, i.e. the
+        null spaces of A and L intersect numerically.
     """
     A = np.asarray(A, dtype=float)
     Lmat = _as_matrix(L)
     if A.ndim != 2 or Lmat.ndim != 2:
         raise DimensionMismatch("A and L must be two-dimensional arrays")
     m, n = A.shape
-    p, nL = Lmat.shape
-    if nL != n:
-        raise DimensionMismatch(f"column counts differ: A has {n}, L has {nL}")
+    if Lmat.shape[1] != n:
+        raise DimensionMismatch(f"column counts differ: A has {n}, L has {Lmat.shape[1]}")
     if m < n:
         raise DimensionMismatch(f"need m >= n, got m={m}, n={n}")
-    if p > n or p < 1:
-        raise DimensionMismatch(f"need 1 <= p <= n, got p={p}, n={n}")
-
-    sL = np.linalg.svd(Lmat, compute_uv=False)
-    if sL[0] == 0.0 or sL[-1] <= rank_rtol * sL[0]:
-        raise RankDeficientL("L is numerically rank deficient")
+    if not isinstance(L, ScalingOperator):
+        L = ScalingOperator(Lmat)
+    p = L.p
 
     Q, R = np.linalg.qr(np.vstack([A, Lmat]))
-    sK = np.linalg.svd(R, compute_uv=False)
-    if sK[0] == 0.0 or sK[-1] <= rank_rtol * sK[0]:
-        raise CompletenessViolated(
-            "stacked pair [A; L] is rank deficient: N(A) and N(L) intersect"
-        )
+    s = np.linalg.svd(R, compute_uv=False)
+    if not completeness_holds(s):
+        raise CompletenessViolated(f"N(A) and N(L) intersect: s_min^2 = {s[-1] ** 2:.3e}")
 
     # Cosine-sine split of Q = [Q1; Q2]: the SVD of the lower block fixes the
     # sines mu and the right factor W; the upper block times W then has

@@ -1,6 +1,6 @@
-"""Scaling operators for seminorm regularization and the completeness check.
+"""Scaling operators for seminorm regularization and the completeness rule.
 
-A scaling operator is a p-by-n matrix L with full row rank, p <= n.  It
+A scaling operator is a p-by-n matrix L with full row rank, 1 <= p <= n.  It
 induces the seminorm ``||v||_L = ||L v||_2``, which vanishes exactly on the
 null space of L.  Singular choices (p < n) penalize only selected solution
 components, e.g. non-smooth ones for difference stencils.
@@ -14,16 +14,29 @@ import numpy as np
 
 from .errors import DimensionMismatch, DimensionTooSmall, RankDeficientL
 
-#: Relative threshold for numerical rank decisions.
+#: Relative threshold for the rank decision on L.
 RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class ScalingOperator:
-    """A p-by-n scaling matrix together with a tag naming its construction."""
+    """A p-by-n scaling matrix together with a tag naming its construction.
+
+    Construction checks ``1 <= p <= n`` (DimensionMismatch) and full row rank
+    (RankDeficientL) once, so no consumer needs to check them again.
+    """
 
     matrix: np.ndarray
     kind: str = "custom"
+
+    def __post_init__(self):
+        L = np.asarray(self.matrix, dtype=float)
+        object.__setattr__(self, "matrix", L)
+        if L.ndim != 2 or not 1 <= L.shape[0] <= L.shape[1]:
+            raise DimensionMismatch(f"scaling matrix needs 1 <= p <= n, got {L.shape}")
+        s = np.linalg.svd(L, compute_uv=False)
+        if s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
+            raise RankDeficientL(f"scaling matrix has numerical rank below {L.shape[0]}")
 
     @property
     def p(self) -> int:
@@ -65,15 +78,8 @@ def second_difference(n: int) -> ScalingOperator:
 
 
 def from_matrix(matrix) -> ScalingOperator:
-    """Wrap a user-supplied matrix, enforcing full row rank and p <= n."""
-    L = np.atleast_2d(np.asarray(matrix, dtype=float))
-    p, n = L.shape
-    if p > n:
-        raise DimensionMismatch(f"scaling matrix must have p <= n, got {p}x{n}")
-    s = np.linalg.svd(L, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
-        raise RankDeficientL(f"scaling matrix has numerical rank below {p}")
-    return ScalingOperator(L, kind="custom")
+    """Wrap a user-supplied matrix; a 1-D input is read as a single row."""
+    return ScalingOperator(np.atleast_2d(matrix))
 
 
 def from_spec(spec: str, n: int) -> ScalingOperator:
@@ -108,6 +114,15 @@ def seminorm(L: ScalingOperator, v) -> float:
     return float(np.linalg.norm(L.matrix @ v))
 
 
+def completeness_holds(s) -> bool:
+    """The completeness rule on the singular values ``s`` of [J; L], largest first.
+
+    N(J) ∩ N(L) = {0} numerically when s_min^2 (the smallest eigenvalue of
+    J^T J + L^T L) exceeds 1e-10 (1 + 2 s_max^2) >= 1e-10 (1 + ||J||^2 + ||L||^2).
+    """
+    return bool(s[-1] ** 2 > 1e-10 * (1.0 + 2.0 * s[0] ** 2))
+
+
 @dataclass(frozen=True)
 class CompletenessReport:
     """Smallest eigenvalue of J^T J + L^T L and whether it clears the floor.
@@ -123,19 +138,14 @@ class CompletenessReport:
 
 
 def completeness_check(J, L: ScalingOperator, point=None) -> CompletenessReport:
-    """Check the joint-rank condition via the smallest eigenvalue of J^T J + L^T L.
-
-    The pass threshold is scale aware: gamma > 1e-10 * (1 + ||J||^2 + ||L||^2)
-    with spectral norms.
-    """
+    """Check ``completeness_holds`` by one SVD of [J; L]; ``gamma = s_min^2``."""
     J = np.asarray(J, dtype=float)
     if J.ndim != 2 or J.shape[1] != L.n:
         raise DimensionMismatch(
             f"J must be m x {L.n}, got shape {J.shape}"
         )
-    G = J.T @ J + L.matrix.T @ L.matrix
-    gamma = max(float(np.linalg.eigvalsh(G)[0]), 0.0)
-    jnorm = float(np.linalg.norm(J, 2))
-    lnorm = float(np.linalg.norm(L.matrix, 2))
-    threshold = 1e-10 * (1.0 + jnorm**2 + lnorm**2)
-    return CompletenessReport(gamma=gamma, holds=gamma > threshold, point=point)
+    s = np.linalg.svd(np.vstack([J, L.matrix]), compute_uv=False)
+    if s.size < L.n:  # fewer rows than unknowns: the null spaces must meet
+        s = np.append(s, 0.0)
+    gamma = float(s[-1]) ** 2
+    return CompletenessReport(gamma=gamma, holds=completeness_holds(s), point=point)

@@ -15,14 +15,14 @@ import numpy as np
 
 from .errors import (
     BracketFailure,
-    CompletenessViolated,
     DimensionMismatch,
+    LmmssError,
     NonpositiveLambda,
     SingularSystem,
     ZeroGradient,
 )
 from .gsvd import GsvdFactors, generalized_singular_values, gsvd
-from .scaling import ScalingOperator, completeness_check, seminorm
+from .scaling import ScalingOperator, seminorm
 
 #: Relative cutoff for the rank decision inside the stacked least-squares solve.
 LSTSQ_RCOND = 1e-12
@@ -38,14 +38,13 @@ class SolverConfig:
     """Iteration parameters.
 
     ``q`` is the residual contraction target in (0, 1); ``tau`` the
-    discrepancy multiplier, constrained to tau > 1/q; ``alpha`` is pinned to
-    the pure step 1.  ``res_tol = None`` resolves to 1e-10 times the initial
-    residual when an exact-data solve starts.
+    discrepancy multiplier, constrained to tau > 1/q.  ``res_tol = None``
+    resolves to 1e-10 times the initial residual when an exact-data solve
+    starts.
     """
 
     q: float = 0.5
     tau: float = 2.5
-    alpha: float = 1.0
     max_iter: int = 500
     lambda_root_tol: float = 1e-10
     grad_tol: float = 1e-12
@@ -57,8 +56,6 @@ class SolverConfig:
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
         if self.tau * self.q <= 1.0:
             raise ValueError(f"need tau > 1/q, got tau={self.tau}, q={self.q}")
-        if self.alpha != 1.0:
-            raise ValueError("only the pure step alpha = 1 is supported")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if self.lambda_root_tol <= 0.0:
@@ -282,7 +279,10 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
     cfg : SolverConfig
 
     Stop reasons: ``discrepancy``, ``res_tol``, ``grad_tol``, ``max_iter``,
-    ``qcond_unsolvable_hard`` (J^T r = 0 at a nonzero residual).
+    ``qcond_unsolvable_hard`` (J^T r = 0 at a nonzero residual).  An
+    LmmssError from a step's factorization or damping selection (e.g.
+    CompletenessViolated, BracketFailure) is re-raised as the same type with
+    the message prefixed by ``iterate k:``.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (problem.n,):
@@ -317,17 +317,12 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
         if k == cfg.max_iter:
             stop = "max_iter"
             break
-        report = completeness_check(J, L, point=x)
-        if not report.holds:
-            raise CompletenessViolated(
-                f"completeness fails at iterate {k}: gamma = {report.gamma:.3e}"
-            )
         try:
-            factors = gsvd(J, L.matrix)
-        except CompletenessViolated as exc:
-            raise CompletenessViolated(f"iterate {k}: {exc}") from exc
+            factors = gsvd(J, L)
+            lam, kind = select_lambda_q(J, L, r, cfg.q, cfg, factors=factors)
+        except LmmssError as exc:
+            raise type(exc)(f"iterate {k}: {exc}") from exc
         zeta_p = float(generalized_singular_values(factors)[-1])
-        lam, kind = select_lambda_q(J, L, r, cfg.q, cfg, factors=factors)
         d = lm_step_gsvd(factors, r, lam)
         lin_res = float(np.linalg.norm(r + J @ d))
         trace.append(
@@ -342,7 +337,7 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
                 lin_res_norm=lin_res,
             )
         )
-        x = x + cfg.alpha * d
+        x = x + d
 
     trace.append(IterateRecord(k=len(trace), x=x.copy(), res_norm=res))
     zetas = [rec.zeta_p for rec in trace if rec.zeta_p is not None]

@@ -91,16 +91,6 @@ class TestSweepCommand:
         for name in ("sweep.csv", "sweep_summary.txt", "config.ini"):
             assert filecmp.cmp(a / name, b / name, shallow=False), name
 
-    def test_workers_flag_gives_same_table(self, tmp_path):
-        base = [
-            "sweep", "--problem", "linear", "--n", "12", "--q", "0.5",
-            "--tau", "2.5", "--delta", "1e-2", "--delta", "1e-3", "--seed", "1",
-        ]
-        a, b = tmp_path / "w1", tmp_path / "w3"
-        assert main(base + ["--out", str(a)]) == 0
-        assert main(base + ["--workers", "3", "--out", str(b)]) == 0
-        assert filecmp.cmp(a / "sweep.csv", b / "sweep.csv", shallow=False)
-
     def test_trend_failure_exits_nonzero_naming_pair(self, tmp_path, capsys, monkeypatch):
         rigged = SweepReport(
             rows=(SweepRow(1e-2, 1, 3, 1.0, 1.0, 0.01, "discrepancy"),

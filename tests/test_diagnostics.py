@@ -286,15 +286,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             regularization_sweep(prob, identity(8), np.zeros(8), cfg, (1e-3, 1e-2), (1,))
 
-    def test_workers_produce_identical_rows(self):
-        prob = make_problem("linear", 10)
-        cfg = SolverConfig(q=0.5, tau=2.5)
-        seq = regularization_sweep(prob, identity(10), np.zeros(10), cfg, (1e-2, 1e-3), (1, 2))
-        par = regularization_sweep(
-            prob, identity(10), np.zeros(10), cfg, (1e-2, 1e-3), (1, 2), workers=3
-        )
-        assert seq.rows == par.rows
-
     def test_trend_violation_detection(self):
         rows = [
             SweepRow(1e-2, 1, 3, 1.0, 1.0, 0.01, "discrepancy"),

@@ -3,6 +3,7 @@ import pytest
 
 from lmmss import DimensionMismatch, DimensionTooSmall, RankDeficientL, seminorm
 from lmmss.scaling import (
+    ScalingOperator,
     completeness_check,
     first_difference,
     from_matrix,
@@ -58,6 +59,27 @@ def test_from_matrix_wide_rejected():
         from_matrix(np.eye(3)[:, :2])  # p > n
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.eye(3)[:, :2],  # p > n
+        np.zeros((0, 3)),  # p = 0
+        np.ones(3),  # 1-D
+        np.ones((1, 2, 2)),  # 3-D
+    ],
+)
+def test_scaling_operator_rejects_bad_shapes(matrix):
+    with pytest.raises(DimensionMismatch):
+        ScalingOperator(matrix)
+
+
+def test_scaling_operator_rejects_rank_deficient():
+    with pytest.raises(RankDeficientL):
+        ScalingOperator(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]))
+    with pytest.raises(RankDeficientL):
+        ScalingOperator(np.zeros((1, 3)))
+
+
 def test_from_spec(tmp_path):
     assert from_spec("identity", 4).kind == "identity"
     assert from_spec("d1", 4).p == 3
@@ -104,6 +126,13 @@ def test_completeness_shared_null_vector():
     rep = completeness_check(np.array([[1.0, 0.0], [0.0, 0.0]]), from_matrix([[1.0, 0.0]]))
     assert not rep.holds
     assert rep.gamma == pytest.approx(0.0, abs=1e-14)
+
+
+def test_completeness_fewer_rows_than_unknowns():
+    # [J; L] is 3 x 4, so its null space, N(J) ∩ N(L), cannot be trivial
+    rep = completeness_check(np.ones((1, 4)), from_matrix(np.eye(4)[:2]))
+    assert not rep.holds
+    assert rep.gamma == 0.0
 
 
 def test_completeness_shape_check():

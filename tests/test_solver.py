@@ -20,7 +20,7 @@ from lmmss import (
     seminorm,
     solve,
 )
-from lmmss.scaling import first_difference, from_matrix, identity
+from lmmss.scaling import first_difference, from_matrix, identity, second_difference
 from helpers import in_range_residual, unit_residual_start
 
 CFG = SolverConfig(q=0.5, tau=2.5)
@@ -29,7 +29,7 @@ CFG = SolverConfig(q=0.5, tau=2.5)
 class TestSolverConfig:
     def test_defaults_valid(self):
         cfg = SolverConfig()
-        assert cfg.alpha == 1.0 and cfg.max_iter == 500
+        assert cfg.max_iter == 500
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -37,7 +37,6 @@ class TestSolverConfig:
             {"q": 0.0},
             {"q": 1.0},
             {"q": 0.5, "tau": 2.0},  # tau * q = 1, needs > 1
-            {"alpha": 0.5},
             {"max_iter": 0},
             {"lambda_fallback_factor": 1.0},
             {"lambda_root_tol": 0.0},
@@ -296,6 +295,21 @@ class TestSolve:
         with pytest.raises(lmmss.CompletenessViolated, match="iterate 0"):
             solve(prob, None, L, np.zeros(2), SolverConfig(q=0.5, tau=2.5))
 
+    def test_bracket_failure_reports_iterate(self):
+        # the damped direction e1 is annihilated by J, so zeta_p = 0
+        A = np.array([[0.0, 1.0], [0.0, 0.0]])
+        prob = InverseProblem(
+            name="flat-damped-direction",
+            eval_F=lambda x: A @ x,
+            eval_J=lambda x: A,
+            m=2,
+            n=2,
+            y_exact=np.array([1.0, 0.0]),
+        )
+        L = from_matrix([[1.0, 0.0]])
+        with pytest.raises(lmmss.BracketFailure, match="^iterate 0: .*admissible interval is empty"):
+            solve(prob, None, L, np.zeros(2), SolverConfig(q=0.5, tau=2.5))
+
     def test_evaluation_failure_propagates(self):
         prob = make_problem("coefficient", 8)
         x0 = np.full(8, -1.0)  # below the positivity floor
@@ -351,3 +365,53 @@ class TestLambdaContinuity:
             eps /= 2
         for a, b in zip(diffs, diffs[1:]):
             assert b <= 0.7 * a
+
+
+class TestCompletenessRule:
+    # [J; L] has singular values 1 and t, so the rule
+    # s_min^2 > 1e-10 (1 + 2 s_max^2) reads t^2 > 3e-10.
+    @pytest.mark.parametrize(
+        "t2, holds",
+        [
+            (3.003e-10, True),
+            (2.997e-10, False),
+            (2.5e-10, False),  # accepted by the earlier normal-equations rule
+        ],
+    )
+    def test_gsvd_check_and_solve_agree(self, t2, holds):
+        u = np.sqrt(t2 / 2.0)
+        J = np.array([[1.0, 0.0], [0.0, u]])
+        L = from_matrix([[0.0, u]])
+        # the earlier rule, gamma > 1e-10 (1 + ||J||^2 + ||L||^2), passed all three
+        assert t2 > 1e-10 * (1.0 + np.linalg.norm(J, 2) ** 2 + np.linalg.norm(L.matrix, 2) ** 2)
+        rep = lmmss.completeness_check(J, L)
+        assert rep.gamma == pytest.approx(t2, rel=1e-12)
+        assert rep.holds is holds
+        prob = InverseProblem(
+            name="near-floor", eval_F=lambda x: J @ x, eval_J=lambda x: J,
+            m=2, n=2, y_exact=np.array([1.0, 1.0]),
+        )
+        cfg = SolverConfig(q=0.5, tau=2.5, max_iter=3)
+        if holds:
+            gsvd(J, L)
+            assert solve(prob, None, L, np.zeros(2), cfg).stop_reason == "max_iter"
+        else:
+            with pytest.raises(lmmss.CompletenessViolated):
+                gsvd(J, L)
+            with pytest.raises(lmmss.CompletenessViolated, match="^iterate 0: "):
+                solve(prob, None, L, np.zeros(2), cfg)
+
+
+@pytest.mark.parametrize("scaling", [identity, second_difference])
+def test_coefficient_n128_invariants(scaling):
+    prob = make_problem("coefficient", 128)
+    data = make_noisy_data(prob.y_exact, 1e-3, seed=1)
+    cfg = SolverConfig(q=0.6, tau=3.5, max_iter=200)
+    run = solve(prob, data, scaling(128), prob.x0_default, cfg)
+    assert run.stop_reason == "discrepancy"
+    steps = run.trace[:-1]
+    assert steps
+    for rec in steps:
+        assert rec.lin_res_norm <= rec.res_norm
+        if rec.qcond_kind == "equality":
+            assert abs(rec.lin_res_norm / rec.res_norm - cfg.q) <= 1e-8
