@@ -13,7 +13,10 @@ zeta_i = sigma_i / mu_i are the generalized singular values.
 
 The factorization is computed from a QR of the stacked matrix [A; L]
 followed by a cosine-sine split of the orthonormal factor (SVD of the lower
-block, then a thin QR to orthonormalize the upper block).
+block, then a thin QR to orthonormalize the upper block).  Completeness is
+decided by ``scaling.completeness_holds`` from bounds on the singular values
+of the triangular factor R taken from R itself and from X = R^{-1} W; the
+exact singular values of R are computed only when the bounds cannot decide.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ from .scaling import ScalingOperator, completeness_holds
 
 #: Relative threshold when locating the first "nonzero" entry of a column.
 _SIGN_RTOL = 1e-12
+
+#: The bounds accept a pair only if it passes the rule with s_min^2 divided by
+#: this factor, so rounding in X and R cannot accept a pair the exact singular
+#: values reject.
+_BOUND_MARGIN = 2.0
 
 
 @dataclass(frozen=True)
@@ -60,8 +68,10 @@ def _as_matrix(L) -> np.ndarray:
 def gsvd(A, L) -> GsvdFactors:
     """Factor the pair (A, L).
 
-    One QR of [A; L] gives the factors; the singular values of its R factor
-    decide completeness by ``scaling.completeness_holds``.  A raw L array is
+    One QR of [A; L] gives the factors.  Completeness is decided by
+    ``scaling.completeness_holds`` on the singular values of the R factor:
+    first on the bounds of ``_bounds_complete``, and on the exact singular
+    values only when those bounds cannot prove the rule.  A raw L array is
     wrapped in a ScalingOperator, which checks its shape and rank.
 
     Parameters
@@ -93,37 +103,51 @@ def gsvd(A, L) -> GsvdFactors:
     p = L.p
 
     Q, R = np.linalg.qr(np.vstack([A, Lmat]))
-    s = np.linalg.svd(R, compute_uv=False)
-    if not completeness_holds(s):
-        raise CompletenessViolated(f"N(A) and N(L) intersect: s_min^2 = {s[-1] ** 2:.3e}")
-
     # Cosine-sine split of Q = [Q1; Q2]: the SVD of the lower block fixes the
     # sines mu and the right factor W; the upper block times W then has
-    # orthogonal columns whose norms are the cosines.
+    # orthogonal columns whose norms are the cosines.  X = R^{-1} W comes
+    # before the completeness decision because its norm bounds s_min(R).
     V, mu, Wt = np.linalg.svd(Q[m:], full_matrices=True)
     W = Wt.T
+    try:
+        X = scipy.linalg.solve_triangular(R, W)
+    except np.linalg.LinAlgError:  # a zero on R's diagonal; the exact rule rejects R
+        X = None
+    if not _bounds_complete(R, X):
+        s = np.linalg.svd(R, compute_uv=False)
+        if not completeness_holds(s):
+            raise CompletenessViolated(f"N(A) and N(L) intersect: s_min^2 = {s[-1] ** 2:.3e}")
+
     U, Ru = np.linalg.qr(Q[:m] @ W)
     diag = np.diag(Ru).copy()
     U = U * np.where(diag < 0.0, -1.0, 1.0)
     sigma = np.clip(np.abs(diag)[:p], 0.0, 1.0)
     mu = np.clip(mu, 0.0, 1.0)
 
-    X = scipy.linalg.solve_triangular(R, W)
-
     # Reproducible signs: make the first nonzero entry of each X column
     # positive, compensating in U (and V for the leading p columns).
-    for j in range(n):
-        col = X[:, j]
-        big = np.abs(col).max()
-        nz = np.nonzero(np.abs(col) > _SIGN_RTOL * big)[0]
-        lead = nz[0] if nz.size else 0
-        if col[lead] < 0.0:
-            X[:, j] = -col
-            U[:, j] = -U[:, j]
-            if j < p:
-                V[:, j] = -V[:, j]
+    absX = np.abs(X)
+    lead = np.argmax(absX > _SIGN_RTOL * absX.max(axis=0), axis=0)
+    sign = np.where(X[lead, np.arange(n)] < 0.0, -1.0, 1.0)
+    X *= sign
+    U *= sign
+    V *= sign[:p]
 
     return GsvdFactors(U=U, V=V, X=X, sigma=sigma, mu=mu)
+
+
+def _bounds_complete(R, X) -> bool:
+    """Whether bounds on the singular values of R prove the completeness rule.
+
+    With X = R^{-1} W and W orthogonal, s_min(R) >= 1 / ||X||_F and
+    s_max(R) <= ||R||_F.  The bounds go through ``completeness_holds`` with
+    s_min^2 divided by ``_BOUND_MARGIN``.  False means undecided, as when X
+    is missing or not finite.
+    """
+    if X is None or not np.isfinite(X).all():
+        return False
+    s_min_low = 1.0 / (np.sqrt(_BOUND_MARGIN) * np.linalg.norm(X))
+    return completeness_holds((np.linalg.norm(R), s_min_low))
 
 
 def generalized_singular_values(f: GsvdFactors) -> np.ndarray:

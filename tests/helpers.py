@@ -2,11 +2,16 @@
 
 The oracles here are intentionally independent of the library internals:
 the generalized singular values come from a symmetric-definite eigenvalue
-problem, Jacobian checks from central differences.
+problem, Jacobian checks from central differences.  ``gsvd_reference`` is
+the exception: an earlier, slower form of ``lmmss.gsvd`` kept to check that
+the library still computes the same factors bit for bit.
 """
 
 import numpy as np
 import scipy.linalg
+
+from lmmss import CompletenessViolated, GsvdFactors, ScalingOperator
+from lmmss.scaling import completeness_holds
 
 
 def pencil_gsv_squared(A, L):
@@ -24,6 +29,42 @@ def pencil_gsv_squared(A, L):
     nu = scipy.linalg.eigh(G, G + L.T @ L, eigvals_only=True)
     nu = np.clip(nu, 0.0, 1.0 - 1e-15)
     return np.sort(nu / (1.0 - nu))[:p]
+
+
+def gsvd_reference(A, L):
+    """``lmmss.gsvd`` as written before its bound-first completeness check.
+
+    It decides completeness from the exact singular values of the stacked R
+    factor before anything else and fixes signs one column at a time; the
+    library must reproduce its factors and errors bit for bit.
+    """
+    A = np.asarray(A, dtype=float)
+    Lmat = np.asarray(L, dtype=float)
+    m, n = A.shape
+    p = ScalingOperator(Lmat).p
+    Q, R = np.linalg.qr(np.vstack([A, Lmat]))
+    s = np.linalg.svd(R, compute_uv=False)
+    if not completeness_holds(s):
+        raise CompletenessViolated(f"N(A) and N(L) intersect: s_min^2 = {s[-1] ** 2:.3e}")
+    V, mu, Wt = np.linalg.svd(Q[m:], full_matrices=True)
+    W = Wt.T
+    U, Ru = np.linalg.qr(Q[:m] @ W)
+    diag = np.diag(Ru).copy()
+    U = U * np.where(diag < 0.0, -1.0, 1.0)
+    sigma = np.clip(np.abs(diag)[:p], 0.0, 1.0)
+    mu = np.clip(mu, 0.0, 1.0)
+    X = scipy.linalg.solve_triangular(R, W)
+    for j in range(n):
+        col = X[:, j]
+        big = np.abs(col).max()
+        nz = np.nonzero(np.abs(col) > 1e-12 * big)[0]
+        lead = nz[0] if nz.size else 0
+        if col[lead] < 0.0:
+            X[:, j] = -col
+            U[:, j] = -U[:, j]
+            if j < p:
+                V[:, j] = -V[:, j]
+    return GsvdFactors(U=U, V=V, X=X, sigma=sigma, mu=mu)
 
 
 def random_pair(rng, m_max=50, n_max=40):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lmmss import (
     CompletenessViolated,
@@ -8,9 +9,12 @@ from lmmss import (
     RankDeficientL,
     generalized_singular_values,
     gsvd,
+    make_problem,
     validate,
 )
-from helpers import pencil_gsv_squared, random_pair
+from lmmss.gsvd import _bounds_complete
+from lmmss.scaling import completeness_holds, identity, second_difference
+from helpers import gsvd_reference, pencil_gsv_squared, random_pair
 
 SQ2 = np.sqrt(0.5)
 
@@ -155,8 +159,100 @@ def test_rank_deficient_scaling_rejected():
         gsvd(np.eye(3), L)
 
 
+@pytest.mark.filterwarnings("error")
 def test_completeness_violation_detected():
+    # [A; L] has an exact zero on R's diagonal, so the triangular solve for X
+    # fails and the exact singular values must reject the pair on their own.
     A = np.array([[1.0, 0.0], [0.0, 0.0]])
     L = np.array([[1.0, 0.0]])
-    with pytest.raises(CompletenessViolated):
+    with pytest.raises(CompletenessViolated, match="s_min\\^2 = 0.000e\\+00"):
         gsvd(A, L)
+
+
+def _near_floor_pair(t2):
+    """[J; L] with singular values 1 and t; the rule reads t^2 > 3e-10."""
+    u = np.sqrt(t2 / 2.0)
+    return np.array([[1.0, 0.0], [0.0, u]]), np.array([[0.0, u]])
+
+
+def _assert_same_as_reference(A, L):
+    """gsvd and gsvd_reference give bitwise equal factors or the same error."""
+    try:
+        want = gsvd_reference(A, L)
+    except CompletenessViolated as exc:
+        with pytest.raises(CompletenessViolated) as got:
+            gsvd(A, L)
+        assert str(got.value) == str(exc)
+        return False
+    f = gsvd(A, L)
+    for name in ("U", "V", "X", "sigma", "mu"):
+        got, ref = getattr(f, name), getattr(want, name)
+        assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes(), name
+    return True
+
+
+def test_matches_reference_random_pairs():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        assert _assert_same_as_reference(*random_pair(rng))
+
+
+@pytest.mark.parametrize("scaling", [identity, second_difference])
+def test_matches_reference_coefficient_n128(scaling):
+    prob = make_problem("coefficient", 128)
+    J = prob.evaluate_J(prob.x0_default)
+    assert _assert_same_as_reference(J, scaling(128).matrix)
+
+
+def test_matches_reference_near_the_floor_and_singular():
+    assert _assert_same_as_reference(*_near_floor_pair(3.003e-10))
+    assert not _assert_same_as_reference(*_near_floor_pair(2.997e-10))
+    assert not _assert_same_as_reference(*_near_floor_pair(2.5e-10))
+    assert not _assert_same_as_reference(np.diag([1.0, 0.0]), np.array([[1.0, 0.0]]))
+
+
+def _bound_and_exact(M, W):
+    """The bound decision and the exact rule for the stacked matrix M."""
+    R = np.linalg.qr(M, mode="r")
+    X = scipy.linalg.solve_triangular(R, W)
+    return _bounds_complete(R, X), completeness_holds(np.linalg.svd(R, compute_uv=False))
+
+
+def test_bounds_undecided_at_the_threshold_n1():
+    # Smallest t with [t] passing the rule, then one ulp below it.
+    t = np.sqrt(1e-10 / (1.0 - 2e-10))
+    while completeness_holds([t, t]):
+        t = np.nextafter(t, 0.0)
+    while not completeness_holds([t, t]):
+        t = np.nextafter(t, 1.0)
+    for value in (np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)):
+        for w in (1.0, -1.0):
+            R = np.array([[value]])
+            assert not _bounds_complete(R, scipy.linalg.solve_triangular(R, np.array([[w]])))
+
+
+@pytest.mark.parametrize("t2", [3.003e-10, 2.997e-10, 2.5e-10])
+def test_bounds_never_accept_near_floor_pairs(t2):
+    J, L = _near_floor_pair(t2)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rotation = np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])
+    for W in (np.eye(2), swap, rotation):
+        bound, _ = _bound_and_exact(np.vstack([J, L]), W)
+        assert not bound
+
+
+def test_bounds_sound_over_prescribed_condition_numbers():
+    rng = np.random.default_rng(17)
+    accepted = rejected = 0
+    for cond in np.geomspace(1e2, 1e6, 33):
+        for scale in (1e-2, 1.0, 1e2):
+            m, n = 12, 8
+            Ul, _ = np.linalg.qr(rng.standard_normal((m, n)))
+            Vr, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            W, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            s = scale * np.geomspace(1.0, 1.0 / cond, n)
+            bound, exact = _bound_and_exact((Ul * s) @ Vr.T, W)
+            assert exact or not bound, (cond, scale)
+            accepted += bound
+            rejected += not exact
+    assert accepted and rejected  # both sides of the rule were exercised
