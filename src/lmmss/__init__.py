@@ -16,6 +16,7 @@ from .errors import (
     LmmssError,
     MissingExactSolution,
     NegativeDelta,
+    NonFiniteInput,
     NonpositiveCoefficient,
     NonpositiveLambda,
     RankDeficientL,

@@ -9,6 +9,13 @@ class DimensionMismatch(LmmssError):
     """Operands have inconsistent shapes."""
 
 
+class NonFiniteInput(LmmssError, ValueError):
+    """An input matrix holds a NaN or an infinite entry; the message names it.
+
+    Also a ValueError, so the CLI reports it as bad input (exit status 2).
+    """
+
+
 class DimensionTooSmall(LmmssError):
     """Requested size is below the minimum the constructor supports."""
 

@@ -11,12 +11,14 @@ nonsingular, and diagonals sigma (nondecreasing, in [0, 1]) and mu
 (nonincreasing, in (0, 1]) normalized by sigma_i^2 + mu_i^2 = 1.  The ratios
 zeta_i = sigma_i / mu_i are the generalized singular values.
 
-The factorization is computed from a QR of the stacked matrix [A; L]
-followed by a cosine-sine split of the orthonormal factor (SVD of the lower
-block, then a thin QR to orthonormalize the upper block).  Completeness is
-decided by ``scaling.completeness_holds`` from bounds on the singular values
-of the triangular factor R taken from R itself and from X = R^{-1} W; the
-exact singular values of R are computed only when the bounds cannot decide.
+The factorization goes through Eldén's standard form.  ``ScalingOperator``
+holds the SVD ``L = U_L [S 0] [K_p K_0]^T``, taken once.  Writing
+x = K_p S^-1 y + K_0 z, a complete QR ``A K_0 = [Q_0 Q_perp] [R_0; 0]``
+splits off the part of A that L does not see, and one thin SVD of
+``Q_perp^T A K_p S^-1`` gives the zeta_i, U's leading block and V.
+Completeness is decided by ``scaling.completeness_holds`` from bounds on the
+singular values of [A; L] taken from X and the norms of A and L; the exact
+singular values of [A; L] are computed only when the bounds cannot decide.
 """
 
 from __future__ import annotations
@@ -26,14 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import CompletenessViolated, DimensionMismatch
+from .errors import CompletenessViolated, DimensionMismatch, NonFiniteInput
 from .scaling import ScalingOperator, completeness_holds
 
 #: Relative threshold when locating the first "nonzero" entry of a column.
 _SIGN_RTOL = 1e-12
 
 #: The bounds accept a pair only if it passes the rule with s_min^2 divided by
-#: this factor, so rounding in X and R cannot accept a pair the exact singular
+#: this factor, so rounding in X cannot accept a pair the exact singular
 #: values reject.
 _BOUND_MARGIN = 2.0
 
@@ -68,11 +70,13 @@ def _as_matrix(L) -> np.ndarray:
 def gsvd(A, L) -> GsvdFactors:
     """Factor the pair (A, L).
 
-    One QR of [A; L] gives the factors.  Completeness is decided by
-    ``scaling.completeness_holds`` on the singular values of the R factor:
-    first on the bounds of ``_bounds_complete``, and on the exact singular
-    values only when those bounds cannot prove the rule.  A raw L array is
-    wrapped in a ScalingOperator, which checks its shape and rank.
+    Per call: a complete QR of A K_0 (skipped when p = n) and one thin SVD
+    of the projected ``Q_perp^T A K_p S^-1``; the factors of L come from the
+    ScalingOperator.  Completeness is decided by
+    ``scaling.completeness_holds``: first on the bounds of
+    ``_bounds_complete``, and on the exact singular values of [A; L] only
+    when those bounds cannot prove the rule.  A raw L array is wrapped in a
+    ScalingOperator, which checks its shape, entries and rank.
 
     Parameters
     ----------
@@ -83,6 +87,8 @@ def gsvd(A, L) -> GsvdFactors:
     ------
     DimensionMismatch
         If m < n, p > n, p < 1 or the column counts differ.
+    NonFiniteInput
+        If A or L has a NaN or infinite entry.
     RankDeficientL
         If L does not have full row rank.
     CompletenessViolated
@@ -98,31 +104,47 @@ def gsvd(A, L) -> GsvdFactors:
         raise DimensionMismatch(f"column counts differ: A has {n}, L has {Lmat.shape[1]}")
     if m < n:
         raise DimensionMismatch(f"need m >= n, got m={m}, n={n}")
+    if not np.isfinite(A).all():
+        raise NonFiniteInput("A has a NaN or infinite entry")
     if not isinstance(L, ScalingOperator):
         L = ScalingOperator(Lmat)
     p = L.p
 
-    Q, R = np.linalg.qr(np.vstack([A, Lmat]))
-    # Cosine-sine split of Q = [Q1; Q2]: the SVD of the lower block fixes the
-    # sines mu and the right factor W; the upper block times W then has
-    # orthogonal columns whose norms are the cosines.  X = R^{-1} W comes
-    # before the completeness decision because its norm bounds s_min(R).
-    V, mu, Wt = np.linalg.svd(Q[m:], full_matrices=True)
-    W = Wt.T
-    try:
-        X = scipy.linalg.solve_triangular(R, W)
-    except np.linalg.LinAlgError:  # a zero on R's diagonal; the exact rule rejects R
-        X = None
-    if not _bounds_complete(R, X):
-        s = np.linalg.svd(R, compute_uv=False)
-        if not completeness_holds(s):
-            raise CompletenessViolated(f"N(A) and N(L) intersect: s_min^2 = {s[-1] ** 2:.3e}")
+    # Standard form: x = K_p S^-1 y + K_0 z.  The complete QR of A K_0 gives
+    # Q_0 (range of A on N(L)) and its exact orthogonal complement Q_perp;
+    # the SVD of A K_p S^-1 projected onto Q_perp gives zeta = sigma / mu.
+    AKS = A @ L._kp_sinv
+    if p < n:
+        Q, R0 = np.linalg.qr(A @ L._k0, mode="complete")
+        Q0, Qperp, R0 = Q[:, : n - p], Q[:, n - p :], R0[: n - p]
+        Ub, zeta, Vbt = np.linalg.svd(Qperp.T @ AKS, full_matrices=False)
+    else:
+        Ub, zeta, Vbt = np.linalg.svd(AKS, full_matrices=False)
+    Ub, zeta, Vb = Ub[:, ::-1], zeta[::-1], Vbt[::-1].T
+    mu = 1.0 / np.hypot(1.0, zeta)
+    sigma = zeta * mu
+    Vmu = Vb * mu
+    V = L._u @ Vb
 
-    U, Ru = np.linalg.qr(Q[:m] @ W)
-    diag = np.diag(Ru).copy()
-    U = U * np.where(diag < 0.0, -1.0, 1.0)
-    sigma = np.clip(np.abs(diag)[:p], 0.0, 1.0)
-    mu = np.clip(mu, 0.0, 1.0)
+    # X = [T - K_0 R_0^-1 Q_0^T A T,  K_0 R_0^-1] with T = K_p S^-1 Vb diag(mu).
+    # It comes before the completeness decision because its norm bounds s_min.
+    T = L._kp_sinv @ Vmu
+    if p == n:
+        U, X = Ub, T
+    else:
+        U = np.hstack([Qperp @ Ub, Q0])
+        try:
+            K0_R0inv = scipy.linalg.solve_triangular(R0, L._k0.T, trans="T").T
+        except np.linalg.LinAlgError:  # a zero on R_0's diagonal: A K_0 is singular
+            X = None
+        else:
+            X = np.hstack([T - K0_R0inv @ ((Q0.T @ AKS) @ Vmu), K0_R0inv])
+    if not _bounds_complete(np.hypot(np.linalg.norm(A), L._fro), X):
+        s = np.linalg.svd(np.vstack([A, Lmat]), compute_uv=False)
+        # A pair that passes the rule has a finite X in exact arithmetic; one
+        # whose X is unusable anyway is refused rather than returned.
+        if not completeness_holds(s) or X is None or not np.isfinite(X).all():
+            raise CompletenessViolated(f"N(A) and N(L) intersect: s_min^2 = {s[-1] ** 2:.3e}")
 
     # Reproducible signs: make the first nonzero entry of each X column
     # positive, compensating in U (and V for the leading p columns).
@@ -136,18 +158,19 @@ def gsvd(A, L) -> GsvdFactors:
     return GsvdFactors(U=U, V=V, X=X, sigma=sigma, mu=mu)
 
 
-def _bounds_complete(R, X) -> bool:
-    """Whether bounds on the singular values of R prove the completeness rule.
+def _bounds_complete(s_max_up, X) -> bool:
+    """Whether bounds on the singular values of [A; L] prove the completeness rule.
 
-    With X = R^{-1} W and W orthogonal, s_min(R) >= 1 / ||X||_F and
-    s_max(R) <= ||R||_F.  The bounds go through ``completeness_holds`` with
-    s_min^2 divided by ``_BOUND_MARGIN``.  False means undecided, as when X
-    is missing or not finite.
+    The columns of [A; L] X are orthonormal, so s_min >= 1 / ||X||_F; the
+    caller passes ``s_max_up = hypot(||A||_F, ||L||_F) >= s_max``.  The bounds
+    go through ``completeness_holds`` with s_min^2 divided by
+    ``_BOUND_MARGIN``.  False means undecided, as when X is missing or not
+    finite.
     """
     if X is None or not np.isfinite(X).all():
         return False
     s_min_low = 1.0 / (np.sqrt(_BOUND_MARGIN) * np.linalg.norm(X))
-    return completeness_holds((np.linalg.norm(R), s_min_low))
+    return completeness_holds((s_max_up, s_min_low))
 
 
 def generalized_singular_values(f: GsvdFactors) -> np.ndarray:

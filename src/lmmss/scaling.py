@@ -8,11 +8,11 @@ components, e.g. non-smooth ones for difference stencils.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionTooSmall, RankDeficientL
+from .errors import DimensionMismatch, DimensionTooSmall, NonFiniteInput, RankDeficientL
 
 #: Relative threshold for the rank decision on L.
 RANK_RTOL = 1e-12
@@ -22,21 +22,37 @@ RANK_RTOL = 1e-12
 class ScalingOperator:
     """A p-by-n scaling matrix together with a tag naming its construction.
 
-    Construction checks ``1 <= p <= n`` (DimensionMismatch) and full row rank
-    (RankDeficientL) once, so no consumer needs to check them again.
+    Construction checks ``1 <= p <= n`` (DimensionMismatch), finite entries
+    (NonFiniteInput) and full row rank (RankDeficientL) once, so no consumer
+    needs to check them again.  The rank check reads the singular values of
+    one full SVD ``L = U_L [S 0] [K_p K_0]^T``.  Since L stays fixed while
+    the Jacobian changes, the factors ``gsvd`` needs at every step are kept
+    from that SVD: ``U_L``, ``K_p S^-1`` (a right inverse of L), the
+    null-space basis ``K_0`` (n x (n - p)) and ``||L||_F``.
     """
 
     matrix: np.ndarray
     kind: str = "custom"
+    _u: np.ndarray = field(init=False, repr=False, compare=False)
+    _kp_sinv: np.ndarray = field(init=False, repr=False, compare=False)
+    _k0: np.ndarray = field(init=False, repr=False, compare=False)
+    _fro: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         L = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", L)
         if L.ndim != 2 or not 1 <= L.shape[0] <= L.shape[1]:
             raise DimensionMismatch(f"scaling matrix needs 1 <= p <= n, got {L.shape}")
-        s = np.linalg.svd(L, compute_uv=False)
+        if not np.isfinite(L).all():
+            raise NonFiniteInput("scaling matrix L has a NaN or infinite entry")
+        u, s, kt = np.linalg.svd(L)
         if s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
             raise RankDeficientL(f"scaling matrix has numerical rank below {L.shape[0]}")
+        p = L.shape[0]
+        object.__setattr__(self, "_u", u)
+        object.__setattr__(self, "_kp_sinv", kt[:p].T / s)
+        object.__setattr__(self, "_k0", kt[p:].T)
+        object.__setattr__(self, "_fro", float(np.linalg.norm(L)))
 
     @property
     def p(self) -> int:

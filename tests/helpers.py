@@ -3,8 +3,9 @@
 The oracles here are intentionally independent of the library internals:
 the generalized singular values come from a symmetric-definite eigenvalue
 problem, Jacobian checks from central differences.  ``gsvd_reference`` is
-the exception: an earlier, slower form of ``lmmss.gsvd`` kept to check that
-the library still computes the same factors bit for bit.
+the exception: the earlier stacked-QR form of ``lmmss.gsvd``, kept to check
+that the library still makes the same completeness decisions and computes
+the same sigma and mu.
 """
 
 import numpy as np
@@ -32,11 +33,12 @@ def pencil_gsv_squared(A, L):
 
 
 def gsvd_reference(A, L):
-    """``lmmss.gsvd`` as written before its bound-first completeness check.
+    """``lmmss.gsvd`` by a QR of [A; L] and a cosine-sine split of Q.
 
     It decides completeness from the exact singular values of the stacked R
-    factor before anything else and fixes signs one column at a time; the
-    library must reproduce its factors and errors bit for bit.
+    factor before anything else and fixes signs one column at a time.  The
+    library must reach the same decision with the same error message, and
+    the same sigma and mu up to rounding.
     """
     A = np.asarray(A, dtype=float)
     Lmat = np.asarray(L, dtype=float)

@@ -1,6 +1,7 @@
 import filecmp
 
 import numpy as np
+import pytest
 
 import lmmss
 from lmmss import make_noisy_data, make_problem
@@ -130,6 +131,19 @@ class TestGsvdCommand:
         zeta = np.array([float(v) for v in outlines[2].split()[1:]])
         np.testing.assert_allclose(zeta, sigma / mu, rtol=1e-12)
         assert outlines[-1] == "passed True"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("operand", ["A", "L"])
+    def test_non_finite_input_is_bad_input(self, tmp_path, capsys, operand, bad):
+        files = {"A": "1 0\n0 1\n", "L": "1 0\n0 1\n"}
+        files[operand] = f"{bad} 0\n0 1\n"
+        for name, text in files.items():
+            (tmp_path / f"{name}.txt").write_text(text)
+        rc = main(["gsvd", str(tmp_path / "A.txt"), str(tmp_path / "L.txt")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{operand} has a NaN or infinite entry" in captured.err
 
 
 class TestDiagnoseCommand:

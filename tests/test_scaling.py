@@ -80,6 +80,21 @@ def test_scaling_operator_rejects_rank_deficient():
         ScalingOperator(np.zeros((1, 3)))
 
 
+@pytest.mark.parametrize("ctor", [identity, first_difference, second_difference])
+def test_scaling_operator_keeps_standard_form_factors(ctor):
+    # L K_p S^-1 = U_L (orthogonal), L K_0 = 0, and K_0 spans N(L): constants
+    # for d1, affine vectors for d2.
+    L = ctor(9)
+    n, p = L.n, L.p
+    np.testing.assert_allclose(L.matrix @ L._kp_sinv, L._u, atol=1e-14)
+    np.testing.assert_allclose(L._u.T @ L._u, np.eye(p), atol=1e-14)
+    assert L._k0.shape == (n, n - p)
+    np.testing.assert_allclose(L._k0.T @ L._k0, np.eye(n - p), atol=1e-14)
+    np.testing.assert_allclose(L.matrix @ L._k0, 0.0, atol=1e-14)
+    affine = np.vstack([np.ones(n), np.arange(n)]).T[:, : n - p]
+    np.testing.assert_allclose(L._k0 @ (L._k0.T @ affine), affine, atol=1e-12)
+
+
 def test_from_spec(tmp_path):
     assert from_spec("identity", 4).kind == "identity"
     assert from_spec("d1", 4).p == 3

@@ -20,7 +20,7 @@ from lmmss import (
     seminorm,
     solve,
 )
-from lmmss.scaling import first_difference, from_matrix, identity, second_difference
+from lmmss.scaling import first_difference, from_matrix, from_spec, identity
 from helpers import in_range_residual, unit_residual_start
 
 CFG = SolverConfig(q=0.5, tau=2.5)
@@ -402,12 +402,18 @@ class TestCompletenessRule:
                 solve(prob, None, L, np.zeros(2), cfg)
 
 
-@pytest.mark.parametrize("scaling", [identity, second_difference])
-def test_coefficient_n128_invariants(scaling):
-    prob = make_problem("coefficient", 128)
-    data = make_noisy_data(prob.y_exact, 1e-3, seed=1)
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("spec", ["identity", "d2"])
+@pytest.mark.parametrize("n", [32, 48, 64, 128])
+@pytest.mark.parametrize("name", ["linear", "autoconvolution", "coefficient"])
+def test_size_ladder(name, n, spec, seed):
+    # Every bundled problem and scaling reaches the discrepancy rule at every
+    # ladder size, with the linearized residual never above the residual and
+    # the q-condition met at equality steps.
+    prob = make_problem(name, n)
+    data = make_noisy_data(prob.y_exact, 1e-3, seed=seed)
     cfg = SolverConfig(q=0.6, tau=3.5, max_iter=200)
-    run = solve(prob, data, scaling(128), prob.x0_default, cfg)
+    run = solve(prob, data, from_spec(spec, n), prob.x0_default, cfg)
     assert run.stop_reason == "discrepancy"
     steps = run.trace[:-1]
     assert steps
