@@ -20,7 +20,6 @@ from .errors import (
     NonpositiveCoefficient,
     NonpositiveLambda,
     RankDeficientL,
-    SingularSystem,
     ZeroGradient,
 )
 from .gsvd import GsvdFactors, GsvdValidation, generalized_singular_values, gsvd, validate
@@ -38,9 +37,7 @@ from .solver import (
     RunRecord,
     SolverConfig,
     discrepancy_reached,
-    lm_step,
     lm_step_gsvd,
-    qcond_residual,
     select_lambda_q,
     solve,
 )

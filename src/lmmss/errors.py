@@ -28,10 +28,6 @@ class CompletenessViolated(LmmssError):
     """The null spaces of the Jacobian and the scaling matrix intersect."""
 
 
-class SingularSystem(LmmssError):
-    """Stacked least-squares system is numerically rank deficient."""
-
-
 class NonpositiveLambda(LmmssError):
     """Damping parameter must be strictly positive."""
 

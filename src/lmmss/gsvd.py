@@ -40,9 +40,12 @@ _SIGN_RTOL = 1e-12
 _BOUND_MARGIN = 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GsvdFactors:
-    """Factors of a pair (A, L); see the module docstring for the layout."""
+    """Factors of a pair (A, L); see the module docstring for the layout.
+
+    Instances compare and hash by identity.
+    """
 
     U: np.ndarray
     V: np.ndarray

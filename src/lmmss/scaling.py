@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, DimensionTooSmall, NonFiniteInput, RankDe
 RANK_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalingOperator:
     """A p-by-n scaling matrix together with a tag naming its construction.
 
@@ -28,15 +28,16 @@ class ScalingOperator:
     one full SVD ``L = U_L [S 0] [K_p K_0]^T``.  Since L stays fixed while
     the Jacobian changes, the factors ``gsvd`` needs at every step are kept
     from that SVD: ``U_L``, ``K_p S^-1`` (a right inverse of L), the
-    null-space basis ``K_0`` (n x (n - p)) and ``||L||_F``.
+    null-space basis ``K_0`` (n x (n - p)) and ``||L||_F``.  Instances
+    compare and hash by identity.
     """
 
     matrix: np.ndarray
     kind: str = "custom"
-    _u: np.ndarray = field(init=False, repr=False, compare=False)
-    _kp_sinv: np.ndarray = field(init=False, repr=False, compare=False)
-    _k0: np.ndarray = field(init=False, repr=False, compare=False)
-    _fro: float = field(init=False, repr=False, compare=False)
+    _u: np.ndarray = field(init=False, repr=False)
+    _kp_sinv: np.ndarray = field(init=False, repr=False)
+    _k0: np.ndarray = field(init=False, repr=False)
+    _fro: float = field(init=False, repr=False)
 
     def __post_init__(self):
         L = np.asarray(self.matrix, dtype=float)

@@ -18,19 +18,13 @@ from .errors import (
     DimensionMismatch,
     LmmssError,
     NonpositiveLambda,
-    SingularSystem,
     ZeroGradient,
 )
 from .gsvd import GsvdFactors, generalized_singular_values, gsvd
 from .scaling import ScalingOperator, seminorm
 
-#: Relative cutoff for the rank decision inside the stacked least-squares solve.
-LSTSQ_RCOND = 1e-12
-
-_SIGMA_ZERO_TOL = 1e-12
 _BISECT_MAX_ITER = 60
 _BRACKET_LO_FACTOR = 1e-14
-_BRACKET_FLOOR_FACTOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -104,34 +98,8 @@ class RunRecord:
     delta: float
 
 
-def lm_step(J, r, L: ScalingOperator, lam: float) -> np.ndarray:
-    """Solve ``(J^T J + lam L^T L) d = -J^T r`` via the stacked system.
-
-    The step is computed as the least-squares solution of
-    ``[J; sqrt(lam) L] d = [-r; 0]``, which is unique whenever the
-    completeness condition holds at the current point.
-    """
-    J = np.asarray(J, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if lam <= 0.0:
-        raise NonpositiveLambda(f"lambda must be positive, got {lam}")
-    m, n = J.shape
-    if r.shape != (m,):
-        raise DimensionMismatch(f"residual has shape {r.shape}, expected ({m},)")
-    if L.n != n:
-        raise DimensionMismatch(f"L has {L.n} columns, J has {n}")
-    B = np.vstack([J, np.sqrt(lam) * L.matrix])
-    c = np.concatenate([-r, np.zeros(L.p)])
-    d, _, rank, _ = np.linalg.lstsq(B, c, rcond=LSTSQ_RCOND)
-    if rank < n:
-        raise SingularSystem(
-            f"stacked system has rank {rank} < {n}; completeness likely violated"
-        )
-    return d
-
-
 def lm_step_gsvd(f: GsvdFactors, r, lam: float) -> np.ndarray:
-    """Same step computed from the factors of (J, L).
+    """Solve ``(J^T J + lam L^T L) d = -J^T r`` from the factors of (J, L).
 
     With w = U^T r the step is ``d = -X diag(g) w`` where
     g_i = sigma_i / (sigma_i^2 + lam mu_i^2) on the leading p entries and 1
@@ -148,48 +116,42 @@ def lm_step_gsvd(f: GsvdFactors, r, lam: float) -> np.ndarray:
     return -(f.X @ (filt * w))
 
 
-def qcond_residual(J, L, r, lam: float) -> float:
-    """Evaluate ``||r + J d(lam)||`` directly.
+def _omega_kernel(f: GsvdFactors, r: np.ndarray):
+    """Return ``lam -> ||r + J d(lam)||`` evaluated from the factors of (J, L).
 
-    ``L`` may be a ScalingOperator (the step is recomputed by least squares)
-    or precomputed GsvdFactors of the pair (J, L).  The value is
-    nondecreasing in lam, strictly so when J^T r != 0 and some sigma_i > 0.
+    With w = U^T r the linearized residual is the part of r outside range(U)
+    plus ``U [lam mu_i^2 w_i / (sigma_i^2 + lam mu_i^2); 0]``, so each
+    evaluation costs O(p) and forms neither d nor J d.  The outside part is
+    the norm of r - U w, not sqrt(||r||^2 - ||w||^2), which cancels when U is
+    square.
     """
-    J = np.asarray(J, dtype=float)
-    if isinstance(L, GsvdFactors):
-        d = lm_step_gsvd(L, r, lam)
-    else:
-        d = lm_step(J, r, L, lam)
-    return float(np.linalg.norm(np.asarray(r, dtype=float) + J @ d))
+    w = f.U.T @ r
+    rho_perp = float(np.linalg.norm(r - f.U @ w))
+    wp, s2, m2 = w[: f.p], f.sigma**2, f.mu**2
 
+    def omega(lam):
+        return float(np.hypot(rho_perp, np.linalg.norm(lam * m2 * wp / (s2 + lam * m2))))
 
-def _limit_residual(factors: GsvdFactors, r, rnorm: float) -> float:
-    """Limit of the q-condition residual as lam -> 0+.
-
-    Equals the norm of the projection of r onto the orthogonal complement of
-    range(J): components on numerically zero sigma directions plus the part
-    of r outside the span of U.
-    """
-    w = factors.U.T @ r
-    dead = factors.sigma <= _SIGMA_ZERO_TOL
-    val = float(np.sum(w[: factors.p][dead] ** 2))
-    val += max(rnorm**2 - float(w @ w), 0.0)
-    return float(np.sqrt(max(val, 0.0)))
+    return omega
 
 
 def select_lambda_q(J, L, r, q: float, cfg: SolverConfig, factors=None):
     """Choose the damping parameter from the q-condition.
 
-    When ``||r + J d(lam)|| = q ||r||`` admits a root inside the admissible
-    interval ``(0, q/(1-q) zeta_p^2]`` it is found by bisection on
-    log10(lam) over ``(1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]`` and the
+    The q-condition residual ``omega(lam) = ||r + J d(lam)||`` is evaluated
+    from the factors of (J, L) in O(p) per call (``_omega_kernel``).  It is
+    nondecreasing in lam; its lam -> 0 limit is the projection of r onto the
+    complement of range(J).  The search runs over one bracket,
+    ``[1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]``: when omega crosses
+    ``q ||r||`` inside it, bisection on log10(lam) finds the root and the
     kind tag is ``"equality"``.  Otherwise a fixed fraction of the interval
-    upper bound is returned with kind ``"inequality-fallback"``.  Two
-    regimes lack a root: the residual may exceed the target for every lam
-    (its lam -> 0 limit, the projection onto the complement of range(J),
-    is already above the target), or it may stay below the target even at
-    the interval top, because components of r along the image of the
-    undamped null space of L are removed regardless of lam.
+    upper bound is returned with kind ``"inequality-fallback"``, in one of
+    two regimes: omega stays below the target even at the top, because
+    components of r along the image of the undamped null space of L are
+    removed regardless of lam; or omega is at or above the target already at
+    the floor: the residual on directions with zeta_i below about 1e-7 zeta_p
+    counts as unremovable, by one relative cutoff for the limit test and the
+    search.
 
     Returns
     -------
@@ -212,30 +174,18 @@ def select_lambda_q(J, L, r, q: float, cfg: SolverConfig, factors=None):
     target = q * rnorm
     rtol = cfg.lambda_root_tol
     bound = q / (1.0 - q) * zeta_p**2
-
-    def omega(lam):
-        return qcond_residual(J, factors, r, lam)
+    omega = _omega_kernel(factors, r)
 
     lam_hi = bound * (1.0 + rtol)
     val_hi = omega(lam_hi)
     if abs(val_hi - target) <= rtol * rnorm:
         return lam_hi, "equality"
-    if val_hi < target or _limit_residual(factors, r, rnorm) >= target:
-        return cfg.lambda_fallback_factor * bound, "inequality-fallback"
-
-    # The default low end covers every regular spectrum; extend it when the
-    # root sits below (clusters of tiny sigma_i).
     lam_lo = _BRACKET_LO_FACTOR * zeta_p**2
     val_lo = omega(lam_lo)
-    while val_lo > target and lam_lo > _BRACKET_FLOOR_FACTOR * zeta_p**2:
-        lam_lo *= 1e-8
-        val_lo = omega(lam_lo)
     if abs(val_lo - target) <= rtol * rnorm:
         return lam_lo, "equality"
-    if val_lo > target:
-        raise BracketFailure(
-            "residual exceeds the target even for vanishing damping"
-        )
+    if val_hi < target or val_lo >= target:
+        return cfg.lambda_fallback_factor * bound, "inequality-fallback"
 
     lo, hi = np.log10(lam_lo), np.log10(lam_hi)
     for _ in range(_BISECT_MAX_ITER):

@@ -2,16 +2,23 @@
 
 The oracles here are intentionally independent of the library internals:
 the generalized singular values come from a symmetric-definite eigenvalue
-problem, Jacobian checks from central differences.  ``gsvd_reference`` is
-the exception: the earlier stacked-QR form of ``lmmss.gsvd``, kept to check
-that the library still makes the same completeness decisions and computes
-the same sigma and mu.
+problem, Jacobian checks from central differences, the LM step and the
+q-condition residual from a stacked least-squares solve.  ``gsvd_reference``
+is the exception: the earlier stacked-QR form of ``lmmss.gsvd``, kept to
+check that the library still makes the same completeness decisions and
+computes the same sigma and mu.
 """
 
 import numpy as np
 import scipy.linalg
 
-from lmmss import CompletenessViolated, GsvdFactors, ScalingOperator
+from lmmss import (
+    CompletenessViolated,
+    DimensionMismatch,
+    GsvdFactors,
+    NonpositiveLambda,
+    ScalingOperator,
+)
 from lmmss.scaling import completeness_holds
 
 
@@ -67,6 +74,36 @@ def gsvd_reference(A, L):
             if j < p:
                 V[:, j] = -V[:, j]
     return GsvdFactors(U=U, V=V, X=X, sigma=sigma, mu=mu)
+
+
+def lm_step_reference(J, r, L, lam):
+    """Solve ``(J^T J + lam L^T L) d = -J^T r`` via the stacked system.
+
+    The step is the least-squares solution of ``[J; sqrt(lam) L] d = [-r; 0]``
+    with rank cutoff ``rcond = 1e-12``.  Raises ``numpy.linalg.LinAlgError``
+    when the stacked system is numerically rank deficient.
+    """
+    J = np.asarray(J, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if lam <= 0.0:
+        raise NonpositiveLambda(f"lambda must be positive, got {lam}")
+    m, n = J.shape
+    if r.shape != (m,):
+        raise DimensionMismatch(f"residual has shape {r.shape}, expected ({m},)")
+    Lmat = np.asarray(getattr(L, "matrix", L), dtype=float)
+    B = np.vstack([J, np.sqrt(lam) * Lmat])
+    c = np.concatenate([-r, np.zeros(Lmat.shape[0])])
+    d, _, rank, _ = np.linalg.lstsq(B, c, rcond=1e-12)
+    if rank < n:
+        raise np.linalg.LinAlgError(f"stacked system has rank {rank} < {n}")
+    return d
+
+
+def omega_reference(J, L, r, lam):
+    """The q-condition residual ``||r + J d(lam)||`` with the stacked step."""
+    J = np.asarray(J, dtype=float)
+    r = np.asarray(r, dtype=float)
+    return float(np.linalg.norm(r + J @ lm_step_reference(J, r, L, lam)))
 
 
 def random_pair(rng, m_max=50, n_max=40):

@@ -114,6 +114,13 @@ def test_generalized_singular_values_empty():
     assert generalized_singular_values(f).size == 0
 
 
+def test_factors_compare_and_hash_by_identity():
+    f, g = gsvd(np.eye(3), np.eye(3)), gsvd(np.eye(3), np.eye(3))
+    assert (f == f) is True
+    assert (f == g) is False
+    assert len({f, g, f}) == 2
+
+
 def test_validate_detects_perturbation():
     A, L = np.eye(2), np.eye(2)
     f = gsvd(A, L)

@@ -95,6 +95,13 @@ def test_scaling_operator_keeps_standard_form_factors(ctor):
     np.testing.assert_allclose(L._k0 @ (L._k0.T @ affine), affine, atol=1e-12)
 
 
+def test_scaling_operator_compares_and_hashes_by_identity():
+    a, b = identity(3), identity(3)
+    assert (a == a) is True
+    assert (a == b) is False
+    assert len({a, b, a}) == 2
+
+
 def test_from_spec(tmp_path):
     assert from_spec("identity", 4).kind == "identity"
     assert from_spec("d1", 4).p == 3

@@ -5,23 +5,27 @@ import lmmss
 from lmmss import (
     InverseProblem,
     NonpositiveLambda,
-    SingularSystem,
     SolverConfig,
     ZeroGradient,
     discrepancy_reached,
     generalized_singular_values,
     gsvd,
-    lm_step,
     lm_step_gsvd,
     make_noisy_data,
     make_problem,
-    qcond_residual,
     select_lambda_q,
     seminorm,
     solve,
 )
 from lmmss.scaling import first_difference, from_matrix, from_spec, identity
-from helpers import in_range_residual, unit_residual_start
+from lmmss.solver import _omega_kernel
+from helpers import (
+    in_range_residual,
+    lm_step_reference,
+    omega_reference,
+    random_pair,
+    unit_residual_start,
+)
 
 CFG = SolverConfig(q=0.5, tau=2.5)
 
@@ -48,8 +52,10 @@ class TestSolverConfig:
 
 
 class TestLmStep:
+    # The stacked least-squares oracle of tests/helpers.py, checked against
+    # closed forms before the other tests rely on it.
     def test_identity_pair(self):
-        d = lm_step(np.eye(2), np.array([1.0, 1.0]), identity(2), 1.0)
+        d = lm_step_reference(np.eye(2), np.array([1.0, 1.0]), identity(2), 1.0)
         np.testing.assert_allclose(d, [-0.5, -0.5], atol=1e-14)
 
     def test_small_rectangular_instance(self):
@@ -59,24 +65,24 @@ class TestLmStep:
         # oracle: direct solve of the 2x2 normal equations
         M = np.array([[1.5, -0.5], [-0.5, 0.51]])
         expected = np.linalg.solve(M, -J.T @ r)
-        np.testing.assert_allclose(lm_step(J, r, L, 0.5), expected, rtol=1e-12)
+        np.testing.assert_allclose(lm_step_reference(J, r, L, 0.5), expected, rtol=1e-12)
         np.testing.assert_allclose(expected, [-1.0874, -1.2621], atol=5e-5)
 
     def test_orthogonal_residual_gives_zero_step(self):
         J = np.array([[1.0], [0.0]])
         r = np.array([0.0, 1.0])
-        d = lm_step(J, r, identity(1), 1.0)
+        d = lm_step_reference(J, r, identity(1), 1.0)
         np.testing.assert_allclose(d, [0.0], atol=1e-15)
 
     def test_nonpositive_lambda(self):
         with pytest.raises(NonpositiveLambda):
-            lm_step(np.eye(2), np.ones(2), identity(2), 0.0)
+            lm_step_reference(np.eye(2), np.ones(2), identity(2), 0.0)
 
     def test_singular_system(self):
         J = np.array([[1.0, 0.0], [0.0, 0.0]])
         L = from_matrix([[1.0, 0.0]])
-        with pytest.raises(SingularSystem):
-            lm_step(J, np.ones(2), L, 1.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            lm_step_reference(J, np.ones(2), L, 1.0)
 
 
 class TestLmStepGsvd:
@@ -91,7 +97,7 @@ class TestLmStepGsvd:
         r = np.array([1.0, 1.0, 1.0])
         f = gsvd(J, L.matrix)
         np.testing.assert_allclose(
-            lm_step_gsvd(f, r, 0.5), lm_step(J, r, L, 0.5), rtol=1e-8
+            lm_step_gsvd(f, r, 0.5), lm_step_reference(J, r, L, 0.5), rtol=1e-8
         )
 
     def test_step_vanishes_for_huge_damping(self):
@@ -104,19 +110,24 @@ class TestLmStepGsvd:
 
 
 class TestQcondResidual:
+    # The O(p) kernel select_lambda_q bisects on, and the stacked oracle.
     def test_identity_closed_form(self):
         r = np.array([3.0, 4.0])
-        f = gsvd(np.eye(2), np.eye(2))
+        omega = _omega_kernel(gsvd(np.eye(2), np.eye(2)), r)
         for lam in (1e-3, 0.1, 1.0, 42.0):
             expected = lam / (1.0 + lam) * 5.0
-            assert qcond_residual(np.eye(2), f, r, lam) == pytest.approx(expected)
-            assert qcond_residual(np.eye(2), identity(2), r, lam) == pytest.approx(expected)
+            assert omega(lam) == pytest.approx(expected)
+            assert omega_reference(np.eye(2), identity(2), r, lam) == pytest.approx(expected)
 
     def test_small_lambda_limit_is_range_complement(self):
         J = np.array([[0.0], [1.0]])
         r = np.array([1.0, 0.1])
         # projector onto range(J)^perp keeps the first component
-        assert qcond_residual(J, identity(1), r, 1e-12) == pytest.approx(1.0, abs=1e-9)
+        assert omega_reference(J, identity(1), r, 1e-12) == pytest.approx(1.0, abs=1e-9)
+        # and the kernel reaches it at the bracket floor 1e-14 zeta_p^2
+        f = gsvd(J, np.eye(1))
+        zeta_p = generalized_singular_values(f)[-1]
+        assert _omega_kernel(f, r)(1e-14 * zeta_p**2) == pytest.approx(1.0, rel=1e-14)
 
     def test_nondecreasing_on_grid(self):
         rng = np.random.default_rng(17)
@@ -124,8 +135,34 @@ class TestQcondResidual:
         L = from_matrix(rng.standard_normal((3, 4)))
         r = rng.standard_normal(6)
         f = gsvd(J, L.matrix)
-        vals = [qcond_residual(J, f, r, lam) for lam in np.logspace(-8, 4, 50)]
+        omega = _omega_kernel(f, r)
+        vals = [omega(lam) for lam in np.logspace(-8, 4, 50)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_kernel_matches_reference_random_pairs(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            A, Lmat = random_pair(rng)
+            _assert_kernel_matches_reference(A, Lmat, rng.standard_normal(A.shape[0]))
+
+    @pytest.mark.parametrize("spec", ["identity", "d2"])
+    @pytest.mark.parametrize("name", ["linear", "autoconvolution", "coefficient"])
+    def test_kernel_matches_reference_n128(self, name, spec):
+        prob = make_problem(name, 128)
+        data = make_noisy_data(prob.y_exact, 1e-3, seed=1)
+        x = prob.x0_default
+        r = prob.evaluate_F(x) - data.y_delta
+        _assert_kernel_matches_reference(prob.evaluate_J(x), from_spec(spec, 128), r)
+
+
+def _assert_kernel_matches_reference(J, L, r, q=0.6):
+    # over the search bracket [1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]
+    f = gsvd(J, L)
+    zeta_p = generalized_singular_values(f)[-1]
+    omega = _omega_kernel(f, r)
+    rnorm = np.linalg.norm(r)
+    for lam in np.geomspace(1e-14 * zeta_p**2, q / (1.0 - q) * zeta_p**2 * (1.0 + 1e-10), 30):
+        assert abs(omega(lam) - omega_reference(J, L, r, lam)) <= 1e-12 * rnorm
 
 
 class TestSelectLambda:
@@ -153,6 +190,21 @@ class TestSelectLambda:
         zeta_p = generalized_singular_values(f)[-1]
         assert lam == pytest.approx(0.5 * 0.5 / 0.5 * zeta_p**2)
 
+    @pytest.mark.parametrize("s", [1e-10, 1e-12])
+    def test_unremovable_tiny_direction_falls_back(self, s):
+        # r lies mostly along the direction with zeta = s, far below 1e-7
+        # zeta_p: omega stays above the target at the bracket floor, so there
+        # is no root to bisect for and the step falls back
+        rng = np.random.default_rng(1)
+        Q1, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        J = Q1 @ np.diag([1.0, 1e-3, 1e-6, s]) @ Q2.T
+        r = Q1 @ np.array([0.1, 0.1, 0.1, 1.0])
+        lam, kind = select_lambda_q(J, identity(4), r, 0.5, CFG)
+        assert kind == "inequality-fallback"
+        zeta_p = generalized_singular_values(gsvd(J, np.eye(4)))[-1]
+        assert lam == pytest.approx(CFG.lambda_fallback_factor * zeta_p**2, rel=1e-12)
+
     def test_zero_gradient_rejected(self):
         J = np.array([[1.0], [0.0]])
         with pytest.raises(ZeroGradient):
@@ -176,7 +228,7 @@ class TestSelectLambda:
             q = float(rng.uniform(0.3, 0.8))
             lam, kind = select_lambda_q(J, L, r, q, CFG)
             if kind == "equality":
-                val = qcond_residual(J, L, r, lam)
+                val = omega_reference(J, L, r, lam)
                 assert abs(val - q * np.linalg.norm(r)) <= CFG.lambda_root_tol * np.linalg.norm(r)
 
 
