@@ -24,9 +24,7 @@ from .errors import (
 )
 from .gsvd import GsvdFactors, GsvdValidation, generalized_singular_values, gsvd, validate
 from .scaling import (
-    CompletenessReport,
     ScalingOperator,
-    completeness_check,
     first_difference,
     identity,
     second_difference,

@@ -12,7 +12,7 @@ import argparse
 import configparser
 import hashlib
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,40 +60,21 @@ class ExperimentConfig:
     tcc_samples: int = 200
 
     def to_ini_text(self) -> str:
-        lines = [
-            "[problem]",
-            f"name = {self.problem}",
-            f"n = {self.n}",
-            f"matrix_file = {self.matrix_file}",
-            f"rhs_file = {self.rhs_file}",
-            f"solution_file = {self.solution_file}",
-            f"x0_file = {self.x0_file}",
-            "",
-            "[scaling]",
-            f"kind = {self.scaling}",
-            "",
-            "[solver]",
-            f"q = {_fmt(self.q)}",
-            f"tau = {_fmt(self.tau)}",
-            f"max_iter = {self.max_iter}",
-            f"lambda_root_tol = {_fmt(self.lambda_root_tol)}",
-            f"grad_tol = {_fmt(self.grad_tol)}",
-            f"res_tol = {'auto' if self.res_tol is None else _fmt(self.res_tol)}",
-            f"lambda_fallback_factor = {_fmt(self.lambda_fallback_factor)}",
-            "",
-            "[experiment]",
-            f"deltas = {' '.join(_fmt(d) for d in self.deltas)}",
-            f"seeds = {' '.join(str(s) for s in self.seeds)}",
-            f"tcc_rho = {_fmt(self.tcc_rho)}",
-            f"tcc_samples = {self.tcc_samples}",
-            "",
-        ]
-        return "\n".join(lines)
+        """The canonical INI text: ``_KEYS`` in order, one section after another."""
+        lines, section = [], None
+        for (sec, key), (field, kind) in _KEYS.items():
+            if sec != section:
+                lines += [f"[{sec}]"] if section is None else ["", f"[{sec}]"]
+                section = sec
+            lines.append(f"{key} = {_format_value(getattr(self, field), kind)}")
+        return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_ini_text().encode()).hexdigest()[:12]
 
 
+#: The config schema: INI (section, key) -> (ExperimentConfig field, kind).
+#: Each field's flag stores under the field's name (argparse ``dest``).
 _KEYS = {
     ("problem", "name"): ("problem", str),
     ("problem", "n"): ("n", int),
@@ -155,27 +136,21 @@ def _parse_value(raw: str, kind):
     raise AssertionError(kind)
 
 
+def _format_value(value, kind) -> str:
+    """The inverse of ``_parse_value``."""
+    if kind == "res_tol" and value is None:
+        return "auto"
+    if kind in ("floats", "ints"):
+        return " ".join(_fmt(v) for v in value)
+    return _fmt(value)
+
+
 def _apply_flags(cfg: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
-    for flag, field in [
-        ("problem", "problem"),
-        ("n", "n"),
-        ("scaling", "scaling"),
-        ("q", "q"),
-        ("tau", "tau"),
-        ("max_iter", "max_iter"),
-        ("matrix", "matrix_file"),
-        ("rhs", "rhs_file"),
-        ("exact_solution", "solution_file"),
-        ("x0", "x0_file"),
-    ]:
-        val = getattr(args, flag, None)
+    for field, kind in _KEYS.values():
+        val = getattr(args, field, None)
         if val is not None:
-            updates[field] = val
-    if getattr(args, "delta", None) is not None:
-        updates["deltas"] = tuple(args.delta)
-    if getattr(args, "seed", None) is not None:
-        updates["seeds"] = tuple(args.seed)
+            updates[field] = tuple(val) if kind in ("floats", "ints") else val
     return replace(cfg, **updates)
 
 
@@ -186,48 +161,36 @@ def resolve_config(args) -> ExperimentConfig:
 
 def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
     try:
-        return SolverConfig(
-            q=cfg.q,
-            tau=cfg.tau,
-            max_iter=cfg.max_iter,
-            lambda_root_tol=cfg.lambda_root_tol,
-            grad_tol=cfg.grad_tol,
-            res_tol=cfg.res_tol,
-            lambda_fallback_factor=cfg.lambda_fallback_factor,
-        )
+        return SolverConfig(**{f.name: getattr(cfg, f.name) for f in fields(SolverConfig)})
     except ValueError as exc:
         raise ConfigError(f"solver config: {exc}") from None
 
 
-def _build_problem(cfg: ExperimentConfig):
+def _prepare(cfg: ExperimentConfig, args):
+    """The prologue of ``solve``, ``sweep`` and ``diagnose``.
+
+    Checks the noise levels and seeds, then returns ``(problem, L, scfg, x0,
+    out, digest)``.  Nothing is written; ``_write_config`` creates ``out``.
+    """
+    bad = [d for d in cfg.deltas if not 0.0 <= d < np.inf]
+    if bad:
+        raise ConfigError(f"deltas must be finite and nonnegative, got {_fmt(bad[0])}")
+    if not cfg.seeds:
+        raise ConfigError("seeds must not be empty")
     if cfg.problem == "file":
         if not cfg.matrix_file or not cfg.rhs_file:
             raise ConfigError("problem 'file' needs matrix_file and rhs_file")
-        return problem_from_files(
-            cfg.matrix_file, cfg.rhs_file, cfg.solution_file or None
-        )
-    try:
-        return make_problem(cfg.problem, cfg.n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _build_scaling(cfg: ExperimentConfig, n: int):
-    try:
-        return scaling.from_spec(cfg.scaling, n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _resolve_x0(cfg: ExperimentConfig, problem):
+        problem = problem_from_files(cfg.matrix_file, cfg.rhs_file, cfg.solution_file or None)
+    else:
+        problem = make_problem(cfg.problem, cfg.n)
+    L = scaling.from_spec(cfg.scaling, problem.n)
+    scfg = _solver_config(cfg)
+    x0 = problem.x0_default
     if cfg.x0_file:
         x0 = np.loadtxt(cfg.x0_file).ravel()
         if x0.shape != (problem.n,):
-            raise ConfigError(
-                f"x0 file has length {x0.size}, problem has n={problem.n}"
-            )
-        return x0
-    return problem.x0_default
+            raise ConfigError(f"x0 file has length {x0.size}, problem has n={problem.n}")
+    return problem, L, scfg, x0, Path(args.out or "."), cfg.digest()
 
 
 def _write_text(path: Path, text: str):
@@ -235,31 +198,16 @@ def _write_text(path: Path, text: str):
         fh.write(text)
 
 
-def _table(digest: str, header: str, rows) -> str:
+def _write_config(out: Path, cfg: ExperimentConfig):
+    out.mkdir(parents=True, exist_ok=True)
+    _write_text(out / "config.ini", cfg.to_ini_text())
+
+
+def _write_table(path: Path, digest: str, header: str, rows):
+    """Write a comma-delimited table under a digest line; None is an empty cell."""
     lines = [f"# config_digest={digest}", header]
-    lines.extend(rows)
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _write_trace(path: Path, run: RunRecord, digest: str):
-    rows = []
-    for rec in run.trace:
-        rows.append(
-            ",".join(
-                [
-                    str(rec.k),
-                    _fmt(rec.res_norm),
-                    _fmt(rec.lam),
-                    _fmt(rec.zeta_p),
-                    _fmt(rec.step_Lnorm),
-                    rec.qcond_kind or "",
-                ]
-            )
-        )
-    _write_text(
-        path, _table(digest, "k,res_norm,lambda,zeta_p,step_Lnorm,qcond_kind", rows)
-    )
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_iterates(path: Path, run: RunRecord):
@@ -273,20 +221,19 @@ def _summary_lines(pairs) -> str:
 
 def cmd_solve(args) -> int:
     cfg = resolve_config(args)
-    problem = _build_problem(cfg)
-    L = _build_scaling(cfg, problem.n)
-    scfg = _solver_config(cfg)
-    x0 = _resolve_x0(cfg, problem)
+    problem, L, scfg, x0, out, digest = _prepare(cfg, args)
     delta = cfg.deltas[0] if cfg.deltas else 0.0
     seed = cfg.seeds[0]
     data = make_noisy_data(problem.y_exact, delta, seed) if delta > 0.0 else None
     run = solve(problem, data, L, x0, scfg)
 
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    digest = cfg.digest()
-    _write_text(out / "config.ini", cfg.to_ini_text())
-    _write_trace(out / "trace.csv", run, digest)
+    _write_config(out, cfg)
+    _write_table(
+        out / "trace.csv",
+        digest,
+        "k,res_norm,lambda,zeta_p,step_Lnorm,qcond_kind",
+        [(r.k, r.res_norm, r.lam, r.zeta_p, r.step_Lnorm, r.qcond_kind) for r in run.trace],
+    )
     _write_iterates(out / "iterates.txt", run)
     pairs = [
         ("config_digest", digest),
@@ -315,35 +262,18 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     if not cfg.deltas:
         raise ConfigError("sweep needs at least one --delta / deltas entry")
-    problem = _build_problem(cfg)
-    L = _build_scaling(cfg, problem.n)
-    scfg = _solver_config(cfg)
-    x0 = _resolve_x0(cfg, problem)
-    try:
-        report = diagnostics.regularization_sweep(problem, L, x0, scfg, cfg.deltas, cfg.seeds)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    problem, L, scfg, x0, out, digest = _prepare(cfg, args)
+    report = diagnostics.regularization_sweep(problem, L, x0, scfg, cfg.deltas, cfg.seeds)
 
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    digest = cfg.digest()
-    _write_text(out / "config.ini", cfg.to_ini_text())
-    rows = [
-        ",".join(
-            [
-                _fmt(r.delta),
-                str(r.seed),
-                str(r.k_star),
-                _fmt(r.err_euclid),
-                _fmt(r.err_Lnorm),
-                _fmt(r.final_residual),
-            ]
-        )
-        for r in report.rows
-    ]
-    _write_text(
+    _write_config(out, cfg)
+    _write_table(
         out / "sweep.csv",
-        _table(digest, "delta,seed,k_star,err_euclid,err_Lnorm,final_residual", rows),
+        digest,
+        "delta,seed,k_star,err_euclid,err_Lnorm,final_residual",
+        [
+            (r.delta, r.seed, r.k_star, r.err_euclid, r.err_Lnorm, r.final_residual)
+            for r in report.rows
+        ],
     )
     pairs = [
         ("config_digest", digest),
@@ -439,25 +369,25 @@ def _reload_run(problem, L, scfg, run_dir: Path) -> RunRecord:
 
 def _write_gain_csv(path: Path, report, digest: str):
     rows = []
-    for k in range(len(report.gains)):
-        eq = report.kinds[k] == "equality"
-        rows.append(
-            ",".join(
-                [
-                    str(k),
-                    _fmt(report.gains[k]),
-                    _fmt(report.rhs_step[k]),
-                    _fmt(report.rhs_residual[k]) if eq else "",
-                    _fmt(report.rhs_spectral[k]) if eq else "",
-                    report.kinds[k],
-                    str(int((k, "step") not in report.violations)),
-                    str(int((k, "residual") not in report.violations)) if eq else "",
-                    str(int((k, "spectral") not in report.violations)) if eq else "",
-                ]
-            )
+    for k, kind in enumerate(report.kinds):
+        eq = kind == "equality"
+        ok_step, ok_res, ok_spec = (
+            int((k, which) not in report.violations)
+            for which in ("step", "residual", "spectral")
         )
+        rows.append((
+            k,
+            report.gains[k],
+            report.rhs_step[k],
+            report.rhs_residual[k] if eq else None,
+            report.rhs_spectral[k] if eq else None,
+            kind,
+            ok_step,
+            ok_res if eq else None,
+            ok_spec if eq else None,
+        ))
     header = "k,gain,rhs_step,rhs_residual,rhs_spectral,qcond_kind,ok_step,ok_residual,ok_spectral"
-    _write_text(path, _table(digest, header, rows))
+    _write_table(path, digest, header, rows)
 
 
 def cmd_diagnose(args) -> int:
@@ -466,14 +396,8 @@ def cmd_diagnose(args) -> int:
         cfg = _apply_flags(load_config(from_dir / "config.ini"), args)
     else:
         cfg = resolve_config(args)
-    problem = _build_problem(cfg)
-    L = _build_scaling(cfg, problem.n)
-    scfg = _solver_config(cfg)
-    x0 = _resolve_x0(cfg, problem)
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    digest = cfg.digest()
-    _write_text(out / "config.ini", cfg.to_ini_text())
+    problem, L, scfg, x0, out, digest = _prepare(cfg, args)
+    _write_config(out, cfg)
 
     if from_dir is not None:
         runs = [_reload_run(problem, L, scfg, from_dir)]
@@ -522,23 +446,14 @@ def cmd_diagnose(args) -> int:
             gain = diagnostics.check_gain(run, x_star, L, scfg.q, theta)
             _write_gain_csv(out / "gain_exact.csv", gain, digest)
             euclid = diagnostics.check_euclidean_bound(run, problem, x_star, L, c_used)
-            _write_text(
+            _write_table(
                 out / "euclidean.csv",
-                _table(
-                    digest,
-                    "k,lhs,rhs,ok",
-                    [
-                        ",".join(
-                            [
-                                str(k),
-                                _fmt(euclid.lhs[k]),
-                                _fmt(euclid.rhs[k]),
-                                str(int(k not in euclid.violations)),
-                            ]
-                        )
-                        for k in range(len(euclid.lhs))
-                    ],
-                ),
+                digest,
+                "k,lhs,rhs,ok",
+                [
+                    (k, lhs, rhs, int(k not in euclid.violations))
+                    for k, (lhs, rhs) in enumerate(zip(euclid.lhs, euclid.rhs))
+                ],
             )
             summary_pairs += [
                 ("theta_exact", theta),
@@ -557,22 +472,9 @@ def cmd_diagnose(args) -> int:
                 ks = diagnostics.check_kstar_bound(
                     run, x_star, L, scfg.q, scfg.tau, run.delta, theta
                 )
-                _write_text(
-                    out / "kstar_report.txt",
-                    _summary_lines(
-                        [
-                            ("config_digest", digest),
-                            ("k_star", ks.k_star),
-                            ("lhs", ks.lhs),
-                            ("rhs_linear", ks.rhs_linear),
-                            ("rhs_squared", ks.rhs_squared),
-                            ("holds_linear", ks.holds_linear),
-                            ("holds_squared", ks.holds_squared),
-                            ("theta", ks.theta),
-                            ("zeta_hat", ks.zeta_hat),
-                        ]
-                    ),
-                )
+                pairs = [("config_digest", digest)]
+                pairs += [(f.name, getattr(ks, f.name)) for f in fields(ks)]
+                _write_text(out / "kstar_report.txt", _summary_lines(pairs))
                 summary_pairs.append(
                     ("kstar_bound_holds", ks.holds_linear or ks.holds_squared)
                 )
@@ -591,14 +493,14 @@ def _add_common(sp):
     sp.add_argument("--scaling", help="identity | d1 | d2 | file:<path>")
     sp.add_argument("--q", type=float, help="residual contraction target in (0,1)")
     sp.add_argument("--tau", type=float, help="discrepancy multiplier (> 1/q)")
-    sp.add_argument("--delta", action="append", type=float, help="noise level (repeatable)")
-    sp.add_argument("--seed", action="append", type=int, help="noise seed (repeatable)")
+    sp.add_argument("--delta", dest="deltas", action="append", type=float, help="noise level (repeatable)")
+    sp.add_argument("--seed", dest="seeds", action="append", type=int, help="noise seed (repeatable)")
     sp.add_argument("--max-iter", dest="max_iter", type=int)
     sp.add_argument("--out", help="output directory")
-    sp.add_argument("--matrix", help="matrix file for --problem file")
-    sp.add_argument("--rhs", help="data vector file for --problem file")
-    sp.add_argument("--exact-solution", dest="exact_solution", help="optional exact solution file")
-    sp.add_argument("--x0", help="initial guess file")
+    sp.add_argument("--matrix", dest="matrix_file", help="matrix file for --problem file")
+    sp.add_argument("--rhs", dest="rhs_file", help="data vector file for --problem file")
+    sp.add_argument("--exact-solution", dest="solution_file", help="optional exact solution file")
+    sp.add_argument("--x0", dest="x0_file", help="initial guess file")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -634,10 +536,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LmmssError as exc:

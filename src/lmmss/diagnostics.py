@@ -21,7 +21,7 @@ from .solver import RunRecord, SolverConfig, solve
 _DENOM_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TccEstimate:
     """Sampled lower bound on the tangential-cone constant in the L-seminorm.
 
@@ -135,7 +135,7 @@ def theta_noisy(q: float, tau: float, c: float, dist_L: float) -> float:
     return q * tau / (1.0 + c * (1.0 + tau) * dist_L)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainReport:
     """Per-iteration gains ``||x_k - x*||_L^2 - ||x_{k+1} - x*||_L^2``.
 
@@ -259,7 +259,7 @@ def check_kstar_bound(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EuclideanBoundReport:
     """Per-iteration Euclidean distance of the new iterate against the seminorm bound."""
 
@@ -365,8 +365,8 @@ def regularization_sweep(
     """Solve at every (delta, seed) and check the error trend as delta drops.
 
     ``deltas`` must be strictly decreasing and positive (exact data is the
-    solver's exact mode, not a sweep entry).  Solve errors are re-raised
-    annotated with the offending delta and seed.
+    solver's exact mode, not a sweep entry) and ``seeds`` nonempty.  Solve
+    errors are re-raised annotated with the offending delta and seed.
     """
     deltas = [float(d) for d in deltas]
     if not deltas or any(d <= 0.0 for d in deltas):
@@ -374,6 +374,8 @@ def regularization_sweep(
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
     seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     if problem.x_dagger is None:
         raise MissingExactSolution("regularization_sweep needs the exact solution")
 

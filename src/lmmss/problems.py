@@ -28,7 +28,7 @@ from .errors import (
 A_MIN = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned box used as a domain hint by sampling-based diagnostics."""
 
@@ -52,13 +52,14 @@ def finite_difference_jacobian(F: Callable, x, step: float | None = None) -> np.
     return np.column_stack(cols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InverseProblem:
     """A forward map with Jacobian, exact data, and optional exact solution.
 
     ``eval_J = None`` installs a central finite-difference fallback.  When an
     exact solution ``x_dagger`` is supplied it must reproduce ``y_exact`` to
-    within ``1e-10 * (1 + ||y_exact||)`` (zero-residual setting).
+    within ``1e-10 * (1 + ||y_exact||)`` (zero-residual setting); a NaN
+    residual fails this check.  Instances compare and hash by identity.
     """
 
     name: str
@@ -81,7 +82,7 @@ class InverseProblem:
             )
         if self.x_dagger is not None:
             gap = float(np.linalg.norm(self.eval_F(self.x_dagger) - self.y_exact))
-            if gap > 1e-10 * (1.0 + float(np.linalg.norm(self.y_exact))):
+            if not gap <= 1e-10 * (1.0 + float(np.linalg.norm(self.y_exact))):
                 raise ValueError(
                     f"x_dagger is not a zero-residual solution (gap {gap:.3e})"
                 )
@@ -125,7 +126,7 @@ class InverseProblem:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisyData:
     """Perturbed data with ``||y_exact - y_delta|| = delta`` exactly."""
 

@@ -139,30 +139,3 @@ def completeness_holds(s) -> bool:
     """
     return bool(s[-1] ** 2 > 1e-10 * (1.0 + 2.0 * s[0] ** 2))
 
-
-@dataclass(frozen=True)
-class CompletenessReport:
-    """Smallest eigenvalue of J^T J + L^T L and whether it clears the floor.
-
-    ``holds`` is equivalent (numerically) to N(J) and N(L) intersecting only
-    at the origin, which makes J^T J + lam L^T L positive definite for every
-    lam > 0.
-    """
-
-    gamma: float
-    holds: bool
-    point: np.ndarray | None = None
-
-
-def completeness_check(J, L: ScalingOperator, point=None) -> CompletenessReport:
-    """Check ``completeness_holds`` by one SVD of [J; L]; ``gamma = s_min^2``."""
-    J = np.asarray(J, dtype=float)
-    if J.ndim != 2 or J.shape[1] != L.n:
-        raise DimensionMismatch(
-            f"J must be m x {L.n}, got shape {J.shape}"
-        )
-    s = np.linalg.svd(np.vstack([J, L.matrix]), compute_uv=False)
-    if s.size < L.n:  # fewer rows than unknowns: the null spaces must meet
-        s = np.append(s, 0.0)
-    gamma = float(s[-1]) ** 2
-    return CompletenessReport(gamma=gamma, holds=completeness_holds(s), point=point)

@@ -58,7 +58,7 @@ class SolverConfig:
             raise ValueError("lambda_fallback_factor must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterateRecord:
     """State at iterate k plus the step taken from it.
 
@@ -78,7 +78,7 @@ class IterateRecord:
     lin_res_norm: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunRecord:
     """Full trace of a solve plus the stopping index and reason.
 

@@ -30,6 +30,50 @@ class TestConfig:
         assert a.digest() == ExperimentConfig().digest()
         assert a.digest() != b.digest()
 
+    # The canonical text and its digest are the artifact format: every table
+    # carries the digest, so a change here breaks reproduction of old runs.
+    DEFAULT_INI = (
+        "[problem]\nname = linear\nn = 32\nmatrix_file = \nrhs_file = \n"
+        "solution_file = \nx0_file = \n\n[scaling]\nkind = identity\n\n"
+        "[solver]\nq = 0.5\ntau = 2.5\nmax_iter = 500\nlambda_root_tol = 1e-10\n"
+        "grad_tol = 9.9999999999999998e-13\nres_tol = auto\n"
+        "lambda_fallback_factor = 0.5\n\n[experiment]\ndeltas = \nseeds = 0\n"
+        "tcc_rho = 0.5\ntcc_samples = 200\n"
+    )
+    EVERY_KIND_INI = (
+        "[problem]\nname = file\nn = 7\nmatrix_file = A.txt\nrhs_file = y.txt\n"
+        "solution_file = \nx0_file = \n\n[scaling]\nkind = d2\n\n"
+        "[solver]\nq = 0.59999999999999998\ntau = 3.5\nmax_iter = 40\n"
+        "lambda_root_tol = 1e-10\ngrad_tol = 9.9999999999999998e-13\n"
+        "res_tol = 1.0000000000000001e-09\nlambda_fallback_factor = 0.25\n\n"
+        "[experiment]\ndeltas = 0.01 0.001 0.00029999999999999997\nseeds = 1 22\n"
+        "tcc_rho = 0.10000000000000001\ntcc_samples = 150\n"
+    )
+
+    @pytest.mark.parametrize(
+        "cfg, text, digest",
+        [
+            (ExperimentConfig(), DEFAULT_INI, "1345ad16ceca"),
+            (
+                ExperimentConfig(
+                    problem="file", n=7, matrix_file="A.txt", rhs_file="y.txt",
+                    scaling="d2", q=0.6, tau=3.5, max_iter=40, res_tol=1e-9,
+                    lambda_fallback_factor=0.25, deltas=(0.01, 1e-3, 3e-4),
+                    seeds=(1, 22), tcc_rho=0.1, tcc_samples=150,
+                ),
+                EVERY_KIND_INI,
+                "01b1592d5073",
+            ),
+        ],
+        ids=["default", "every-kind"],
+    )
+    def test_canonical_text_and_digest_pinned(self, tmp_path, cfg, text, digest):
+        assert cfg.to_ini_text() == text
+        assert cfg.digest() == digest
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        assert load_config(path) == cfg
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[solver]\nbogus = 1\n")
@@ -86,8 +130,9 @@ class TestSweepCommand:
         ]
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(a)]) == 0
-        rows = read(a / "sweep.csv").strip().splitlines()[2:]
-        assert len(rows) == 8
+        lines = read(a / "sweep.csv").strip().splitlines()
+        assert lines[1] == "delta,seed,k_star,err_euclid,err_Lnorm,final_residual"
+        assert len(lines[2:]) == 8
         assert main(["sweep", "--config", str(a / "config.ini"), "--out", str(b)]) == 0
         for name in ("sweep.csv", "sweep_summary.txt", "config.ini"):
             assert filecmp.cmp(a / name, b / name, shallow=False), name
@@ -154,9 +199,15 @@ class TestDiagnoseCommand:
             "--tau", "3.0", "--delta", "1e-3", "--seed", "1", "--out", str(out),
         ])
         assert rc == 0
-        assert (out / "gain_exact.csv").exists()
-        assert (out / "gain_noisy.csv").exists()
-        assert (out / "euclidean.csv").exists()
+        gain_header = (
+            "k,gain,rhs_step,rhs_residual,rhs_spectral,qcond_kind,ok_step,ok_residual,ok_spectral"
+        )
+        for name, header in [
+            ("gain_exact.csv", gain_header),
+            ("gain_noisy.csv", gain_header),
+            ("euclidean.csv", "k,lhs,rhs,ok"),
+        ]:
+            assert read(out / name).splitlines()[1] == header, name
         assert (out / "kstar_report.txt").exists()
         summary = read(out / "diagnostics_summary.txt")
         assert "c_hat" in summary and "gain_exact_violations = 0" in summary
@@ -202,3 +253,38 @@ class TestScalingFlag:
         ])
         assert rc == 0
         assert "scaling = custom" in read(out / "summary.txt")
+
+
+class TestInputErrors:
+    """Bad noise levels, seeds and exact solutions exit 2 and write nothing."""
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "diagnose"])
+    def test_negative_delta_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        rc = main([command, "--problem", "linear", "--n", "16", "--delta=-1e-3",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "-0.001" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "diagnose"])
+    def test_empty_seeds_rejected(self, tmp_path, capsys, command):
+        path = tmp_path / "c.ini"
+        path.write_text("[problem]\nn = 16\n[experiment]\ndeltas = 1e-3\nseeds =\n")
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "seeds must not be empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_exact_solution_rejected(self, tmp_path, capsys):
+        np.savetxt(tmp_path / "A.txt", np.eye(3))
+        np.savetxt(tmp_path / "y.txt", np.ones(3))
+        np.savetxt(tmp_path / "x.txt", [np.nan, 1.0, 1.0])
+        rc = main([
+            "solve", "--problem", "file", "--matrix", str(tmp_path / "A.txt"),
+            "--rhs", str(tmp_path / "y.txt"), "--exact-solution", str(tmp_path / "x.txt"),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert "gap nan" in capsys.readouterr().err

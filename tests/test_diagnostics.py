@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from lmmss import (
+    Box,
+    EuclideanBoundReport,
+    GainReport,
     InverseProblem,
     IterateRecord,
     MissingExactSolution,
     RunRecord,
     SolverConfig,
+    TccEstimate,
     check_euclidean_bound,
     check_gain,
     check_kstar_bound,
@@ -286,6 +290,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             regularization_sweep(prob, identity(8), np.zeros(8), cfg, (1e-3, 1e-2), (1,))
 
+    def test_rejects_empty_seeds(self):
+        prob = make_problem("linear", 8)
+        cfg = SolverConfig(q=0.5, tau=2.5)
+        with pytest.raises(ValueError, match="seeds must not be empty"):
+            regularization_sweep(prob, identity(8), np.zeros(8), cfg, (1e-2, 1e-3), ())
+
     def test_trend_violation_detection(self):
         rows = [
             SweepRow(1e-2, 1, 3, 1.0, 1.0, 0.01, "discrepancy"),
@@ -328,3 +338,37 @@ class TestRunRatios:
         ratios = run_tcc_ratios(prob, L, run, prob.x_dagger)
         assert ratios.shape == (len(run.trace),)
         assert np.all(ratios >= 0.0)
+
+
+_RECORDS = {
+    "IterateRecord": lambda: IterateRecord(k=0, x=np.zeros(3), res_norm=1.0),
+    "RunRecord": lambda: RunRecord(
+        trace=(IterateRecord(k=0, x=np.zeros(3), res_norm=1.0),), k_star=0,
+        stop_reason="discrepancy", zeta_hat=None, final_x=np.zeros(3),
+        mode="noisy", q=0.5, tau=2.5, delta=1e-3,
+    ),
+    "NoisyData": lambda: make_noisy_data(np.ones(3), 1e-3, seed=1),
+    "InverseProblem": lambda: make_problem("linear", 4),
+    "Box": lambda: Box(np.zeros(2), np.ones(2)),
+    "TccEstimate": lambda: TccEstimate(
+        c_hat=0.5, rho=0.5, samples=100, worst_pair=(np.zeros(2), np.ones(2))
+    ),
+    "GainReport": lambda: GainReport(
+        theta=2.0, q=0.5, gains=np.ones(2), rhs_step=np.ones(2),
+        rhs_residual=np.ones(2), rhs_spectral=np.ones(2),
+        kinds=("equality", "equality"), violations=(), slack=0.0, assumption_ok=True,
+    ),
+    "EuclideanBoundReport": lambda: EuclideanBoundReport(
+        lhs=np.ones(2), rhs=np.ones(2), violations=()
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_array_records_compare_and_hash_by_identity(name):
+    # the generated __eq__ would compare array fields and raise ValueError
+    a, b = _RECORDS[name](), _RECORDS[name]()
+    assert (a == a) is True
+    assert (a == b) is False
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2

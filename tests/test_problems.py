@@ -204,6 +204,17 @@ class TestInverseProblemWrapper:
                 y_exact=np.ones(2), x_dagger=np.zeros(2),
             )
 
+    @pytest.mark.parametrize("where", ["x_dagger", "y_exact"])
+    def test_non_finite_exact_solution_rejected(self, where):
+        # a NaN gap must fail the zero-residual check, not slip past it
+        x_dagger, y_exact = np.ones(3), np.ones(3)
+        {"x_dagger": x_dagger, "y_exact": y_exact}[where][0] = np.nan
+        with pytest.raises(ValueError, match="gap nan"):
+            InverseProblem(
+                name="nan", eval_F=lambda x: x, eval_J=None, m=3, n=3,
+                y_exact=y_exact, x_dagger=x_dagger,
+            )
+
     def test_unknown_problem_name(self):
         with pytest.raises(ValueError, match="autoconvolution"):
             make_problem("nosuch", 10)

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from lmmss import DimensionMismatch, DimensionTooSmall, RankDeficientL, seminorm
+from lmmss import (
+    CompletenessViolated,
+    DimensionMismatch,
+    DimensionTooSmall,
+    RankDeficientL,
+    gsvd,
+    seminorm,
+)
 from lmmss.scaling import (
     ScalingOperator,
-    completeness_check,
+    completeness_holds,
     first_difference,
     from_matrix,
     from_spec,
@@ -132,34 +139,51 @@ def test_seminorm_vanishes_exactly_on_null_space():
     assert seminorm(L, np.full(6, -1.3)) == 0.0
 
 
+def stacked_singular_values(J, L):
+    """Singular values of [J; L], largest first: the input of the exact rule."""
+    return np.linalg.svd(np.vstack([J, L.matrix]), compute_uv=False)
+
+
 def test_completeness_identity_pair():
-    rep = completeness_check(np.eye(2), identity(2))
-    assert rep.holds
-    assert rep.gamma == pytest.approx(2.0)
+    J, L = np.eye(2), identity(2)
+    s = stacked_singular_values(J, L)
+    assert completeness_holds(s)
+    assert s[-1] ** 2 == pytest.approx(2.0)
+    gsvd(J, L)
 
 
 def test_completeness_complementary_pair():
-    rep = completeness_check(np.array([[1.0, 0.0], [0.0, 0.0]]), from_matrix([[0.0, 1.0]]))
-    assert rep.holds
-    assert rep.gamma == pytest.approx(1.0)
+    J, L = np.array([[1.0, 0.0], [0.0, 0.0]]), from_matrix([[0.0, 1.0]])
+    s = stacked_singular_values(J, L)
+    assert completeness_holds(s)
+    assert s[-1] ** 2 == pytest.approx(1.0)
+    gsvd(J, L)
 
 
 def test_completeness_shared_null_vector():
-    rep = completeness_check(np.array([[1.0, 0.0], [0.0, 0.0]]), from_matrix([[1.0, 0.0]]))
-    assert not rep.holds
-    assert rep.gamma == pytest.approx(0.0, abs=1e-14)
+    J, L = np.array([[1.0, 0.0], [0.0, 0.0]]), from_matrix([[1.0, 0.0]])
+    s = stacked_singular_values(J, L)
+    assert not completeness_holds(s)
+    assert s[-1] ** 2 == pytest.approx(0.0, abs=1e-14)
+    with pytest.raises(CompletenessViolated):
+        gsvd(J, L)
 
 
 def test_completeness_fewer_rows_than_unknowns():
-    # [J; L] is 3 x 4, so its null space, N(J) ∩ N(L), cannot be trivial
-    rep = completeness_check(np.ones((1, 4)), from_matrix(np.eye(4)[:2]))
-    assert not rep.holds
-    assert rep.gamma == 0.0
+    # gsvd needs J to have at least as many rows as unknowns
+    with pytest.raises(DimensionMismatch, match="need m >= n"):
+        gsvd(np.ones((1, 4)), from_matrix(np.eye(4)[:2]))
+    # a square J whose rows span one direction: [J; L] has rank 3 < 4, so
+    # N(J) ∩ N(L) cannot be trivial
+    J, L = np.ones((4, 4)), from_matrix(np.eye(4)[:2])
+    assert not completeness_holds(stacked_singular_values(J, L))
+    with pytest.raises(CompletenessViolated):
+        gsvd(J, L)
 
 
 def test_completeness_shape_check():
-    with pytest.raises(DimensionMismatch):
-        completeness_check(np.eye(3), identity(2))
+    with pytest.raises(DimensionMismatch, match="column counts differ"):
+        gsvd(np.eye(3), identity(2))
 
 
 def test_norm_equivalence_nonsingular_scaling():
@@ -179,8 +203,12 @@ def test_first_difference_completeness_random_and_adversarial():
     n = 8
     L = first_difference(n)
     for _ in range(10):
-        assert completeness_check(rng.standard_normal((n, n)), L).holds
+        J = rng.standard_normal((n, n))
+        assert completeness_holds(stacked_singular_values(J, L))
+        gsvd(J, L)
     # J annihilating constants shares the null space of the stencil
     B = rng.standard_normal((n, n))
     J = B @ (np.eye(n) - np.full((n, n), 1.0 / n))
-    assert not completeness_check(J, L).holds
+    assert not completeness_holds(stacked_singular_values(J, L))
+    with pytest.raises(CompletenessViolated):
+        gsvd(J, L)

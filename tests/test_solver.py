@@ -17,7 +17,7 @@ from lmmss import (
     seminorm,
     solve,
 )
-from lmmss.scaling import first_difference, from_matrix, from_spec, identity
+from lmmss.scaling import completeness_holds, first_difference, from_matrix, from_spec, identity
 from lmmss.solver import _omega_kernel
 from helpers import (
     in_range_residual,
@@ -436,9 +436,10 @@ class TestCompletenessRule:
         L = from_matrix([[0.0, u]])
         # the earlier rule, gamma > 1e-10 (1 + ||J||^2 + ||L||^2), passed all three
         assert t2 > 1e-10 * (1.0 + np.linalg.norm(J, 2) ** 2 + np.linalg.norm(L.matrix, 2) ** 2)
-        rep = lmmss.completeness_check(J, L)
-        assert rep.gamma == pytest.approx(t2, rel=1e-12)
-        assert rep.holds is holds
+        # the exact rule, on the singular values of [J; L]
+        s = np.linalg.svd(np.vstack([J, L.matrix]), compute_uv=False)
+        assert s[-1] ** 2 == pytest.approx(t2, rel=1e-12)
+        assert completeness_holds(s) is holds
         prob = InverseProblem(
             name="near-floor", eval_F=lambda x: J @ x, eval_J=lambda x: J,
             m=2, n=2, y_exact=np.array([1.0, 1.0]),
