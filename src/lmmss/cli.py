@@ -96,6 +96,18 @@ _KEYS = {
     ("experiment", "tcc_samples"): ("tcc_samples", int),
 }
 
+#: The ``trace.csv`` schema: column -> (IterateRecord field, kind).  The last
+#: row is the stopped iterate, whose step cells are empty (None).
+_TRACE = {
+    "k": ("k", int),
+    "res_norm": ("res_norm", float),
+    "lambda": ("lam", float),
+    "zeta_p": ("zeta_p", float),
+    "step_Lnorm": ("step_Lnorm", float),
+    "qcond_kind": ("qcond_kind", str),
+    "lin_res_norm": ("lin_res_norm", float),
+}
+
 
 def load_config(path) -> ExperimentConfig:
     """Parse an INI config file into an ExperimentConfig."""
@@ -169,8 +181,9 @@ def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
 def _prepare(cfg: ExperimentConfig, args):
     """The prologue of ``solve``, ``sweep`` and ``diagnose``.
 
-    Checks the noise levels and seeds, then returns ``(problem, L, scfg, x0,
-    out, digest)``.  Nothing is written; ``_write_config`` creates ``out``.
+    Checks the noise levels, seeds and x0 file, then returns ``(problem, L,
+    scfg, x0, out, digest)``.  Nothing is written; ``_write_config`` creates
+    ``out``.
     """
     bad = [d for d in cfg.deltas if not 0.0 <= d < np.inf]
     if bad:
@@ -190,7 +203,19 @@ def _prepare(cfg: ExperimentConfig, args):
         x0 = np.loadtxt(cfg.x0_file).ravel()
         if x0.shape != (problem.n,):
             raise ConfigError(f"x0 file has length {x0.size}, problem has n={problem.n}")
+        if not np.isfinite(x0).all():
+            raise ConfigError("x0 file has a NaN or infinite entry")
     return problem, L, scfg, x0, Path(args.out or "."), cfg.digest()
+
+
+def _single_run(cfg: ExperimentConfig):
+    """The ``(delta, seed)`` of ``solve`` and a fresh ``diagnose``, which make one run."""
+    if len(cfg.deltas) > 1 or len(cfg.seeds) > 1:
+        raise ConfigError(
+            "solve and diagnose take at most one delta and one seed, got "
+            f"{len(cfg.deltas)} and {len(cfg.seeds)} (sweep takes several)"
+        )
+    return (cfg.deltas[0] if cfg.deltas else 0.0), cfg.seeds[0]
 
 
 def _write_text(path: Path, text: str):
@@ -222,8 +247,7 @@ def _summary_lines(pairs) -> str:
 def cmd_solve(args) -> int:
     cfg = resolve_config(args)
     problem, L, scfg, x0, out, digest = _prepare(cfg, args)
-    delta = cfg.deltas[0] if cfg.deltas else 0.0
-    seed = cfg.seeds[0]
+    delta, seed = _single_run(cfg)
     data = make_noisy_data(problem.y_exact, delta, seed) if delta > 0.0 else None
     run = solve(problem, data, L, x0, scfg)
 
@@ -231,8 +255,8 @@ def cmd_solve(args) -> int:
     _write_table(
         out / "trace.csv",
         digest,
-        "k,res_norm,lambda,zeta_p,step_Lnorm,qcond_kind",
-        [(r.k, r.res_norm, r.lam, r.zeta_p, r.step_Lnorm, r.qcond_kind) for r in run.trace],
+        ",".join(_TRACE),
+        [[getattr(rec, field) for field, _ in _TRACE.values()] for rec in run.trace],
     )
     _write_iterates(out / "iterates.txt", run)
     pairs = [
@@ -316,54 +340,28 @@ def cmd_gsvd(args) -> int:
     return 0 if report.passed else 1
 
 
-def _reload_run(problem, L, scfg, run_dir: Path) -> RunRecord:
-    """Rebuild a RunRecord from solve artifacts (trace, iterates, summary)."""
-    xs = np.loadtxt(run_dir / "iterates.txt", ndmin=2)
-    summary = {}
-    for line in (run_dir / "summary.txt").read_text().splitlines():
-        key, _, val = line.partition(" = ")
-        summary[key] = val
-    mode = summary["mode"]
-    delta = float(summary["delta"])
-    y = (
-        make_noisy_data(problem.y_exact, delta, int(summary["seed"])).y_delta
-        if mode == "noisy"
-        else problem.y_exact
-    )
-    records = []
+def _reload_run(run_dir: Path, scfg: SolverConfig, digest: str) -> RunRecord:
+    """Rebuild a ``solve`` directory's RunRecord, bit for bit, from its artifacts alone.
+
+    ``trace.csv`` must start with ``digest`` (that of the directory's config)
+    and the ``_TRACE`` header.
+    """
     lines = (run_dir / "trace.csv").read_text().splitlines()
-    for row in lines[2:]:
-        k_s, res_s, lam_s, zeta_s, step_s, kind = row.split(",")
-        k = int(k_s)
-        x = xs[k]
-        if lam_s:
-            J = problem.evaluate_J(x)
-            lin = float(np.linalg.norm(problem.evaluate_F(x) - y + J @ (xs[k + 1] - x)))
-            records.append(
-                IterateRecord(
-                    k=k,
-                    x=x,
-                    res_norm=float(res_s),
-                    lam=float(lam_s),
-                    zeta_p=float(zeta_s),
-                    step_Lnorm=float(step_s),
-                    qcond_kind=kind,
-                    lin_res_norm=lin,
-                )
-            )
-        else:
-            records.append(IterateRecord(k=k, x=x, res_norm=float(res_s)))
-    zetas = [rec.zeta_p for rec in records if rec.zeta_p is not None]
-    return RunRecord(
-        trace=tuple(records),
-        k_star=len(records) - 1,
-        stop_reason=summary["stop_reason"],
-        zeta_hat=max(zetas) if zetas else None,
-        final_x=records[-1].x,
-        mode=mode,
-        q=scfg.q,
-        tau=scfg.tau,
-        delta=delta,
+    head = [f"# config_digest={digest}", ",".join(_TRACE)]
+    if lines[:2] != head:
+        raise ConfigError(f"{run_dir / 'trace.csv'} does not start with the lines {head}")
+    xs = np.loadtxt(run_dir / "iterates.txt", ndmin=2)
+    records = []
+    for row, x in zip(lines[2:], xs, strict=True):
+        values = {
+            field: None if cell == "" else _parse_value(cell, kind)
+            for (field, kind), cell in zip(_TRACE.values(), row.split(","), strict=True)
+        }
+        records.append(IterateRecord(x=x, **values))
+    summary_lines = (run_dir / "summary.txt").read_text().splitlines()
+    summary = dict(line.split(" = ", 1) for line in summary_lines)
+    return RunRecord.from_trace(
+        records, summary["stop_reason"], summary["mode"], scfg.q, scfg.tau, float(summary["delta"])
     )
 
 
@@ -391,21 +389,23 @@ def _write_gain_csv(path: Path, report, digest: str):
 
 
 def cmd_diagnose(args) -> int:
-    from_dir = Path(args.from_dir) if args.from_dir else None
-    if from_dir is not None:
-        cfg = _apply_flags(load_config(from_dir / "config.ini"), args)
+    if args.from_dir:
+        names = ["config", *(field for field, _ in _KEYS.values())]
+        given = [name for name in names if getattr(args, name, None) is not None]
+        if given:
+            raise ConfigError(f"--from-dir uses the run's own config.ini; drop {', '.join(given)}")
+        cfg = load_config(Path(args.from_dir) / "config.ini")
+        problem, L, scfg, x0, out, digest = _prepare(cfg, args)
+        runs = [_reload_run(Path(args.from_dir), scfg, digest)]
     else:
         cfg = resolve_config(args)
-    problem, L, scfg, x0, out, digest = _prepare(cfg, args)
-    _write_config(out, cfg)
-
-    if from_dir is not None:
-        runs = [_reload_run(problem, L, scfg, from_dir)]
-    else:
+        problem, L, scfg, x0, out, digest = _prepare(cfg, args)
+        delta, seed = _single_run(cfg)
         runs = [solve(problem, None, L, x0, scfg)]
-        if cfg.deltas and cfg.deltas[0] > 0.0:
-            data = make_noisy_data(problem.y_exact, cfg.deltas[0], cfg.seeds[0])
+        if delta > 0.0:
+            data = make_noisy_data(problem.y_exact, delta, seed)
             runs.append(solve(problem, data, L, x0, scfg))
+    _write_config(out, cfg)
 
     tcc = diagnostics.estimate_tcc_constant(
         problem, L, x0, rho=cfg.tcc_rho, samples=cfg.tcc_samples, seed=cfg.seeds[0]

@@ -48,12 +48,16 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
-        if self.tau * self.q <= 1.0:
-            raise ValueError(f"need tau > 1/q, got tau={self.tau}, q={self.q}")
+        if not 1.0 < self.tau * self.q < np.inf:
+            raise ValueError(f"need finite tau > 1/q, got tau={self.tau}, q={self.q}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.lambda_root_tol <= 0.0:
-            raise ValueError("lambda_root_tol must be positive")
+        if not 0.0 < self.lambda_root_tol < np.inf:
+            raise ValueError(f"lambda_root_tol must be finite and > 0, got {self.lambda_root_tol}")
+        if not np.isfinite(self.grad_tol):
+            raise ValueError(f"grad_tol must be finite, got {self.grad_tol}")
+        if self.res_tol is not None and not 0.0 <= self.res_tol < np.inf:
+            raise ValueError(f"res_tol must be finite and nonnegative, got {self.res_tol}")
         if not 0.0 < self.lambda_fallback_factor < 1.0:
             raise ValueError("lambda_fallback_factor must lie in (0, 1)")
 
@@ -85,6 +89,7 @@ class RunRecord:
     ``trace[k]`` records iterate k; the last entry is the stopped iterate.
     ``zeta_hat`` is the largest per-iteration generalized singular value
     zeta_p encountered before stopping (None when no step was taken).
+    ``from_trace`` derives ``k_star``, ``zeta_hat`` and ``final_x``.
     """
 
     trace: tuple[IterateRecord, ...]
@@ -96,6 +101,22 @@ class RunRecord:
     q: float
     tau: float
     delta: float
+
+    @classmethod
+    def from_trace(cls, trace, stop_reason: str, mode: str, q, tau, delta) -> RunRecord:
+        """The record of a run whose trace ends with the stopped iterate."""
+        zetas = [rec.zeta_p for rec in trace if rec.zeta_p is not None]
+        return cls(
+            trace=tuple(trace),
+            k_star=len(trace) - 1,
+            stop_reason=stop_reason,
+            zeta_hat=max(zetas) if zetas else None,
+            final_x=trace[-1].x,
+            mode=mode,
+            q=q,
+            tau=tau,
+            delta=delta,
+        )
 
 
 def lm_step_gsvd(f: GsvdFactors, r, lam: float) -> np.ndarray:
@@ -123,9 +144,12 @@ def _omega_kernel(f: GsvdFactors, r: np.ndarray):
     plus ``U [lam mu_i^2 w_i / (sigma_i^2 + lam mu_i^2); 0]``, so each
     evaluation costs O(p) and forms neither d nor J d.  The outside part is
     the norm of r - U w, not sqrt(||r||^2 - ||w||^2), which cancels when U is
-    square.
+    square.  It raises ZeroGradient when diag(sigma, I) w, and so
+    J^T r = X^-T diag(sigma, I) w, vanishes.
     """
     w = f.U.T @ r
+    if not (f.sigma * w[: f.p]).any() and not w[f.p :].any():
+        raise ZeroGradient("J^T r = 0: the step is zero for every lambda")
     rho_perp = float(np.linalg.norm(r - f.U @ w))
     wp, s2, m2 = w[: f.p], f.sigma**2, f.mu**2
 
@@ -135,13 +159,14 @@ def _omega_kernel(f: GsvdFactors, r: np.ndarray):
     return omega
 
 
-def select_lambda_q(J, L, r, q: float, cfg: SolverConfig, factors=None):
+def select_lambda_q(factors: GsvdFactors, r, q: float, cfg: SolverConfig):
     """Choose the damping parameter from the q-condition.
 
     The q-condition residual ``omega(lam) = ||r + J d(lam)||`` is evaluated
-    from the factors of (J, L) in O(p) per call (``_omega_kernel``).  It is
-    nondecreasing in lam; its lam -> 0 limit is the projection of r onto the
-    complement of range(J).  The search runs over one bracket,
+    from ``factors``, the ``gsvd`` of (J, L), in O(p) per call
+    (``_omega_kernel``).  It is nondecreasing in lam; its lam -> 0 limit is
+    the projection of r onto the complement of range(J).  The search runs
+    over one bracket,
     ``[1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]``: when omega crosses
     ``q ||r||`` inside it, bisection on log10(lam) finds the root and the
     kind tag is ``"equality"``.  Otherwise a fixed fraction of the interval
@@ -156,15 +181,14 @@ def select_lambda_q(J, L, r, q: float, cfg: SolverConfig, factors=None):
     Returns
     -------
     (lam, kind) : (float, str)
+
+    Raises ZeroGradient when J^T r = 0, and BracketFailure when every zeta_i
+    vanishes or the bisection misses the tolerance.
     """
-    J = np.asarray(J, dtype=float)
     r = np.asarray(r, dtype=float)
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
-    if np.linalg.norm(J.T @ r) == 0.0:
-        raise ZeroGradient("J^T r = 0: the step is zero for every lambda")
-    if factors is None:
-        factors = gsvd(J, L)
+    omega = _omega_kernel(factors, r)
     zeta_p = float(factors.sigma[-1] / factors.mu[-1])
     if zeta_p == 0.0:
         raise BracketFailure(
@@ -174,7 +198,6 @@ def select_lambda_q(J, L, r, q: float, cfg: SolverConfig, factors=None):
     target = q * rnorm
     rtol = cfg.lambda_root_tol
     bound = q / (1.0 - q) * zeta_p**2
-    omega = _omega_kernel(factors, r)
 
     lam_hi = bound * (1.0 + rtol)
     val_hi = omega(lam_hi)
@@ -269,7 +292,7 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
             break
         try:
             factors = gsvd(J, L)
-            lam, kind = select_lambda_q(J, L, r, cfg.q, cfg, factors=factors)
+            lam, kind = select_lambda_q(factors, r, cfg.q, cfg)
         except LmmssError as exc:
             raise type(exc)(f"iterate {k}: {exc}") from exc
         zeta_p = float(generalized_singular_values(factors)[-1])
@@ -290,15 +313,4 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
         x = x + d
 
     trace.append(IterateRecord(k=len(trace), x=x.copy(), res_norm=res))
-    zetas = [rec.zeta_p for rec in trace if rec.zeta_p is not None]
-    return RunRecord(
-        trace=tuple(trace),
-        k_star=len(trace) - 1,
-        stop_reason=stop,
-        zeta_hat=max(zetas) if zetas else None,
-        final_x=x.copy(),
-        mode="noisy" if noisy else "exact",
-        q=cfg.q,
-        tau=cfg.tau,
-        delta=delta,
-    )
+    return RunRecord.from_trace(trace, stop, "noisy" if noisy else "exact", cfg.q, cfg.tau, delta)

@@ -1,11 +1,12 @@
 import filecmp
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import lmmss
-from lmmss import make_noisy_data, make_problem
-from lmmss.cli import ExperimentConfig, load_config, main
+from lmmss import IterateRecord, RunRecord, make_noisy_data, make_problem
+from lmmss.cli import ExperimentConfig, _reload_run, _solver_config, load_config, main
 from lmmss.diagnostics import SweepReport, SweepRow
 from helpers import unit_residual_start
 
@@ -98,7 +99,7 @@ class TestSolveCommand:
         assert rc == 0
         lines = read(out / "trace.csv").strip().splitlines()
         assert lines[0].startswith("# config_digest=")
-        assert lines[1] == "k,res_norm,lambda,zeta_p,step_Lnorm,qcond_kind"
+        assert lines[1] == "k,res_norm,lambda,zeta_p,step_Lnorm,qcond_kind,lin_res_norm"
         assert len(lines) == 2 + 5  # k = 0..4
         assert "stop_reason = discrepancy" in read(out / "summary.txt")
 
@@ -242,6 +243,97 @@ class TestDiagnoseCommand:
         assert (diag_dir / "gain_exact.csv").exists()
 
 
+def _assert_bitwise_equal(a, b, record_type):
+    for f in fields(record_type):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, np.ndarray):
+            assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes(), f.name
+        elif f.name != "trace":  # compared record by record
+            assert type(va) is type(vb) and repr(va) == repr(vb), f.name
+
+
+class TestFromDir:
+    """``diagnose --from-dir`` diagnoses exactly the run a ``solve`` directory records."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("from-dir") / "run"
+        assert main([
+            "solve", "--problem", "coefficient", "--n", "12", "--q", "0.6",
+            "--tau", "3.5", "--delta", "1e-2", "--seed", "1", "--out", str(out),
+        ]) == 0
+        return out
+
+    @pytest.mark.parametrize("delta", ["1e-3", "0"])
+    @pytest.mark.parametrize("spec", ["identity", "d2"])
+    @pytest.mark.parametrize("name", ["linear", "autoconvolution", "coefficient"])
+    def test_reloaded_run_equals_solved_run(self, tmp_path, monkeypatch, name, spec, delta):
+        solved = []
+
+        def recording_solve(*args):
+            solved.append(lmmss.solve(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(lmmss.cli, "solve", recording_solve)
+        out = tmp_path / "run"
+        assert main([
+            "solve", "--problem", name, "--n", "32", "--scaling", spec, "--q", "0.6",
+            "--tau", "3.5", "--delta", delta, "--seed", "5", "--out", str(out),
+        ]) == 0
+        cfg = load_config(out / "config.ini")
+        (run,) = solved
+        reloaded = _reload_run(out, _solver_config(cfg), cfg.digest())
+        assert run.mode == ("exact" if delta == "0" else "noisy")
+        _assert_bitwise_equal(reloaded, run, RunRecord)
+        assert len(reloaded.trace) == len(run.trace)
+        for got, want in zip(reloaded.trace, run.trace):
+            _assert_bitwise_equal(got, want, IterateRecord)
+
+    @pytest.mark.parametrize("name", ["linear", "autoconvolution", "coefficient"])
+    def test_gain_noisy_matches_fresh_diagnose(self, tmp_path, name):
+        flags = [
+            "--problem", name, "--n", "32", "--scaling", "identity", "--q", "0.6",
+            "--tau", "3.5", "--delta", "1e-3", "--seed", "5",
+        ]
+        run, fresh, again = tmp_path / "run", tmp_path / "fresh", tmp_path / "again"
+        assert main(["solve", *flags, "--out", str(run)]) == 0
+        assert main(["diagnose", *flags, "--out", str(fresh)]) == 0
+        assert main(["diagnose", "--from-dir", str(run), "--out", str(again)]) == 0
+        assert filecmp.cmp(fresh / "gain_noisy.csv", again / "gain_noisy.csv", shallow=False)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--delta", "1e-3"], ["--n", "16"], ["--scaling", "identity"],
+         ["--config", "{run}/config.ini"]],
+        ids=["delta", "n", "scaling", "config"],
+    )
+    def test_run_flags_rejected(self, tmp_path, capsys, run_dir, extra):
+        extra = [arg.format(run=run_dir) for arg in extra]
+        out = tmp_path / "diag"
+        rc = main(["diagnose", "--from-dir", str(run_dir), *extra, "--out", str(out)])
+        assert rc == 2
+        assert "--from-dir" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", ["six-column-trace", "edited-config"])
+    def test_foreign_artifacts_rejected(self, tmp_path, capsys, run_dir, edit):
+        copy = tmp_path / "run"
+        copy.mkdir()
+        for f in run_dir.iterdir():
+            (copy / f.name).write_bytes(f.read_bytes())
+        if edit == "six-column-trace":
+            lines = (copy / "trace.csv").read_text().splitlines()
+            lines[1:] = [line.rsplit(",", 1)[0] for line in lines[1:]]
+            (copy / "trace.csv").write_text("\n".join(lines) + "\n")
+        else:
+            ini = (copy / "config.ini").read_text()
+            (copy / "config.ini").write_text(ini.replace("tau = 3.5", "tau = 4.5"))
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--from-dir", str(copy), "--out", str(out)]) == 2
+        assert "trace.csv" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestScalingFlag:
     def test_custom_scaling_from_file(self, tmp_path):
         np.savetxt(tmp_path / "L.txt", np.eye(12), fmt="%.17g")
@@ -275,6 +367,40 @@ class TestInputErrors:
         rc = main([command, "--config", str(path), "--out", str(out)])
         assert rc == 2
         assert "seeds must not be empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "diagnose"])
+    @pytest.mark.parametrize(
+        "extra", [["--delta", "1e-3", "--delta", "1e-2"], ["--seed", "1", "--seed", "2"]],
+        ids=["deltas", "seeds"],
+    )
+    def test_one_delta_and_one_seed_per_run(self, tmp_path, capsys, command, extra):
+        out = tmp_path / "out"
+        rc = main([command, "--problem", "linear", "--n", "16", *extra, "--out", str(out)])
+        assert rc == 2
+        assert "at most one delta and one seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "diagnose"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_x0_rejected(self, tmp_path, capsys, command, bad):
+        x0 = np.ones(16)
+        x0[3] = bad
+        np.savetxt(tmp_path / "x0.txt", x0)
+        out = tmp_path / "out"
+        rc = main([command, "--problem", "linear", "--n", "16", "--delta", "1e-3",
+                   "--x0", str(tmp_path / "x0.txt"), "--out", str(out)])
+        assert rc == 2
+        assert "x0 file has a NaN or infinite entry" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tau", ["inf", "nan"])
+    def test_non_finite_tau_rejected(self, tmp_path, capsys, tau):
+        out = tmp_path / "out"
+        rc = main(["solve", "--problem", "linear", "--n", "16", "--delta", "1e-3",
+                   "--tau", tau, "--out", str(out)])
+        assert rc == 2
+        assert "need finite tau" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_exact_solution_rejected(self, tmp_path, capsys):

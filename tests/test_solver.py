@@ -44,6 +44,15 @@ class TestSolverConfig:
             {"max_iter": 0},
             {"lambda_fallback_factor": 1.0},
             {"lambda_root_tol": 0.0},
+            {"tau": np.inf},
+            {"tau": np.nan},
+            {"lambda_root_tol": np.inf},
+            {"lambda_root_tol": np.nan},
+            {"grad_tol": np.nan},
+            {"grad_tol": np.inf},
+            {"res_tol": -1.0},
+            {"res_tol": np.inf},
+            {"res_tol": np.nan},
         ],
     )
     def test_invalid(self, kwargs):
@@ -167,7 +176,7 @@ def _assert_kernel_matches_reference(J, L, r, q=0.6):
 
 class TestSelectLambda:
     def test_identity_pair_closed_form(self):
-        lam, kind = select_lambda_q(np.eye(2), identity(2), np.array([3.0, 4.0]), 0.5, CFG)
+        lam, kind = select_lambda_q(gsvd(np.eye(2), identity(2)), np.array([3.0, 4.0]), 0.5, CFG)
         assert kind == "equality"
         assert lam == pytest.approx(1.0, rel=1e-6)
 
@@ -175,7 +184,7 @@ class TestSelectLambda:
         A = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
         rng = np.random.default_rng(2)
         r = in_range_residual(rng, A)
-        lam, kind = select_lambda_q(A, identity(2), r, 0.5, CFG)
+        lam, kind = select_lambda_q(gsvd(A, identity(2)), r, 0.5, CFG)
         assert kind == "equality"
         assert 0.0 < lam <= 0.5 / 0.5 * 4.0 * (1.0 + 1e-8)
 
@@ -184,7 +193,7 @@ class TestSelectLambda:
         r = np.array([1.0, 0.1])
         # ||P r|| = 1 > q ||r||
         assert 1.0 > 0.5 * np.linalg.norm(r)
-        lam, kind = select_lambda_q(J, identity(1), r, 0.5, CFG)
+        lam, kind = select_lambda_q(gsvd(J, identity(1)), r, 0.5, CFG)
         assert kind == "inequality-fallback"
         f = gsvd(J, np.eye(1))
         zeta_p = generalized_singular_values(f)[-1]
@@ -200,7 +209,7 @@ class TestSelectLambda:
         Q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         J = Q1 @ np.diag([1.0, 1e-3, 1e-6, s]) @ Q2.T
         r = Q1 @ np.array([0.1, 0.1, 0.1, 1.0])
-        lam, kind = select_lambda_q(J, identity(4), r, 0.5, CFG)
+        lam, kind = select_lambda_q(gsvd(J, identity(4)), r, 0.5, CFG)
         assert kind == "inequality-fallback"
         zeta_p = generalized_singular_values(gsvd(J, np.eye(4)))[-1]
         assert lam == pytest.approx(CFG.lambda_fallback_factor * zeta_p**2, rel=1e-12)
@@ -208,7 +217,7 @@ class TestSelectLambda:
     def test_zero_gradient_rejected(self):
         J = np.array([[1.0], [0.0]])
         with pytest.raises(ZeroGradient):
-            select_lambda_q(J, identity(1), np.array([0.0, 1.0]), 0.5, CFG)
+            select_lambda_q(gsvd(J, identity(1)), np.array([0.0, 1.0]), 0.5, CFG)
 
     def test_vanishing_spectrum_is_bracket_failure(self):
         # J acts only on the null space of L, so every zeta_i is zero and
@@ -216,7 +225,7 @@ class TestSelectLambda:
         J = np.array([[0.0, 0.0], [0.0, 1.0]])
         L = from_matrix([[1.0, 0.0]])
         with pytest.raises(lmmss.BracketFailure):
-            select_lambda_q(J, L, np.array([1.0, 1.0]), 0.5, CFG)
+            select_lambda_q(gsvd(J, L), np.array([1.0, 1.0]), 0.5, CFG)
 
     def test_returned_lambda_meets_target(self):
         rng = np.random.default_rng(23)
@@ -226,7 +235,7 @@ class TestSelectLambda:
             L = identity(n)
             r = in_range_residual(rng, J)
             q = float(rng.uniform(0.3, 0.8))
-            lam, kind = select_lambda_q(J, L, r, q, CFG)
+            lam, kind = select_lambda_q(gsvd(J, L), r, q, CFG)
             if kind == "equality":
                 val = omega_reference(J, L, r, lam)
                 assert abs(val - q * np.linalg.norm(r)) <= CFG.lambda_root_tol * np.linalg.norm(r)
@@ -407,12 +416,12 @@ class TestLambdaContinuity:
         r = rng.standard_normal(6)
         u = rng.standard_normal(6)
         u /= np.linalg.norm(u)
-        lam0, kind = select_lambda_q(J, L, r, 0.5, cfg)
+        lam0, kind = select_lambda_q(gsvd(J, L), r, 0.5, cfg)
         assert kind == "equality"
         eps = 1e-3
         diffs = []
         for _ in range(4):
-            lam_eps, _ = select_lambda_q(J, L, r - eps * u, 0.5, cfg)
+            lam_eps, _ = select_lambda_q(gsvd(J, L), r - eps * u, 0.5, cfg)
             diffs.append(abs(lam_eps - lam0))
             eps /= 2
         for a, b in zip(diffs, diffs[1:]):
