@@ -106,6 +106,7 @@ _TRACE = {
     "step_Lnorm": ("step_Lnorm", float),
     "qcond_kind": ("qcond_kind", str),
     "lin_res_norm": ("lin_res_norm", float),
+    "omega_evals": ("omega_evals", int),
 }
 
 
@@ -344,7 +345,8 @@ def _reload_run(run_dir: Path, scfg: SolverConfig, digest: str) -> RunRecord:
     """Rebuild a ``solve`` directory's RunRecord, bit for bit, from its artifacts alone.
 
     ``trace.csv`` must start with ``digest`` (that of the directory's config)
-    and the ``_TRACE`` header.
+    and the ``_TRACE`` header, and ``summary.txt`` must hold ``key = value``
+    lines that include ``stop_reason``, ``mode`` and ``delta``.
     """
     lines = (run_dir / "trace.csv").read_text().splitlines()
     head = [f"# config_digest={digest}", ",".join(_TRACE)]
@@ -358,8 +360,16 @@ def _reload_run(run_dir: Path, scfg: SolverConfig, digest: str) -> RunRecord:
             for (field, kind), cell in zip(_TRACE.values(), row.split(","), strict=True)
         }
         records.append(IterateRecord(x=x, **values))
-    summary_lines = (run_dir / "summary.txt").read_text().splitlines()
-    summary = dict(line.split(" = ", 1) for line in summary_lines)
+    path = run_dir / "summary.txt"
+    summary = {}
+    for line in path.read_text().splitlines():
+        key, sep, value = line.partition(" = ")
+        if not sep:
+            raise ConfigError(f"{path}: line {line!r} is not 'key = value'")
+        summary[key] = value
+    for key in ("stop_reason", "mode", "delta"):
+        if key not in summary:
+            raise ConfigError(f"{path} has no {key} line")
     return RunRecord.from_trace(
         records, summary["stop_reason"], summary["mode"], scfg.q, scfg.tau, float(summary["delta"])
     )
@@ -395,11 +405,13 @@ def cmd_diagnose(args) -> int:
         if given:
             raise ConfigError(f"--from-dir uses the run's own config.ini; drop {', '.join(given)}")
         cfg = load_config(Path(args.from_dir) / "config.ini")
-        problem, L, scfg, x0, out, digest = _prepare(cfg, args)
-        runs = [_reload_run(Path(args.from_dir), scfg, digest)]
     else:
         cfg = resolve_config(args)
-        problem, L, scfg, x0, out, digest = _prepare(cfg, args)
+    diagnostics.check_tcc_settings(cfg.tcc_rho, cfg.tcc_samples)
+    problem, L, scfg, x0, out, digest = _prepare(cfg, args)
+    if args.from_dir:
+        runs = [_reload_run(Path(args.from_dir), scfg, digest)]
+    else:
         delta, seed = _single_run(cfg)
         runs = [solve(problem, None, L, x0, scfg)]
         if delta > 0.0:

@@ -59,6 +59,14 @@ def tcc_ratio(problem: InverseProblem, L: ScalingOperator, x, x_tilde) -> float 
     return lhs / rhs
 
 
+def check_tcc_settings(rho: float, samples: int):
+    """Raise ValueError unless rho is finite and positive and samples >= 100."""
+    if not 0.0 < rho < np.inf:
+        raise ValueError(f"rho must be finite and positive, got {rho}")
+    if samples < 100:
+        raise ValueError(f"need at least 100 sample pairs, got {samples}")
+
+
 def estimate_tcc_constant(
     problem: InverseProblem,
     L: ScalingOperator,
@@ -73,10 +81,7 @@ def estimate_tcc_constant(
     draws falling outside the problem's domain hint are rejected.  Raises
     DegenerateBall when no pair with a usable denominator is found.
     """
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if samples < 100:
-        raise ValueError(f"need at least 100 sample pairs, got {samples}")
+    check_tcc_settings(rho, samples)
     x0 = np.asarray(x0, dtype=float)
     rng = np.random.default_rng(seed)
 

@@ -23,7 +23,7 @@ from .errors import (
 from .gsvd import GsvdFactors, generalized_singular_values, gsvd
 from .scaling import ScalingOperator, seminorm
 
-_BISECT_MAX_ITER = 60
+_SEARCH_MAX_ITER = 60
 _BRACKET_LO_FACTOR = 1e-14
 
 
@@ -69,7 +69,8 @@ class IterateRecord:
     The terminal record of a run carries only ``k``, ``x`` and ``res_norm``;
     the step fields are None because no step was taken.
     ``lin_res_norm = ||r_k + J_k d_k||`` is the linearized residual at the
-    accepted damping parameter.
+    accepted damping parameter, and ``omega_evals`` the number of q-condition
+    residual evaluations the damping search spent on the step.
     """
 
     k: int
@@ -80,6 +81,7 @@ class IterateRecord:
     step_Lnorm: float | None = None
     qcond_kind: str | None = None
     lin_res_norm: float | None = None
+    omega_evals: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +148,15 @@ def _omega_kernel(f: GsvdFactors, r: np.ndarray):
     the norm of r - U w, not sqrt(||r||^2 - ||w||^2), which cancels when U is
     square.  It raises ZeroGradient when diag(sigma, I) w, and so
     J^T r = X^-T diag(sigma, I) w, vanishes.
+
+    Called as ``omega(lam, target)`` it returns ``(omega(lam), lam_newton)``,
+    where ``lam_newton`` is the Newton iterate toward ``omega = target`` on
+    the secular equation in Moré–Sorensen's reciprocal form: with nu = 1/lam,
+    gamma(nu)^2 = omega^2 - rho_perp^2 = sum w_i^2 / (1 + zeta_i^2 nu)^2, and
+    ``psi(nu) = 1/gamma(nu) - 1/sqrt(target^2 - rho_perp^2)`` is increasing and
+    (by Cauchy-Schwarz) concave, so Newton from a point where omega > target
+    never passes the root and converges monotonically.  ``target`` must
+    exceed rho_perp.
     """
     w = f.U.T @ r
     if not (f.sigma * w[: f.p]).any() and not w[f.p :].any():
@@ -153,8 +164,18 @@ def _omega_kernel(f: GsvdFactors, r: np.ndarray):
     rho_perp = float(np.linalg.norm(r - f.U @ w))
     wp, s2, m2 = w[: f.p], f.sigma**2, f.mu**2
 
-    def omega(lam):
-        return float(np.hypot(rho_perp, np.linalg.norm(lam * m2 * wp / (s2 + lam * m2))))
+    def omega(lam, target=None):
+        den = s2 + lam * m2
+        e = lam * m2 * wp / den
+        gamma = np.linalg.norm(e)
+        val = float(np.hypot(rho_perp, gamma))
+        if target is None:
+            return val
+        # dgamma/dnu = -lam gamma slope, so the Newton iterate on psi is
+        # nu + (gamma/Delta - 1) / (lam slope) with Delta^2 = target^2 - rho_perp^2
+        slope = float(((e / gamma) ** 2) @ (s2 / den))
+        ratio = gamma / np.sqrt((target - rho_perp) * (target + rho_perp))
+        return val, float(lam / (1.0 + (ratio - 1.0) / slope))
 
     return omega
 
@@ -168,22 +189,26 @@ def select_lambda_q(factors: GsvdFactors, r, q: float, cfg: SolverConfig):
     the projection of r onto the complement of range(J).  The search runs
     over one bracket,
     ``[1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]``: when omega crosses
-    ``q ||r||`` inside it, bisection on log10(lam) finds the root and the
-    kind tag is ``"equality"``.  Otherwise a fixed fraction of the interval
-    upper bound is returned with kind ``"inequality-fallback"``, in one of
-    two regimes: omega stays below the target even at the top, because
-    components of r along the image of the undamped null space of L are
-    removed regardless of lam; or omega is at or above the target already at
-    the floor: the residual on directions with zeta_i below about 1e-7 zeta_p
-    counts as unremovable, by one relative cutoff for the limit test and the
-    search.
+    ``q ||r||`` inside it, a safeguarded Newton iteration on the secular
+    equation in Moré–Sorensen's reciprocal form finds the root and the kind
+    tag is ``"equality"``.  Newton starts from the top of the bracket, where
+    omega is above the target, and each evaluation shrinks the bracket; an
+    iterate that falls outside the bracket is replaced by one bisection step
+    on log(lam).  Otherwise a fixed fraction of the interval upper bound is
+    returned with kind ``"inequality-fallback"``, in one of two regimes:
+    omega stays below the target even at the top, because components of r
+    along the image of the undamped null space of L are removed regardless
+    of lam; or omega is at or above the target already at the floor: the
+    residual on directions with zeta_i below about 1e-7 zeta_p counts as
+    unremovable, by one relative cutoff for the limit test and the search.
 
     Returns
     -------
-    (lam, kind) : (float, str)
+    (lam, kind, evals) : (float, str, int)
+        ``evals`` counts the omega evaluations spent, endpoints included.
 
     Raises ZeroGradient when J^T r = 0, and BracketFailure when every zeta_i
-    vanishes or the bisection misses the tolerance.
+    vanishes or the search misses the tolerance within its iteration cap.
     """
     r = np.asarray(r, dtype=float)
     if not 0.0 < q < 1.0:
@@ -199,31 +224,33 @@ def select_lambda_q(factors: GsvdFactors, r, q: float, cfg: SolverConfig):
     rtol = cfg.lambda_root_tol
     bound = q / (1.0 - q) * zeta_p**2
 
-    lam_hi = bound * (1.0 + rtol)
-    val_hi = omega(lam_hi)
+    hi = bound * (1.0 + rtol)
+    val_hi = omega(hi)
     if abs(val_hi - target) <= rtol * rnorm:
-        return lam_hi, "equality"
-    lam_lo = _BRACKET_LO_FACTOR * zeta_p**2
-    val_lo = omega(lam_lo)
+        return hi, "equality", 1
+    lo = _BRACKET_LO_FACTOR * zeta_p**2
+    val_lo = omega(lo)
     if abs(val_lo - target) <= rtol * rnorm:
-        return lam_lo, "equality"
+        return lo, "equality", 2
     if val_hi < target or val_lo >= target:
-        return cfg.lambda_fallback_factor * bound, "inequality-fallback"
+        return cfg.lambda_fallback_factor * bound, "inequality-fallback", 2
 
-    lo, hi = np.log10(lam_lo), np.log10(lam_hi)
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        lam = 10.0**mid
-        val = omega(lam)
+    # omega(lo) < target < omega(hi); Newton starts from the top
+    _, lam = omega(hi, target)
+    for evals in range(4, _SEARCH_MAX_ITER + 4):
+        if not lo < lam < hi:
+            lam = float(np.sqrt(lo) * np.sqrt(hi))
+        val, lam_next = omega(lam, target)
         if abs(val - target) <= rtol * rnorm:
-            return lam, "equality"
+            return lam, "equality", evals
         if val < target:
-            lo = mid
+            lo = lam
         else:
-            hi = mid
+            hi = lam
+        lam = lam_next
     raise BracketFailure(
-        "bisection did not reach the q-condition tolerance; monotonicity is "
-        "likely lost to ill-conditioning"
+        "the safeguarded Newton search did not reach the q-condition tolerance; "
+        "monotonicity is likely lost to ill-conditioning"
     )
 
 
@@ -292,7 +319,7 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
             break
         try:
             factors = gsvd(J, L)
-            lam, kind = select_lambda_q(factors, r, cfg.q, cfg)
+            lam, kind, omega_evals = select_lambda_q(factors, r, cfg.q, cfg)
         except LmmssError as exc:
             raise type(exc)(f"iterate {k}: {exc}") from exc
         zeta_p = float(generalized_singular_values(factors)[-1])
@@ -308,6 +335,7 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
                 step_Lnorm=seminorm(L, d),
                 qcond_kind=kind,
                 lin_res_norm=lin_res,
+                omega_evals=omega_evals,
             )
         )
         x = x + d

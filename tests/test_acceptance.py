@@ -146,7 +146,7 @@ def test_criterion_3_damping_selection_suite():
         omega = _omega_kernel(f, r)
         vals = [omega(lam) for lam in grid]
         ok &= all(b >= a - 1e-12 * (1.0 + a) for a, b in zip(vals, vals[1:]))
-        lam, kind = select_lambda_q(f, r, q, cfg)
+        lam, kind, _ = select_lambda_q(f, r, q, cfg)
         ok &= 0.0 < lam <= bound * (1.0 + 1e-8)
         if kind == "equality":
             n_equality += 1
@@ -154,7 +154,7 @@ def test_criterion_3_damping_selection_suite():
             ok &= abs(omega_reference(J, L, r, lam) - q * rnorm) <= 1e-8 * rnorm
     ok &= n_equality >= 20
     # constructed unsolvable instance: residual orthogonal-heavy to range(J)
-    lam, kind = select_lambda_q(
+    lam, kind, _ = select_lambda_q(
         gsvd(np.array([[0.0], [1.0]]), identity(1)), np.array([1.0, 0.1]), 0.5, cfg
     )
     ok &= kind == "inequality-fallback" and lam > 0.0
@@ -257,7 +257,7 @@ def test_criterion_8_damping_continuity_in_data():
             J = rng.standard_normal((n, n))
             L = identity(n) if inst % 2 == 0 else from_matrix(rng.standard_normal((n - 1, n)))
             r = rng.standard_normal(n)
-            lam0, kind = select_lambda_q(gsvd(J, L), r, 0.5, cfg)
+            lam0, kind, _ = select_lambda_q(gsvd(J, L), r, 0.5, cfg)
             if kind == "equality":
                 break
         ok &= kind == "equality"
@@ -266,7 +266,7 @@ def test_criterion_8_damping_continuity_in_data():
         eps = 1e-3
         diffs = []
         while eps >= 1.25e-4 / 2:
-            lam_eps, _ = select_lambda_q(gsvd(J, L), r - eps * u, 0.5, cfg)
+            lam_eps = select_lambda_q(gsvd(J, L), r - eps * u, 0.5, cfg)[0]
             diffs.append(abs(lam_eps - lam0))
             eps /= 2.0
         ok &= all(b <= 0.7 * a for a, b in zip(diffs, diffs[1:]))

@@ -99,7 +99,7 @@ class TestSolveCommand:
         assert rc == 0
         lines = read(out / "trace.csv").strip().splitlines()
         assert lines[0].startswith("# config_digest=")
-        assert lines[1] == "k,res_norm,lambda,zeta_p,step_Lnorm,qcond_kind,lin_res_norm"
+        assert lines[1] == "k,res_norm,lambda,zeta_p,step_Lnorm,qcond_kind,lin_res_norm,omega_evals"
         assert len(lines) == 2 + 5  # k = 0..4
         assert "stop_reason = discrepancy" in read(out / "summary.txt")
 
@@ -315,22 +315,36 @@ class TestFromDir:
         assert "--from-dir" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("edit", ["six-column-trace", "edited-config"])
+    @pytest.mark.parametrize(
+        "edit",
+        ["six-column-trace", "edited-config", "no-stop_reason", "no-mode", "no-delta",
+         "line-without-separator"],
+    )
     def test_foreign_artifacts_rejected(self, tmp_path, capsys, run_dir, edit):
         copy = tmp_path / "run"
         copy.mkdir()
         for f in run_dir.iterdir():
             (copy / f.name).write_bytes(f.read_bytes())
-        if edit == "six-column-trace":
+        named = "trace.csv"
+        if edit == "six-column-trace":  # a trace of an earlier version lacks the last column
             lines = (copy / "trace.csv").read_text().splitlines()
             lines[1:] = [line.rsplit(",", 1)[0] for line in lines[1:]]
             (copy / "trace.csv").write_text("\n".join(lines) + "\n")
-        else:
+        elif edit == "edited-config":
             ini = (copy / "config.ini").read_text()
             (copy / "config.ini").write_text(ini.replace("tau = 3.5", "tau = 4.5"))
+        else:
+            lines = (copy / "summary.txt").read_text().splitlines()
+            if edit.startswith("no-"):
+                lines = [line for line in lines if not line.startswith(f"{edit[3:]} = ")]
+                named = f"summary.txt has no {edit[3:]} line"
+            else:
+                lines.append("mode noisy")
+                named = "summary.txt: line 'mode noisy' is not"
+            (copy / "summary.txt").write_text("\n".join(lines) + "\n")
         out = tmp_path / "diag"
         assert main(["diagnose", "--from-dir", str(copy), "--out", str(out)]) == 2
-        assert "trace.csv" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -401,6 +415,21 @@ class TestInputErrors:
                    "--tau", tau, "--out", str(out)])
         assert rc == 2
         assert "need finite tau" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("tcc_rho = -1", "rho must be finite and positive"),
+         ("tcc_samples = 0", "need at least 100 sample pairs")],
+        ids=["tcc_rho", "tcc_samples"],
+    )
+    def test_bad_tcc_settings_rejected(self, tmp_path, capsys, setting, message):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[problem]\nn = 16\n[experiment]\ndeltas = 1e-3\n{setting}\n")
+        out = tmp_path / "out"
+        rc = main(["diagnose", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_exact_solution_rejected(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -119,7 +121,7 @@ class TestLmStepGsvd:
 
 
 class TestQcondResidual:
-    # The O(p) kernel select_lambda_q bisects on, and the stacked oracle.
+    # The O(p) kernel select_lambda_q searches on, and the stacked oracle.
     def test_identity_closed_form(self):
         r = np.array([3.0, 4.0])
         omega = _omega_kernel(gsvd(np.eye(2), np.eye(2)), r)
@@ -176,7 +178,7 @@ def _assert_kernel_matches_reference(J, L, r, q=0.6):
 
 class TestSelectLambda:
     def test_identity_pair_closed_form(self):
-        lam, kind = select_lambda_q(gsvd(np.eye(2), identity(2)), np.array([3.0, 4.0]), 0.5, CFG)
+        lam, kind, _ = select_lambda_q(gsvd(np.eye(2), identity(2)), np.array([3.0, 4.0]), 0.5, CFG)
         assert kind == "equality"
         assert lam == pytest.approx(1.0, rel=1e-6)
 
@@ -184,7 +186,7 @@ class TestSelectLambda:
         A = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
         rng = np.random.default_rng(2)
         r = in_range_residual(rng, A)
-        lam, kind = select_lambda_q(gsvd(A, identity(2)), r, 0.5, CFG)
+        lam, kind, _ = select_lambda_q(gsvd(A, identity(2)), r, 0.5, CFG)
         assert kind == "equality"
         assert 0.0 < lam <= 0.5 / 0.5 * 4.0 * (1.0 + 1e-8)
 
@@ -193,7 +195,7 @@ class TestSelectLambda:
         r = np.array([1.0, 0.1])
         # ||P r|| = 1 > q ||r||
         assert 1.0 > 0.5 * np.linalg.norm(r)
-        lam, kind = select_lambda_q(gsvd(J, identity(1)), r, 0.5, CFG)
+        lam, kind, _ = select_lambda_q(gsvd(J, identity(1)), r, 0.5, CFG)
         assert kind == "inequality-fallback"
         f = gsvd(J, np.eye(1))
         zeta_p = generalized_singular_values(f)[-1]
@@ -203,13 +205,13 @@ class TestSelectLambda:
     def test_unremovable_tiny_direction_falls_back(self, s):
         # r lies mostly along the direction with zeta = s, far below 1e-7
         # zeta_p: omega stays above the target at the bracket floor, so there
-        # is no root to bisect for and the step falls back
+        # is no root to search for and the step falls back
         rng = np.random.default_rng(1)
         Q1, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         Q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         J = Q1 @ np.diag([1.0, 1e-3, 1e-6, s]) @ Q2.T
         r = Q1 @ np.array([0.1, 0.1, 0.1, 1.0])
-        lam, kind = select_lambda_q(gsvd(J, identity(4)), r, 0.5, CFG)
+        lam, kind, _ = select_lambda_q(gsvd(J, identity(4)), r, 0.5, CFG)
         assert kind == "inequality-fallback"
         zeta_p = generalized_singular_values(gsvd(J, np.eye(4)))[-1]
         assert lam == pytest.approx(CFG.lambda_fallback_factor * zeta_p**2, rel=1e-12)
@@ -235,10 +237,73 @@ class TestSelectLambda:
             L = identity(n)
             r = in_range_residual(rng, J)
             q = float(rng.uniform(0.3, 0.8))
-            lam, kind = select_lambda_q(gsvd(J, L), r, q, CFG)
+            lam, kind, _ = select_lambda_q(gsvd(J, L), r, q, CFG)
             if kind == "equality":
                 val = omega_reference(J, L, r, lam)
                 assert abs(val - q * np.linalg.norm(r)) <= CFG.lambda_root_tol * np.linalg.norm(r)
+
+    @staticmethod
+    def _spread_pair():
+        # zeta in {1, 1e-3, 1e-6}, so zeta^2 spans 12 decades, and r weighted
+        # on the smallest: the root sits near lam = 1e-12, twelve decades
+        # below the top of the bracket where Newton starts
+        rng = np.random.default_rng(1)
+        Q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        J = Q1 @ np.diag([1.0, 1e-3, 1e-6]) @ Q2.T
+        return J, Q1 @ np.array([0.01, 0.01, 1.0])
+
+    def test_newton_meets_target_on_spread_spectrum(self):
+        J, r = self._spread_pair()
+        lam, kind, evals = select_lambda_q(gsvd(J, identity(3)), r, 0.5, CFG)
+        assert kind == "equality"
+        assert 1e-13 < lam < 1e-11
+        assert evals <= 10
+        rnorm = np.linalg.norm(r)
+        assert abs(omega_reference(J, identity(3), r, lam) - 0.5 * rnorm) <= (
+            CFG.lambda_root_tol * rnorm
+        )
+
+    @pytest.mark.parametrize("leave", ["first", "every"])
+    def test_safeguard_bisects_when_newton_leaves_the_bracket(self, monkeypatch, leave):
+        # Newton from the top cannot leave the bracket on its own: psi is
+        # increasing and concave in 1/lam, so its iterates stay between the
+        # top and the root.  The Newton iterate is replaced by 0, outside every
+        # bracket, on the first Newton call or on every one; the search must
+        # then bisect log(lam) and still meet the target.
+        J, r = self._spread_pair()
+        f = gsvd(J, identity(3))
+        kernel = lmmss.solver._omega_kernel
+        evaluated = []
+
+        def leaving_kernel(factors, res):
+            omega = kernel(factors, res)
+
+            def patched(lam, target=None):
+                evaluated.append(lam)
+                if target is None:
+                    return omega(lam)
+                val, lam_next = omega(lam, target)
+                first = len(evaluated) == 3  # the top, evaluated again for Newton
+                return val, (0.0 if leave == "every" or first else lam_next)
+
+            return patched
+
+        monkeypatch.setattr(lmmss.solver, "_omega_kernel", leaving_kernel)
+        lam, kind, evals = select_lambda_q(f, r, 0.5, CFG)
+        assert kind == "equality"
+        assert evals == len(evaluated)
+        # evaluations: top, floor, top again for the first Newton iterate,
+        # then the bisection point of the whole bracket
+        top, floor = evaluated[:2]
+        assert evaluated[2] == top
+        assert evaluated[3] == pytest.approx(np.sqrt(top * floor), rel=1e-15)
+        rnorm = np.linalg.norm(r)
+        assert abs(omega_reference(J, identity(3), r, lam) - 0.5 * rnorm) <= (
+            CFG.lambda_root_tol * rnorm
+        )
+        if leave == "first":
+            assert evals <= 12
 
 
 class TestDiscrepancy:
@@ -416,12 +481,12 @@ class TestLambdaContinuity:
         r = rng.standard_normal(6)
         u = rng.standard_normal(6)
         u /= np.linalg.norm(u)
-        lam0, kind = select_lambda_q(gsvd(J, L), r, 0.5, cfg)
+        lam0, kind, _ = select_lambda_q(gsvd(J, L), r, 0.5, cfg)
         assert kind == "equality"
         eps = 1e-3
         diffs = []
         for _ in range(4):
-            lam_eps, _ = select_lambda_q(gsvd(J, L), r - eps * u, 0.5, cfg)
+            lam_eps = select_lambda_q(gsvd(J, L), r - eps * u, 0.5, cfg)[0]
             diffs.append(abs(lam_eps - lam0))
             eps /= 2
         for a, b in zip(diffs, diffs[1:]):
@@ -483,3 +548,25 @@ def test_size_ladder(name, n, spec, seed):
         assert rec.lin_res_norm <= rec.res_norm
         if rec.qcond_kind == "equality":
             assert abs(rec.lin_res_norm / rec.res_norm - cfg.q) <= 1e-8
+
+
+def test_size_ladder_omega_evals():
+    # The damping search's cost on the runs of test_size_ladder: a mean of at
+    # most 8 omega evaluations per step, and at most 10 on any one run (the
+    # log-bisection it replaced spent 33 on average and 36.6 on the worst run).
+    cfg = SolverConfig(q=0.6, tau=3.5, max_iter=200)
+    all_evals, run_means = [], []
+    for name, n, spec, seed in itertools.product(
+        ["linear", "autoconvolution", "coefficient"], [32, 48, 64, 128], ["identity", "d2"], [1, 2]
+    ):
+        prob = make_problem(name, n)
+        data = make_noisy_data(prob.y_exact, 1e-3, seed=seed)
+        run = solve(prob, data, from_spec(spec, n), prob.x0_default, cfg)
+        evals = [rec.omega_evals for rec in run.trace[:-1]]
+        assert all(isinstance(e, int) and e >= 1 for e in evals)
+        assert run.trace[-1].omega_evals is None
+        all_evals += evals
+        run_means.append(np.mean(evals))
+    assert len(run_means) == 48
+    assert np.mean(all_evals) <= 8.0
+    assert max(run_means) <= 10.0
