@@ -43,7 +43,6 @@ from .problems import (
     Box,
     InverseProblem,
     NoisyData,
-    finite_difference_jacobian,
     make_noisy_data,
     make_problem,
     problem_autoconvolution,

@@ -341,24 +341,35 @@ def cmd_gsvd(args) -> int:
     return 0 if report.passed else 1
 
 
-def _reload_run(run_dir: Path, scfg: SolverConfig, digest: str) -> RunRecord:
+def _reload_run(run_dir: Path, digest: str) -> RunRecord:
     """Rebuild a ``solve`` directory's RunRecord, bit for bit, from its artifacts alone.
 
     ``trace.csv`` must start with ``digest`` (that of the directory's config)
-    and the ``_TRACE`` header, and ``summary.txt`` must hold ``key = value``
-    lines that include ``stop_reason``, ``mode`` and ``delta``.
+    and the ``_TRACE`` header, ``iterates.txt`` must hold one row per trace
+    row, and ``summary.txt`` must hold ``key = value`` lines that include
+    ``stop_reason``, ``mode`` and a numeric ``delta``.  A damaged artifact is
+    a ConfigError naming the file (and, for ``trace.csv``, the line).
     """
-    lines = (run_dir / "trace.csv").read_text().splitlines()
+    trace_path, iterates_path = run_dir / "trace.csv", run_dir / "iterates.txt"
+    lines = trace_path.read_text().splitlines()
     head = [f"# config_digest={digest}", ",".join(_TRACE)]
     if lines[:2] != head:
-        raise ConfigError(f"{run_dir / 'trace.csv'} does not start with the lines {head}")
-    xs = np.loadtxt(run_dir / "iterates.txt", ndmin=2)
+        raise ConfigError(f"{trace_path} does not start with the lines {head}")
+    try:
+        xs = np.loadtxt(iterates_path, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{iterates_path}: {exc}") from None
+    if len(xs) != len(lines) - 2:
+        raise ConfigError(f"{iterates_path} has {len(xs)} rows, {trace_path} has {len(lines) - 2}")
     records = []
-    for row, x in zip(lines[2:], xs, strict=True):
-        values = {
-            field: None if cell == "" else _parse_value(cell, kind)
-            for (field, kind), cell in zip(_TRACE.values(), row.split(","), strict=True)
-        }
+    for lineno, (row, x) in enumerate(zip(lines[2:], xs), start=3):
+        try:
+            values = {
+                field: None if cell == "" else _parse_value(cell, kind)
+                for (field, kind), cell in zip(_TRACE.values(), row.split(","), strict=True)
+            }
+        except ValueError as exc:
+            raise ConfigError(f"{trace_path}, line {lineno}: {exc}") from None
         records.append(IterateRecord(x=x, **values))
     path = run_dir / "summary.txt"
     summary = {}
@@ -370,9 +381,11 @@ def _reload_run(run_dir: Path, scfg: SolverConfig, digest: str) -> RunRecord:
     for key in ("stop_reason", "mode", "delta"):
         if key not in summary:
             raise ConfigError(f"{path} has no {key} line")
-    return RunRecord.from_trace(
-        records, summary["stop_reason"], summary["mode"], scfg.q, scfg.tau, float(summary["delta"])
-    )
+    try:
+        delta = float(summary["delta"])
+    except ValueError:
+        raise ConfigError(f"{path}: delta {summary['delta']!r} is not a number") from None
+    return RunRecord.from_trace(records, summary["stop_reason"], summary["mode"], delta)
 
 
 def _write_gain_csv(path: Path, report, digest: str):
@@ -410,7 +423,7 @@ def cmd_diagnose(args) -> int:
     diagnostics.check_tcc_settings(cfg.tcc_rho, cfg.tcc_samples)
     problem, L, scfg, x0, out, digest = _prepare(cfg, args)
     if args.from_dir:
-        runs = [_reload_run(Path(args.from_dir), scfg, digest)]
+        runs = [_reload_run(Path(args.from_dir), digest)]
     else:
         delta, seed = _single_run(cfg)
         runs = [solve(problem, None, L, x0, scfg)]

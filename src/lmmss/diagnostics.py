@@ -19,6 +19,8 @@ from .scaling import ScalingOperator, seminorm
 from .solver import RunRecord, SolverConfig, solve
 
 _DENOM_FLOOR = 1e-14
+#: Error growth between consecutive noise levels that a sweep's trend tolerates.
+_TREND_SLACK = 1.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,12 +324,12 @@ class SweepRow:
     stop_reason: str
 
 
-def trend_violations(rows, slack_factor: float = 1.1):
+def trend_violations(rows):
     """Per-seed check that the final error is nonincreasing as delta drops.
 
     ``rows`` are SweepRows ordered by decreasing delta within each seed;
     returns (delta_coarse, delta_fine, seed) triples where the error grew by
-    more than the slack factor between consecutive noise levels.
+    more than ``_TREND_SLACK`` between consecutive noise levels.
     """
     seeds = []
     for r in rows:
@@ -337,7 +339,7 @@ def trend_violations(rows, slack_factor: float = 1.1):
     for s in seeds:
         track = [r for r in rows if r.seed == s]
         for coarse, fine in zip(track, track[1:]):
-            if fine.err_euclid > slack_factor * coarse.err_euclid:
+            if fine.err_euclid > _TREND_SLACK * coarse.err_euclid:
                 violations.append((coarse.delta, fine.delta, s))
     return tuple(violations)
 
@@ -365,7 +367,6 @@ def regularization_sweep(
     cfg: SolverConfig,
     deltas,
     seeds,
-    slack_factor: float = 1.1,
 ) -> SweepReport:
     """Solve at every (delta, seed) and check the error trend as delta drops.
 
@@ -402,11 +403,11 @@ def regularization_sweep(
 
     rows = [run_one(d, s) for d in deltas for s in seeds]
 
-    violations = trend_violations(rows, slack_factor)
+    violations = trend_violations(rows)
     return SweepReport(
         rows=tuple(rows),
         all_discrepancy=all(r.stop_reason == "discrepancy" for r in rows),
         trend_ok=not violations,
         trend_violations=tuple(violations),
-        slack_factor=float(slack_factor),
+        slack_factor=_TREND_SLACK,
     )

@@ -1,26 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The errors about bad input (DimensionMismatch, NonFiniteInput,
+DimensionTooSmall, RankDeficientL) are also ValueErrors, so the CLI reports
+them as bad input (exit status 2); the other LmmssErrors exit 1.
+"""
 
 
 class LmmssError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionMismatch(LmmssError):
+class DimensionMismatch(LmmssError, ValueError):
     """Operands have inconsistent shapes."""
 
 
 class NonFiniteInput(LmmssError, ValueError):
-    """An input matrix holds a NaN or an infinite entry; the message names it.
-
-    Also a ValueError, so the CLI reports it as bad input (exit status 2).
-    """
+    """An input matrix holds a NaN or an infinite entry; the message names it."""
 
 
-class DimensionTooSmall(LmmssError):
+class DimensionTooSmall(LmmssError, ValueError):
     """Requested size is below the minimum the constructor supports."""
 
 
-class RankDeficientL(LmmssError):
+class RankDeficientL(LmmssError, ValueError):
     """Scaling matrix does not have full row rank."""
 
 

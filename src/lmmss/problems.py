@@ -40,32 +40,20 @@ class Box:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
-def finite_difference_jacobian(F: Callable, x, step: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian with step ``1e-6 * (1 + ||x||)``."""
-    x = np.asarray(x, dtype=float)
-    h = step if step is not None else 1e-6 * (1.0 + float(np.linalg.norm(x)))
-    cols = []
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
-        cols.append((np.asarray(F(x + e), float) - np.asarray(F(x - e), float)) / (2.0 * h))
-    return np.column_stack(cols)
-
-
 @dataclass(frozen=True, eq=False)
 class InverseProblem:
     """A forward map with Jacobian, exact data, and optional exact solution.
 
-    ``eval_J = None`` installs a central finite-difference fallback.  When an
-    exact solution ``x_dagger`` is supplied it must reproduce ``y_exact`` to
-    within ``1e-10 * (1 + ||y_exact||)`` (zero-residual setting); a NaN
-    residual fails this check.  Instances compare and hash by identity.
+    ``m`` is the length of the 1-D ``y_exact``, at least n; a forward map of
+    another length fails at its first ``evaluate_F``.  When an exact solution
+    ``x_dagger`` is supplied it must reproduce ``y_exact`` to within ``1e-10 *
+    (1 + ||y_exact||)`` (zero-residual setting); a NaN residual fails this
+    check.  Instances compare and hash by identity.
     """
 
     name: str
     eval_F: Callable
-    eval_J: Callable | None
-    m: int
+    eval_J: Callable
     n: int
     y_exact: np.ndarray
     x_dagger: np.ndarray | None = None
@@ -73,19 +61,20 @@ class InverseProblem:
     x0_default: np.ndarray | None = None
 
     def __post_init__(self):
+        if np.ndim(self.y_exact) != 1:
+            raise DimensionMismatch(f"y_exact must be 1-D, got shape {np.shape(self.y_exact)}")
         if self.m < self.n:
             raise DimensionMismatch(f"need m >= n, got m={self.m}, n={self.n}")
-        if self.eval_J is None:
-            base = self.eval_F
-            object.__setattr__(
-                self, "eval_J", lambda x: finite_difference_jacobian(base, x)
-            )
         if self.x_dagger is not None:
             gap = float(np.linalg.norm(self.eval_F(self.x_dagger) - self.y_exact))
             if not gap <= 1e-10 * (1.0 + float(np.linalg.norm(self.y_exact))):
                 raise ValueError(
                     f"x_dagger is not a zero-residual solution (gap {gap:.3e})"
                 )
+
+    @property
+    def m(self) -> int:
+        return len(self.y_exact)
 
     def evaluate_F(self, x) -> np.ndarray:
         """Evaluate the forward map, guarding shape and finiteness."""
@@ -143,45 +132,38 @@ def _noise_direction(m: int, seed: int) -> np.ndarray:
     u.setflags(write=False)
     return u
 
-def make_noisy_data(y, delta: float, seed: int = 0, direction=None) -> NoisyData:
-    """Perturb y by exactly ``delta`` along a seeded (or given) unit direction.
+def make_noisy_data(y, delta: float, seed: int = 0) -> NoisyData:
+    """Perturb y by exactly ``delta`` along a seeded unit direction.
 
-    The direction is drawn once per (m, seed) and cached, so repeated sweeps
-    over the same seed are reproducible.  ``direction`` overrides the random
-    draw (it is normalized first); the norm identity holds either way.
+    The direction is a standard normal draw from ``default_rng(seed)``,
+    normalized; it is drawn once per (m, seed) and cached, so repeated sweeps
+    over the same seed are reproducible.
     """
     y = np.asarray(y, dtype=float)
     if delta < 0.0:
         raise NegativeDelta(f"delta must be nonnegative, got {delta}")
-    if direction is not None:
-        u = np.asarray(direction, dtype=float)
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            raise ValueError("direction must be a nonzero vector")
-        u = u / nu
-    else:
-        u = _noise_direction(y.size, int(seed))
+    u = _noise_direction(y.size, int(seed))
     return NoisyData(y_delta=y + delta * u, delta=float(delta), seed=int(seed))
 
 
-def problem_linear_illposed(n: int, kernel_width: float = 0.06) -> InverseProblem:
+def problem_linear_illposed(n: int) -> InverseProblem:
     """Discretized smoothing operator: the Gram matrix of a Gaussian kernel.
 
     The forward map is linear, F(x) = A x, with A built from the kernel
-    ``exp(-((t_i - t_j) / w)^2 / 2)`` scaled by the grid spacing.  Its
+    ``exp(-((t_i - t_j) / w)^2 / 2)``, width w = 0.06, scaled by the grid
+    spacing.  Its
     spectrum decays rapidly, so the condition number grows quickly with n.
     The exact profile is ``sin(pi t)``.
     """
     if n < 4:
         raise DimensionTooSmall("linear problem needs n >= 4")
     t = (np.arange(n) + 0.5) / n
-    A = (1.0 / n) * np.exp(-0.5 * ((t[:, None] - t[None, :]) / kernel_width) ** 2)
+    A = (1.0 / n) * np.exp(-0.5 * ((t[:, None] - t[None, :]) / 0.06) ** 2)
     x_dag = np.sin(np.pi * t)
     return InverseProblem(
         name="linear",
         eval_F=lambda x: A @ x,
         eval_J=lambda x: A,
-        m=n,
         n=n,
         y_exact=A @ x_dag,
         x_dagger=x_dag,
@@ -217,7 +199,6 @@ def problem_autoconvolution(n: int) -> InverseProblem:
         name="autoconvolution",
         eval_F=eval_F,
         eval_J=eval_J,
-        m=n,
         n=n,
         y_exact=eval_F(x_dag),
         x_dagger=x_dag,
@@ -243,9 +224,7 @@ def _conductivity_solve(am: np.ndarray, rhs):
     return scipy.linalg.solveh_banded(ab, rhs)
 
 
-def problem_coefficient_identification(
-    n: int, log_parameterization: bool = False, source=None
-) -> InverseProblem:
+def problem_coefficient_identification(n: int) -> InverseProblem:
     """Recover a 1-D conductivity profile from interior solution values.
 
     Steady state ``-(a u')' = f`` on (0, 1) with homogeneous Dirichlet
@@ -254,25 +233,17 @@ def problem_coefficient_identification(
     constant extension at the boundary).  The forward solve is one
     tridiagonal system; the Jacobian comes from the sensitivity equation,
     one tridiagonal solve per column.  Evaluation fails when any a_i drops
-    to the positivity floor ``A_MIN``.  With ``log_parameterization`` the
-    unknowns are log-conductivities instead.
+    to the positivity floor ``A_MIN``.
 
-    ``source`` is a constant or a callable of the grid; the default
-    ``4 pi^2 cos(2 pi t)`` makes the flux vanish at the boundary, so the
-    solution is least sensitive to boundary-adjacent conductivities (the
-    hardest components to recover).  A constant source admits the
-    closed-form parabola solution for constant conductivity.
+    The source ``f = 4 pi^2 cos(2 pi t)`` makes the flux vanish at the
+    boundary, so the solution is least sensitive to boundary-adjacent
+    conductivities (the hardest components to recover).
     """
     if n < 8:
         raise DimensionTooSmall("coefficient problem needs n >= 8")
     h = 1.0 / (n + 1)
     t = np.arange(1, n + 1) * h
-    if source is None:
-        f = 4.0 * np.pi**2 * np.cos(2.0 * np.pi * t)
-    elif callable(source):
-        f = np.asarray(source(t), dtype=float)
-    else:
-        f = np.full(n, float(source))
+    f = 4.0 * np.pi**2 * np.cos(2.0 * np.pi * t)
     rhs = h * h * f
 
     def forward(a):
@@ -301,23 +272,10 @@ def problem_coefficient_identification(
         return -_conductivity_solve(am, G)
 
     a_dag = 1.0 + 0.5 * np.sin(np.pi * t)
-    if log_parameterization:
-        x_dag = np.log(a_dag)
-        return InverseProblem(
-            name="coefficient-log",
-            eval_F=lambda z: forward(np.exp(z)),
-            eval_J=lambda z: jacobian(np.exp(z)) * np.exp(z)[None, :],
-            m=n,
-            n=n,
-            y_exact=forward(a_dag),
-            x_dagger=x_dag,
-            x0_default=np.zeros(n),
-        )
     return InverseProblem(
         name="coefficient",
         eval_F=forward,
         eval_J=jacobian,
-        m=n,
         n=n,
         y_exact=forward(a_dag),
         x_dagger=a_dag,
@@ -364,7 +322,6 @@ def problem_from_files(matrix_path, rhs_path, solution_path=None) -> InverseProb
         name="custom-linear",
         eval_F=lambda x: A @ x,
         eval_J=lambda x: A,
-        m=m,
         n=n,
         y_exact=y,
         x_dagger=x_dag,

@@ -100,12 +100,10 @@ class RunRecord:
     zeta_hat: float | None
     final_x: np.ndarray
     mode: str
-    q: float
-    tau: float
     delta: float
 
     @classmethod
-    def from_trace(cls, trace, stop_reason: str, mode: str, q, tau, delta) -> RunRecord:
+    def from_trace(cls, trace, stop_reason: str, mode: str, delta) -> RunRecord:
         """The record of a run whose trace ends with the stopped iterate."""
         zetas = [rec.zeta_p for rec in trace if rec.zeta_p is not None]
         return cls(
@@ -115,8 +113,6 @@ class RunRecord:
             zeta_hat=max(zetas) if zetas else None,
             final_x=trace[-1].x,
             mode=mode,
-            q=q,
-            tau=tau,
             delta=delta,
         )
 
@@ -341,4 +337,4 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
         x = x + d
 
     trace.append(IterateRecord(k=len(trace), x=x.copy(), res_norm=res))
-    return RunRecord.from_trace(trace, stop, "noisy" if noisy else "exact", cfg.q, cfg.tau, delta)
+    return RunRecord.from_trace(trace, stop, "noisy" if noisy else "exact", delta)

@@ -6,7 +6,7 @@ import pytest
 
 import lmmss
 from lmmss import IterateRecord, RunRecord, make_noisy_data, make_problem
-from lmmss.cli import ExperimentConfig, _reload_run, _solver_config, load_config, main
+from lmmss.cli import ExperimentConfig, _reload_run, load_config, main
 from lmmss.diagnostics import SweepReport, SweepRow
 from helpers import unit_residual_start
 
@@ -282,7 +282,7 @@ class TestFromDir:
         ]) == 0
         cfg = load_config(out / "config.ini")
         (run,) = solved
-        reloaded = _reload_run(out, _solver_config(cfg), cfg.digest())
+        reloaded = _reload_run(out, cfg.digest())
         assert run.mode == ("exact" if delta == "0" else "noisy")
         _assert_bitwise_equal(reloaded, run, RunRecord)
         assert len(reloaded.trace) == len(run.trace)
@@ -318,7 +318,8 @@ class TestFromDir:
     @pytest.mark.parametrize(
         "edit",
         ["six-column-trace", "edited-config", "no-stop_reason", "no-mode", "no-delta",
-         "line-without-separator"],
+         "line-without-separator", "short-iterates", "long-iterates", "bad-trace-cell",
+         "bad-iterates-cell", "non-numeric-delta"],
     )
     def test_foreign_artifacts_rejected(self, tmp_path, capsys, run_dir, edit):
         copy = tmp_path / "run"
@@ -333,6 +334,27 @@ class TestFromDir:
         elif edit == "edited-config":
             ini = (copy / "config.ini").read_text()
             (copy / "config.ini").write_text(ini.replace("tau = 3.5", "tau = 4.5"))
+        elif edit.endswith("-iterates"):
+            lines = (copy / "iterates.txt").read_text().splitlines()
+            rows = lines[:-1] if edit == "short-iterates" else lines + lines[:1]
+            (copy / "iterates.txt").write_text("\n".join(rows) + "\n")
+            named = f"iterates.txt has {len(rows)} rows, {copy / 'trace.csv'} has {len(lines)}"
+        elif edit == "bad-trace-cell":
+            lines = (copy / "trace.csv").read_text().splitlines()
+            lines[3] = "x" + lines[3][1:]
+            (copy / "trace.csv").write_text("\n".join(lines) + "\n")
+            named = "trace.csv, line 4: invalid literal for int()"
+        elif edit == "bad-iterates-cell":
+            lines = (copy / "iterates.txt").read_text().splitlines()
+            lines[1] = "x" + lines[1][1:]
+            (copy / "iterates.txt").write_text("\n".join(lines) + "\n")
+            named = "iterates.txt: could not convert"
+        elif edit == "non-numeric-delta":
+            text = (copy / "summary.txt").read_text()
+            lines = [("delta = abc" if line.startswith("delta = ") else line)
+                     for line in text.splitlines()]
+            (copy / "summary.txt").write_text("\n".join(lines) + "\n")
+            named = "summary.txt: delta 'abc' is not a number"
         else:
             lines = (copy / "summary.txt").read_text().splitlines()
             if edit.startswith("no-"):
@@ -431,6 +453,47 @@ class TestInputErrors:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("solve --problem linear --n 2", "linear problem needs n >= 4"),
+            ("sweep --problem linear --n 2 --delta 1e-3", "linear problem needs n >= 4"),
+            ("solve --problem autoconvolution --n 6", "autoconvolution problem needs n >= 8"),
+            ("solve --problem linear --n 8 --scaling file:{tmp}/L3.txt",
+             "scaling matrix has 3 columns, problem has n=8"),
+            ("solve --problem linear --n 8 --scaling file:{tmp}/Lrank.txt",
+             "scaling matrix has numerical rank below 2"),
+            ("solve --problem file --matrix {tmp}/A23.txt --rhs {tmp}/y2.txt",
+             "need m >= n, got m=2, n=3"),
+            ("gsvd {tmp}/A23.txt {tmp}/L3.txt", "need m >= n, got m=2, n=3"),
+            ("gsvd {tmp}/A8.txt {tmp}/Lrank.txt", "scaling matrix has numerical rank below 2"),
+        ],
+        ids=["linear-n", "sweep-linear-n", "autoconvolution-n", "scaling-columns",
+             "scaling-rank", "file-m-below-n", "gsvd-m-below-n", "gsvd-rank"],
+    )
+    def test_bad_sizes_and_matrices_rejected(self, tmp_path, capsys, argv, message):
+        np.savetxt(tmp_path / "L3.txt", np.eye(3))
+        np.savetxt(tmp_path / "Lrank.txt", np.ones((2, 8)))
+        np.savetxt(tmp_path / "A23.txt", np.ones((2, 3)))
+        np.savetxt(tmp_path / "y2.txt", np.ones(2))
+        np.savetxt(tmp_path / "A8.txt", np.eye(8))
+        out = tmp_path / "out"
+        argv = argv.format(tmp=tmp_path).split()
+        if argv[0] != "gsvd":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_completeness_violation_exits_1(self, tmp_path, capsys):
+        # a pair that fails the completeness rule is not an input-format error
+        np.savetxt(tmp_path / "A.txt", [[1.0, 0.0], [0.0, 0.0]])
+        np.savetxt(tmp_path / "L.txt", [[1.0, 0.0]])
+        assert main(["gsvd", str(tmp_path / "A.txt"), str(tmp_path / "L.txt")]) == 1
+        assert "N(A) and N(L) intersect" in capsys.readouterr().err
 
     def test_non_finite_exact_solution_rejected(self, tmp_path, capsys):
         np.savetxt(tmp_path / "A.txt", np.eye(3))

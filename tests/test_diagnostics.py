@@ -33,7 +33,6 @@ def scalar_square_problem():
         name="square",
         eval_F=lambda x: x**2,
         eval_J=lambda x: np.array([[2.0 * x[0]]]),
-        m=1,
         n=1,
         y_exact=np.array([1.0]),
         x_dagger=np.array([1.0]),
@@ -94,7 +93,6 @@ class TestTccEstimate:
             name="walled",
             eval_F=base.eval_F,
             eval_J=base.eval_J,
-            m=1,
             n=1,
             y_exact=base.y_exact,
             x_dagger=base.x_dagger,
@@ -126,7 +124,7 @@ def _stationary_run(x, L):
     )
     return RunRecord(
         trace=recs, k_star=1, stop_reason="max_iter", zeta_hat=1.0, final_x=x,
-        mode="exact", q=0.5, tau=2.5, delta=0.0,
+        mode="exact", delta=0.0,
     )
 
 
@@ -212,11 +210,11 @@ class TestEuclideanBound:
         )
         run = RunRecord(
             trace=recs, k_star=1, stop_reason="res_tol", zeta_hat=1.0,
-            final_x=x_star, mode="exact", q=0.5, tau=2.5, delta=0.0,
+            final_x=x_star, mode="exact", delta=0.0,
         )
         prob = InverseProblem(
             name="affine", eval_F=lambda x: x.copy(), eval_J=lambda x: np.eye(3),
-            m=3, n=3, y_exact=x_star,
+            n=3, y_exact=x_star,
         )
         rep = check_euclidean_bound(run, prob, x_star, identity(3), c=1.0)
         assert rep.lhs[0] == 0.0 and rep.rhs[0] == 0.0
@@ -301,15 +299,16 @@ class TestSweep:
             SweepRow(1e-2, 1, 3, 1.0, 1.0, 0.01, "discrepancy"),
             SweepRow(1e-3, 1, 5, 1.2, 1.2, 0.001, "discrepancy"),
         ]
-        viols = trend_violations(rows, slack_factor=1.1)
-        assert viols == ((1e-2, 1e-3, 1),)
-        assert trend_violations(rows, slack_factor=1.3) == ()
+        assert trend_violations(rows) == ((1e-2, 1e-3, 1),)
+        # a growth of 1.05 is within the slack factor 1.1
+        within = [rows[0], SweepRow(1e-3, 1, 5, 1.05, 1.05, 0.001, "discrepancy")]
+        assert trend_violations(within) == ()
 
     def test_solver_errors_annotated_with_delta(self):
         A = np.array([[1.0, 0.0], [0.0, 0.0]])
         prob = InverseProblem(
             name="shared-null", eval_F=lambda x: A @ x, eval_J=lambda x: A,
-            m=2, n=2, y_exact=np.array([1.0, 0.0]), x_dagger=np.array([1.0, 0.0]),
+            n=2, y_exact=np.array([1.0, 0.0]), x_dagger=np.array([1.0, 0.0]),
         )
         from lmmss import CompletenessViolated
         from lmmss.scaling import from_matrix
@@ -322,7 +321,7 @@ class TestSweep:
     def test_requires_exact_solution(self):
         prob = InverseProblem(
             name="anon", eval_F=lambda x: x.copy(), eval_J=lambda x: np.eye(4),
-            m=4, n=4, y_exact=np.zeros(4),
+            n=4, y_exact=np.zeros(4),
         )
         with pytest.raises(MissingExactSolution):
             regularization_sweep(
@@ -345,7 +344,7 @@ _RECORDS = {
     "RunRecord": lambda: RunRecord(
         trace=(IterateRecord(k=0, x=np.zeros(3), res_norm=1.0),), k_star=0,
         stop_reason="discrepancy", zeta_hat=None, final_x=np.zeros(3),
-        mode="noisy", q=0.5, tau=2.5, delta=1e-3,
+        mode="noisy", delta=1e-3,
     ),
     "NoisyData": lambda: make_noisy_data(np.ones(3), 1e-3, seed=1),
     "InverseProblem": lambda: make_problem("linear", 4),

@@ -6,6 +6,7 @@ import pytest
 import lmmss
 from lmmss import (
     InverseProblem,
+    NoisyData,
     NonpositiveLambda,
     SolverConfig,
     ZeroGradient,
@@ -378,11 +379,10 @@ class TestSolve:
             name="rank-deficient",
             eval_F=lambda x: A @ x,
             eval_J=lambda x: A,
-            m=2,
             n=2,
             y_exact=np.array([0.0, 1.0]),
         )
-        data = make_noisy_data(prob.y_exact, 1e-3, seed=0, direction=[0.0, 1.0])
+        data = NoisyData(y_delta=prob.y_exact + [0.0, 1e-3], delta=1e-3, seed=0)
         run = solve(prob, data, identity(2), np.zeros(2), SolverConfig(q=0.5, tau=2.5))
         assert run.stop_reason == "qcond_unsolvable_hard"
 
@@ -413,7 +413,6 @@ class TestSolve:
             name="shared-null",
             eval_F=lambda x: A @ x,
             eval_J=lambda x: A,
-            m=2,
             n=2,
             y_exact=np.array([1.0, 0.0]),
         )
@@ -428,7 +427,6 @@ class TestSolve:
             name="flat-damped-direction",
             eval_F=lambda x: A @ x,
             eval_J=lambda x: A,
-            m=2,
             n=2,
             y_exact=np.array([1.0, 0.0]),
         )
@@ -516,7 +514,7 @@ class TestCompletenessRule:
         assert completeness_holds(s) is holds
         prob = InverseProblem(
             name="near-floor", eval_F=lambda x: J @ x, eval_J=lambda x: J,
-            m=2, n=2, y_exact=np.array([1.0, 1.0]),
+            n=2, y_exact=np.array([1.0, 1.0]),
         )
         cfg = SolverConfig(q=0.5, tau=2.5, max_iter=3)
         if holds:
