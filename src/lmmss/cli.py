@@ -345,16 +345,19 @@ def _reload_run(run_dir: Path, digest: str) -> RunRecord:
     """Rebuild a ``solve`` directory's RunRecord, bit for bit, from its artifacts alone.
 
     ``trace.csv`` must start with ``digest`` (that of the directory's config)
-    and the ``_TRACE`` header, ``iterates.txt`` must hold one row per trace
-    row, and ``summary.txt`` must hold ``key = value`` lines that include
-    ``stop_reason``, ``mode`` and a numeric ``delta``.  A damaged artifact is
-    a ConfigError naming the file (and, for ``trace.csv``, the line).
+    and the ``_TRACE`` header and hold at least one row, ``iterates.txt`` must
+    hold one row per trace row, and ``summary.txt`` must hold ``key = value``
+    lines that include ``stop_reason``, ``mode`` and a numeric ``delta``.  A
+    damaged artifact is a ConfigError naming the file (and, for
+    ``trace.csv``, the line).
     """
     trace_path, iterates_path = run_dir / "trace.csv", run_dir / "iterates.txt"
     lines = trace_path.read_text().splitlines()
     head = [f"# config_digest={digest}", ",".join(_TRACE)]
     if lines[:2] != head:
         raise ConfigError(f"{trace_path} does not start with the lines {head}")
+    if len(lines) == 2:
+        raise ConfigError(f"{trace_path} has no iterate rows")
     try:
         xs = np.loadtxt(iterates_path, ndmin=2)
     except ValueError as exc:
@@ -424,6 +427,11 @@ def cmd_diagnose(args) -> int:
     problem, L, scfg, x0, out, digest = _prepare(cfg, args)
     if args.from_dir:
         runs = [_reload_run(Path(args.from_dir), digest)]
+        if runs[0].final_x.shape != (problem.n,):
+            raise ConfigError(
+                f"{Path(args.from_dir) / 'iterates.txt'} rows have length "
+                f"{runs[0].final_x.size}, the problem has n={problem.n}"
+            )
     else:
         delta, seed = _single_run(cfg)
         runs = [solve(problem, None, L, x0, scfg)]

@@ -238,21 +238,12 @@ def check_kstar_bound(
             f"run stopped by {run.stop_reason!r}, not by the discrepancy principle"
         )
     lhs = run.k_star * tau**2 * delta**2
-    if run.k_star == 0:
-        return KstarBoundReport(
-            k_star=0,
-            lhs=0.0,
-            rhs_linear=0.0,
-            rhs_squared=0.0,
-            holds_linear=True,
-            holds_squared=True,
-            theta=float(theta),
-            zeta_hat=run.zeta_hat,
-        )
-    dist = seminorm(L, run.trace[0].x - np.asarray(x_star, dtype=float))
-    C = theta * run.zeta_hat**2 / (2.0 * (theta - 1.0) * (1.0 - q) * q)
-    rhs_linear = C * dist
-    rhs_squared = C * dist**2
+    rhs_linear = rhs_squared = 0.0
+    if run.k_star > 0:
+        dist = seminorm(L, run.trace[0].x - np.asarray(x_star, dtype=float))
+        C = theta * run.zeta_hat**2 / (2.0 * (theta - 1.0) * (1.0 - q) * q)
+        rhs_linear = C * dist
+        rhs_squared = C * dist**2
     pad = 1.0 + 1e-10
     return KstarBoundReport(
         k_star=run.k_star,
@@ -346,18 +337,28 @@ def trend_violations(rows):
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Noise-sweep outcome: one row per (delta, seed) plus the trend verdict.
+    """Noise-sweep outcome: one row per (delta, seed); the verdicts are read off the rows.
 
     ``trend_ok`` asserts that, per seed, the final Euclidean error is
-    nonincreasing between consecutive noise levels up to the slack factor;
+    nonincreasing between consecutive noise levels up to ``slack_factor``;
     ``all_discrepancy`` that every run stopped by the discrepancy rule.
     """
 
     rows: tuple[SweepRow, ...]
-    all_discrepancy: bool
-    trend_ok: bool
-    trend_violations: tuple[tuple[float, float, int], ...]
-    slack_factor: float
+
+    slack_factor = _TREND_SLACK
+
+    @property
+    def all_discrepancy(self) -> bool:
+        return all(r.stop_reason == "discrepancy" for r in self.rows)
+
+    @property
+    def trend_violations(self) -> tuple[tuple[float, float, int], ...]:
+        return trend_violations(self.rows)
+
+    @property
+    def trend_ok(self) -> bool:
+        return not self.trend_violations
 
 
 def regularization_sweep(
@@ -401,13 +402,4 @@ def regularization_sweep(
             stop_reason=run.stop_reason,
         )
 
-    rows = [run_one(d, s) for d in deltas for s in seeds]
-
-    violations = trend_violations(rows)
-    return SweepReport(
-        rows=tuple(rows),
-        all_discrepancy=all(r.stop_reason == "discrepancy" for r in rows),
-        trend_ok=not violations,
-        trend_violations=tuple(violations),
-        slack_factor=_TREND_SLACK,
-    )
+    return SweepReport(rows=tuple(run_one(d, s) for d in deltas for s in seeds))

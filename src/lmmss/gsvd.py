@@ -31,9 +31,6 @@ import scipy.linalg
 from .errors import CompletenessViolated, DimensionMismatch, NonFiniteInput
 from .scaling import ScalingOperator, completeness_holds
 
-#: Relative threshold when locating the first "nonzero" entry of a column.
-_SIGN_RTOL = 1e-12
-
 #: The bounds accept a pair only if it passes the rule with s_min^2 divided by
 #: this factor, so rounding in X cannot accept a pair the exact singular
 #: values reject.
@@ -148,15 +145,6 @@ def gsvd(A, L) -> GsvdFactors:
         # whose X is unusable anyway is refused rather than returned.
         if not completeness_holds(s) or X is None or not np.isfinite(X).all():
             raise CompletenessViolated(f"N(A) and N(L) intersect: s_min^2 = {s[-1] ** 2:.3e}")
-
-    # Reproducible signs: make the first nonzero entry of each X column
-    # positive, compensating in U (and V for the leading p columns).
-    absX = np.abs(X)
-    lead = np.argmax(absX > _SIGN_RTOL * absX.max(axis=0), axis=0)
-    sign = np.where(X[lead, np.arange(n)] < 0.0, -1.0, 1.0)
-    X *= sign
-    U *= sign
-    V *= sign[:p]
 
     return GsvdFactors(U=U, V=V, X=X, sigma=sigma, mu=mu)
 

@@ -10,7 +10,6 @@ and a 1-D conductivity identification problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -21,6 +20,7 @@ from .errors import (
     DimensionTooSmall,
     EvaluationFailure,
     NegativeDelta,
+    NonFiniteInput,
     NonpositiveCoefficient,
 )
 
@@ -78,40 +78,26 @@ class InverseProblem:
 
     def evaluate_F(self, x) -> np.ndarray:
         """Evaluate the forward map, guarding shape and finiteness."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise DimensionMismatch(f"x has shape {x.shape}, expected ({self.n},)")
-        try:
-            out = np.asarray(self.eval_F(x), dtype=float)
-        except EvaluationFailure:
-            raise
-        except Exception as exc:
-            raise EvaluationFailure(f"forward map failed: {exc}") from exc
-        if out.shape != (self.m,):
-            raise EvaluationFailure(
-                f"forward map returned shape {out.shape}, expected ({self.m},)"
-            )
-        if not np.all(np.isfinite(out)):
-            raise EvaluationFailure("forward map returned non-finite values")
-        return out
+        return self._evaluate(self.eval_F, x, (self.m,), "forward map")
 
     def evaluate_J(self, x) -> np.ndarray:
         """Evaluate the Jacobian, guarding shape and finiteness."""
+        return self._evaluate(self.eval_J, x, (self.m, self.n), "Jacobian evaluation")
+
+    def _evaluate(self, fn, x, shape, what) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionMismatch(f"x has shape {x.shape}, expected ({self.n},)")
         try:
-            out = np.asarray(self.eval_J(x), dtype=float)
+            out = np.asarray(fn(x), dtype=float)
         except EvaluationFailure:
             raise
         except Exception as exc:
-            raise EvaluationFailure(f"Jacobian evaluation failed: {exc}") from exc
-        if out.shape != (self.m, self.n):
-            raise EvaluationFailure(
-                f"Jacobian has shape {out.shape}, expected ({self.m}, {self.n})"
-            )
+            raise EvaluationFailure(f"{what} failed: {exc}") from exc
+        if out.shape != shape:
+            raise EvaluationFailure(f"{what} returned shape {out.shape}, expected {shape}")
         if not np.all(np.isfinite(out)):
-            raise EvaluationFailure("Jacobian contains non-finite values")
+            raise EvaluationFailure(f"{what} returned non-finite values")
         return out
 
 
@@ -124,25 +110,17 @@ class NoisyData:
     seed: int
 
 
-@lru_cache(maxsize=None)
-def _noise_direction(m: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(m)
-    u /= np.linalg.norm(u)
-    u.setflags(write=False)
-    return u
-
 def make_noisy_data(y, delta: float, seed: int = 0) -> NoisyData:
     """Perturb y by exactly ``delta`` along a seeded unit direction.
 
     The direction is a standard normal draw from ``default_rng(seed)``,
-    normalized; it is drawn once per (m, seed) and cached, so repeated sweeps
-    over the same seed are reproducible.
+    normalized, so the same (len(y), seed) always gives the same direction.
     """
     y = np.asarray(y, dtype=float)
     if delta < 0.0:
         raise NegativeDelta(f"delta must be nonnegative, got {delta}")
-    u = _noise_direction(y.size, int(seed))
+    u = np.random.default_rng(int(seed)).standard_normal(y.size)
+    u /= np.linalg.norm(u)
     return NoisyData(y_delta=y + delta * u, delta=float(delta), seed=int(seed))
 
 
@@ -299,15 +277,24 @@ def make_problem(name: str, n: int) -> InverseProblem:
     return PROBLEMS[name](n)
 
 
+def _load_finite(path, ndmin=0) -> np.ndarray:
+    values = np.loadtxt(path, ndmin=ndmin)
+    if not np.isfinite(values).all():
+        raise NonFiniteInput(f"{path} has a NaN or infinite entry")
+    return values
+
+
 def problem_from_files(matrix_path, rhs_path, solution_path=None) -> InverseProblem:
     """Custom linear problem from whitespace-delimited text files.
 
     ``matrix_path`` holds the m x n forward matrix (row-major), ``rhs_path``
     the exact data vector; ``solution_path`` optionally supplies an exact
-    solution, which must reproduce the data to zero-residual tolerance.
+    solution, which must reproduce the data to zero-residual tolerance (a
+    non-finite one fails that check).  A NaN or infinite entry in the matrix
+    or the data is a NonFiniteInput naming the file.
     """
-    A = np.loadtxt(matrix_path, ndmin=2)
-    y = np.loadtxt(rhs_path).ravel()
+    A = _load_finite(matrix_path, ndmin=2)
+    y = _load_finite(rhs_path).ravel()
     m, n = A.shape
     if y.shape != (m,):
         raise DimensionMismatch(f"data has length {y.size}, matrix has {m} rows")

@@ -142,10 +142,6 @@ class TestSweepCommand:
         rigged = SweepReport(
             rows=(SweepRow(1e-2, 1, 3, 1.0, 1.0, 0.01, "discrepancy"),
                   SweepRow(1e-3, 1, 5, 2.0, 2.0, 0.001, "discrepancy")),
-            all_discrepancy=True,
-            trend_ok=False,
-            trend_violations=((1e-2, 1e-3, 1),),
-            slack_factor=1.1,
         )
         monkeypatch.setattr(
             lmmss.cli.diagnostics, "regularization_sweep",
@@ -319,7 +315,7 @@ class TestFromDir:
         "edit",
         ["six-column-trace", "edited-config", "no-stop_reason", "no-mode", "no-delta",
          "line-without-separator", "short-iterates", "long-iterates", "bad-trace-cell",
-         "bad-iterates-cell", "non-numeric-delta"],
+         "bad-iterates-cell", "non-numeric-delta", "header-only-trace", "narrow-iterates"],
     )
     def test_foreign_artifacts_rejected(self, tmp_path, capsys, run_dir, edit):
         copy = tmp_path / "run"
@@ -355,6 +351,16 @@ class TestFromDir:
                      for line in text.splitlines()]
             (copy / "summary.txt").write_text("\n".join(lines) + "\n")
             named = "summary.txt: delta 'abc' is not a number"
+        elif edit == "header-only-trace":
+            lines = (copy / "trace.csv").read_text().splitlines()
+            (copy / "trace.csv").write_text("\n".join(lines[:2]) + "\n")
+            (copy / "iterates.txt").write_text("")
+            named = "trace.csv has no iterate rows"
+        elif edit == "narrow-iterates":  # one column dropped
+            lines = (copy / "iterates.txt").read_text().splitlines()
+            rows = [line.rsplit(" ", 1)[0] for line in lines]
+            (copy / "iterates.txt").write_text("\n".join(rows) + "\n")
+            named = "iterates.txt rows have length 11, the problem has n=12"
         else:
             lines = (copy / "summary.txt").read_text().splitlines()
             if edit.startswith("no-"):
@@ -437,6 +443,29 @@ class TestInputErrors:
                    "--tau", tau, "--out", str(out)])
         assert rc == 2
         assert "need finite tau" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "which, bad, message",
+        [("matrix", np.nan, "{path} has a NaN or infinite entry"),
+         ("rhs", np.inf, "{path} has a NaN or infinite entry"),
+         ("solution", -np.inf, "is not a zero-residual solution (gap inf)")],
+        ids=["matrix", "rhs", "solution"],
+    )
+    def test_non_finite_problem_file_rejected(self, tmp_path, capsys, which, bad, message):
+        A = np.eye(4) + 0.1
+        x = np.ones(4)
+        files = {"matrix": A, "rhs": A @ x, "solution": x}
+        files[which] = files[which].copy()
+        files[which].flat[1] = bad
+        for name, values in files.items():
+            np.savetxt(tmp_path / f"{name}.txt", values)
+        out = tmp_path / "out"
+        rc = main(["solve", "--problem", "file", "--matrix", str(tmp_path / "matrix.txt"),
+                   "--rhs", str(tmp_path / "rhs.txt"),
+                   "--exact-solution", str(tmp_path / "solution.txt"), "--out", str(out)])
+        assert rc == 2
+        assert message.format(path=tmp_path / f"{which}.txt") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -180,6 +180,22 @@ class TestInverseProblemWrapper:
         with pytest.raises(EvaluationFailure):
             prob.evaluate_F(np.zeros(1))
 
+    @pytest.mark.parametrize(
+        "eval_J, message",
+        [
+            (lambda x: 1 / 0, "Jacobian evaluation failed: division by zero"),
+            (lambda x: np.eye(3), r"Jacobian evaluation returned shape \(3, 3\), expected \(2, 2\)"),
+            (lambda x: np.full((2, 2), np.nan), "Jacobian evaluation returned non-finite values"),
+        ],
+        ids=["raises", "shape", "non-finite"],
+    )
+    def test_jacobian_guards(self, eval_J, message):
+        prob = InverseProblem(
+            name="bad-J", eval_F=lambda x: x, eval_J=eval_J, n=2, y_exact=np.zeros(2),
+        )
+        with pytest.raises(EvaluationFailure, match=message):
+            prob.evaluate_J(np.zeros(2))
+
     def test_data_length_fixes_m(self):
         # m is the length of y_exact; a forward map of another length fails
         # at evaluation, naming both shapes
