@@ -347,9 +347,9 @@ def _reload_run(run_dir: Path, digest: str) -> RunRecord:
     ``trace.csv`` must start with ``digest`` (that of the directory's config)
     and the ``_TRACE`` header and hold at least one row, ``iterates.txt`` must
     hold one row per trace row, and ``summary.txt`` must hold ``key = value``
-    lines that include ``stop_reason``, ``mode`` and a numeric ``delta``.  A
-    damaged artifact is a ConfigError naming the file (and, for
-    ``trace.csv``, the line).
+    lines that include ``stop_reason``, a numeric ``delta`` and the ``mode``
+    that delta implies.  A damaged artifact is a ConfigError naming the file
+    (and, for ``trace.csv``, the line).
     """
     trace_path, iterates_path = run_dir / "trace.csv", run_dir / "iterates.txt"
     lines = trace_path.read_text().splitlines()
@@ -388,10 +388,16 @@ def _reload_run(run_dir: Path, digest: str) -> RunRecord:
         delta = float(summary["delta"])
     except ValueError:
         raise ConfigError(f"{path}: delta {summary['delta']!r} is not a number") from None
-    return RunRecord.from_trace(records, summary["stop_reason"], summary["mode"], delta)
+    run = RunRecord(
+        trace=tuple(records), stop_reason=summary["stop_reason"], final_x=records[-1].x, delta=delta
+    )
+    if summary["mode"] != run.mode:
+        raise ConfigError(f"{path}: mode {summary['mode']!r} contradicts delta {_fmt(delta)}")
+    return run
 
 
 def _write_gain_csv(path: Path, report, digest: str):
+    """One row per step; ``ok_residual`` and ``ok_spectral`` only on equality rows."""
     rows = []
     for k, kind in enumerate(report.kinds):
         eq = kind == "equality"
@@ -403,8 +409,8 @@ def _write_gain_csv(path: Path, report, digest: str):
             k,
             report.gains[k],
             report.rhs_step[k],
-            report.rhs_residual[k] if eq else None,
-            report.rhs_spectral[k] if eq else None,
+            report.rhs_residual[k],
+            report.rhs_spectral[k],
             kind,
             ok_step,
             ok_res if eq else None,
@@ -476,8 +482,15 @@ def cmd_diagnose(args) -> int:
     for run in runs:
         if run.mode == "exact":
             theta = diagnostics.theta_exact(scfg.q, c_used, dist0)
-            gain = diagnostics.check_gain(run, x_star, L, scfg.q, theta)
-            _write_gain_csv(out / "gain_exact.csv", gain, digest)
+        else:
+            theta = diagnostics.theta_noisy(scfg.q, scfg.tau, c_used, dist0)
+        gain = diagnostics.check_gain(run, x_star, L, scfg.q, theta)
+        _write_gain_csv(out / f"gain_{run.mode}.csv", gain, digest)
+        summary_pairs += [
+            (f"theta_{run.mode}", theta),
+            (f"gain_{run.mode}_violations", len(gain.violations)),
+        ]
+        if run.mode == "exact":
             euclid = diagnostics.check_euclidean_bound(run, problem, x_star, L, c_used)
             _write_table(
                 out / "euclidean.csv",
@@ -488,31 +501,14 @@ def cmd_diagnose(args) -> int:
                     for k, (lhs, rhs) in enumerate(zip(euclid.lhs, euclid.rhs))
                 ],
             )
-            summary_pairs += [
-                ("theta_exact", theta),
-                ("gain_exact_violations", len(gain.violations)),
-                ("euclidean_violations", len(euclid.violations)),
-            ]
-        else:
-            theta = diagnostics.theta_noisy(scfg.q, scfg.tau, c_used, dist0)
-            gain = diagnostics.check_gain(run, x_star, L, scfg.q, theta)
-            _write_gain_csv(out / "gain_noisy.csv", gain, digest)
-            summary_pairs += [
-                ("theta_noisy", theta),
-                ("gain_noisy_violations", len(gain.violations)),
-            ]
-            if run.stop_reason == "discrepancy":
-                ks = diagnostics.check_kstar_bound(
-                    run, x_star, L, scfg.q, scfg.tau, run.delta, theta
-                )
-                pairs = [("config_digest", digest)]
-                pairs += [(f.name, getattr(ks, f.name)) for f in fields(ks)]
-                _write_text(out / "kstar_report.txt", _summary_lines(pairs))
-                summary_pairs.append(
-                    ("kstar_bound_holds", ks.holds_linear or ks.holds_squared)
-                )
-        if any(which == "step" for _, which in gain.violations):
-            hard_violation = True
+            summary_pairs.append(("euclidean_violations", len(euclid.violations)))
+        if run.stop_reason == "discrepancy":
+            ks = diagnostics.check_kstar_bound(run, x_star, L, scfg.q, scfg.tau, theta)
+            pairs = [("config_digest", digest)]
+            pairs += [(f.name, getattr(ks, f.name)) for f in fields(ks)]
+            _write_text(out / "kstar_report.txt", _summary_lines(pairs))
+            summary_pairs.append(("kstar_bound_holds", ks.holds_squared))
+        hard_violation |= any(which == "step" for _, which in gain.violations)
 
     _write_text(out / "diagnostics_summary.txt", _summary_lines(summary_pairs))
     print(f"diagnose: c_hat={c_used:.6g} hard_violation={hard_violation}")

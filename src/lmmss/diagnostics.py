@@ -146,25 +146,27 @@ def theta_noisy(q: float, tau: float, c: float, dist_L: float) -> float:
 class GainReport:
     """Per-iteration gains ``||x_k - x*||_L^2 - ||x_{k+1} - x*||_L^2``.
 
-    Three lower bounds are checked with slack ``-1e-10 * (1 + initial
-    squared L-distance)``: the squared L-norm of the step at every
-    iteration, and (at equality-kind iterations only, since they presume the
-    q-condition holds with equality) ``2(theta-1)/(theta lam) ||linearized
-    residual||^2`` and ``2(theta-1)(1-q)q / (zeta_p^2 theta) ||residual||^2``.
-    ``assumption_ok`` is False when theta <= 1, flagging that the
-    initial-guess assumption is breached rather than failing the check.
+    Three lower bounds are computed at every iteration and checked with
+    slack ``-1e-10 * (1 + initial squared L-distance)``: the squared L-norm
+    of the step at every iteration, and (at equality-kind iterations only,
+    since they presume the q-condition holds with equality) ``2(theta-1)/(theta
+    lam) ||linearized residual||^2`` and ``2(theta-1)(1-q)q / (zeta_p^2 theta)
+    ||residual||^2``.  ``assumption_ok`` is False when theta <= 1, flagging
+    that the initial-guess assumption is breached rather than failing the
+    check.
     """
 
     theta: float
-    q: float
     gains: np.ndarray
     rhs_step: np.ndarray
     rhs_residual: np.ndarray
     rhs_spectral: np.ndarray
     kinds: tuple[str, ...]
     violations: tuple[tuple[int, str], ...]
-    slack: float
-    assumption_ok: bool
+
+    @property
+    def assumption_ok(self) -> bool:
+        return self.theta > 1.0
 
 
 def check_gain(run: RunRecord, x_star, L: ScalingOperator, q: float, theta: float) -> GainReport:
@@ -195,63 +197,52 @@ def check_gain(run: RunRecord, x_star, L: ScalingOperator, q: float, theta: floa
                 violations.append((k, "spectral"))
     return GainReport(
         theta=float(theta),
-        q=float(q),
         gains=gains,
         rhs_step=rhs_step,
         rhs_residual=rhs_residual,
         rhs_spectral=rhs_spectral,
         kinds=tuple(rec.qcond_kind for rec in steps),
         violations=tuple(violations),
-        slack=slack,
-        assumption_ok=theta > 1.0,
     )
 
 
 @dataclass(frozen=True)
 class KstarBoundReport:
-    """Stopping-index bound ``k* tau^2 delta^2 <= C * B``.
+    """Stopping-index bound ``k* tau^2 delta^2 <= C ||x_0 - x*||_L^2``.
 
-    ``C = theta zeta_hat^2 / (2 (theta-1)(1-q) q)`` and B is evaluated in
-    both plausible readings: the L-distance of the initial guess to x_star
-    unsquared (``rhs_linear``) and squared (``rhs_squared``, the form the
-    telescoped gain inequality yields).
+    ``C = theta zeta_hat^2 / (2 (theta-1)(1-q) q)``; the squared L-distance
+    of the initial guess is the form the telescoped gain inequality yields.
     """
 
     k_star: int
     lhs: float
-    rhs_linear: float
     rhs_squared: float
-    holds_linear: bool
     holds_squared: bool
     theta: float
     zeta_hat: float | None
 
 
 def check_kstar_bound(
-    run: RunRecord, x_star, L: ScalingOperator, q: float, tau: float, delta: float, theta: float
+    run: RunRecord, x_star, L: ScalingOperator, q: float, tau: float, theta: float
 ) -> KstarBoundReport:
-    """Evaluate the stopping-index bound for a discrepancy-stopped run."""
+    """Evaluate the stopping-index bound for a discrepancy-stopped run at its own delta."""
     if x_star is None:
         raise MissingExactSolution("check_kstar_bound needs the exact solution")
     if run.stop_reason != "discrepancy":
         raise ValueError(
             f"run stopped by {run.stop_reason!r}, not by the discrepancy principle"
         )
-    lhs = run.k_star * tau**2 * delta**2
-    rhs_linear = rhs_squared = 0.0
+    lhs = run.k_star * tau**2 * run.delta**2
+    rhs_squared = 0.0
     if run.k_star > 0:
         dist = seminorm(L, run.trace[0].x - np.asarray(x_star, dtype=float))
         C = theta * run.zeta_hat**2 / (2.0 * (theta - 1.0) * (1.0 - q) * q)
-        rhs_linear = C * dist
         rhs_squared = C * dist**2
-    pad = 1.0 + 1e-10
     return KstarBoundReport(
         k_star=run.k_star,
         lhs=lhs,
-        rhs_linear=rhs_linear,
         rhs_squared=rhs_squared,
-        holds_linear=lhs <= rhs_linear * pad,
-        holds_squared=lhs <= rhs_squared * pad,
+        holds_squared=lhs <= rhs_squared * (1.0 + 1e-10),
         theta=float(theta),
         zeta_hat=run.zeta_hat,
     )

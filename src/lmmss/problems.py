@@ -45,10 +45,11 @@ class InverseProblem:
     """A forward map with Jacobian, exact data, and optional exact solution.
 
     ``m`` is the length of the 1-D ``y_exact``, at least n; a forward map of
-    another length fails at its first ``evaluate_F``.  When an exact solution
-    ``x_dagger`` is supplied it must reproduce ``y_exact`` to within ``1e-10 *
-    (1 + ||y_exact||)`` (zero-residual setting); a NaN residual fails this
-    check.  Instances compare and hash by identity.
+    another length fails at its first ``evaluate_F``.  ``y_exact`` and
+    ``x_dagger`` must be finite (NonFiniteInput otherwise).  When an exact
+    solution ``x_dagger`` is supplied it must reproduce ``y_exact`` to within
+    ``1e-10 * (1 + ||y_exact||)`` (zero-residual setting); a NaN residual
+    fails this check.  Instances compare and hash by identity.
     """
 
     name: str
@@ -65,6 +66,9 @@ class InverseProblem:
             raise DimensionMismatch(f"y_exact must be 1-D, got shape {np.shape(self.y_exact)}")
         if self.m < self.n:
             raise DimensionMismatch(f"need m >= n, got m={self.m}, n={self.n}")
+        for name, value in (("y_exact", self.y_exact), ("x_dagger", self.x_dagger)):
+            if value is not None and not np.isfinite(value).all():
+                raise NonFiniteInput(f"{name} has a NaN or infinite entry")
         if self.x_dagger is not None:
             gap = float(np.linalg.norm(self.eval_F(self.x_dagger) - self.y_exact))
             if not gap <= 1e-10 * (1.0 + float(np.linalg.norm(self.y_exact))):
@@ -289,9 +293,8 @@ def problem_from_files(matrix_path, rhs_path, solution_path=None) -> InverseProb
 
     ``matrix_path`` holds the m x n forward matrix (row-major), ``rhs_path``
     the exact data vector; ``solution_path`` optionally supplies an exact
-    solution, which must reproduce the data to zero-residual tolerance (a
-    non-finite one fails that check).  A NaN or infinite entry in the matrix
-    or the data is a NonFiniteInput naming the file.
+    solution, which must reproduce the data to zero-residual tolerance.  A
+    NaN or infinite entry in any of the files is a NonFiniteInput naming it.
     """
     A = _load_finite(matrix_path, ndmin=2)
     y = _load_finite(rhs_path).ravel()
@@ -300,7 +303,7 @@ def problem_from_files(matrix_path, rhs_path, solution_path=None) -> InverseProb
         raise DimensionMismatch(f"data has length {y.size}, matrix has {m} rows")
     x_dag = None
     if solution_path is not None:
-        x_dag = np.loadtxt(solution_path).ravel()
+        x_dag = _load_finite(solution_path).ravel()
         if x_dag.shape != (n,):
             raise DimensionMismatch(
                 f"solution has length {x_dag.size}, matrix has {n} columns"

@@ -86,35 +86,31 @@ class IterateRecord:
 
 @dataclass(frozen=True, eq=False)
 class RunRecord:
-    """Full trace of a solve plus the stopping index and reason.
+    """Full trace of a solve plus its stop reason and noise level.
 
-    ``trace[k]`` records iterate k; the last entry is the stopped iterate.
-    ``zeta_hat`` is the largest per-iteration generalized singular value
-    zeta_p encountered before stopping (None when no step was taken).
-    ``from_trace`` derives ``k_star``, ``zeta_hat`` and ``final_x``.
+    ``trace[k]`` records iterate k; the last entry is the stopped iterate,
+    whose x is ``final_x``.  Everything else is read off the trace and delta:
+    the stopping index ``k_star``, ``zeta_hat`` (the largest per-iteration
+    generalized singular value zeta_p before stopping, None when no step was
+    taken) and ``mode`` (``"noisy"`` when delta > 0, else ``"exact"``).
     """
 
     trace: tuple[IterateRecord, ...]
-    k_star: int
     stop_reason: str
-    zeta_hat: float | None
     final_x: np.ndarray
-    mode: str
     delta: float
 
-    @classmethod
-    def from_trace(cls, trace, stop_reason: str, mode: str, delta) -> RunRecord:
-        """The record of a run whose trace ends with the stopped iterate."""
-        zetas = [rec.zeta_p for rec in trace if rec.zeta_p is not None]
-        return cls(
-            trace=tuple(trace),
-            k_star=len(trace) - 1,
-            stop_reason=stop_reason,
-            zeta_hat=max(zetas) if zetas else None,
-            final_x=trace[-1].x,
-            mode=mode,
-            delta=delta,
-        )
+    @property
+    def k_star(self) -> int:
+        return len(self.trace) - 1
+
+    @property
+    def zeta_hat(self) -> float | None:
+        return max((rec.zeta_p for rec in self.trace if rec.zeta_p is not None), default=None)
+
+    @property
+    def mode(self) -> str:
+        return "noisy" if self.delta > 0.0 else "exact"
 
 
 def lm_step_gsvd(f: GsvdFactors, r, lam: float) -> np.ndarray:
@@ -337,4 +333,4 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
         x = x + d
 
     trace.append(IterateRecord(k=len(trace), x=x.copy(), res_norm=res))
-    return RunRecord.from_trace(trace, stop, "noisy" if noisy else "exact", delta)
+    return RunRecord(trace=tuple(trace), stop_reason=stop, final_x=trace[-1].x, delta=delta)

@@ -223,8 +223,8 @@ def test_criterion_6_noisy_regularization():
                 ok &= run.trace[-1].res_norm <= threshold
                 ok &= all(rec.res_norm > threshold for rec in run.trace[:-1])
                 errs[seed].append(np.linalg.norm(run.final_x - prob.x_dagger))
-                bound = check_kstar_bound(run, prob.x_dagger, L, q, tau, delta, theta_n)
-                ok &= bound.holds_linear or bound.holds_squared
+                bound = check_kstar_bound(run, prob.x_dagger, L, q, tau, theta_n)
+                ok &= bound.holds_squared
         for seed in seeds:
             track = errs[seed]
             ok &= all(b <= 1.1 * a for a, b in zip(track, track[1:]))

@@ -155,6 +155,24 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "0.01" in err and "0.001" in err
 
+    def test_stop_other_than_discrepancy_exits_nonzero(self, tmp_path, capsys, monkeypatch):
+        rigged = SweepReport(
+            rows=(SweepRow(1e-2, 1, 500, 1.0, 1.0, 0.1, "max_iter"),
+                  SweepRow(1e-3, 1, 5, 0.5, 0.5, 0.001, "discrepancy")),
+        )
+        assert rigged.trend_ok and not rigged.all_discrepancy
+        monkeypatch.setattr(
+            lmmss.cli.diagnostics, "regularization_sweep",
+            lambda *args, **kwargs: rigged,
+        )
+        rc = main([
+            "sweep", "--problem", "linear", "--n", "12", "--delta", "1e-2",
+            "--delta", "1e-3", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "not every run stopped by the discrepancy rule" in capsys.readouterr().err
+        assert "all_discrepancy = False" in read(tmp_path / "sweep_summary.txt")
+
 
 class TestGsvdCommand:
     def test_prints_factors_and_residuals(self, tmp_path, capsys):
@@ -297,6 +315,21 @@ class TestFromDir:
         assert main(["diagnose", "--from-dir", str(run), "--out", str(again)]) == 0
         assert filecmp.cmp(fresh / "gain_noisy.csv", again / "gain_noisy.csv", shallow=False)
 
+    def test_iterate_moved_away_is_a_hard_violation(self, tmp_path, capsys, run_dir):
+        copy = tmp_path / "run"
+        copy.mkdir()
+        for f in run_dir.iterdir():
+            (copy / f.name).write_bytes(f.read_bytes())
+        xs = np.loadtxt(copy / "iterates.txt", ndmin=2)
+        xs[-1] += 1.0  # the stopped iterate, now farther from x_dagger than its predecessor
+        np.savetxt(copy / "iterates.txt", xs, fmt="%.17g")
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--from-dir", str(copy), "--out", str(out)]) == 1
+        assert "hard_violation=True" in capsys.readouterr().out
+        rows = read(out / "gain_noisy.csv").splitlines()[2:]
+        ok_step = [row.split(",")[6] for row in rows]
+        assert ok_step[-1] == "0" and set(ok_step[:-1]) == {"1"}
+
     @pytest.mark.parametrize(
         "extra",
         [["--delta", "1e-3"], ["--n", "16"], ["--scaling", "identity"],
@@ -315,7 +348,8 @@ class TestFromDir:
         "edit",
         ["six-column-trace", "edited-config", "no-stop_reason", "no-mode", "no-delta",
          "line-without-separator", "short-iterates", "long-iterates", "bad-trace-cell",
-         "bad-iterates-cell", "non-numeric-delta", "header-only-trace", "narrow-iterates"],
+         "bad-iterates-cell", "non-numeric-delta", "header-only-trace", "narrow-iterates",
+         "mode-contradicts-delta"],
     )
     def test_foreign_artifacts_rejected(self, tmp_path, capsys, run_dir, edit):
         copy = tmp_path / "run"
@@ -351,6 +385,10 @@ class TestFromDir:
                      for line in text.splitlines()]
             (copy / "summary.txt").write_text("\n".join(lines) + "\n")
             named = "summary.txt: delta 'abc' is not a number"
+        elif edit == "mode-contradicts-delta":
+            text = (copy / "summary.txt").read_text()
+            (copy / "summary.txt").write_text(text.replace("mode = noisy", "mode = exact"))
+            named = "summary.txt: mode 'exact' contradicts delta 0.01"
         elif edit == "header-only-trace":
             lines = (copy / "trace.csv").read_text().splitlines()
             (copy / "trace.csv").write_text("\n".join(lines[:2]) + "\n")
@@ -449,7 +487,7 @@ class TestInputErrors:
         "which, bad, message",
         [("matrix", np.nan, "{path} has a NaN or infinite entry"),
          ("rhs", np.inf, "{path} has a NaN or infinite entry"),
-         ("solution", -np.inf, "is not a zero-residual solution (gap inf)")],
+         ("solution", -np.inf, "{path} has a NaN or infinite entry")],
         ids=["matrix", "rhs", "solution"],
     )
     def test_non_finite_problem_file_rejected(self, tmp_path, capsys, which, bad, message):
@@ -534,4 +572,6 @@ class TestInputErrors:
             "--out", str(tmp_path / "out"),
         ])
         assert rc == 2
-        assert "gap nan" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(tmp_path / "x.txt") in err and "NaN or infinite" in err
+        assert not (tmp_path / "out").exists()

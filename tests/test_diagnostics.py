@@ -122,10 +122,7 @@ def _stationary_run(x, L):
         ),
         IterateRecord(k=1, x=x, res_norm=1.0),
     )
-    return RunRecord(
-        trace=recs, k_star=1, stop_reason="max_iter", zeta_hat=1.0, final_x=x,
-        mode="exact", delta=0.0,
-    )
+    return RunRecord(trace=recs, stop_reason="max_iter", final_x=x, delta=0.0)
 
 
 class TestGain:
@@ -133,6 +130,18 @@ class TestGain:
         x = np.zeros(3)
         rep = check_gain(_stationary_run(x, identity(3)), np.ones(3), identity(3), 0.5, 2.0)
         assert (0, "step") not in rep.violations
+
+    def test_iterate_moving_away_violates_step_bound(self):
+        # the L-distance to x* grows, so the gain is negative and cannot
+        # dominate the squared step norm
+        x_star = np.ones(3)
+        start = _stationary_run(x_star, identity(3)).trace[0]
+        far = IterateRecord(k=1, x=x_star + 1.0, res_norm=1.0)
+        run = RunRecord(trace=(start, far), stop_reason="max_iter", final_x=far.x, delta=0.0)
+        rep = check_gain(run, x_star, identity(3), 0.5, 2.0)
+        assert rep.gains[0] == pytest.approx(-3.0)
+        assert (0, "step") in rep.violations
+        assert rep.assumption_ok
 
     def test_linear_run_all_inequalities_hold(self):
         n = 16
@@ -166,13 +175,30 @@ class TestGain:
             check_gain(_stationary_run(np.zeros(2), identity(2)), None, identity(2), 0.5, 2.0)
 
 
+class TestRunRecord:
+    def test_index_zeta_hat_and_mode_read_off_the_trace(self):
+        x = np.zeros(2)
+        steps = tuple(
+            IterateRecord(
+                k=k, x=x, res_norm=1.0, lam=1.0, zeta_p=z, step_Lnorm=0.0,
+                qcond_kind="equality", lin_res_norm=0.5,
+            )
+            for k, z in enumerate((0.5, 2.0, 1.0))
+        )
+        trace = steps + (IterateRecord(k=3, x=x, res_norm=1.0),)
+        noisy = RunRecord(trace=trace, stop_reason="discrepancy", final_x=x, delta=1e-3)
+        assert (noisy.k_star, noisy.zeta_hat, noisy.mode) == (3, 2.0, "noisy")
+        exact = RunRecord(trace=trace[-1:], stop_reason="res_tol", final_x=x, delta=0.0)
+        assert (exact.k_star, exact.zeta_hat, exact.mode) == (0, None, "exact")
+
+
 class TestKstarBound:
     def test_vacuous_at_zero_index(self):
         prob = make_problem("linear", 8)
         data = make_noisy_data(prob.y_exact, 0.01, seed=0)
         run = solve(prob, data, identity(8), prob.x_dagger, SolverConfig(q=0.5, tau=2.5))
-        rep = check_kstar_bound(run, prob.x_dagger, identity(8), 0.5, 2.5, 0.01, 1.25)
-        assert rep.k_star == 0 and rep.holds_linear and rep.holds_squared
+        rep = check_kstar_bound(run, prob.x_dagger, identity(8), 0.5, 2.5, 1.25)
+        assert rep.k_star == 0 and rep.holds_squared
 
     def test_linear_closed_form_stopping_index(self):
         n = 16
@@ -187,15 +213,15 @@ class TestKstarBound:
         expected = int(np.ceil(np.log(tau * delta / r0) / np.log(q)))
         assert run.k_star == expected
         theta = theta_noisy(q, tau, 0.0, seminorm(L, x0 - prob.x_dagger))
-        rep = check_kstar_bound(run, prob.x_dagger, L, q, tau, delta, theta)
-        assert np.isfinite(rep.rhs_linear) and np.isfinite(rep.rhs_squared)
-        assert rep.holds_linear or rep.holds_squared
+        rep = check_kstar_bound(run, prob.x_dagger, L, q, tau, theta)
+        assert np.isfinite(rep.rhs_squared)
+        assert rep.holds_squared
 
     def test_requires_discrepancy_stop(self):
         prob = make_problem("linear", 8)
         run = solve(prob, None, identity(8), np.zeros(8), SolverConfig(q=0.5, tau=2.5))
         with pytest.raises(ValueError):
-            check_kstar_bound(run, prob.x_dagger, identity(8), 0.5, 2.5, 0.0, 1.25)
+            check_kstar_bound(run, prob.x_dagger, identity(8), 0.5, 2.5, 1.25)
 
 
 class TestEuclideanBound:
@@ -208,10 +234,7 @@ class TestEuclideanBound:
             ),
             IterateRecord(k=1, x=x_star.copy(), res_norm=0.0),
         )
-        run = RunRecord(
-            trace=recs, k_star=1, stop_reason="res_tol", zeta_hat=1.0,
-            final_x=x_star, mode="exact", delta=0.0,
-        )
+        run = RunRecord(trace=recs, stop_reason="res_tol", final_x=x_star, delta=0.0)
         prob = InverseProblem(
             name="affine", eval_F=lambda x: x.copy(), eval_J=lambda x: np.eye(3),
             n=3, y_exact=x_star,
@@ -219,6 +242,26 @@ class TestEuclideanBound:
         rep = check_euclidean_bound(run, prob, x_star, identity(3), c=1.0)
         assert rep.lhs[0] == 0.0 and rep.rhs[0] == 0.0
         assert rep.violations == ()
+
+    def test_far_jump_is_a_violation(self):
+        x_star = np.zeros(3)
+        recs = (
+            IterateRecord(
+                k=0, x=x_star + 0.1, res_norm=0.1, lam=1.0, zeta_p=1.0,
+                step_Lnorm=1.0, qcond_kind="equality", lin_res_norm=0.05,
+            ),
+            IterateRecord(k=1, x=x_star + 100.0, res_norm=100.0),
+        )
+        run = RunRecord(trace=recs, stop_reason="max_iter", final_x=recs[-1].x, delta=0.0)
+        prob = InverseProblem(
+            name="identity", eval_F=lambda x: x.copy(), eval_J=lambda x: np.eye(3),
+            n=3, y_exact=x_star,
+        )
+        rep = check_euclidean_bound(run, prob, x_star, identity(3), c=0.0)
+        # (J^T J + lam L^T L)^-1 = I/2, so the bound is ||x_0 - x*|| / 2
+        assert rep.rhs[0] == pytest.approx(0.05 * np.sqrt(3.0))
+        assert rep.lhs[0] == pytest.approx(100.0 * np.sqrt(3.0))
+        assert rep.violations == (0,)
 
     def test_linear_reduces_to_scaling_term(self):
         n = 12
@@ -342,9 +385,8 @@ class TestRunRatios:
 _RECORDS = {
     "IterateRecord": lambda: IterateRecord(k=0, x=np.zeros(3), res_norm=1.0),
     "RunRecord": lambda: RunRecord(
-        trace=(IterateRecord(k=0, x=np.zeros(3), res_norm=1.0),), k_star=0,
-        stop_reason="discrepancy", zeta_hat=None, final_x=np.zeros(3),
-        mode="noisy", delta=1e-3,
+        trace=(IterateRecord(k=0, x=np.zeros(3), res_norm=1.0),),
+        stop_reason="discrepancy", final_x=np.zeros(3), delta=1e-3,
     ),
     "NoisyData": lambda: make_noisy_data(np.ones(3), 1e-3, seed=1),
     "InverseProblem": lambda: make_problem("linear", 4),
@@ -353,9 +395,9 @@ _RECORDS = {
         c_hat=0.5, rho=0.5, samples=100, worst_pair=(np.zeros(2), np.ones(2))
     ),
     "GainReport": lambda: GainReport(
-        theta=2.0, q=0.5, gains=np.ones(2), rhs_step=np.ones(2),
+        theta=2.0, gains=np.ones(2), rhs_step=np.ones(2),
         rhs_residual=np.ones(2), rhs_spectral=np.ones(2),
-        kinds=("equality", "equality"), violations=(), slack=0.0, assumption_ok=True,
+        kinds=("equality", "equality"), violations=(),
     ),
     "EuclideanBoundReport": lambda: EuclideanBoundReport(
         lhs=np.ones(2), rhs=np.ones(2), violations=()

@@ -7,6 +7,7 @@ from lmmss import (
     EvaluationFailure,
     InverseProblem,
     NegativeDelta,
+    NonFiniteInput,
     NonpositiveCoefficient,
     make_noisy_data,
     make_problem,
@@ -221,14 +222,32 @@ class TestInverseProblemWrapper:
 
     @pytest.mark.parametrize("where", ["x_dagger", "y_exact"])
     def test_non_finite_exact_solution_rejected(self, where):
-        # a NaN gap must fail the zero-residual check, not slip past it
+        # a NaN must be named at construction, not slip into the zero-residual check
         x_dagger, y_exact = np.ones(3), np.ones(3)
         {"x_dagger": x_dagger, "y_exact": y_exact}[where][0] = np.nan
-        with pytest.raises(ValueError, match="gap nan"):
+        with pytest.raises(NonFiniteInput, match=f"{where} has a NaN or infinite entry"):
             InverseProblem(
                 name="nan", eval_F=lambda x: x, eval_J=lambda x: np.eye(3), n=3,
                 y_exact=y_exact, x_dagger=x_dagger,
             )
+
+    def test_infinite_data_without_solution_rejected(self):
+        # without x_dagger there is no zero-residual check to catch it; an
+        # exact-data solve would otherwise stop at once with residual inf
+        A = np.eye(4) + 0.1
+        with pytest.raises(NonFiniteInput, match="y_exact has a NaN or infinite entry"):
+            InverseProblem(
+                name="inf-data", eval_F=lambda x: A @ x, eval_J=lambda x: A, n=4,
+                y_exact=np.array([1.0, np.inf, 1.0, 1.0]),
+            )
+
+    def test_infinite_solution_named_not_gap(self):
+        with pytest.raises(NonFiniteInput, match="x_dagger has a NaN or infinite entry") as exc:
+            InverseProblem(
+                name="inf-solution", eval_F=lambda x: x, eval_J=lambda x: np.eye(3), n=3,
+                y_exact=np.ones(3), x_dagger=np.array([1.0, -np.inf, 1.0]),
+            )
+        assert "gap" not in str(exc.value)
 
     def test_unknown_problem_name(self):
         with pytest.raises(ValueError, match="autoconvolution"):
