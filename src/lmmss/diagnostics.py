@@ -19,8 +19,6 @@ from .scaling import ScalingOperator, seminorm
 from .solver import RunRecord, SolverConfig, solve
 
 _DENOM_FLOOR = 1e-14
-#: Error growth between consecutive noise levels that a sweep's trend tolerates.
-_TREND_SLACK = 1.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,26 +304,6 @@ class SweepRow:
     stop_reason: str
 
 
-def trend_violations(rows):
-    """Per-seed check that the final error is nonincreasing as delta drops.
-
-    ``rows`` are SweepRows ordered by decreasing delta within each seed;
-    returns (delta_coarse, delta_fine, seed) triples where the error grew by
-    more than ``_TREND_SLACK`` between consecutive noise levels.
-    """
-    seeds = []
-    for r in rows:
-        if r.seed not in seeds:
-            seeds.append(r.seed)
-    violations = []
-    for s in seeds:
-        track = [r for r in rows if r.seed == s]
-        for coarse, fine in zip(track, track[1:]):
-            if fine.err_euclid > _TREND_SLACK * coarse.err_euclid:
-                violations.append((coarse.delta, fine.delta, s))
-    return tuple(violations)
-
-
 @dataclass(frozen=True)
 class SweepReport:
     """Noise-sweep outcome: one row per (delta, seed); the verdicts are read off the rows.
@@ -337,7 +315,8 @@ class SweepReport:
 
     rows: tuple[SweepRow, ...]
 
-    slack_factor = _TREND_SLACK
+    #: Error growth between consecutive noise levels that the trend tolerates.
+    slack_factor = 1.1
 
     @property
     def all_discrepancy(self) -> bool:
@@ -345,7 +324,22 @@ class SweepReport:
 
     @property
     def trend_violations(self) -> tuple[tuple[float, float, int], ...]:
-        return trend_violations(self.rows)
+        """(delta_coarse, delta_fine, seed) triples where the error grew by more
+        than ``slack_factor`` between consecutive noise levels of one seed.
+
+        The rows are ordered by decreasing delta within each seed.
+        """
+        seeds = []
+        for r in self.rows:
+            if r.seed not in seeds:
+                seeds.append(r.seed)
+        violations = []
+        for s in seeds:
+            track = [r for r in self.rows if r.seed == s]
+            for coarse, fine in zip(track, track[1:]):
+                if fine.err_euclid > self.slack_factor * coarse.err_euclid:
+                    violations.append((coarse.delta, fine.delta, s))
+        return tuple(violations)
 
     @property
     def trend_ok(self) -> bool:

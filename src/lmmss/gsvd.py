@@ -11,11 +11,11 @@ nonsingular, and diagonals sigma (nondecreasing, in [0, 1]) and mu
 (nonincreasing, in (0, 1]) normalized by sigma_i^2 + mu_i^2 = 1.  The ratios
 zeta_i = sigma_i / mu_i are the generalized singular values.
 
-The factorization goes through Eldén's standard form.  ``ScalingOperator``
-holds the SVD ``L = U_L [S 0] [K_p K_0]^T``, taken once.  Writing
-x = K_p S^-1 y + K_0 z, a complete QR ``A K_0 = [Q_0 Q_perp] [R_0; 0]``
-splits off the part of A that L does not see, and one thin SVD of
-``Q_perp^T A K_p S^-1`` gives the zeta_i, U's leading block and V.
+Eldén's standard form x = L^+ y + W_0 z uses L^+ and an orthonormal basis
+W_0 of N(L), both kept by ``ScalingOperator``.  A complete QR
+``A W_0 = [Q_0 Q_perp] [R_0; 0]`` splits off the part of A that L does not
+see, and one thin SVD of ``Q_perp^T A L^+`` gives the zeta_i, U's leading
+block and, since L L^+ = I_p, V itself.
 Completeness is decided by ``scaling.completeness_holds`` from bounds on the
 singular values of [A; L] taken from X and the norms of A and L; the exact
 singular values of [A; L] are computed only when the bounds cannot decide.
@@ -70,13 +70,13 @@ def _as_matrix(L) -> np.ndarray:
 def gsvd(A, L) -> GsvdFactors:
     """Factor the pair (A, L).
 
-    Per call: a complete QR of A K_0 (skipped when p = n) and one thin SVD
-    of the projected ``Q_perp^T A K_p S^-1``; the factors of L come from the
-    ScalingOperator.  Completeness is decided by
-    ``scaling.completeness_holds``: first on the bounds of
-    ``_bounds_complete``, and on the exact singular values of [A; L] only
-    when those bounds cannot prove the rule.  A raw L array is wrapped in a
-    ScalingOperator, which checks its shape, entries and rank.
+    Per call: a complete QR of A W_0 (skipped when p = n) and one thin SVD
+    of the projected ``Q_perp^T A L^+``, whose right factor is V; L^+ and
+    W_0 are the ScalingOperator's ``right_inverse`` and ``null_basis``.
+    Completeness is decided by ``scaling.completeness_holds``: first on the
+    bounds of ``_bounds_complete``, and on the exact singular values of
+    [A; L] only when those bounds cannot prove the rule.  A raw L array is
+    wrapped in a ScalingOperator, which checks its shape, entries and rank.
 
     Parameters
     ----------
@@ -110,36 +110,35 @@ def gsvd(A, L) -> GsvdFactors:
         L = ScalingOperator(Lmat)
     p = L.p
 
-    # Standard form: x = K_p S^-1 y + K_0 z.  The complete QR of A K_0 gives
-    # Q_0 (range of A on N(L)) and its exact orthogonal complement Q_perp;
-    # the SVD of A K_p S^-1 projected onto Q_perp gives zeta = sigma / mu.
-    AKS = A @ L._kp_sinv
+    # Standard form: x = L^+ y + W_0 z.  The complete QR of A W_0 gives Q_0
+    # (range of A on N(L)) and its exact orthogonal complement Q_perp; the
+    # SVD of A L^+ projected onto Q_perp gives zeta = sigma / mu and V.
+    AL = A @ L.right_inverse
     if p < n:
-        Q, R0 = np.linalg.qr(A @ L._k0, mode="complete")
+        Q, R0 = np.linalg.qr(A @ L.null_basis, mode="complete")
         Q0, Qperp, R0 = Q[:, : n - p], Q[:, n - p :], R0[: n - p]
-        Ub, zeta, Vbt = np.linalg.svd(Qperp.T @ AKS, full_matrices=False)
+        Ub, zeta, Vt = np.linalg.svd(Qperp.T @ AL, full_matrices=False)
     else:
-        Ub, zeta, Vbt = np.linalg.svd(AKS, full_matrices=False)
-    Ub, zeta, Vb = Ub[:, ::-1], zeta[::-1], Vbt[::-1].T
+        Ub, zeta, Vt = np.linalg.svd(AL, full_matrices=False)
+    Ub, zeta, V = Ub[:, ::-1], zeta[::-1], Vt[::-1].T
     mu = 1.0 / np.hypot(1.0, zeta)
     sigma = zeta * mu
-    Vmu = Vb * mu
-    V = L._u @ Vb
+    Vmu = V * mu
 
-    # X = [T - K_0 R_0^-1 Q_0^T A T,  K_0 R_0^-1] with T = K_p S^-1 Vb diag(mu).
+    # X = [T - W_0 R_0^-1 Q_0^T A T,  W_0 R_0^-1] with T = L^+ V diag(mu).
     # It comes before the completeness decision because its norm bounds s_min.
-    T = L._kp_sinv @ Vmu
+    T = L.right_inverse @ Vmu
     if p == n:
         U, X = Ub, T
     else:
         U = np.hstack([Qperp @ Ub, Q0])
         try:
-            K0_R0inv = scipy.linalg.solve_triangular(R0, L._k0.T, trans="T").T
-        except np.linalg.LinAlgError:  # a zero on R_0's diagonal: A K_0 is singular
+            W0_R0inv = scipy.linalg.solve_triangular(R0, L.null_basis.T, trans="T").T
+        except np.linalg.LinAlgError:  # a zero on R_0's diagonal: A W_0 is singular
             X = None
         else:
-            X = np.hstack([T - K0_R0inv @ ((Q0.T @ AKS) @ Vmu), K0_R0inv])
-    if not _bounds_complete(np.hypot(np.linalg.norm(A), L._fro), X):
+            X = np.hstack([T - W0_R0inv @ ((Q0.T @ AL) @ Vmu), W0_R0inv])
+    if not _bounds_complete(np.hypot(np.linalg.norm(A), np.linalg.norm(Lmat)), X):
         s = np.linalg.svd(np.vstack([A, Lmat]), compute_uv=False)
         # A pair that passes the rule has a finite X in exact arithmetic; one
         # whose X is unusable anyway is refused rather than returned.
@@ -205,8 +204,10 @@ def validate(f: GsvdFactors, A, L, tol: float = 1e-10) -> GsvdValidation:
     Returns the Frobenius-relative reconstruction residuals of A and L, the
     orthonormality defects of U and V, and the worst normalization defect
     max_i |sigma_i^2 + mu_i^2 - 1|; ``passed`` compares the residual maximum
-    against ``tol``.
+    against ``tol``, which must be finite and positive (ValueError).
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     A = np.asarray(A, dtype=float)
     Lmat = _as_matrix(L)
     if A.shape != (f.m, f.n):

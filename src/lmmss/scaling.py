@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionMismatch, DimensionTooSmall, NonFiniteInput, RankDeficientL
 
@@ -23,21 +24,18 @@ class ScalingOperator:
     """A p-by-n scaling matrix together with a tag naming its construction.
 
     Construction checks ``1 <= p <= n`` (DimensionMismatch), finite entries
-    (NonFiniteInput) and full row rank (RankDeficientL) once, so no consumer
-    needs to check them again.  The rank check reads the singular values of
-    one full SVD ``L = U_L [S 0] [K_p K_0]^T``.  Since L stays fixed while
-    the Jacobian changes, the factors ``gsvd`` needs at every step are kept
-    from that SVD: ``U_L``, ``K_p S^-1`` (a right inverse of L), the
-    null-space basis ``K_0`` (n x (n - p)) and ``||L||_F``.  Instances
-    compare and hash by identity.
+    (NonFiniteInput) and full row rank (RankDeficientL) once, the rank on the
+    singular values of R_L in one complete QR ``L^T = [W_p W_0] [R_L; 0]``.
+    L stays fixed while the Jacobian changes, so the standard-form factors
+    ``gsvd`` needs at every step are kept: ``right_inverse = W_p R_L^-T``, the
+    Moore-Penrose inverse L^+ (L L^+ = I_p), and ``null_basis = W_0``, an
+    orthonormal basis of N(L).  Instances compare and hash by identity.
     """
 
     matrix: np.ndarray
     kind: str = "custom"
-    _u: np.ndarray = field(init=False, repr=False)
-    _kp_sinv: np.ndarray = field(init=False, repr=False)
-    _k0: np.ndarray = field(init=False, repr=False)
-    _fro: float = field(init=False, repr=False)
+    right_inverse: np.ndarray = field(init=False, repr=False)
+    null_basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         L = np.asarray(self.matrix, dtype=float)
@@ -46,14 +44,14 @@ class ScalingOperator:
             raise DimensionMismatch(f"scaling matrix needs 1 <= p <= n, got {L.shape}")
         if not np.isfinite(L).all():
             raise NonFiniteInput("scaling matrix L has a NaN or infinite entry")
-        u, s, kt = np.linalg.svd(L)
-        if s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
-            raise RankDeficientL(f"scaling matrix has numerical rank below {L.shape[0]}")
         p = L.shape[0]
-        object.__setattr__(self, "_u", u)
-        object.__setattr__(self, "_kp_sinv", kt[:p].T / s)
-        object.__setattr__(self, "_k0", kt[p:].T)
-        object.__setattr__(self, "_fro", float(np.linalg.norm(L)))
+        W, R = np.linalg.qr(L.T, mode="complete")
+        R_L = R[:p]
+        s = scipy.linalg.svdvals(R_L)
+        if s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
+            raise RankDeficientL(f"scaling matrix has numerical rank below {p}")
+        object.__setattr__(self, "right_inverse", scipy.linalg.solve_triangular(R_L, W[:, :p].T).T)
+        object.__setattr__(self, "null_basis", W[:, p:])
 
     @property
     def p(self) -> int:

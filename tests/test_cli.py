@@ -562,6 +562,18 @@ class TestInputErrors:
         assert main(["gsvd", str(tmp_path / "A.txt"), str(tmp_path / "L.txt")]) == 1
         assert "N(A) and N(L) intersect" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_gsvd_tol_rejected(self, tmp_path, capsys, tol):
+        # a tolerance no factorization can meet, or that every one meets, is
+        # bad input, not a verdict on the factors
+        np.savetxt(tmp_path / "A.txt", np.eye(4))
+        np.savetxt(tmp_path / "L.txt", np.eye(4)[:3])
+        rc = main(["gsvd", str(tmp_path / "A.txt"), str(tmp_path / "L.txt"), f"--tol={tol}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol must be finite and positive" in captured.err
+
     def test_non_finite_exact_solution_rejected(self, tmp_path, capsys):
         np.savetxt(tmp_path / "A.txt", np.eye(3))
         np.savetxt(tmp_path / "y.txt", np.ones(3))

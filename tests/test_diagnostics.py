@@ -24,7 +24,7 @@ from lmmss import (
     theta_exact,
     theta_noisy,
 )
-from lmmss.diagnostics import SweepRow, trend_violations
+from lmmss.diagnostics import SweepReport, SweepRow
 from lmmss.scaling import identity, second_difference
 
 
@@ -342,10 +342,10 @@ class TestSweep:
             SweepRow(1e-2, 1, 3, 1.0, 1.0, 0.01, "discrepancy"),
             SweepRow(1e-3, 1, 5, 1.2, 1.2, 0.001, "discrepancy"),
         ]
-        assert trend_violations(rows) == ((1e-2, 1e-3, 1),)
+        assert SweepReport(rows=tuple(rows)).trend_violations == ((1e-2, 1e-3, 1),)
         # a growth of 1.05 is within the slack factor 1.1
         within = [rows[0], SweepRow(1e-3, 1, 5, 1.05, 1.05, 0.001, "discrepancy")]
-        assert trend_violations(within) == ()
+        assert SweepReport(rows=tuple(within)).trend_violations == ()
 
     def test_solver_errors_annotated_with_delta(self):
         A = np.array([[1.0, 0.0], [0.0, 0.0]])

@@ -165,7 +165,7 @@ def test_rank_deficient_scaling_rejected():
 
 @pytest.mark.filterwarnings("error")
 def test_completeness_violation_detected():
-    # A K_0 = 0 leaves an exact zero on R_0's diagonal, so the triangular
+    # A W_0 = 0 leaves an exact zero on R_0's diagonal, so the triangular
     # solve for X fails and the exact singular values must reject the pair on
     # their own.
     A = np.array([[1.0, 0.0], [0.0, 0.0]])

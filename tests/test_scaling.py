@@ -85,21 +85,30 @@ def test_scaling_operator_rejects_rank_deficient():
         ScalingOperator(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]))
     with pytest.raises(RankDeficientL):
         ScalingOperator(np.zeros((1, 3)))
+    with pytest.raises(RankDeficientL, match=r"^scaling matrix has numerical rank below 3$"):
+        ScalingOperator(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]))  # p = n
+
+
+def test_rank_decision_at_the_threshold():
+    # L is refused when s_min <= RANK_RTOL * s_max, with RANK_RTOL = 1e-12
+    assert from_matrix(np.diag([1.0, 1.01e-12])).p == 2
+    with pytest.raises(RankDeficientL, match=r"^scaling matrix has numerical rank below 2$"):
+        from_matrix(np.diag([1.0, 0.99e-12]))
 
 
 @pytest.mark.parametrize("ctor", [identity, first_difference, second_difference])
 def test_scaling_operator_keeps_standard_form_factors(ctor):
-    # L K_p S^-1 = U_L (orthogonal), L K_0 = 0, and K_0 spans N(L): constants
-    # for d1, affine vectors for d2.
+    # right_inverse is L^+ with L L^+ = I_p; null_basis is orthonormal, L
+    # annihilates it, and it spans N(L): constants for d1, affine vectors for d2.
     L = ctor(9)
     n, p = L.n, L.p
-    np.testing.assert_allclose(L.matrix @ L._kp_sinv, L._u, atol=1e-14)
-    np.testing.assert_allclose(L._u.T @ L._u, np.eye(p), atol=1e-14)
-    assert L._k0.shape == (n, n - p)
-    np.testing.assert_allclose(L._k0.T @ L._k0, np.eye(n - p), atol=1e-14)
-    np.testing.assert_allclose(L.matrix @ L._k0, 0.0, atol=1e-14)
+    np.testing.assert_allclose(L.matrix @ L.right_inverse, np.eye(p), atol=1e-14)
+    np.testing.assert_allclose(L.right_inverse, np.linalg.pinv(L.matrix), atol=1e-13)
+    assert L.null_basis.shape == (n, n - p)
+    np.testing.assert_allclose(L.null_basis.T @ L.null_basis, np.eye(n - p), atol=1e-14)
+    np.testing.assert_allclose(L.matrix @ L.null_basis, 0.0, atol=1e-14)
     affine = np.vstack([np.ones(n), np.arange(n)]).T[:, : n - p]
-    np.testing.assert_allclose(L._k0 @ (L._k0.T @ affine), affine, atol=1e-12)
+    np.testing.assert_allclose(L.null_basis @ (L.null_basis.T @ affine), affine, atol=1e-12)
 
 
 def test_scaling_operator_compares_and_hashes_by_identity():
