@@ -275,6 +275,11 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
     LmmssError from a step's factorization or damping selection (e.g.
     CompletenessViolated, BracketFailure) is re-raised as the same type with
     the message prefixed by ``iterate k:``.
+
+    The ``gsvd`` factors of (J, L) are reused while J is unchanged, compared
+    entry by entry with a copy of the last factored J, so a linear forward map
+    is factored once per solve.  The damping search and the step still read
+    each step's residual.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (problem.n,):
@@ -285,6 +290,7 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
     res_tol = cfg.res_tol
 
     trace: list[IterateRecord] = []
+    J_factored = None
     stop = None
     res = np.inf
     for k in range(cfg.max_iter + 1):
@@ -310,7 +316,9 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
             stop = "max_iter"
             break
         try:
-            factors = gsvd(J, L)
+            if not np.array_equal(J, J_factored):
+                factors = gsvd(J, L)
+                J_factored = J.copy()  # eval_J may hand back one buffer it rewrites
             lam, kind, omega_evals = select_lambda_q(factors, r, cfg.q, cfg)
         except LmmssError as exc:
             raise type(exc)(f"iterate {k}: {exc}") from exc

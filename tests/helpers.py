@@ -9,6 +9,8 @@ check that the library still makes the same completeness decisions and
 computes the same sigma and mu.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import scipy.linalg
 
@@ -16,7 +18,9 @@ from lmmss import (
     CompletenessViolated,
     DimensionMismatch,
     GsvdFactors,
+    IterateRecord,
     NonpositiveLambda,
+    RunRecord,
     ScalingOperator,
 )
 from lmmss.scaling import completeness_holds
@@ -147,3 +151,20 @@ def unit_residual_start(problem, y_target, direction):
     c = float(e @ e) - 1.0
     t = (-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
     return problem.x_dagger + t * direction
+
+
+def _assert_bitwise_equal(a, b, record_type):
+    for f in fields(record_type):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, np.ndarray):
+            assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes(), f.name
+        elif f.name != "trace":  # compared record by record
+            assert type(va) is type(vb) and repr(va) == repr(vb), f.name
+
+
+def assert_runs_bitwise_equal(got, want):
+    """Two RunRecords agree bit for bit in every field of every IterateRecord."""
+    _assert_bitwise_equal(got, want, RunRecord)
+    assert len(got.trace) == len(want.trace)
+    for a, b in zip(got.trace, want.trace):
+        _assert_bitwise_equal(a, b, IterateRecord)

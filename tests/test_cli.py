@@ -1,14 +1,13 @@
 import filecmp
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import lmmss
-from lmmss import IterateRecord, RunRecord, make_noisy_data, make_problem
+from lmmss import make_noisy_data, make_problem
 from lmmss.cli import ExperimentConfig, _reload_run, load_config, main
 from lmmss.diagnostics import SweepReport, SweepRow
-from helpers import unit_residual_start
+from helpers import assert_runs_bitwise_equal, unit_residual_start
 
 
 def read(path):
@@ -257,15 +256,6 @@ class TestDiagnoseCommand:
         assert (diag_dir / "gain_exact.csv").exists()
 
 
-def _assert_bitwise_equal(a, b, record_type):
-    for f in fields(record_type):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(va, np.ndarray):
-            assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes(), f.name
-        elif f.name != "trace":  # compared record by record
-            assert type(va) is type(vb) and repr(va) == repr(vb), f.name
-
-
 class TestFromDir:
     """``diagnose --from-dir`` diagnoses exactly the run a ``solve`` directory records."""
 
@@ -298,10 +288,7 @@ class TestFromDir:
         (run,) = solved
         reloaded = _reload_run(out, cfg.digest())
         assert run.mode == ("exact" if delta == "0" else "noisy")
-        _assert_bitwise_equal(reloaded, run, RunRecord)
-        assert len(reloaded.trace) == len(run.trace)
-        for got, want in zip(reloaded.trace, run.trace):
-            _assert_bitwise_equal(got, want, IterateRecord)
+        assert_runs_bitwise_equal(reloaded, run)
 
     @pytest.mark.parametrize("name", ["linear", "autoconvolution", "coefficient"])
     def test_gain_noisy_matches_fresh_diagnose(self, tmp_path, name):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -23,6 +24,7 @@ from lmmss import (
 from lmmss.scaling import completeness_holds, first_difference, from_matrix, from_spec, identity
 from lmmss.solver import _omega_kernel
 from helpers import (
+    assert_runs_bitwise_equal,
     in_range_residual,
     lm_step_reference,
     omega_reference,
@@ -468,6 +470,44 @@ class TestSolve:
             jerr = np.linalg.norm(prob.evaluate_J(rec.x) @ (prob.x_dagger - rec.x))
             assert (1.0 - q / theta) * rec.res_norm <= jerr + 1e-12
             assert jerr <= (1.0 + q / theta) * rec.res_norm + 1e-12
+
+    @pytest.mark.parametrize("spec", ["identity", "d2"])
+    @pytest.mark.parametrize("name", ["linear", "coefficient"])
+    def test_one_factorization_per_distinct_jacobian(self, monkeypatch, name, spec):
+        # a linear map has one J, factored once; the coefficient map's J
+        # moves with x, so every step factors its own
+        calls = []
+
+        def counting_gsvd(J, L):
+            calls.append(1)
+            return gsvd(J, L)
+
+        monkeypatch.setattr(lmmss.solver, "gsvd", counting_gsvd)
+        prob = make_problem(name, 32)
+        data = make_noisy_data(prob.y_exact, 1e-3, seed=1)
+        cfg = SolverConfig(q=0.6, tau=3.5)
+        run = solve(prob, data, from_spec(spec, 32), prob.x0_default, cfg)
+        assert run.stop_reason == "discrepancy" and run.k_star > 1
+        assert len(calls) == (1 if name == "linear" else run.k_star)
+
+    def test_jacobian_in_one_reused_buffer(self):
+        # eval_J rewrites one array in place and returns it every time: the
+        # solver must notice the new contents, not the unchanged object
+        prob = make_problem("autoconvolution", 32)
+        buf = np.empty((prob.m, prob.n))
+
+        def eval_J_in_place(x):
+            buf[...] = prob.eval_J(x)
+            return buf
+
+        buffered = dataclasses.replace(prob, eval_J=eval_J_in_place)
+        data = make_noisy_data(prob.y_exact, 1e-3, seed=1)
+        cfg = SolverConfig(q=0.6, tau=3.5)
+        L = from_spec("d2", 32)
+        want = solve(prob, data, L, prob.x0_default, cfg)
+        got = solve(buffered, data, L, prob.x0_default, cfg)
+        assert want.k_star > 1
+        assert_runs_bitwise_equal(got, want)
 
 
 class TestLambdaContinuity:
