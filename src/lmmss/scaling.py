@@ -24,11 +24,8 @@ class ScalingOperator:
     """A p-by-n scaling matrix together with a tag naming its construction.
 
     Construction checks ``1 <= p <= n`` (DimensionMismatch), finite entries
-    (NonFiniteInput) and full row rank (RankDeficientL) once, from one
-    complete QR ``L^T = [W_p W_0] [R_L; 0]``.  L is accepted without a further
-    factorization when ``1 / (sqrt(2) ||L^+||_F) > RANK_RTOL ||L||_F``, which
-    bounds s_min / s_max from below; otherwise the rank is decided on the
-    singular values of R_L, refused when ``s_min <= RANK_RTOL * s_max``.
+    (NonFiniteInput) and full row rank (RankDeficientL) once, the rank on the
+    singular values of R_L in one complete QR ``L^T = [W_p W_0] [R_L; 0]``.
     L stays fixed while the Jacobian changes, so the standard-form factors
     ``gsvd`` needs at every step are kept: ``right_inverse = W_p R_L^-T``, the
     Moore-Penrose inverse L^+ (L L^+ = I_p), and ``null_basis = W_0``, an
@@ -50,15 +47,10 @@ class ScalingOperator:
         p = L.shape[0]
         W, R = np.linalg.qr(L.T, mode="complete")
         R_L = R[:p]
-        try:
-            right_inverse = scipy.linalg.solve_triangular(R_L, W[:, :p].T).T
-        except np.linalg.LinAlgError:  # an exactly zero diagonal entry of R_L
-            right_inverse = None
-        if not _rank_certified(L, right_inverse):
-            s = scipy.linalg.svdvals(R_L)
-            if right_inverse is None or s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
-                raise RankDeficientL(f"scaling matrix has numerical rank below {p}")
-        object.__setattr__(self, "right_inverse", right_inverse)
+        s = scipy.linalg.svdvals(R_L)
+        if s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
+            raise RankDeficientL(f"scaling matrix has numerical rank below {p}")
+        object.__setattr__(self, "right_inverse", scipy.linalg.solve_triangular(R_L, W[:, :p].T).T)
         object.__setattr__(self, "null_basis", W[:, p:])
 
     @property
@@ -68,22 +60,6 @@ class ScalingOperator:
     @property
     def n(self) -> int:
         return self.matrix.shape[1]
-
-
-def _rank_certified(L: np.ndarray, right_inverse) -> bool:
-    """Whether bounds on L's singular values prove ``s_min > RANK_RTOL * s_max``.
-
-    ``s_min = 1 / ||R_L^-1||_2 >= 1 / ||L^+||_F`` and ``s_max <= ||L||_F``;
-    the bound on s_min is divided by sqrt(2) so that rounding in L^+ cannot
-    accept an L the exact rule refuses.  False means undecided, as when L^+
-    is missing or not finite.  The norms come from BLAS nrm2, which scales
-    and so neither overflows nor underflows before the result does; an inf
-    product is undecided too, and Python floats raise no warning on it.
-    """
-    if right_inverse is None or not np.isfinite(right_inverse).all():
-        return False
-    inv_fro, L_fro = (float(scipy.linalg.norm(a.ravel(order="K"))) for a in (right_inverse, L))
-    return RANK_RTOL * 2.0**0.5 * inv_fro * L_fro < 1.0
 
 
 def identity(n: int) -> ScalingOperator:

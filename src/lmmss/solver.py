@@ -290,7 +290,7 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
     res_tol = cfg.res_tol
 
     trace: list[IterateRecord] = []
-    J_factored = None
+    J_factored = np.full((problem.m, problem.n), np.nan)  # equals no J: step 0 factors
     stop = None
     res = np.inf
     for k in range(cfg.max_iter + 1):
@@ -318,7 +318,7 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
         try:
             if not np.array_equal(J, J_factored):
                 factors = gsvd(J, L)
-                J_factored = J.copy()  # eval_J may hand back one buffer it rewrites
+                np.copyto(J_factored, J)  # eval_J may hand back one buffer it rewrites
             lam, kind, omega_evals = select_lambda_q(factors, r, cfg.q, cfg)
         except LmmssError as exc:
             raise type(exc)(f"iterate {k}: {exc}") from exc
