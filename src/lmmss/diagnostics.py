@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateBall, LmmssError, MissingExactSolution
 from .problems import InverseProblem, make_noisy_data
-from .scaling import ScalingOperator, seminorm
+from .scaling import ScalingOperator, euclidean_norm, seminorm
 from .solver import RunRecord, SolverConfig, solve
 
 _DENOM_FLOOR = 1e-14
@@ -49,11 +49,11 @@ def tcc_ratio(problem: InverseProblem, L: ScalingOperator, x, x_tilde) -> float 
     x_tilde = np.asarray(x_tilde, dtype=float)
     Fx = problem.evaluate_F(x)
     Fxt = problem.evaluate_F(x_tilde)
-    lhs = float(np.linalg.norm(problem.evaluate_J(x) @ (x_tilde - x) - Fxt + Fx))
-    rhs = seminorm(L, x_tilde - x) * float(np.linalg.norm(Fxt - Fx))
+    lhs = euclidean_norm(problem.evaluate_J(x) @ (x_tilde - x) - Fxt + Fx)
+    rhs = seminorm(L, x_tilde - x) * euclidean_norm(Fxt - Fx)
     if rhs < _DENOM_FLOOR:
         return None
-    scale = 1.0 + float(np.linalg.norm(Fx)) + float(np.linalg.norm(Fxt))
+    scale = 1.0 + euclidean_norm(Fx) + euclidean_norm(Fxt)
     if lhs <= _DENOM_FLOOR * scale:
         return 0.0
     return lhs / rhs

@@ -15,7 +15,8 @@ Eldén's standard form x = L^+ y + W_0 z uses L^+ and an orthonormal basis
 W_0 of N(L), both kept by ``ScalingOperator``.  A complete QR
 ``A W_0 = [Q_0 Q_perp] [R_0; 0]`` splits off the part of A that L does not
 see, and one thin SVD of ``Q_perp^T A L^+`` gives the zeta_i, U's leading
-block and, since L L^+ = I_p, V itself.
+block and, since L L^+ = I_p, V itself.  When L^+ is exactly I_n
+(``ScalingOperator.inverse_is_identity``) the products with it are skipped.
 Completeness is decided by ``scaling.completeness_holds`` from bounds on the
 singular values of [A; L] taken from X and the norms of A and L; the exact
 singular values of [A; L] are computed only when the bounds cannot decide.
@@ -67,6 +68,12 @@ def _as_matrix(L) -> np.ndarray:
     return np.asarray(getattr(L, "matrix", L), dtype=float)
 
 
+def _frobenius(M: np.ndarray) -> float:
+    # BLAS nrm2 scales as it sums, so entries near 1e200 or 1e-200 neither
+    # overflow nor underflow, as squaring them in np.linalg.norm would.
+    return scipy.linalg.blas.dnrm2(np.ravel(M))
+
+
 def gsvd(A, L) -> GsvdFactors:
     """Factor the pair (A, L).
 
@@ -113,7 +120,7 @@ def gsvd(A, L) -> GsvdFactors:
     # Standard form: x = L^+ y + W_0 z.  The complete QR of A W_0 gives Q_0
     # (range of A on N(L)) and its exact orthogonal complement Q_perp; the
     # SVD of A L^+ projected onto Q_perp gives zeta = sigma / mu and V.
-    AL = A @ L.right_inverse
+    AL = A if L.inverse_is_identity else A @ L.right_inverse
     if p < n:
         Q, R0 = np.linalg.qr(A @ L.null_basis, mode="complete")
         Q0, Qperp, R0 = Q[:, : n - p], Q[:, n - p :], R0[: n - p]
@@ -127,7 +134,9 @@ def gsvd(A, L) -> GsvdFactors:
 
     # X = [T - W_0 R_0^-1 Q_0^T A T,  W_0 R_0^-1] with T = L^+ V diag(mu).
     # It comes before the completeness decision because its norm bounds s_min.
-    T = L.right_inverse @ Vmu
+    # T is C-contiguous on both paths: the layout of X sets the rounding of
+    # every later X @ v, and Vmu itself is strided like V.
+    T = np.ascontiguousarray(Vmu) if L.inverse_is_identity else L.right_inverse @ Vmu
     if p == n:
         U, X = Ub, T
     else:
@@ -138,12 +147,14 @@ def gsvd(A, L) -> GsvdFactors:
             X = None
         else:
             X = np.hstack([T - W0_R0inv @ ((Q0.T @ AL) @ Vmu), W0_R0inv])
-    if not _bounds_complete(np.hypot(np.linalg.norm(A), np.linalg.norm(Lmat)), X):
+    if not _bounds_complete(np.hypot(_frobenius(A), _frobenius(Lmat)), X):
         s = np.linalg.svd(np.vstack([A, Lmat]), compute_uv=False)
         # A pair that passes the rule has a finite X in exact arithmetic; one
         # whose X is unusable anyway is refused rather than returned.
         if not completeness_holds(s) or X is None or not np.isfinite(X).all():
-            raise CompletenessViolated(f"N(A) and N(L) intersect: s_min^2 = {s[-1] ** 2:.3e}")
+            with np.errstate(over="ignore"):  # a refused pair can have s_min above 1e154
+                s_min_sq = s[-1] ** 2
+            raise CompletenessViolated(f"N(A) and N(L) intersect: s_min^2 = {s_min_sq:.3e}")
 
     return GsvdFactors(U=U, V=V, X=X, sigma=sigma, mu=mu)
 
@@ -159,7 +170,7 @@ def _bounds_complete(s_max_up, X) -> bool:
     """
     if X is None or not np.isfinite(X).all():
         return False
-    s_min_low = 1.0 / (np.sqrt(_BOUND_MARGIN) * np.linalg.norm(X))
+    s_min_low = 1.0 / (np.sqrt(_BOUND_MARGIN) * _frobenius(X))
     return completeness_holds((s_max_up, s_min_low))
 
 
@@ -218,10 +229,10 @@ def validate(f: GsvdFactors, A, L, tol: float = 1e-10) -> GsvdValidation:
         )
     Xinv = np.linalg.inv(f.X)
     D, ML = _middle_factors(f)
-    recon_a = np.linalg.norm(A - f.U @ D @ Xinv) / max(np.linalg.norm(A), 1e-300)
-    recon_l = np.linalg.norm(Lmat - f.V @ ML @ Xinv) / max(np.linalg.norm(Lmat), 1e-300)
-    orth_u = np.linalg.norm(f.U.T @ f.U - np.eye(f.n))
-    orth_v = np.linalg.norm(f.V.T @ f.V - np.eye(f.p))
+    recon_a = _frobenius(A - f.U @ D @ Xinv) / max(_frobenius(A), 1e-300)
+    recon_l = _frobenius(Lmat - f.V @ ML @ Xinv) / max(_frobenius(Lmat), 1e-300)
+    orth_u = _frobenius(f.U.T @ f.U - np.eye(f.n))
+    orth_v = _frobenius(f.V.T @ f.V - np.eye(f.p))
     normalization = float(np.abs(f.sigma**2 + f.mu**2 - 1.0).max()) if f.p else 0.0
     return GsvdValidation(
         recon_a=float(recon_a),

@@ -37,7 +37,7 @@ class Box:
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+        return bool((x >= self.lower).all() and (x <= self.upper).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +100,7 @@ class InverseProblem:
             raise EvaluationFailure(f"{what} failed: {exc}") from exc
         if out.shape != shape:
             raise EvaluationFailure(f"{what} returned shape {out.shape}, expected {shape}")
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise EvaluationFailure(f"{what} returned non-finite values")
         return out
 
@@ -198,12 +198,15 @@ def _conductivity_halfpoints(a: np.ndarray) -> np.ndarray:
 
 
 def _conductivity_solve(am: np.ndarray, rhs):
-    # Symmetric tridiagonal solve in banded (upper) form.
+    # Symmetric positive definite tridiagonal solve by LAPACK ptsv, the routine
+    # scipy.linalg.solveh_banded calls for a two-row band, without its checks:
+    # a NaN or infinite conductivity gives a non-finite result, which the
+    # evaluation guard reports.
     n = am.size - 1
-    ab = np.zeros((2, n))
-    ab[0, 1:] = -am[1:n]
-    ab[1, :] = am[:n] + am[1:]
-    return scipy.linalg.solveh_banded(ab, rhs)
+    _, _, x, info = scipy.linalg.lapack.dptsv(am[:n] + am[1:], -am[1:n], rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    return x
 
 
 def problem_coefficient_identification(n: int) -> InverseProblem:
@@ -229,12 +232,12 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
     rhs = h * h * f
 
     def forward(a):
-        if np.any(a <= A_MIN):
+        if (a <= A_MIN).any():
             raise NonpositiveCoefficient(f"conductivity at or below {A_MIN}")
         return _conductivity_solve(_conductivity_halfpoints(a), rhs)
 
     def jacobian(a):
-        if np.any(a <= A_MIN):
+        if (a <= A_MIN).any():
             raise NonpositiveCoefficient(f"conductivity at or below {A_MIN}")
         am = _conductivity_halfpoints(a)
         u = _conductivity_solve(am, rhs)

@@ -8,6 +8,7 @@ components, e.g. non-smooth ones for difference stencils.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,13 +30,17 @@ class ScalingOperator:
     L stays fixed while the Jacobian changes, so the standard-form factors
     ``gsvd`` needs at every step are kept: ``right_inverse = W_p R_L^-T``, the
     Moore-Penrose inverse L^+ (L L^+ = I_p), and ``null_basis = W_0``, an
-    orthonormal basis of N(L).  Instances compare and hash by identity.
+    orthonormal basis of N(L).  ``inverse_is_identity`` records whether
+    ``right_inverse`` came out exactly I_n (as it does for L = I_n), so that
+    ``gsvd`` can skip the products with it; it is read off the matrix, not
+    off ``kind``.  Instances compare and hash by identity.
     """
 
     matrix: np.ndarray
     kind: str = "custom"
     right_inverse: np.ndarray = field(init=False, repr=False)
     null_basis: np.ndarray = field(init=False, repr=False)
+    inverse_is_identity: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         L = np.asarray(self.matrix, dtype=float)
@@ -50,8 +55,10 @@ class ScalingOperator:
         s = scipy.linalg.svdvals(R_L)
         if s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
             raise RankDeficientL(f"scaling matrix has numerical rank below {p}")
-        object.__setattr__(self, "right_inverse", scipy.linalg.solve_triangular(R_L, W[:, :p].T).T)
+        right_inverse = scipy.linalg.solve_triangular(R_L, W[:, :p].T).T
+        object.__setattr__(self, "right_inverse", right_inverse)
         object.__setattr__(self, "null_basis", W[:, p:])
+        object.__setattr__(self, "inverse_is_identity", np.array_equal(right_inverse, np.eye(p)))
 
     @property
     def p(self) -> int:
@@ -121,12 +128,24 @@ def from_spec(spec: str, n: int) -> ScalingOperator:
     )
 
 
+def euclidean_norm(v: np.ndarray) -> float:
+    """Return ``np.linalg.norm(v)`` of a float array, bit for bit.
+
+    It takes the same steps, the square root of the dot product of
+    ``v.ravel(order="K")`` with itself, without the general function's
+    dispatch, which dominates its cost on the short vectors of the hot paths.
+    Like it, it overflows for entries beyond about 1e154.
+    """
+    v = v.ravel(order="K")
+    return math.sqrt(v @ v)
+
+
 def seminorm(L: ScalingOperator, v) -> float:
     """Return ``||L v||_2``; zero exactly on the null space of L."""
     v = np.asarray(v, dtype=float)
     if v.shape != (L.n,):
         raise DimensionMismatch(f"expected vector of length {L.n}, got shape {v.shape}")
-    return float(np.linalg.norm(L.matrix @ v))
+    return euclidean_norm(L.matrix @ v)
 
 
 def completeness_holds(s) -> bool:
@@ -134,6 +153,8 @@ def completeness_holds(s) -> bool:
 
     N(J) ∩ N(L) = {0} numerically when s_min^2 (the smallest eigenvalue of
     J^T J + L^T L) exceeds 1e-10 (1 + 2 s_max^2) >= 1e-10 (1 + ||J||^2 + ||L||^2).
+    It is compared as s_min > 1e-5 hypot(1, s_max, s_max), so that no
+    singular value is squared and a pair with large entries does not overflow.
     """
-    return bool(s[-1] ** 2 > 1e-10 * (1.0 + 2.0 * s[0] ** 2))
+    return bool(s[-1] > 1e-5 * math.hypot(1.0, s[0], s[0]))
 

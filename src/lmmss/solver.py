@@ -21,7 +21,7 @@ from .errors import (
     ZeroGradient,
 )
 from .gsvd import GsvdFactors, generalized_singular_values, gsvd
-from .scaling import ScalingOperator, seminorm
+from .scaling import ScalingOperator, euclidean_norm, seminorm
 
 _SEARCH_MAX_ITER = 60
 _BRACKET_LO_FACTOR = 1e-14
@@ -153,13 +153,13 @@ def _omega_kernel(f: GsvdFactors, r: np.ndarray):
     w = f.U.T @ r
     if not (f.sigma * w[: f.p]).any() and not w[f.p :].any():
         raise ZeroGradient("J^T r = 0: the step is zero for every lambda")
-    rho_perp = float(np.linalg.norm(r - f.U @ w))
+    rho_perp = euclidean_norm(r - f.U @ w)
     wp, s2, m2 = w[: f.p], f.sigma**2, f.mu**2
 
     def omega(lam, target=None):
         den = s2 + lam * m2
         e = lam * m2 * wp / den
-        gamma = np.linalg.norm(e)
+        gamma = euclidean_norm(e)
         val = float(np.hypot(rho_perp, gamma))
         if target is None:
             return val
@@ -211,7 +211,7 @@ def select_lambda_q(factors: GsvdFactors, r, q: float, cfg: SolverConfig):
         raise BracketFailure(
             "all generalized singular values vanish; the admissible interval is empty"
         )
-    rnorm = float(np.linalg.norm(r))
+    rnorm = euclidean_norm(r)
     target = q * rnorm
     rtol = cfg.lambda_root_tol
     bound = q / (1.0 - q) * zeta_p**2
@@ -295,7 +295,7 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
     res = np.inf
     for k in range(cfg.max_iter + 1):
         r = problem.evaluate_F(x) - y
-        res = float(np.linalg.norm(r))
+        res = euclidean_norm(r)
         if res_tol is None:
             res_tol = 1e-10 * res
         if noisy and discrepancy_reached(res, cfg.tau, delta):
@@ -305,7 +305,7 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
             stop = "res_tol"
             break
         J = problem.evaluate_J(x)
-        gnorm = float(np.linalg.norm(J.T @ r))
+        gnorm = euclidean_norm(J.T @ r)
         if not noisy and gnorm <= cfg.grad_tol:
             stop = "grad_tol"
             break
@@ -324,7 +324,7 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
             raise type(exc)(f"iterate {k}: {exc}") from exc
         zeta_p = float(generalized_singular_values(factors)[-1])
         d = lm_step_gsvd(factors, r, lam)
-        lin_res = float(np.linalg.norm(r + J @ d))
+        lin_res = euclidean_norm(r + J @ d)
         trace.append(
             IterateRecord(
                 k=k,

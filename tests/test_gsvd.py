@@ -14,7 +14,13 @@ from lmmss import (
     validate,
 )
 from lmmss.gsvd import _bounds_complete
-from lmmss.scaling import completeness_holds, first_difference, identity, second_difference
+from lmmss.scaling import (
+    completeness_holds,
+    first_difference,
+    from_matrix,
+    identity,
+    second_difference,
+)
 from helpers import gsvd_reference, pencil_gsv_squared, random_pair
 
 SQ2 = np.sqrt(0.5)
@@ -172,6 +178,17 @@ def test_completeness_violation_detected():
     L = np.array([[1.0, 0.0]])
     with pytest.raises(CompletenessViolated, match="s_min\\^2 = 0.000e\\+00"):
         gsvd(A, L)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_entries_do_not_overflow():
+    # ||L||_F^2 and s_max^2 are 2e400 here; neither may be formed
+    L = from_matrix(1e200 * np.eye(2))
+    f = gsvd(np.eye(2), L)
+    assert validate(f, np.eye(2), L).passed
+    # s_min = 1e200 falls short of 1e-5 sqrt(2) s_max here; the refusal names inf
+    with pytest.raises(CompletenessViolated, match=r"s_min\^2 = inf"):
+        gsvd(np.diag([1e300, 1e200]), np.eye(2))
 
 
 @pytest.mark.parametrize("scaling", [identity, first_difference, second_difference])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lmmss import (
     DimensionMismatch,
@@ -157,6 +158,27 @@ class TestCoefficientProblem:
         # sensitivity climbs over the first few interior nodes
         assert norms[0] < norms[1] < norms[2]
         assert norms[-1] < norms[-2] < norms[-3]
+
+    @pytest.mark.parametrize("columns", [None, 1, 20])
+    def test_tridiagonal_solve_matches_solveh_banded(self, columns):
+        n = 20
+        rng = np.random.default_rng(3)
+        am = _conductivity_halfpoints(1.0 + rng.random(n))
+        rhs = rng.standard_normal(n if columns is None else (n, columns))
+        band = np.zeros((2, n))
+        band[0, 1:] = -am[1:n]
+        band[1, :] = am[:n] + am[1:]
+        got, want = _conductivity_solve(am, rhs), scipy.linalg.solveh_banded(band, rhs)
+        assert got.shape == want.shape
+        assert got.tobytes(order="A") == want.tobytes(order="A")
+
+    def test_nan_conductivity_is_an_evaluation_failure(self):
+        prob = problem_coefficient_identification(8)
+        bad = np.ones(8)
+        bad[3] = np.nan
+        for evaluate in (prob.evaluate_F, prob.evaluate_J):
+            with pytest.raises(EvaluationFailure, match="returned non-finite values"):
+                evaluate(bad)
 
     def test_positivity_floor(self):
         prob = problem_coefficient_identification(8)

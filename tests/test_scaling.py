@@ -7,11 +7,14 @@ from lmmss import (
     DimensionTooSmall,
     RankDeficientL,
     gsvd,
+    make_problem,
     seminorm,
+    validate,
 )
 from lmmss.scaling import (
     ScalingOperator,
     completeness_holds,
+    euclidean_norm,
     first_difference,
     from_matrix,
     from_spec,
@@ -111,6 +114,36 @@ def test_scaling_operator_keeps_standard_form_factors(ctor):
     np.testing.assert_allclose(L.null_basis @ (L.null_basis.T @ affine), affine, atol=1e-12)
 
 
+def _factor_arrays(f):
+    return (f.U, f.V, f.X, f.sigma, f.mu)
+
+
+def test_identity_skip_decided_from_the_matrix():
+    n = 16
+    J = make_problem("coefficient", n).evaluate_J(np.ones(n))
+    stock = identity(n)
+    assert stock.inverse_is_identity
+    # the same matrix from a file or array takes the same path, bit for bit
+    wrapped = from_matrix(np.eye(n))
+    assert wrapped.inverse_is_identity and wrapped.kind == "custom"
+    skipped = gsvd(J, stock)
+    for got, want in zip(_factor_arrays(gsvd(J, wrapped)), _factor_arrays(skipped)):
+        assert got.tobytes() == want.tobytes()
+    # multiplying through L^+ = I gives the same factors as skipping it
+    through = identity(n)
+    object.__setattr__(through, "inverse_is_identity", False)
+    multiplied = gsvd(J, through)
+    for got, want in zip(_factor_arrays(multiplied), _factor_arrays(skipped)):
+        assert got.tobytes() == want.tobytes()
+    # a kind tag does not decide the path: 2 I has L^+ = I / 2
+    scaled = ScalingOperator(2.0 * np.eye(n), kind="identity")
+    assert not scaled.inverse_is_identity
+    f = gsvd(J, scaled)
+    assert validate(f, J, scaled).passed
+    for factors in (skipped, multiplied, f):
+        assert factors.X.flags.c_contiguous
+
+
 def test_scaling_operator_compares_and_hashes_by_identity():
     a, b = identity(3), identity(3)
     assert (a == a) is True
@@ -133,6 +166,24 @@ def test_seminorm_examples():
     assert seminorm(first_difference(3), np.array([2.5, 2.5, 2.5])) == 0.0
     assert seminorm(identity(2), np.array([3.0, 4.0])) == pytest.approx(5.0)
     assert seminorm(from_matrix([[1.0, -1.0]]), np.array([2.0, -1.0])) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: v,
+        lambda v: v[::3],
+        lambda v: v[:60].reshape(6, 10),
+        lambda v: np.asfortranarray(v[:60].reshape(6, 10)),
+        lambda v: v[:0],
+    ],
+    ids=["contiguous", "strided", "c-order-2d", "f-order-2d", "empty"],
+)
+def test_euclidean_norm_matches_numpy_bit_for_bit(make):
+    v = make(np.random.default_rng(5).standard_normal(97))
+    got, want = euclidean_norm(v), np.linalg.norm(v)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_seminorm_shape_check():
