@@ -12,14 +12,17 @@ nonsingular, and diagonals sigma (nondecreasing, in [0, 1]) and mu
 zeta_i = sigma_i / mu_i are the generalized singular values.
 
 Eldén's standard form x = L^+ y + W_0 z uses L^+ and an orthonormal basis
-W_0 of N(L), both kept by ``ScalingOperator``.  A complete QR
-``A W_0 = [Q_0 Q_perp] [R_0; 0]`` splits off the part of A that L does not
-see, and one thin SVD of ``Q_perp^T A L^+`` gives the zeta_i, U's leading
-block and, since L L^+ = I_p, V itself.  When L^+ is exactly I_n
-(``ScalingOperator.inverse_is_identity``) the products with it are skipped.
-Completeness is decided by ``scaling.completeness_holds`` from bounds on the
-singular values of [A; L] taken from X and the norms of A and L; the exact
-singular values of [A; L] are computed only when the bounds cannot decide.
+W_0 of N(L), both kept by ``ScalingOperator``.  For p < n a QR
+``A W_0 = [Q_0 Q_perp] [R_0; 0]`` (LAPACK ``geqrf``) splits off the part of
+A that L does not see.  Q is never formed: ``ormqr`` applies its Householder
+reflectors, once as Q^T to A L^+ and once as Q to assemble U, and ``trtrs``
+gives W_0 R_0^-1.  One thin SVD (``gesdd``) of ``Q_perp^T A L^+`` gives the
+zeta_i, U's leading block and, since L L^+ = I_p, V itself.  When L^+ is
+exactly I_n (``ScalingOperator.inverse_is_identity``) the products with it
+are skipped.  Completeness is decided by ``scaling.completeness_holds`` from
+bounds on the singular values of [A; L] taken from X and the norms of A and
+L; the exact singular values of [A; L] are computed only when the bounds
+cannot decide.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import CompletenessViolated, DimensionMismatch, NonFiniteInput
-from .scaling import ScalingOperator, completeness_holds
+from .scaling import ScalingOperator, completeness_holds, frobenius
 
 #: The bounds accept a pair only if it passes the rule with s_min^2 divided by
 #: this factor, so rounding in X cannot accept a pair the exact singular
@@ -68,18 +71,28 @@ def _as_matrix(L) -> np.ndarray:
     return np.asarray(getattr(L, "matrix", L), dtype=float)
 
 
-def _frobenius(M: np.ndarray) -> float:
-    # BLAS nrm2 scales as it sums, so entries near 1e200 or 1e-200 neither
-    # overflow nor underflow, as squaring them in np.linalg.norm would.
-    return scipy.linalg.blas.dnrm2(np.ravel(M))
+def _apply_q(trans: str, qr, tau, C, overwrite: bool = False) -> np.ndarray:
+    """Q @ C (trans "N") or Q^T @ C ("T") for the m x m Q held in geqrf's reflectors.
+
+    The workspace is the one ormqr asks for at its largest block size (64
+    columns plus the 65 x 64 block reflector), so it blocks whenever Q has
+    enough reflectors for that to pay.  With ``overwrite`` an F-ordered C is
+    overwritten.
+    """
+    lwork = 64 * C.shape[1] + 65 * 64
+    out, _, info = lapack.dormqr("L", trans, qr, tau, C, lwork, overwrite_c=overwrite)
+    if info:
+        raise ValueError(f"dormqr rejected argument {-info}")
+    return out
 
 
 def gsvd(A, L) -> GsvdFactors:
     """Factor the pair (A, L).
 
-    Per call: a complete QR of A W_0 (skipped when p = n) and one thin SVD
-    of the projected ``Q_perp^T A L^+``, whose right factor is V; L^+ and
-    W_0 are the ScalingOperator's ``right_inverse`` and ``null_basis``.
+    Per call: a QR of A W_0 kept as reflectors (skipped when p = n) and one
+    thin SVD of the projected ``Q_perp^T A L^+``, whose right factor is V;
+    L^+ and W_0 are the ScalingOperator's ``right_inverse`` and
+    ``null_basis``.  The factors do not depend on the memory layout of A.
     Completeness is decided by ``scaling.completeness_holds``: first on the
     bounds of ``_bounds_complete``, and on the exact singular values of
     [A; L] only when those bounds cannot prove the rule.  A raw L array is
@@ -101,8 +114,12 @@ def gsvd(A, L) -> GsvdFactors:
     CompletenessViolated
         If the stacked pair [A; L] fails the completeness rule, i.e. the
         null spaces of A and L intersect numerically.
+    numpy.linalg.LinAlgError
+        If the SVD does not converge ("SVD did not converge").
     """
-    A = np.asarray(A, dtype=float)
+    # One layout for every input: a product of A with the few columns of W_0
+    # rounds differently for C- and F-ordered A, and LAPACK reads F order.
+    A = np.asarray(A, dtype=float, order="F")
     Lmat = _as_matrix(L)
     if A.ndim != 2 or Lmat.ndim != 2:
         raise DimensionMismatch("A and L must be two-dimensional arrays")
@@ -117,16 +134,20 @@ def gsvd(A, L) -> GsvdFactors:
         L = ScalingOperator(Lmat)
     p = L.p
 
-    # Standard form: x = L^+ y + W_0 z.  The complete QR of A W_0 gives Q_0
-    # (range of A on N(L)) and its exact orthogonal complement Q_perp; the
-    # SVD of A L^+ projected onto Q_perp gives zeta = sigma / mu and V.
+    # Standard form: x = L^+ y + W_0 z.  The QR of A W_0, kept as geqrf's
+    # Householder reflectors, splits A L^+ into Q_0^T A L^+ (its first k
+    # rows after one Q^T) and the projection Q_perp^T A L^+ whose SVD gives
+    # zeta = sigma / mu and V.
+    k = n - p
     AL = A if L.inverse_is_identity else A @ L.right_inverse
-    if p < n:
-        Q, R0 = np.linalg.qr(A @ L.null_basis, mode="complete")
-        Q0, Qperp, R0 = Q[:, : n - p], Q[:, n - p :], R0[: n - p]
-        Ub, zeta, Vt = np.linalg.svd(Qperp.T @ AL, full_matrices=False)
+    if k:
+        qr, tau, _, _ = lapack.dgeqrf(A @ L.null_basis, overwrite_a=1)
+        QtAL = _apply_q("T", qr, tau, AL)
+        Ub, zeta, Vt, info = lapack.dgesdd(QtAL[k:], compute_uv=1, full_matrices=0)
     else:
-        Ub, zeta, Vt = np.linalg.svd(AL, full_matrices=False)
+        Ub, zeta, Vt, info = lapack.dgesdd(AL, compute_uv=1, full_matrices=0)
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
     Ub, zeta, V = Ub[:, ::-1], zeta[::-1], Vt[::-1].T
     mu = 1.0 / np.hypot(1.0, zeta)
     sigma = zeta * mu
@@ -137,17 +158,22 @@ def gsvd(A, L) -> GsvdFactors:
     # T is C-contiguous on both paths: the layout of X sets the rounding of
     # every later X @ v, and Vmu itself is strided like V.
     T = np.ascontiguousarray(Vmu) if L.inverse_is_identity else L.right_inverse @ Vmu
-    if p == n:
+    if not k:
         U, X = Ub, T
     else:
-        U = np.hstack([Qperp @ Ub, Q0])
-        try:
-            W0_R0inv = scipy.linalg.solve_triangular(R0, L.null_basis.T, trans="T").T
-        except np.linalg.LinAlgError:  # a zero on R_0's diagonal: A W_0 is singular
+        # U = Q [[0, I_k], [U_b, 0]] = [Q_perp U_b, Q_0]
+        U = np.zeros((m, n), order="F")
+        U[k:, :p] = Ub
+        U[:k, p:] = np.eye(k)
+        U = _apply_q("N", qr, tau, U, overwrite=True)
+        # R_0 is the upper k x k triangle of qr; W_0 R_0^-1 = (R_0^-T W_0^T)^T
+        W0_R0inv, info = lapack.dtrtrs(qr, L.null_basis.T, trans=1)
+        if info > 0:  # an exact zero on R_0's diagonal: A W_0 is singular
             X = None
         else:
-            X = np.hstack([T - W0_R0inv @ ((Q0.T @ AL) @ Vmu), W0_R0inv])
-    if not _bounds_complete(np.hypot(_frobenius(A), _frobenius(Lmat)), X):
+            W0_R0inv = W0_R0inv.T
+            X = np.hstack([T - W0_R0inv @ (QtAL[:k] @ Vmu), W0_R0inv])
+    if not _bounds_complete(np.hypot(frobenius(A), L.frobenius_norm), X):
         s = np.linalg.svd(np.vstack([A, Lmat]), compute_uv=False)
         # A pair that passes the rule has a finite X in exact arithmetic; one
         # whose X is unusable anyway is refused rather than returned.
@@ -170,7 +196,7 @@ def _bounds_complete(s_max_up, X) -> bool:
     """
     if X is None or not np.isfinite(X).all():
         return False
-    s_min_low = 1.0 / (np.sqrt(_BOUND_MARGIN) * _frobenius(X))
+    s_min_low = 1.0 / (np.sqrt(_BOUND_MARGIN) * frobenius(X))
     return completeness_holds((s_max_up, s_min_low))
 
 
@@ -229,10 +255,10 @@ def validate(f: GsvdFactors, A, L, tol: float = 1e-10) -> GsvdValidation:
         )
     Xinv = np.linalg.inv(f.X)
     D, ML = _middle_factors(f)
-    recon_a = _frobenius(A - f.U @ D @ Xinv) / max(_frobenius(A), 1e-300)
-    recon_l = _frobenius(Lmat - f.V @ ML @ Xinv) / max(_frobenius(Lmat), 1e-300)
-    orth_u = _frobenius(f.U.T @ f.U - np.eye(f.n))
-    orth_v = _frobenius(f.V.T @ f.V - np.eye(f.p))
+    recon_a = frobenius(A - f.U @ D @ Xinv) / max(frobenius(A), 1e-300)
+    recon_l = frobenius(Lmat - f.V @ ML @ Xinv) / max(frobenius(Lmat), 1e-300)
+    orth_u = frobenius(f.U.T @ f.U - np.eye(f.n))
+    orth_v = frobenius(f.V.T @ f.V - np.eye(f.p))
     normalization = float(np.abs(f.sigma**2 + f.mu**2 - 1.0).max()) if f.p else 0.0
     return GsvdValidation(
         recon_a=float(recon_a),

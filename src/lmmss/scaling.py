@@ -33,7 +33,9 @@ class ScalingOperator:
     orthonormal basis of N(L).  ``inverse_is_identity`` records whether
     ``right_inverse`` came out exactly I_n (as it does for L = I_n), so that
     ``gsvd`` can skip the products with it; it is read off the matrix, not
-    off ``kind``.  Instances compare and hash by identity.
+    off ``kind``.  ``frobenius_norm`` is ||L||_F, which ``gsvd`` needs for
+    its completeness bound.  Neither can be set.  Instances compare and hash
+    by identity.
     """
 
     matrix: np.ndarray
@@ -41,6 +43,7 @@ class ScalingOperator:
     right_inverse: np.ndarray = field(init=False, repr=False)
     null_basis: np.ndarray = field(init=False, repr=False)
     inverse_is_identity: bool = field(init=False, repr=False)
+    frobenius_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         L = np.asarray(self.matrix, dtype=float)
@@ -59,6 +62,7 @@ class ScalingOperator:
         object.__setattr__(self, "right_inverse", right_inverse)
         object.__setattr__(self, "null_basis", W[:, p:])
         object.__setattr__(self, "inverse_is_identity", np.array_equal(right_inverse, np.eye(p)))
+        object.__setattr__(self, "frobenius_norm", frobenius(L))
 
     @property
     def p(self) -> int:
@@ -138,6 +142,15 @@ def euclidean_norm(v: np.ndarray) -> float:
     """
     v = v.ravel(order="K")
     return math.sqrt(v @ v)
+
+
+def frobenius(M: np.ndarray) -> float:
+    """Return ||M||_F from BLAS nrm2, summed in M's memory order.
+
+    nrm2 scales as it sums, so entries near 1e200 or 1e-200 neither overflow
+    nor underflow, as squaring them in ``np.linalg.norm`` would.
+    """
+    return scipy.linalg.blas.dnrm2(np.ravel(M, order="K"))
 
 
 def seminorm(L: ScalingOperator, v) -> float:

@@ -180,6 +180,42 @@ def test_completeness_violation_detected():
         gsvd(A, L)
 
 
+@pytest.mark.parametrize("L", [np.eye(3), np.diff(np.eye(3), axis=0)], ids=["p=n", "p<n"])
+def test_svd_failure_raises_linalg_error(monkeypatch, L):
+    def no_convergence(a, compute_uv=1, full_matrices=1):
+        k = min(a.shape)
+        return np.zeros((a.shape[0], k)), np.zeros(k), np.zeros((k, a.shape[1])), 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgesdd", no_convergence)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        gsvd(np.arange(12.0).reshape(4, 3) ** 2, L)
+
+
+@pytest.mark.parametrize("scaling", [identity, second_difference])
+@pytest.mark.parametrize("name", ["coefficient", "autoconvolution"])
+def test_factors_do_not_depend_on_layout(name, scaling):
+    prob = make_problem(name, 32)
+    J = prob.evaluate_J(prob.x0_default)
+    L = scaling(32)
+    c, f = gsvd(np.ascontiguousarray(J), L), gsvd(np.asfortranarray(J), L)
+    for field in ("U", "V", "X", "sigma", "mu"):
+        assert getattr(c, field).tobytes() == getattr(f, field).tobytes(), field
+
+
+@pytest.mark.parametrize("scaling", [first_difference, second_difference])
+def test_reflector_path_tall(scaling):
+    A = np.random.default_rng(23).standard_normal((40, 24))
+    L = scaling(24)
+    f = gsvd(A, L)
+    report = validate(f, A, L, tol=1e-12)
+    assert report.passed and report.orth_u <= 1e-13
+    # the trailing n - p columns of U are an orthonormal basis of range(A W_0)
+    AW0 = A @ L.null_basis
+    Q0 = f.U[:, L.p :]
+    residual = np.linalg.norm(AW0 - Q0 @ (Q0.T @ AW0))
+    assert residual <= 1e-13 * np.linalg.norm(AW0)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_large_entries_do_not_overflow():
     # ||L||_F^2 and s_max^2 are 2e400 here; neither may be formed
