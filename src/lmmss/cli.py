@@ -1,6 +1,8 @@
 """Command-line harness: single solves, noise sweeps, factor inspection, diagnostics.
 
-Configuration lives in flat INI files (every key also has a flag); the
+Configuration lives in flat INI files.  Every key also has a flag except
+``lambda_root_tol``, ``grad_tol``, ``res_tol``, ``lambda_fallback_factor``,
+``tcc_rho`` and ``tcc_samples``, which are set in the INI file only.  The
 canonical serialization is hashed and the digest stamped on every emitted
 table, so identical configs reproduce identical artifacts byte for byte.
 Numbers are printed with 17 significant digits to round-trip exactly.
@@ -332,11 +334,8 @@ def cmd_gsvd(args) -> int:
     print("sigma " + " ".join(_fmt(v) for v in factors.sigma))
     print("mu " + " ".join(_fmt(v) for v in factors.mu))
     print("zeta " + " ".join(_fmt(v) for v in zeta))
-    print(f"recon_a {_fmt(report.recon_a)}")
-    print(f"recon_l {_fmt(report.recon_l)}")
-    print(f"orth_u {_fmt(report.orth_u)}")
-    print(f"orth_v {_fmt(report.orth_v)}")
-    print(f"normalization {_fmt(report.normalization)}")
+    for name in ("recon_a", "recon_l", "orth_u", "orth_v", "normalization"):
+        print(f"{name} {_fmt(getattr(report, name))}")
     print(f"passed {report.passed}")
     return 0 if report.passed else 1
 

@@ -271,7 +271,6 @@ def check_euclidean_bound(
     if run.mode != "exact":
         raise ValueError("the Euclidean bound applies to exact-data runs")
     x_star = np.asarray(x_star, dtype=float)
-    lnorm = float(np.linalg.norm(L.matrix, 2))
     LTL = L.matrix.T @ L.matrix
     lhs_list, rhs_list, violations = [], [], []
     for k, rec in enumerate(run.trace[:-1]):
@@ -281,7 +280,7 @@ def check_euclidean_bound(
         dist_L = seminorm(L, rec.x - x_star)
         rhs = inv_norm * (
             float(np.linalg.norm(J, 2)) * c * rec.res_norm * dist_L
-            + rec.lam * lnorm * dist_L
+            + rec.lam * L.spectral_norm * dist_L
         )
         lhs = float(np.linalg.norm(run.trace[k + 1].x - x_star))
         lhs_list.append(lhs)

@@ -173,7 +173,7 @@ def gsvd(A, L) -> GsvdFactors:
         else:
             W0_R0inv = W0_R0inv.T
             X = np.hstack([T - W0_R0inv @ (QtAL[:k] @ Vmu), W0_R0inv])
-    if not _bounds_complete(np.hypot(frobenius(A), L.frobenius_norm), X):
+    if not _bounds_complete(np.hypot(frobenius(A), L.spectral_norm), X):
         s = np.linalg.svd(np.vstack([A, Lmat]), compute_uv=False)
         # A pair that passes the rule has a finite X in exact arithmetic; one
         # whose X is unusable anyway is refused rather than returned.
@@ -189,10 +189,21 @@ def _bounds_complete(s_max_up, X) -> bool:
     """Whether bounds on the singular values of [A; L] prove the completeness rule.
 
     The columns of [A; L] X are orthonormal, so s_min >= 1 / ||X||_F; the
-    caller passes ``s_max_up = hypot(||A||_F, ||L||_F) >= s_max``.  The bounds
-    go through ``completeness_holds`` with s_min^2 divided by
-    ``_BOUND_MARGIN``.  False means undecided, as when X is missing or not
-    finite.
+    caller passes ``s_max_up = hypot(||A||_F, ||L||_2) >= s_max``, since
+    ||[A; L]||_2 <= hypot(||A||_2, ||L||_2).  The bounds go through
+    ``completeness_holds`` with s_min^2 divided by ``_BOUND_MARGIN``.  False
+    means undecided, as when X is missing or not finite.
+
+    Rounding: ||L||_2 is ``ScalingOperator.spectral_norm``, the largest
+    singular value from ``svdvals``, which can fall a few ulps below the true
+    one; the nrm2 norms of A and X are rounded too.  An s_max understated by
+    a relative eps lowers the rule's threshold by at most that eps, while the
+    margin raises it by a factor sqrt(2), so rounding this small cannot
+    accept a pair the exact singular values reject.
+
+    The exact fallback takes the singular values of the stacked [A; L], not
+    the reciprocals of those of X: X can be ill-conditioned where [A; L] is
+    not, and the tests check every refusal against the stacked values.
     """
     if X is None or not np.isfinite(X).all():
         return False
@@ -203,16 +214,6 @@ def _bounds_complete(s_max_up, X) -> bool:
 def generalized_singular_values(f: GsvdFactors) -> np.ndarray:
     """Return zeta_i = sigma_i / mu_i, nondecreasing and finite since mu_i > 0."""
     return f.sigma / f.mu
-
-
-def _middle_factors(f: GsvdFactors):
-    n, p = f.n, f.p
-    D = np.zeros((n, n))
-    D[:p, :p] = np.diag(f.sigma)
-    D[p:, p:] = np.eye(n - p)
-    ML = np.zeros((p, n))
-    ML[:, :p] = np.diag(f.mu)
-    return D, ML
 
 
 @dataclass(frozen=True)
@@ -254,9 +255,9 @@ def validate(f: GsvdFactors, A, L, tol: float = 1e-10) -> GsvdValidation:
             f"L has shape {Lmat.shape}, factors expect {(f.p, f.n)}"
         )
     Xinv = np.linalg.inv(f.X)
-    D, ML = _middle_factors(f)
-    recon_a = frobenius(A - f.U @ D @ Xinv) / max(frobenius(A), 1e-300)
-    recon_l = frobenius(Lmat - f.V @ ML @ Xinv) / max(frobenius(Lmat), 1e-300)
+    d = np.concatenate([f.sigma, np.ones(f.n - f.p)])
+    recon_a = frobenius(A - (f.U * d) @ Xinv) / max(frobenius(A), 1e-300)
+    recon_l = frobenius(Lmat - (f.V * f.mu) @ Xinv[: f.p]) / max(frobenius(Lmat), 1e-300)
     orth_u = frobenius(f.U.T @ f.U - np.eye(f.n))
     orth_v = frobenius(f.V.T @ f.V - np.eye(f.p))
     normalization = float(np.abs(f.sigma**2 + f.mu**2 - 1.0).max()) if f.p else 0.0

@@ -107,11 +107,27 @@ class InverseProblem:
 
 @dataclass(frozen=True, eq=False)
 class NoisyData:
-    """Perturbed data with ``||y_exact - y_delta|| = delta`` exactly."""
+    """Perturbed data with ``||y_exact - y_delta|| = delta`` exactly.
+
+    ``delta`` must be finite (NonFiniteInput) and nonnegative (NegativeDelta),
+    and ``y_delta`` a 1-D (DimensionMismatch), finite (NonFiniteInput) array.
+    """
 
     y_delta: np.ndarray
     delta: float
     seed: int
+
+    def __post_init__(self):
+        if not np.isfinite(self.delta):
+            raise NonFiniteInput(f"delta must be finite, got {self.delta}")
+        if self.delta < 0.0:
+            raise NegativeDelta(f"delta must be nonnegative, got {self.delta}")
+        y = np.asarray(self.y_delta, dtype=float)
+        object.__setattr__(self, "y_delta", y)
+        if y.ndim != 1:
+            raise DimensionMismatch(f"y_delta must be 1-D, got shape {y.shape}")
+        if not np.isfinite(y).all():
+            raise NonFiniteInput("y_delta has a NaN or infinite entry")
 
 
 def make_noisy_data(y, delta: float, seed: int = 0) -> NoisyData:
@@ -121,8 +137,6 @@ def make_noisy_data(y, delta: float, seed: int = 0) -> NoisyData:
     normalized, so the same (len(y), seed) always gives the same direction.
     """
     y = np.asarray(y, dtype=float)
-    if delta < 0.0:
-        raise NegativeDelta(f"delta must be nonnegative, got {delta}")
     u = np.random.default_rng(int(seed)).standard_normal(y.size)
     u /= np.linalg.norm(u)
     return NoisyData(y_delta=y + delta * u, delta=float(delta), seed=int(seed))

@@ -33,9 +33,10 @@ class ScalingOperator:
     orthonormal basis of N(L).  ``inverse_is_identity`` records whether
     ``right_inverse`` came out exactly I_n (as it does for L = I_n), so that
     ``gsvd`` can skip the products with it; it is read off the matrix, not
-    off ``kind``.  ``frobenius_norm`` is ||L||_F, which ``gsvd`` needs for
-    its completeness bound.  Neither can be set.  Instances compare and hash
-    by identity.
+    off ``kind``.  ``spectral_norm`` is ||L||_2, the largest singular value
+    of R_L from the rank check, which bounds s_max in ``gsvd``'s completeness
+    decision and enters ``diagnostics.check_euclidean_bound``.  The derived
+    fields cannot be set.  Instances compare and hash by identity.
     """
 
     matrix: np.ndarray
@@ -43,7 +44,7 @@ class ScalingOperator:
     right_inverse: np.ndarray = field(init=False, repr=False)
     null_basis: np.ndarray = field(init=False, repr=False)
     inverse_is_identity: bool = field(init=False, repr=False)
-    frobenius_norm: float = field(init=False, repr=False)
+    spectral_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         L = np.asarray(self.matrix, dtype=float)
@@ -62,7 +63,7 @@ class ScalingOperator:
         object.__setattr__(self, "right_inverse", right_inverse)
         object.__setattr__(self, "null_basis", W[:, p:])
         object.__setattr__(self, "inverse_is_identity", np.array_equal(right_inverse, np.eye(p)))
-        object.__setattr__(self, "frobenius_norm", frobenius(L))
+        object.__setattr__(self, "spectral_norm", float(s[0]))
 
     @property
     def p(self) -> int:

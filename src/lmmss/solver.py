@@ -265,7 +265,8 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
         None (or delta == 0) selects exact mode: stop once the residual
         falls below ``res_tol`` or the gradient norm below ``grad_tol``.
         Positive delta selects noisy mode with the discrepancy rule
-        ``||F_k - y_delta|| <= tau * delta``.
+        ``||F_k - y_delta|| <= tau * delta``.  A ``y_delta`` whose shape is
+        not (m,) raises DimensionMismatch.
     L : ScalingOperator
     x0 : array
     cfg : SolverConfig
@@ -284,6 +285,10 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
     x = np.array(x0, dtype=float)
     if x.shape != (problem.n,):
         raise DimensionMismatch(f"x0 has shape {x.shape}, expected ({problem.n},)")
+    if data is not None and data.y_delta.shape != (problem.m,):
+        raise DimensionMismatch(
+            f"y_delta has shape {data.y_delta.shape}, expected ({problem.m},)"
+        )
     noisy = data is not None and data.delta > 0.0
     y = problem.y_exact if data is None else data.y_delta
     delta = 0.0 if data is None else float(data.delta)

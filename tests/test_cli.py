@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import lmmss
 from lmmss import make_noisy_data, make_problem
-from lmmss.cli import ExperimentConfig, _reload_run, load_config, main
+from lmmss.cli import _KEYS, ExperimentConfig, _build_parser, _reload_run, load_config, main
 from lmmss.diagnostics import SweepReport, SweepRow
 from helpers import assert_runs_bitwise_equal, unit_residual_start
 
@@ -73,6 +74,17 @@ class TestConfig:
         path = tmp_path / "c.ini"
         path.write_text(text)
         assert load_config(path) == cfg
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "diagnose"])
+    def test_flags_cover_every_key_but_the_ini_only_ones(self, command):
+        ini_only = {
+            "lambda_root_tol", "grad_tol", "res_tol", "lambda_fallback_factor",
+            "tcc_rho", "tcc_samples",
+        }
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {action.dest for action in sub.choices[command]._actions}
+        keys = {field for field, _ in _KEYS.values()}
+        assert dests & keys == keys - ini_only
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.ini"

@@ -227,6 +227,41 @@ def test_large_entries_do_not_overflow():
         gsvd(np.diag([1e300, 1e200]), np.eye(2))
 
 
+def _count_exact_svds(monkeypatch):
+    """Record the shape of every matrix gsvd hands to the exact np.linalg.svd."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_linear_d2_n1024_takes_no_exact_svd(monkeypatch):
+    # an s_max bound from ||L||_F = 78.3 (the true s_max is 4.0) cannot
+    # decide this pair, which would then pay the SVD of the 2046 x 1024 [J; L]
+    prob = make_problem("linear", 1024)
+    J = prob.evaluate_J(prob.x0_default)
+    L = second_difference(1024)
+    calls = _count_exact_svds(monkeypatch)
+    gsvd(J, L)
+    assert calls == []
+
+
+def test_pair_between_the_two_s_max_bounds_takes_no_exact_svd(monkeypatch):
+    # s_min = 2e-4 against s_max = 3.99: the bound from ||L||_2 proves the
+    # rule, the one from ||L||_F = 13.4 cannot
+    A, L = 2e-4 * np.eye(32), second_difference(32)
+    calls = _count_exact_svds(monkeypatch)
+    f = gsvd(A, L)
+    assert calls == []
+    a_fro = np.linalg.norm(A)
+    assert _bounds_complete(np.hypot(a_fro, L.spectral_norm), f.X)
+    assert not _bounds_complete(np.hypot(a_fro, np.linalg.norm(L.matrix)), f.X)
+
+
 @pytest.mark.parametrize("scaling", [identity, first_difference, second_difference])
 def test_factors_accurate_on_coefficient_n128(scaling):
     prob = make_problem("coefficient", 128)

@@ -8,6 +8,7 @@ from lmmss import (
     EvaluationFailure,
     InverseProblem,
     NegativeDelta,
+    NoisyData,
     NonFiniteInput,
     NonpositiveCoefficient,
     make_noisy_data,
@@ -38,6 +39,28 @@ class TestNoisyData:
     def test_negative_delta(self):
         with pytest.raises(NegativeDelta):
             make_noisy_data(np.ones(3), -0.1)
+
+    @pytest.mark.parametrize(
+        "y_delta, delta, error, match",
+        [
+            (np.ones((2, 2)), 1e-3, DimensionMismatch, r"y_delta must be 1-D, got shape \(2, 2\)"),
+            (np.array(0.3), 1e-3, DimensionMismatch, r"y_delta must be 1-D, got shape \(\)"),
+            (np.array([1.0, np.nan]), 1e-3, NonFiniteInput, "y_delta has a NaN or infinite entry"),
+            (np.array([1.0, -np.inf]), 1e-3, NonFiniteInput, "y_delta has a NaN or infinite entry"),
+            (np.ones(2), np.nan, NonFiniteInput, "delta must be finite, got nan"),
+            (np.ones(2), np.inf, NonFiniteInput, "delta must be finite, got inf"),
+            (np.ones(2), -0.1, NegativeDelta, "delta must be nonnegative, got -0.1"),
+        ],
+        ids=["2-D", "0-D", "nan-entry", "inf-entry", "nan-delta", "inf-delta", "negative-delta"],
+    )
+    def test_malformed_data_rejected(self, y_delta, delta, error, match):
+        with pytest.raises(error, match=match):
+            NoisyData(y_delta=y_delta, delta=delta, seed=0)
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_make_noisy_data_rejects_non_finite_delta(self, delta):
+        with pytest.raises(NonFiniteInput, match="delta must be finite"):
+            make_noisy_data(np.ones(3), delta)
 
     def test_reproducible_per_seed(self):
         y = np.arange(5, dtype=float)

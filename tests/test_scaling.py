@@ -144,13 +144,15 @@ def test_identity_skip_decided_from_the_matrix():
         assert factors.X.flags.c_contiguous
 
 
-def test_frobenius_norm_is_derived():
-    # 7 rows of (1, -2, 1); nrm2 does not overflow on entries near 1e200
-    assert second_difference(9).frobenius_norm == pytest.approx(np.sqrt(42.0), rel=1e-15)
-    big = from_matrix(1e200 * np.eye(2)).frobenius_norm
-    assert big == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+def test_spectral_norm_is_derived():
+    for scaling in (identity, first_difference, second_difference):
+        L = scaling(9)
+        assert L.spectral_norm == pytest.approx(np.linalg.norm(L.matrix, 2), rel=1e-15)
+    # the SVD of R_L scales as it goes, so entries near 1e200 do not overflow
+    big = from_matrix(1e200 * np.eye(2)).spectral_norm
+    assert np.isfinite(big) and big == pytest.approx(1e200, rel=1e-15)
     with pytest.raises(TypeError):
-        ScalingOperator(np.eye(2), frobenius_norm=1.0)
+        ScalingOperator(np.eye(2), spectral_norm=1.0)
 
 
 def test_scaling_operator_compares_and_hashes_by_identity():

@@ -335,6 +335,26 @@ class TestSolve:
         res = [rec.res_norm for rec in run.trace]
         np.testing.assert_allclose(res, [1.0, 0.5, 0.25, 0.125, 0.0625], atol=5e-8)
 
+    @pytest.mark.parametrize(
+        "make_data, error, match",
+        [
+            (lambda y: NoisyData(y_delta=np.array([0.3]), delta=1e-3, seed=0),
+             lmmss.DimensionMismatch, r"y_delta has shape \(1,\), expected \(8,\)"),
+            (lambda y: NoisyData(y_delta=y[:5], delta=1e-3, seed=0),
+             lmmss.DimensionMismatch, r"y_delta has shape \(5,\), expected \(8,\)"),
+            (lambda y: NoisyData(y_delta=np.where(np.arange(8) == 3, np.nan, y), delta=1e-3, seed=0),
+             lmmss.NonFiniteInput, "y_delta has a NaN or infinite entry"),
+            (lambda y: NoisyData(y_delta=y, delta=np.nan, seed=0),
+             lmmss.NonFiniteInput, "delta must be finite, got nan"),
+            (lambda y: make_noisy_data(y, np.nan), lmmss.NonFiniteInput, "delta must be finite"),
+        ],
+        ids=["length-1", "length-5", "nan-entry", "nan-delta", "make-nan-delta"],
+    )
+    def test_malformed_data_rejected_before_solving(self, make_data, error, match):
+        prob = make_problem("linear", 8)
+        with pytest.raises(error, match=match):
+            solve(prob, make_data(prob.y_exact), identity(8), np.zeros(8), SolverConfig(q=0.6, tau=3.5))
+
     def test_immediate_stop_single_record(self):
         prob = make_problem("linear", 8)
         data = make_noisy_data(prob.y_exact, 0.01, seed=0)
