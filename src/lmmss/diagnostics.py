@@ -9,6 +9,7 @@ trend of the stopped iterates.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +61,11 @@ def tcc_ratio(problem: InverseProblem, L: ScalingOperator, x, x_tilde) -> float 
 
 
 def check_tcc_settings(rho: float, samples: int):
-    """Raise ValueError unless rho is finite and positive and samples >= 100."""
+    """Raise ValueError unless rho is finite and positive and samples an integer >= 100."""
     if not 0.0 < rho < np.inf:
         raise ValueError(f"rho must be finite and positive, got {rho}")
+    if not isinstance(samples, numbers.Integral):
+        raise ValueError(f"the sample count must be an integer, got {samples!r}")
     if samples < 100:
         raise ValueError(f"need at least 100 sample pairs, got {samples}")
 

@@ -9,6 +9,8 @@ iterate whose residual falls below tau * delta (discrepancy principle).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,7 @@ from .errors import (
     BracketFailure,
     DimensionMismatch,
     LmmssError,
+    NonFiniteInput,
     NonpositiveLambda,
     ZeroGradient,
 )
@@ -50,8 +53,8 @@ class SolverConfig:
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
         if not 1.0 < self.tau * self.q < np.inf:
             raise ValueError(f"need finite tau > 1/q, got tau={self.tau}, q={self.q}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter}")
         if not 0.0 < self.lambda_root_tol < np.inf:
             raise ValueError(f"lambda_root_tol must be finite and > 0, got {self.lambda_root_tol}")
         if not np.isfinite(self.grad_tol):
@@ -120,8 +123,8 @@ def lm_step_gsvd(f: GsvdFactors, r, lam: float) -> np.ndarray:
     g_i = sigma_i / (sigma_i^2 + lam mu_i^2) on the leading p entries and 1
     on the trailing block.
     """
-    if lam <= 0.0:
-        raise NonpositiveLambda(f"lambda must be positive, got {lam}")
+    if not 0.0 < lam < np.inf:
+        raise NonpositiveLambda(f"lambda must be positive and finite, got {lam}")
     r = np.asarray(r, dtype=float)
     if r.shape != (f.m,):
         raise DimensionMismatch(f"residual has shape {r.shape}, expected ({f.m},)")
@@ -148,7 +151,9 @@ def _omega_kernel(f: GsvdFactors, r: np.ndarray):
     ``psi(nu) = 1/gamma(nu) - 1/sqrt(target^2 - rho_perp^2)`` is increasing and
     (by Cauchy-Schwarz) concave, so Newton from a point where omega > target
     never passes the root and converges monotonically.  ``target`` must
-    exceed rho_perp.
+    exceed rho_perp.  Where omega is flat in lam (gamma = 0, or r + J d moving
+    only along directions with sigma_i = 0) there is no Newton iterate, and
+    ``lam_newton`` is NaN.
     """
     w = f.U.T @ r
     if not (f.sigma * w[: f.p]).any() and not w[f.p :].any():
@@ -165,7 +170,9 @@ def _omega_kernel(f: GsvdFactors, r: np.ndarray):
             return val
         # dgamma/dnu = -lam gamma slope, so the Newton iterate on psi is
         # nu + (gamma/Delta - 1) / (lam slope) with Delta^2 = target^2 - rho_perp^2
-        slope = float(((e / gamma) ** 2) @ (s2 / den))
+        slope = float(((e / gamma) ** 2) @ (s2 / den)) if gamma else 0.0
+        if slope == 0.0:  # omega is flat in lam here, so there is no Newton iterate
+            return val, np.nan
         ratio = gamma / np.sqrt((target - rho_perp) * (target + rho_perp))
         return val, float(lam / (1.0 + (ratio - 1.0) / slope))
 
@@ -175,71 +182,70 @@ def _omega_kernel(f: GsvdFactors, r: np.ndarray):
 def select_lambda_q(factors: GsvdFactors, r, q: float, cfg: SolverConfig):
     """Choose the damping parameter from the q-condition.
 
-    The q-condition residual ``omega(lam) = ||r + J d(lam)||`` is evaluated
+    ``omega(lam) = ||r + J d(lam)||``, nondecreasing in lam, is evaluated
     from ``factors``, the ``gsvd`` of (J, L), in O(p) per call
-    (``_omega_kernel``).  It is nondecreasing in lam; its lam -> 0 limit is
-    the projection of r onto the complement of range(J).  The search runs
-    over one bracket,
-    ``[1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]``: when omega crosses
-    ``q ||r||`` inside it, a safeguarded Newton iteration on the secular
-    equation in Moré–Sorensen's reciprocal form finds the root and the kind
-    tag is ``"equality"``.  Newton starts from the top of the bracket, where
-    omega is above the target, and each evaluation shrinks the bracket; an
-    iterate that falls outside the bracket is replaced by one bisection step
-    on log(lam).  Otherwise a fixed fraction of the interval upper bound is
-    returned with kind ``"inequality-fallback"``, in one of two regimes:
-    omega stays below the target even at the top, because components of r
-    along the image of the undamped null space of L are removed regardless
-    of lam; or omega is at or above the target already at the floor: the
+    (``_omega_kernel``) and never twice at one lam.  The search bracket is
+    ``[1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]``.  The floor comes first:
+    omega within the tolerance of the target ``q ||r||`` there is an
+    ``"equality"``, and omega at or above the target returns a fixed fraction
+    of the interval upper bound with kind ``"inequality-fallback"`` (the
     residual on directions with zeta_i below about 1e-7 zeta_p counts as
-    unremovable, by one relative cutoff for the limit test and the search.
+    unremovable).  Otherwise the target exceeds omega(floor) >= rho_perp, the
+    residual outside range(U), so the secular equation in Moré–Sorensen's
+    reciprocal form is defined, and a safeguarded Newton iteration on it
+    starts at the top.  A top within the tolerance is an equality; a top
+    below the target falls back (components of r along the image of the
+    undamped null space of L are removed regardless of lam).  Otherwise each
+    evaluation shrinks the bracket, a Newton iterate outside it is replaced
+    by one bisection step on log(lam), and the root found is an equality.
 
     Returns
     -------
     (lam, kind, evals) : (float, str, int)
-        ``evals`` counts the omega evaluations spent, endpoints included.
+        ``evals`` counts the omega evaluations: 1 when the floor decides, 2
+        when the top does, plus one per iterate after the top (at most 60).
 
-    Raises ZeroGradient when J^T r = 0, and BracketFailure when every zeta_i
-    vanishes or the search misses the tolerance within its iteration cap.
+    Raises DimensionMismatch for a residual whose shape is not (m,),
+    NonFiniteInput for one whose norm is not finite, ZeroGradient when
+    J^T r = 0, and BracketFailure when every zeta_i vanishes or the search
+    misses the tolerance within its iteration cap.
     """
     r = np.asarray(r, dtype=float)
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
+    if r.shape != (factors.m,):
+        raise DimensionMismatch(f"residual has shape {r.shape}, expected ({factors.m},)")
+    rnorm = euclidean_norm(r)
+    if not math.isfinite(rnorm):
+        raise NonFiniteInput(f"the residual norm is {rnorm}: a NaN or infinite entry, or overflow")
     omega = _omega_kernel(factors, r)
     zeta_p = float(factors.sigma[-1] / factors.mu[-1])
     if zeta_p == 0.0:
         raise BracketFailure(
             "all generalized singular values vanish; the admissible interval is empty"
         )
-    rnorm = euclidean_norm(r)
-    target = q * rnorm
-    rtol = cfg.lambda_root_tol
+    target, tol = q * rnorm, cfg.lambda_root_tol * rnorm
     bound = q / (1.0 - q) * zeta_p**2
 
-    hi = bound * (1.0 + rtol)
-    val_hi = omega(hi)
-    if abs(val_hi - target) <= rtol * rnorm:
-        return hi, "equality", 1
     lo = _BRACKET_LO_FACTOR * zeta_p**2
-    val_lo = omega(lo)
-    if abs(val_lo - target) <= rtol * rnorm:
-        return lo, "equality", 2
-    if val_hi < target or val_lo >= target:
-        return cfg.lambda_fallback_factor * bound, "inequality-fallback", 2
+    val = omega(lo)
+    if abs(val - target) <= tol:
+        return lo, "equality", 1
+    if val >= target:
+        return cfg.lambda_fallback_factor * bound, "inequality-fallback", 1
 
-    # omega(lo) < target < omega(hi); Newton starts from the top
-    _, lam = omega(hi, target)
-    for evals in range(4, _SEARCH_MAX_ITER + 4):
-        if not lo < lam < hi:
-            lam = float(np.sqrt(lo) * np.sqrt(hi))
+    lam = hi = bound * (1.0 + cfg.lambda_root_tol)
+    for evals in range(2, _SEARCH_MAX_ITER + 3):
         val, lam_next = omega(lam, target)
-        if abs(val - target) <= rtol * rnorm:
+        if abs(val - target) <= tol:
             return lam, "equality", evals
-        if val < target:
-            lo = lam
-        else:
+        if val >= target:
             hi = lam
-        lam = lam_next
+        elif evals == 2:  # below the target even at the top
+            return cfg.lambda_fallback_factor * bound, "inequality-fallback", 2
+        else:
+            lo = lam
+        lam = lam_next if lo < lam_next < hi else float(np.sqrt(lo) * np.sqrt(hi))
     raise BracketFailure(
         "the safeguarded Newton search did not reach the q-condition tolerance; "
         "monotonicity is likely lost to ill-conditioning"

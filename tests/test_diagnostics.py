@@ -24,7 +24,7 @@ from lmmss import (
     theta_exact,
     theta_noisy,
 )
-from lmmss.diagnostics import SweepReport, SweepRow
+from lmmss.diagnostics import SweepReport, SweepRow, check_tcc_settings
 from lmmss.scaling import identity, second_difference
 
 
@@ -76,6 +76,15 @@ class TestTccEstimate:
             estimate_tcc_constant(prob, identity(1), np.array([1.0]), rho=0.0, samples=100)
         with pytest.raises(ValueError):
             estimate_tcc_constant(prob, identity(1), np.array([1.0]), rho=0.5, samples=50)
+
+    def test_non_integral_samples_rejected(self):
+        prob = scalar_square_problem()
+        for samples in (150.5, 150.0, np.inf):
+            with pytest.raises(ValueError):
+                check_tcc_settings(0.5, samples)
+            with pytest.raises(ValueError):
+                estimate_tcc_constant(prob, identity(1), np.array([1.0]), rho=0.5, samples=samples)
+        check_tcc_settings(0.5, np.int64(150))
 
     def test_samples_stay_in_ball(self):
         prob = make_problem("coefficient", 10)

@@ -47,6 +47,8 @@ class TestSolverConfig:
             {"q": 1.0},
             {"q": 0.5, "tau": 2.0},  # tau * q = 1, needs > 1
             {"max_iter": 0},
+            {"max_iter": 2.5},
+            {"max_iter": np.inf},
             {"lambda_fallback_factor": 1.0},
             {"lambda_root_tol": 0.0},
             {"tau": np.inf},
@@ -63,6 +65,9 @@ class TestSolverConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
 
 
 class TestLmStep:
@@ -121,6 +126,11 @@ class TestLmStepGsvd:
         r = rng.standard_normal(6)
         f = gsvd(J, L.matrix)
         assert np.linalg.norm(lm_step_gsvd(f, r, 1e12)) < 1e-10
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(NonpositiveLambda):
+            lm_step_gsvd(gsvd(np.eye(2), np.eye(2)), np.ones(2), lam)
 
 
 class TestQcondResidual:
@@ -219,6 +229,73 @@ class TestSelectLambda:
         zeta_p = generalized_singular_values(gsvd(J, np.eye(4)))[-1]
         assert lam == pytest.approx(CFG.lambda_fallback_factor * zeta_p**2, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "J, L, r, q, kind, evals",
+        [
+            # omega(floor) = rho_perp = q ||r||: equality at the floor
+            ([[0.0], [1.0]], identity(1), [0.6, 0.8], 0.6, "equality", 1),
+            # omega(floor) = rho_perp = 1 > q ||r||: fallback at the floor
+            ([[0.0], [1.0]], identity(1), [1.0, 0.1], 0.5, "inequality-fallback", 1),
+            # omega(lam) = lam / (1 + lam) ||r|| meets q ||r|| at the top
+            (np.eye(2), identity(2), [3.0, 4.0], 0.5, "equality", 2),
+            # r lies mostly along J N(L), removed for every lam: omega(top) < q ||r||
+            (np.eye(3), first_difference(3), [1.1, 1.0, 0.9], 0.5, "inequality-fallback", 2),
+        ],
+        ids=["floor-equality", "floor-fallback", "top-equality", "top-fallback"],
+    )
+    def test_evals_per_regime(self, J, L, r, q, kind, evals):
+        assert select_lambda_q(gsvd(np.array(J), L), np.array(r), q, CFG)[1:] == (kind, evals)
+
+    @pytest.mark.parametrize(
+        "J, L, r, q",
+        [
+            # r lies in J N(L): gamma = 0 and omega = rho_perp for every lam
+            (np.eye(2), [[1.0, 0.0]], [0.0, 1.0], 0.5),
+            # gamma > 0 only on a direction with sigma = 0, so d omega / d lam = 0
+            (np.diag([1.0, 0.0, 1.0]), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0, 1.0, 1.0], 0.8),
+        ],
+        ids=["zero-gamma", "zero-slope"],
+    )
+    def test_flat_omega_falls_back_at_the_top(self, J, L, r, q):
+        # omega(floor) < q ||r||, so the top is evaluated in the Newton form,
+        # which has no iterate on a flat omega; RuntimeWarnings are errors here
+        lam, kind, evals = select_lambda_q(gsvd(J, from_matrix(L)), np.array(r), q, CFG)
+        assert (kind, evals) == ("inequality-fallback", 2)
+
+    def test_no_lambda_evaluated_twice(self, monkeypatch):
+        J, r = self._spread_pair()
+        kernel = lmmss.solver._omega_kernel
+        evaluated = []
+
+        def recording_kernel(factors, res):
+            omega = kernel(factors, res)
+
+            def recorded(lam, target=None):
+                evaluated.append(lam)
+                return omega(lam, target)
+
+            return recorded
+
+        monkeypatch.setattr(lmmss.solver, "_omega_kernel", recording_kernel)
+        lam, kind, evals = select_lambda_q(gsvd(J, identity(3)), r, 0.5, CFG)
+        assert kind == "equality"
+        assert evals == len(evaluated) > 2
+        assert len(set(evaluated)) == len(evaluated)
+
+    @pytest.mark.parametrize(
+        "r, error",
+        [
+            (np.ones(4), lmmss.DimensionMismatch),
+            (np.ones((3, 1)), lmmss.DimensionMismatch),
+            (np.array([1.0, np.nan, 1.0]), lmmss.NonFiniteInput),
+            (np.array([1.0, np.inf, 1.0]), lmmss.NonFiniteInput),
+        ],
+        ids=["long", "column", "nan", "inf"],
+    )
+    def test_malformed_residual_rejected(self, r, error):
+        with pytest.raises(error):
+            select_lambda_q(gsvd(np.eye(3), identity(3)), r, 0.5, CFG)
+
     def test_zero_gradient_rejected(self):
         J = np.array([[1.0], [0.0]])
         with pytest.raises(ZeroGradient):
@@ -287,7 +364,7 @@ class TestSelectLambda:
                 if target is None:
                     return omega(lam)
                 val, lam_next = omega(lam, target)
-                first = len(evaluated) == 3  # the top, evaluated again for Newton
+                first = len(evaluated) == 2  # the top, the first Newton call
                 return val, (0.0 if leave == "every" or first else lam_next)
 
             return patched
@@ -296,11 +373,11 @@ class TestSelectLambda:
         lam, kind, evals = select_lambda_q(f, r, 0.5, CFG)
         assert kind == "equality"
         assert evals == len(evaluated)
-        # evaluations: top, floor, top again for the first Newton iterate,
-        # then the bisection point of the whole bracket
-        top, floor = evaluated[:2]
-        assert evaluated[2] == top
-        assert evaluated[3] == pytest.approx(np.sqrt(top * floor), rel=1e-15)
+        # evaluations: floor, top (the first Newton call), then the
+        # bisection point of the whole bracket
+        floor, top = evaluated[:2]
+        assert floor < top
+        assert evaluated[2] == pytest.approx(np.sqrt(top * floor), rel=1e-15)
         rnorm = np.linalg.norm(r)
         assert abs(omega_reference(J, identity(3), r, lam) - 0.5 * rnorm) <= (
             CFG.lambda_root_tol * rnorm
