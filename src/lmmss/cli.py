@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import sys
 from dataclasses import dataclass, fields, replace
@@ -531,7 +532,11 @@ def _add_common(sp):
     sp.add_argument("--x0", dest="x0_file", help="initial guess file")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args fills a fresh namespace on every call,
+    # and main looks the command function up by name, so the cached parser
+    # holds no reference to it.
     parser = argparse.ArgumentParser(
         prog="lmmss",
         description="Regularizing Levenberg-Marquardt solver with singular scaling",
@@ -540,22 +545,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="run a single solve and write its trace")
     _add_common(sp)
-    sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("sweep", help="run a noise sweep over delta levels and seeds")
     _add_common(sp)
-    sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("diagnose", help="verify the convergence guarantees on runs")
     _add_common(sp)
     sp.add_argument("--from-dir", dest="from_dir", help="reuse solve artifacts from a directory")
-    sp.set_defaults(func=cmd_diagnose)
 
     sp = sub.add_parser("gsvd", help="factor a matrix pair read from text files")
     sp.add_argument("matrix_a", help="whitespace-delimited matrix A")
     sp.add_argument("matrix_l", help="whitespace-delimited matrix L")
     sp.add_argument("--tol", type=float, default=1e-10, help="validation tolerance")
-    sp.set_defaults(func=cmd_gsvd)
 
     return parser
 
@@ -563,7 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,7 +49,9 @@ class InverseProblem:
     ``x_dagger`` must be finite (NonFiniteInput otherwise).  When an exact
     solution ``x_dagger`` is supplied it must reproduce ``y_exact`` to within
     ``1e-10 * (1 + ||y_exact||)`` (zero-residual setting); a NaN residual
-    fails this check.  Instances compare and hash by identity.
+    fails this check.  ``eval_jvp(x, v)``, when given, returns the product
+    ``J(x) v`` without forming J; without it ``evaluate_jvp`` multiplies by
+    ``evaluate_J(x)``.  Instances compare and hash by identity.
     """
 
     name: str
@@ -60,6 +62,7 @@ class InverseProblem:
     x_dagger: np.ndarray | None = None
     domain_hint: Box | None = None
     x0_default: np.ndarray | None = None
+    eval_jvp: Callable | None = None
 
     def __post_init__(self):
         if np.ndim(self.y_exact) != 1:
@@ -88,12 +91,23 @@ class InverseProblem:
         """Evaluate the Jacobian, guarding shape and finiteness."""
         return self._evaluate(self.eval_J, x, (self.m, self.n), "Jacobian evaluation")
 
-    def _evaluate(self, fn, x, shape, what) -> np.ndarray:
+    def evaluate_jvp(self, x, v) -> np.ndarray:
+        """Evaluate J(x) v under the guards of evaluate_F; ``evaluate_J(x) @ v`` without a hook."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.n,):
+            raise DimensionMismatch(f"v has shape {v.shape}, expected ({self.n},)")
+        fn = self.eval_jvp if self.eval_jvp is not None else self._dense_jvp
+        return self._evaluate(fn, x, (self.m,), "Jacobian-vector product", v)
+
+    def _dense_jvp(self, x, v) -> np.ndarray:
+        return self.evaluate_J(x) @ v
+
+    def _evaluate(self, fn, x, shape, what, *args) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionMismatch(f"x has shape {x.shape}, expected ({self.n},)")
         try:
-            out = np.asarray(fn(x), dtype=float)
+            out = np.asarray(fn(x, *args), dtype=float)
         except EvaluationFailure:
             raise
         except Exception as exc:
@@ -164,6 +178,7 @@ def problem_linear_illposed(n: int) -> InverseProblem:
         y_exact=A @ x_dag,
         x_dagger=x_dag,
         x0_default=np.zeros(n),
+        eval_jvp=lambda x, v: A @ v,
     )
 
 
@@ -173,13 +188,18 @@ def problem_autoconvolution(n: int) -> InverseProblem:
     The unknown lives on the grid ``t_i = i/n``; the boundary value x(0) is
     pinned to 1 (the exact profile ``1 + sin(2 pi t)`` attains it), which the
     trapezoid endpoints require.  The map is quadratic in x with an analytic
-    lower-triangular Jacobian.
+    lower-triangular Jacobian, ``h bc I`` plus ``h`` times the strictly lower
+    Toeplitz matrix of ``2 x``; its product with v is one more convolution.
     """
     if n < 8:
         raise DimensionTooSmall("autoconvolution problem needs n >= 8")
     h = 1.0 / n
     t = np.arange(1, n + 1) * h
     bc = 1.0
+    # J[i, j] = h * col[i - j] below the diagonal; the lag is clipped at 0 and
+    # col[0] = 0, which fills the diagonal and above.
+    lag = np.maximum(np.subtract.outer(np.arange(n), np.arange(n)), 0)
+    diagonal = (h * bc) * np.eye(n)
 
     def eval_F(x):
         F = h * bc * x.astype(float).copy()
@@ -188,7 +208,12 @@ def problem_autoconvolution(n: int) -> InverseProblem:
 
     def eval_J(x):
         col = np.concatenate(([0.0], 2.0 * x[: n - 1]))
-        return h * scipy.linalg.toeplitz(col, np.zeros(n)) + (h * bc) * np.eye(n)
+        return h * col[lag] + diagonal
+
+    def eval_jvp(x, v):
+        Jv = (h * bc) * v
+        Jv[1:] += (2.0 * h) * np.convolve(x, v)[: n - 1]
+        return Jv
 
     x_dag = 1.0 + np.sin(2.0 * np.pi * t)
     return InverseProblem(
@@ -199,6 +224,7 @@ def problem_autoconvolution(n: int) -> InverseProblem:
         y_exact=eval_F(x_dag),
         x_dagger=x_dag,
         x0_default=np.ones(n),
+        eval_jvp=eval_jvp,
     )
 
 
@@ -231,8 +257,9 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
     unknowns are the nodal conductivities a_i (flux points by averaging,
     constant extension at the boundary).  The forward solve is one
     tridiagonal system; the Jacobian comes from the sensitivity equation,
-    one tridiagonal solve per column.  Evaluation fails when any a_i drops
-    to the positivity floor ``A_MIN``.
+    one tridiagonal solve per column, and its product with a direction v
+    from one forward and one sensitivity solve.  Evaluation fails when any
+    a_i drops to the positivity floor ``A_MIN``.
 
     The source ``f = 4 pi^2 cos(2 pi t)`` makes the flux vanish at the
     boundary, so the solution is least sensitive to boundary-adjacent
@@ -245,18 +272,21 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
     f = 4.0 * np.pi**2 * np.cos(2.0 * np.pi * t)
     rhs = h * h * f
 
+    def state(a):
+        # Flux-point conductivities and the differences of the forward solution.
+        if (a <= A_MIN).any():
+            raise NonpositiveCoefficient(f"conductivity at or below {A_MIN}")
+        am = _conductivity_halfpoints(a)
+        ue = np.concatenate(([0.0], _conductivity_solve(am, rhs), [0.0]))
+        return am, ue[1:] - ue[:-1]
+
     def forward(a):
         if (a <= A_MIN).any():
             raise NonpositiveCoefficient(f"conductivity at or below {A_MIN}")
         return _conductivity_solve(_conductivity_halfpoints(a), rhs)
 
     def jacobian(a):
-        if (a <= A_MIN).any():
-            raise NonpositiveCoefficient(f"conductivity at or below {A_MIN}")
-        am = _conductivity_halfpoints(a)
-        u = _conductivity_solve(am, rhs)
-        ue = np.concatenate(([0.0], u, [0.0]))
-        diff = ue[1:] - ue[:-1]
+        am, diff = state(a)
         # B[:, k] = d(T u)/d am_k: flux point k couples rows k-1 and k.
         B = np.zeros((n, n + 1))
         idx = np.arange(n)
@@ -270,6 +300,11 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
         G[:, 1:] += 0.5 * B[:, 1:n]
         return -_conductivity_solve(am, G)
 
+    def jvp(a, v):
+        # J v = -T^-1 G v, and G v = B halfpoints(v) = -diff(diff * halfpoints(v)).
+        am, diff = state(a)
+        return _conductivity_solve(am, np.diff(diff * _conductivity_halfpoints(v)))
+
     a_dag = 1.0 + 0.5 * np.sin(np.pi * t)
     return InverseProblem(
         name="coefficient",
@@ -280,6 +315,7 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
         x_dagger=a_dag,
         domain_hint=Box(lower=np.full(n, 0.05), upper=np.full(n, np.inf)),
         x0_default=np.ones(n),
+        eval_jvp=jvp,
     )
 
 
@@ -333,4 +369,5 @@ def problem_from_files(matrix_path, rhs_path, solution_path=None) -> InverseProb
         y_exact=y,
         x_dagger=x_dag,
         x0_default=np.zeros(n),
+        eval_jvp=lambda x, v: A @ v,
     )

@@ -92,6 +92,37 @@ class TestConfig:
         assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
+class TestParserReuse:
+    """The parser is built once per process; every ``main`` call starts afresh."""
+
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_command_looked_up_at_call_time(self, monkeypatch):
+        # a command function rebound after the parser was built is the one run
+        _build_parser()
+        monkeypatch.setattr(lmmss.cli, "cmd_gsvd", lambda args: 7)
+        assert main(["gsvd", "A.txt", "L.txt"]) == 7
+
+    def test_consecutive_runs_share_no_state(self, tmp_path):
+        common = ["--problem", "linear", "--n", "12", "--q", "0.5", "--tau", "2.5"]
+        run = tmp_path / "run"
+        assert main([
+            "sweep", *common, "--delta", "1e-1", "--delta", "1e-2", "--seed", "1", "--seed", "2",
+            "--out", str(tmp_path / "sweep"),
+        ]) == 0
+        assert main(["solve", *common, "--delta", "1e-3", "--seed", "3", "--out", str(run)]) == 0
+        cfg = load_config(run / "config.ini")
+        assert cfg.deltas == (1e-3,) and cfg.seeds == (3,)
+        assert main(["diagnose", "--from-dir", str(run), "--out", str(tmp_path / "reloaded")]) == 0
+        # a leaked --from-dir would turn the flags below into an input error (exit 2)
+        fresh = tmp_path / "fresh"
+        argv = ["diagnose", *common, "--delta", "1e-2", "--seed", "4", "--out", str(fresh)]
+        assert main(argv) == 0
+        cfg = load_config(fresh / "config.ini")
+        assert cfg.deltas == (1e-2,) and cfg.seeds == (4,)
+
+
 class TestSolveCommand:
     def test_linear_contraction_trace_rows(self, tmp_path, capsys):
         n = 16

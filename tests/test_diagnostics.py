@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from lmmss import (
     theta_exact,
     theta_noisy,
 )
-from lmmss.diagnostics import SweepReport, SweepRow, check_tcc_settings
+from lmmss.diagnostics import SweepReport, SweepRow, _extreme_eigenvalue, check_tcc_settings
 from lmmss.scaling import identity, second_difference
 
 
@@ -304,6 +306,27 @@ class TestEuclideanBound:
         rep = check_euclidean_bound(run, prob, prob.x_dagger, L, est.c_hat)
         assert len(rep.lhs) == len(run.trace) - 1  # evaluated per iteration
 
+    def test_norms_from_normal_matrix_match_dense_formulas(self):
+        # ||J|| from lambda_max(J^T J) and lambda_min(J^T J + lam L^T L) by
+        # one-index dsyevr calls, against the full SVD and eigvalsh.  Both
+        # eigenvalue routines are backward stable, so lambda_min agrees to
+        # rounding relative to ||M||, not to itself once M is ill conditioned.
+        n = 64
+        prob = make_problem("coefficient", n)
+        L = second_difference(n)
+        run = solve(prob, None, L, prob.x0_default, SolverConfig())
+        LTL = L.matrix.T @ L.matrix
+        for rec in run.trace[:-1]:
+            J = prob.evaluate_J(rec.x)
+            JTJ = J.T @ J
+            J_norm = np.sqrt(_extreme_eigenvalue(JTJ, n))
+            assert J_norm == pytest.approx(np.linalg.norm(J, 2), rel=1e-12)
+            M = JTJ + rec.lam * LTL
+            eigs = np.linalg.eigvalsh(M)
+            assert abs(_extreme_eigenvalue(M, 1) - eigs[0]) <= 1e-12 * eigs[-1]
+        rep = check_euclidean_bound(run, prob, prob.x_dagger, L, c=0.5)
+        assert len(rep.rhs) == len(run.trace) - 1
+
     def test_requires_exact_mode(self):
         prob = make_problem("linear", 8)
         data = make_noisy_data(prob.y_exact, 0.01, seed=0)
@@ -389,6 +412,25 @@ class TestRunRatios:
         ratios = run_tcc_ratios(prob, L, run, prob.x_dagger)
         assert ratios.shape == (len(run.trace),)
         assert np.all(ratios >= 0.0)
+
+
+@pytest.mark.parametrize("spec", ["identity", "d2"])
+@pytest.mark.parametrize("name", ["linear", "autoconvolution", "coefficient"])
+def test_tcc_on_jvp_hook_matches_dense_jacobian(name, spec):
+    # the sampled constant and the run ratios need J(x) v only; the bundled
+    # closed-form products must give what the dense Jacobian gives
+    n = 32
+    prob = make_problem(name, n)
+    dense = dataclasses.replace(prob, eval_jvp=None)
+    L = identity(n) if spec == "identity" else second_difference(n)
+    x0 = prob.x0_default
+    run = solve(prob, make_noisy_data(prob.y_exact, 1e-3, seed=1), L, x0, SolverConfig())
+    assert prob.eval_jvp is not None and dense.eval_jvp is None
+    got, want = (estimate_tcc_constant(p, L, x0, rho=0.5, seed=1) for p in (prob, dense))
+    assert got.samples == want.samples
+    assert got.c_hat == pytest.approx(want.c_hat, rel=1e-10, abs=1e-300)
+    got, want = (run_tcc_ratios(p, L, run, prob.x_dagger) for p in (prob, dense))
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 _RECORDS = {

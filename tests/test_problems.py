@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,7 +20,7 @@ from lmmss import (
     problem_from_files,
     problem_linear_illposed,
 )
-from lmmss.problems import _conductivity_halfpoints, _conductivity_solve
+from lmmss.problems import A_MIN, _conductivity_halfpoints, _conductivity_solve
 from helpers import central_diff_jacobian
 
 ALL_NAMES = ("linear", "autoconvolution", "coefficient")
@@ -297,6 +299,76 @@ class TestInverseProblemWrapper:
     def test_unknown_problem_name(self):
         with pytest.raises(ValueError, match="autoconvolution"):
             make_problem("nosuch", 10)
+
+
+def in_domain_point_and_direction(prob, seed):
+    rng = np.random.default_rng(seed)
+    x = prob.x_dagger + 0.2 * rng.standard_normal(prob.n)
+    return np.clip(x, 0.2, None), rng.standard_normal(prob.n)
+
+
+class TestJacobianVectorProduct:
+    @pytest.mark.parametrize("n", [16, 32, 128])
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_hook_matches_dense_product(self, name, n):
+        prob = make_problem(name, n)
+        assert prob.eval_jvp is not None
+        for seed in range(5):
+            x, v = in_domain_point_and_direction(prob, seed)
+            want = prob.evaluate_J(x) @ v
+            got = prob.evaluate_jvp(x, v)
+            assert got.shape == (prob.m,)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_from_files_has_hook(self, tmp_path):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((6, 4))
+        np.savetxt(tmp_path / "A.txt", A, fmt="%.17g")
+        np.savetxt(tmp_path / "y.txt", A @ np.ones(4), fmt="%.17g")
+        prob = problem_from_files(tmp_path / "A.txt", tmp_path / "y.txt")
+        assert prob.eval_jvp is not None
+        v = rng.standard_normal(4)
+        np.testing.assert_allclose(prob.evaluate_jvp(np.zeros(4), v), A @ v, rtol=1e-14)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_no_hook_falls_back_to_jacobian(self, name):
+        prob = dataclasses.replace(make_problem(name, 16), eval_jvp=None)
+        x, v = in_domain_point_and_direction(prob, 9)
+        assert prob.evaluate_jvp(x, v).tobytes() == (prob.evaluate_J(x) @ v).tobytes()
+
+    @pytest.mark.parametrize("hook", [True, False])
+    def test_wrong_lengths_rejected(self, hook):
+        prob = make_problem("autoconvolution", 16)
+        if not hook:
+            prob = dataclasses.replace(prob, eval_jvp=None)
+        with pytest.raises(DimensionMismatch, match=r"x has shape \(15,\), expected \(16,\)"):
+            prob.evaluate_jvp(np.ones(15), np.ones(16))
+        with pytest.raises(DimensionMismatch, match=r"v has shape \(17,\), expected \(16,\)"):
+            prob.evaluate_jvp(np.ones(16), np.ones(17))
+
+    @pytest.mark.parametrize(
+        "eval_jvp, message",
+        [
+            (lambda x, v: 1 / 0, "product failed: division by zero"),
+            (lambda x, v: np.ones(3), r"product returned shape \(3,\), expected \(2,\)"),
+            (lambda x, v: np.array([1.0, np.nan]), "product returned non-finite values"),
+        ],
+        ids=["raises", "shape", "non-finite"],
+    )
+    def test_hook_guards(self, eval_jvp, message):
+        prob = InverseProblem(
+            name="bad-jvp", eval_F=lambda x: x, eval_J=lambda x: np.eye(2), n=2,
+            y_exact=np.zeros(2), eval_jvp=eval_jvp,
+        )
+        with pytest.raises(EvaluationFailure, match=f"^Jacobian-vector {message}"):
+            prob.evaluate_jvp(np.zeros(2), np.ones(2))
+
+    def test_coefficient_positivity_floor(self):
+        prob = problem_coefficient_identification(8)
+        bad = np.ones(8)
+        bad[3] = 0.5 * A_MIN
+        with pytest.raises(NonpositiveCoefficient):
+            prob.evaluate_jvp(bad, np.ones(8))
 
 
 class TestProblemFromFiles:
