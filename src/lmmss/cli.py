@@ -112,6 +112,14 @@ _TRACE = {
     "omega_evals": ("omega_evals", int),
 }
 
+#: The ``gain_*.csv`` and ``euclidean.csv`` columns after ``k``: column -> report field.
+_GAIN = {
+    "gain": "gains", "rhs_step": "rhs_step", "rhs_residual": "rhs_residual",
+    "rhs_spectral": "rhs_spectral", "qcond_kind": "kinds", "ok_step": "ok_step",
+    "ok_residual": "ok_residual", "ok_spectral": "ok_spectral",
+}
+_EUCLIDEAN = {"lhs": "lhs", "rhs": "rhs", "ok": "ok"}
+
 
 def load_config(path) -> ExperimentConfig:
     """Parse an INI config file into an ExperimentConfig."""
@@ -276,7 +284,7 @@ def cmd_solve(args) -> int:
         ("final_residual", run.trace[-1].res_norm),
     ]
     if problem.x_dagger is not None:
-        err = float(np.linalg.norm(run.final_x - problem.x_dagger))
+        err = scaling.euclidean_norm(run.final_x - problem.x_dagger)
         pairs.append(("final_error_euclid", err))
         pairs.append(
             ("final_error_Lnorm", scaling.seminorm(L, run.final_x - problem.x_dagger))
@@ -396,28 +404,10 @@ def _reload_run(run_dir: Path, digest: str) -> RunRecord:
     return run
 
 
-def _write_gain_csv(path: Path, report, digest: str):
-    """One row per step; ``ok_residual`` and ``ok_spectral`` only on equality rows."""
-    rows = []
-    for k, kind in enumerate(report.kinds):
-        eq = kind == "equality"
-        ok_step, ok_res, ok_spec = (
-            int((k, which) not in report.violations)
-            for which in ("step", "residual", "spectral")
-        )
-        rows.append((
-            k,
-            report.gains[k],
-            report.rhs_step[k],
-            report.rhs_residual[k],
-            report.rhs_spectral[k],
-            kind,
-            ok_step,
-            ok_res if eq else None,
-            ok_spec if eq else None,
-        ))
-    header = "k,gain,rhs_step,rhs_residual,rhs_spectral,qcond_kind,ok_step,ok_residual,ok_spectral"
-    _write_table(path, digest, header, rows)
+def _write_report(path: Path, digest: str, report, columns: dict[str, str]):
+    """Write one row per step of a report: ``k``, then ``columns``."""
+    rows = zip(*(getattr(report, name) for name in columns.values()))
+    _write_table(path, digest, ",".join(["k", *columns]), [(k, *row) for k, row in enumerate(rows)])
 
 
 def cmd_diagnose(args) -> int:
@@ -429,7 +419,6 @@ def cmd_diagnose(args) -> int:
         cfg = load_config(Path(args.from_dir) / "config.ini")
     else:
         cfg = resolve_config(args)
-    diagnostics.check_tcc_settings(cfg.tcc_rho, cfg.tcc_samples)
     problem, L, scfg, x0, out, digest = _prepare(cfg, args)
     if args.from_dir:
         runs = [_reload_run(Path(args.from_dir), digest)]
@@ -444,73 +433,58 @@ def cmd_diagnose(args) -> int:
         if delta > 0.0:
             data = make_noisy_data(problem.y_exact, delta, seed)
             runs.append(solve(problem, data, L, x0, scfg))
-    _write_config(out, cfg)
 
+    # Every report is computed before the first file is written: a failed diagnose writes nothing.
     tcc = diagnostics.estimate_tcc_constant(
         problem, L, x0, rho=cfg.tcc_rho, samples=cfg.tcc_samples, seed=cfg.seeds[0]
     )
+    summary_pairs = [("config_digest", digest), ("c_hat", tcc.c_hat)]
     if problem.x_dagger is None:
-        _write_text(
-            out / "diagnostics_summary.txt",
-            _summary_lines(
-                [
-                    ("config_digest", digest),
-                    ("c_hat", tcc.c_hat),
-                    ("notice", "no exact solution: gain and bound checks skipped"),
-                ]
-            ),
-        )
+        summary_pairs.append(("notice", "no exact solution: gain and bound checks skipped"))
+        _write_config(out, cfg)
+        _write_text(out / "diagnostics_summary.txt", _summary_lines(summary_pairs))
         print("diagnose: no exact solution, gain and bound checks skipped")
         return 0
 
     x_star = problem.x_dagger
     c_used = tcc.c_hat
-    c_run = max(
-        float(diagnostics.run_tcc_ratios(problem, L, run, x_star).max()) for run in runs
-    )
+    c_run = max(float(diagnostics.run_tcc_ratios(problem, L, run, x_star).max()) for run in runs)
     dist0 = scaling.seminorm(L, np.asarray(x0, float) - x_star)
 
-    hard_violation = False
-    summary_pairs = [
-        ("config_digest", digest),
-        ("c_hat", tcc.c_hat),
+    summary_pairs += [
         ("c_run_pairs", c_run),
         ("tcc_rho", tcc.rho),
         ("tcc_samples", tcc.samples),
         ("dist0_Lnorm", dist0),
     ]
+    reports = []
     for run in runs:
+        euclid = kstar = None
         if run.mode == "exact":
             theta = diagnostics.theta_exact(scfg.q, c_used, dist0)
+            euclid = diagnostics.check_euclidean_bound(run, problem, x_star, L, c_used)
         else:
             theta = diagnostics.theta_noisy(scfg.q, scfg.tau, c_used, dist0)
         gain = diagnostics.check_gain(run, x_star, L, scfg.q, theta)
-        _write_gain_csv(out / f"gain_{run.mode}.csv", gain, digest)
-        summary_pairs += [
-            (f"theta_{run.mode}", theta),
-            (f"gain_{run.mode}_violations", len(gain.violations)),
-        ]
-        if run.mode == "exact":
-            euclid = diagnostics.check_euclidean_bound(run, problem, x_star, L, c_used)
-            _write_table(
-                out / "euclidean.csv",
-                digest,
-                "k,lhs,rhs,ok",
-                [
-                    (k, lhs, rhs, int(k not in euclid.violations))
-                    for k, (lhs, rhs) in enumerate(zip(euclid.lhs, euclid.rhs))
-                ],
-            )
-            summary_pairs.append(("euclidean_violations", len(euclid.violations)))
         if run.stop_reason == "discrepancy":
-            ks = diagnostics.check_kstar_bound(run, x_star, L, scfg.q, scfg.tau, theta)
-            pairs = [("config_digest", digest)]
-            pairs += [(f.name, getattr(ks, f.name)) for f in fields(ks)]
-            _write_text(out / "kstar_report.txt", _summary_lines(pairs))
-            summary_pairs.append(("kstar_bound_holds", ks.holds_squared))
-        hard_violation |= any(which == "step" for _, which in gain.violations)
+            kstar = diagnostics.check_kstar_bound(run, x_star, L, scfg.q, scfg.tau, theta)
+        reports.append((run.mode, theta, gain, euclid, kstar))
 
+    _write_config(out, cfg)
+    for mode, theta, gain, euclid, kstar in reports:
+        _write_report(out / f"gain_{mode}.csv", digest, gain, _GAIN)
+        summary_pairs.append((f"theta_{mode}", theta))
+        summary_pairs.append((f"gain_{mode}_violations", len(gain.violations)))
+        if euclid is not None:
+            _write_report(out / "euclidean.csv", digest, euclid, _EUCLIDEAN)
+            summary_pairs.append(("euclidean_violations", len(euclid.violations)))
+        if kstar is not None:
+            pairs = [("config_digest", digest)]
+            pairs += [(f.name, getattr(kstar, f.name)) for f in fields(kstar)]
+            _write_text(out / "kstar_report.txt", _summary_lines(pairs))
+            summary_pairs.append(("kstar_bound_holds", kstar.holds_squared))
     _write_text(out / "diagnostics_summary.txt", _summary_lines(summary_pairs))
+    hard_violation = any(0 in gain.ok_step for _, _, gain, _, _ in reports)
     print(f"diagnose: c_hat={c_used:.6g} hard_violation={hard_violation}")
     return 1 if hard_violation else 0
 

@@ -50,8 +50,11 @@ def tcc_ratio(problem: InverseProblem, L: ScalingOperator, x, x_tilde) -> float 
     """
     x = np.asarray(x, dtype=float)
     x_tilde = np.asarray(x_tilde, dtype=float)
-    Fx = problem.evaluate_F(x)
-    Fxt = problem.evaluate_F(x_tilde)
+    return _tcc_ratio(problem, L, x, x_tilde, problem.evaluate_F(x), problem.evaluate_F(x_tilde))
+
+
+def _tcc_ratio(problem, L, x, x_tilde, Fx, Fxt) -> float | None:
+    """``tcc_ratio`` with the forward values ``Fx = F(x)`` and ``Fxt = F(x_tilde)`` given."""
     lhs = euclidean_norm(problem.evaluate_jvp(x, x_tilde - x) - Fxt + Fx)
     rhs = seminorm(L, x_tilde - x) * euclidean_norm(Fxt - Fx)
     if rhs < _DENOM_FLOOR:
@@ -125,11 +128,16 @@ def run_tcc_ratios(problem, L, run: RunRecord, x_star) -> np.ndarray:
     """Tangential-cone ratios between each trace iterate and x_star.
 
     Useful to sharpen a sampled estimate to the pairs an actual run visits.
+    F(x_star) is evaluated once per call, F at each iterate once.
     """
     if x_star is None:
         raise MissingExactSolution("run_tcc_ratios needs the exact solution")
     x_star = np.asarray(x_star, dtype=float)
-    ratios = [tcc_ratio(problem, L, rec.x, x_star) for rec in run.trace]
+    F_star = problem.evaluate_F(x_star)
+    ratios = [
+        _tcc_ratio(problem, L, rec.x, x_star, problem.evaluate_F(rec.x), F_star)
+        for rec in run.trace
+    ]
     return np.array([0.0 if r is None else r for r in ratios])
 
 
@@ -149,14 +157,14 @@ def theta_noisy(q: float, tau: float, c: float, dist_L: float) -> float:
 class GainReport:
     """Per-iteration gains ``||x_k - x*||_L^2 - ||x_{k+1} - x*||_L^2``.
 
-    Three lower bounds are computed at every iteration and checked with
-    slack ``-1e-10 * (1 + initial squared L-distance)``: the squared L-norm
-    of the step at every iteration, and (at equality-kind iterations only,
-    since they presume the q-condition holds with equality) ``2(theta-1)/(theta
-    lam) ||linearized residual||^2`` and ``2(theta-1)(1-q)q / (zeta_p^2 theta)
-    ||residual||^2``.  ``assumption_ok`` is False when theta <= 1, flagging
-    that the initial-guess assumption is breached rather than failing the
-    check.
+    Three lower bounds are computed at every iteration: the squared step
+    L-norm, ``2(theta-1)/(theta lam) ||linearized residual||^2`` and
+    ``2(theta-1)(1-q)q / (zeta_p^2 theta) ||residual||^2``.  Each ``ok_*``
+    verdict is 1 where the gain meets its bound within slack ``-1e-10 * (1 +
+    initial squared L-distance)``, 0 where not, and None for the last two
+    off equality-kind iterations, whose premise is the q-condition with
+    equality.  ``assumption_ok`` is False when theta <= 1, flagging that the
+    initial-guess assumption is breached rather than failing the check.
     """
 
     theta: float
@@ -165,11 +173,20 @@ class GainReport:
     rhs_residual: np.ndarray
     rhs_spectral: np.ndarray
     kinds: tuple[str, ...]
-    violations: tuple[tuple[int, str], ...]
+    ok_step: tuple[int, ...]
+    ok_residual: tuple[int | None, ...]
+    ok_spectral: tuple[int | None, ...]
 
     @property
     def assumption_ok(self) -> bool:
         return self.theta > 1.0
+
+    @property
+    def violations(self) -> tuple[tuple[int, str], ...]:
+        """The failed verdicts as ``(k, "step" | "residual" | "spectral")``, in order."""
+        rows = enumerate(zip(self.ok_step, self.ok_residual, self.ok_spectral))
+        names = ("step", "residual", "spectral")
+        return tuple((k, name) for k, oks in rows for name, ok in zip(names, oks) if ok == 0)
 
 
 def check_gain(run: RunRecord, x_star, L: ScalingOperator, q: float, theta: float) -> GainReport:
@@ -183,29 +200,29 @@ def check_gain(run: RunRecord, x_star, L: ScalingOperator, q: float, theta: floa
     gains = d2[:-1] - d2[1:]
     rhs_step = np.array([rec.step_Lnorm**2 for rec in steps])
     coef = 2.0 * (theta - 1.0) / theta
-    rhs_residual = np.array(
-        [coef / rec.lam * rec.lin_res_norm**2 for rec in steps]
-    )
+    rhs_residual = np.array([coef / rec.lam * rec.lin_res_norm**2 for rec in steps])
     rhs_spectral = np.array(
         [coef * (1.0 - q) * q / rec.zeta_p**2 * rec.res_norm**2 for rec in steps]
     )
-    violations = []
-    for k, rec in enumerate(steps):
-        if gains[k] - rhs_step[k] < slack:
-            violations.append((k, "step"))
-        if rec.qcond_kind == "equality":
-            if gains[k] - rhs_residual[k] < slack:
-                violations.append((k, "residual"))
-            if gains[k] - rhs_spectral[k] < slack:
-                violations.append((k, "spectral"))
+    kinds = tuple(rec.qcond_kind for rec in steps)
+
+    def verdicts(rhs, equality_only=False):
+        """1 where the gain meets ``rhs`` within the slack, 0 where not, None off the premise."""
+        return tuple(
+            None if equality_only and kind != "equality" else int(not gain - bound < slack)
+            for gain, bound, kind in zip(gains, rhs, kinds)
+        )
+
     return GainReport(
         theta=float(theta),
         gains=gains,
         rhs_step=rhs_step,
         rhs_residual=rhs_residual,
         rhs_spectral=rhs_spectral,
-        kinds=tuple(rec.qcond_kind for rec in steps),
-        violations=tuple(violations),
+        kinds=kinds,
+        ok_step=verdicts(rhs_step),
+        ok_residual=verdicts(rhs_residual, equality_only=True),
+        ok_spectral=verdicts(rhs_spectral, equality_only=True),
     )
 
 
@@ -253,11 +270,17 @@ def check_kstar_bound(
 
 @dataclass(frozen=True, eq=False)
 class EuclideanBoundReport:
-    """Per-iteration Euclidean distance of the new iterate against the seminorm bound."""
+    """Per-iteration Euclidean distance of the new iterate against the seminorm bound;
+    the verdict ``ok`` is 1 where ``lhs <= rhs (1 + 1e-10) + 1e-14``, 0 where not."""
 
     lhs: np.ndarray
     rhs: np.ndarray
-    violations: tuple[int, ...]
+    ok: tuple[int, ...]
+
+    @property
+    def violations(self) -> tuple[int, ...]:
+        """The iterations whose verdict failed."""
+        return tuple(k for k, ok in enumerate(self.ok) if not ok)
 
 
 def _extreme_eigenvalue(S: np.ndarray, index: int) -> float:
@@ -294,25 +317,19 @@ def check_euclidean_bound(
         raise ValueError("the Euclidean bound applies to exact-data runs")
     x_star = np.asarray(x_star, dtype=float)
     LTL = L.matrix.T @ L.matrix
-    lhs_list, rhs_list, violations = [], [], []
-    for k, rec in enumerate(run.trace[:-1]):
+    lhs, rhs = [], []
+    for rec, nxt in zip(run.trace, run.trace[1:]):
         J = problem.evaluate_J(rec.x)
         JTJ = J.T @ J
         J_norm = math.sqrt(max(_extreme_eigenvalue(JTJ, JTJ.shape[0]), 0.0))
         inv_norm = 1.0 / max(_extreme_eigenvalue(JTJ + rec.lam * LTL, 1), 1e-300)
         dist_L = seminorm(L, rec.x - x_star)
-        rhs = inv_norm * (
-            J_norm * c * rec.res_norm * dist_L
-            + rec.lam * L.spectral_norm * dist_L
+        rhs.append(
+            inv_norm * (J_norm * c * rec.res_norm * dist_L + rec.lam * L.spectral_norm * dist_L)
         )
-        lhs = float(np.linalg.norm(run.trace[k + 1].x - x_star))
-        lhs_list.append(lhs)
-        rhs_list.append(rhs)
-        if lhs > rhs * (1.0 + 1e-10) + 1e-14:
-            violations.append(k)
-    return EuclideanBoundReport(
-        lhs=np.array(lhs_list), rhs=np.array(rhs_list), violations=tuple(violations)
-    )
+        lhs.append(euclidean_norm(nxt.x - x_star))
+    ok = tuple(int(not a > b * (1.0 + 1e-10) + 1e-14) for a, b in zip(lhs, rhs))
+    return EuclideanBoundReport(lhs=np.array(lhs), rhs=np.array(rhs), ok=ok)
 
 
 @dataclass(frozen=True)
@@ -403,7 +420,7 @@ def regularization_sweep(
             delta=d,
             seed=s,
             k_star=run.k_star,
-            err_euclid=float(np.linalg.norm(run.final_x - problem.x_dagger)),
+            err_euclid=euclidean_norm(run.final_x - problem.x_dagger),
             err_Lnorm=seminorm(L, run.final_x - problem.x_dagger),
             final_residual=run.trace[-1].res_norm,
             stop_reason=run.stop_reason,

@@ -23,6 +23,7 @@ from .errors import (
     NonFiniteInput,
     NonpositiveCoefficient,
 )
+from .scaling import euclidean_norm
 
 #: Positivity floor for nodal conductivities.
 A_MIN = 1e-6
@@ -73,8 +74,8 @@ class InverseProblem:
             if value is not None and not np.isfinite(value).all():
                 raise NonFiniteInput(f"{name} has a NaN or infinite entry")
         if self.x_dagger is not None:
-            gap = float(np.linalg.norm(self.eval_F(self.x_dagger) - self.y_exact))
-            if not gap <= 1e-10 * (1.0 + float(np.linalg.norm(self.y_exact))):
+            gap = euclidean_norm(self.eval_F(self.x_dagger) - self.y_exact)
+            if not gap <= 1e-10 * (1.0 + euclidean_norm(np.asarray(self.y_exact, dtype=float))):
                 raise ValueError(
                     f"x_dagger is not a zero-residual solution (gap {gap:.3e})"
                 )
@@ -152,7 +153,7 @@ def make_noisy_data(y, delta: float, seed: int = 0) -> NoisyData:
     """
     y = np.asarray(y, dtype=float)
     u = np.random.default_rng(int(seed)).standard_normal(y.size)
-    u /= np.linalg.norm(u)
+    u /= euclidean_norm(u)
     return NoisyData(y_delta=y + delta * u, delta=float(delta), seed=int(seed))
 
 

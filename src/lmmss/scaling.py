@@ -134,15 +134,20 @@ def from_spec(spec: str, n: int) -> ScalingOperator:
 
 
 def euclidean_norm(v: np.ndarray) -> float:
-    """Return ``np.linalg.norm(v)`` of a float array, bit for bit.
+    """Return ``np.linalg.norm(v)`` of a float array, bit for bit, where that is finite.
 
-    It takes the same steps, the square root of the dot product of
+    It takes the same steps, the square root of BLAS ``ddot`` of
     ``v.ravel(order="K")`` with itself, without the general function's
     dispatch, which dominates its cost on the short vectors of the hot paths.
-    Like it, it overflows for entries beyond about 1e154.
+    Where the square overflows (entries beyond about 1e154) it returns
+    ``frobenius(v)`` instead: nrm2 scales as it sums, so the norm stays
+    finite, and no RuntimeWarning is raised.  An empty ``v`` gives 0.0.
     """
     v = v.ravel(order="K")
-    return math.sqrt(v @ v)
+    if v.size == 0:
+        return 0.0
+    square = scipy.linalg.blas.ddot(v, v)
+    return math.sqrt(square) if math.isfinite(square) else frobenius(v)
 
 
 def frobenius(M: np.ndarray) -> float:

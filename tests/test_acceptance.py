@@ -293,4 +293,12 @@ def test_criterion_9_cli_determinism(tmp_path):
     ok &= main(["sweep", "--config", str(c / "config.ini"), "--out", str(d)]) == 0
     for name in ("config.ini", "sweep.csv", "sweep_summary.txt"):
         ok &= filecmp.cmp(c / name, d / name, shallow=False)
-    _report("criterion 9: solve and sweep re-runs are byte-identical", ok)
+    e, f = tmp_path / "da", tmp_path / "db"
+    ok &= main(["diagnose", *solve_args[1:], "--out", str(e)]) == 0
+    ok &= main(["diagnose", "--config", str(e / "config.ini"), "--out", str(f)]) == 0
+    for name in (
+        "config.ini", "gain_exact.csv", "gain_noisy.csv", "euclidean.csv",
+        "kstar_report.txt", "diagnostics_summary.txt",
+    ):
+        ok &= filecmp.cmp(e / name, f / name, shallow=False)
+    _report("criterion 9: solve, sweep and diagnose re-runs are byte-identical", ok)

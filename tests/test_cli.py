@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import filecmp
 
 import numpy as np
@@ -268,6 +269,40 @@ class TestDiagnoseCommand:
         assert (out / "kstar_report.txt").exists()
         summary = read(out / "diagnostics_summary.txt")
         assert "c_hat" in summary and "gain_exact_violations = 0" in summary
+
+    def test_verdicts_written_as_the_reports_hold_them(self, tmp_path, monkeypatch):
+        # a report whose first step fails: the table shows its 0, the summary
+        # counts it, and a failed step bound is a hard violation
+        check_gain = lmmss.diagnostics.check_gain
+
+        def failing_first_step(*args):
+            rep = check_gain(*args)
+            return dataclasses.replace(rep, ok_step=(0, *rep.ok_step[1:]))
+
+        monkeypatch.setattr(lmmss.diagnostics, "check_gain", failing_first_step)
+        out = tmp_path / "diag"
+        rc = main([
+            "diagnose", "--problem", "coefficient", "--n", "12", "--q", "0.6",
+            "--tau", "3.5", "--out", str(out),
+        ])
+        assert rc == 1
+        rows = read(out / "gain_exact.csv").splitlines()
+        header = rows[1].split(",")
+        first = dict(zip(header, rows[2].split(",")))
+        assert (first["k"], first["ok_step"]) == ("0", "0")
+        assert all(row.split(",")[header.index("ok_step")] == "1" for row in rows[3:])
+        assert "gain_exact_violations = 1" in read(out / "diagnostics_summary.txt")
+
+    def test_failure_after_solving_writes_nothing(self, tmp_path, capsys):
+        # a ball so small that no sampled pair has a usable denominator: the
+        # runs are solved, the sampling fails, and no file is written
+        path = tmp_path / "c.ini"
+        path.write_text("[problem]\nn = 16\n[experiment]\ndeltas = 1e-3\ntcc_rho = 1e-9\n")
+        out = tmp_path / "out"
+        rc = main(["diagnose", "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        assert "no admissible sample pairs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_solution_skips_with_notice(self, tmp_path):
         rng = np.random.default_rng(2)

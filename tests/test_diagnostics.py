@@ -24,6 +24,7 @@ from lmmss import (
     seminorm,
     solve,
     theta_exact,
+    tcc_ratio,
     theta_noisy,
 )
 from lmmss.diagnostics import SweepReport, SweepRow, _extreme_eigenvalue, check_tcc_settings
@@ -180,6 +181,58 @@ class TestGain:
         theta = theta_exact(0.6, 2.0, seminorm(L, x0 - prob.x_dagger))
         rep = check_gain(run, prob.x_dagger, L, 0.6, theta)
         assert not rep.assumption_ok  # theta <= 1 is reported, not raised
+
+    @staticmethod
+    def _reference_violations(rep, run, x_star, L):
+        # the scan check_gain ran before it kept one verdict per row
+        slack = -1e-10 * (1.0 + seminorm(L, run.trace[0].x - x_star) ** 2)
+        violations = []
+        for k, rec in enumerate(run.trace[:-1]):
+            if rep.gains[k] - rep.rhs_step[k] < slack:
+                violations.append((k, "step"))
+            if rec.qcond_kind == "equality":
+                if rep.gains[k] - rep.rhs_residual[k] < slack:
+                    violations.append((k, "residual"))
+                if rep.gains[k] - rep.rhs_spectral[k] < slack:
+                    violations.append((k, "spectral"))
+        return tuple(violations)
+
+    def test_premises_on_a_run_with_fallback_rows(self):
+        # rows 0-2 fall back, rows 3-6 are equality steps; the residual and
+        # spectral bounds presume equality, so their verdicts exist only there
+        n, q, tau = 32, 0.6, 3.5
+        prob = make_problem("coefficient", n)
+        L = second_difference(n)
+        data = make_noisy_data(prob.y_exact, 1e-3, seed=1)
+        run = solve(prob, data, L, prob.x0_default, SolverConfig(q=q, tau=tau))
+        x_star = prob.x_dagger
+        theta = theta_noisy(q, tau, 0.5, seminorm(L, prob.x0_default - x_star))
+        rep = check_gain(run, x_star, L, q, theta)
+        equality = [kind == "equality" for kind in rep.kinds]
+        assert equality == [False] * 3 + [True] * 4
+        for ok in (rep.ok_residual, rep.ok_spectral):
+            assert [v is not None for v in ok] == equality
+        assert set(rep.ok_step) <= {0, 1}
+        assert rep.violations == self._reference_violations(rep, run, x_star, L)
+
+        # one step bound broken at an equality row, then every bound at a
+        # fallback row and at an equality row: the verdicts still match the scan
+        def fabricate(k, **changes):
+            trace = list(run.trace)
+            trace[k] = dataclasses.replace(trace[k], **changes)
+            return dataclasses.replace(run, trace=tuple(trace))
+
+        away = np.arange(n) ** 2 / n  # outside N(L), so the L-distance to x* grows
+        cases = [
+            (fabricate(4, step_Lnorm=1e3), ((4, "step"),)),
+            (fabricate(1, x=run.trace[1].x + away), ((0, "step"),)),
+            (fabricate(5, x=run.trace[5].x + away), ((4, "step"), (4, "residual"), (4, "spectral"))),
+        ]
+        for bad, expected in cases:
+            rep = check_gain(bad, x_star, L, q, theta)
+            assert rep.violations == self._reference_violations(rep, bad, x_star, L) == expected
+        assert (rep.ok_step[4], rep.ok_residual[4], rep.ok_spectral[4]) == (0, 0, 0)
+        assert rep.ok_residual[:3] == rep.ok_spectral[:3] == (None,) * 3
 
     def test_missing_solution(self):
         with pytest.raises(MissingExactSolution):
@@ -413,6 +466,26 @@ class TestRunRatios:
         assert ratios.shape == (len(run.trace),)
         assert np.all(ratios >= 0.0)
 
+    def test_forward_map_at_the_solution_evaluated_once(self, monkeypatch):
+        n = 32
+        prob = make_problem("coefficient", n)
+        L = identity(n)
+        run = solve(prob, make_noisy_data(prob.y_exact, 1e-3, seed=1), L, prob.x0_default,
+                    SolverConfig(q=0.6, tau=3.5))
+        pairs = [tcc_ratio(prob, L, rec.x, prob.x_dagger) for rec in run.trace]
+        want = np.array([0.0 if r is None else r for r in pairs])
+        calls = []
+        evaluate_F = InverseProblem.evaluate_F
+
+        def counting(self, x):
+            calls.append(x)
+            return evaluate_F(self, x)
+
+        monkeypatch.setattr(InverseProblem, "evaluate_F", counting)
+        got = run_tcc_ratios(prob, L, run, prob.x_dagger)
+        assert len(calls) == len(run.trace) + 1
+        assert got.tobytes() == want.tobytes()
+
 
 @pytest.mark.parametrize("spec", ["identity", "d2"])
 @pytest.mark.parametrize("name", ["linear", "autoconvolution", "coefficient"])
@@ -448,10 +521,11 @@ _RECORDS = {
     "GainReport": lambda: GainReport(
         theta=2.0, gains=np.ones(2), rhs_step=np.ones(2),
         rhs_residual=np.ones(2), rhs_spectral=np.ones(2),
-        kinds=("equality", "equality"), violations=(),
+        kinds=("equality", "inequality-fallback"), ok_step=(1, 1), ok_residual=(1, None),
+        ok_spectral=(1, None),
     ),
     "EuclideanBoundReport": lambda: EuclideanBoundReport(
-        lhs=np.ones(2), rhs=np.ones(2), violations=()
+        lhs=np.ones(2), rhs=np.ones(2), ok=(1, 1)
     ),
 }
 

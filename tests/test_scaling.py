@@ -197,6 +197,14 @@ def test_euclidean_norm_matches_numpy_bit_for_bit(make):
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_euclidean_norm_does_not_overflow():
+    # the squares overflow a dot product; nrm2 scales as it sums
+    assert euclidean_norm(np.array([1e200, 1.0, 1.0])) == 1e200
+    assert euclidean_norm(np.array([[3e200], [4e200]])) == pytest.approx(5e200, rel=1e-15)
+    assert euclidean_norm(np.array([1e200, np.inf])) == np.inf
+
+
 def test_seminorm_shape_check():
     with pytest.raises(DimensionMismatch):
         seminorm(identity(3), np.ones(4))

@@ -195,6 +195,15 @@ class TestSelectLambda:
         assert kind == "equality"
         assert lam == pytest.approx(1.0, rel=1e-6)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_residual_near_overflow_is_an_equality(self):
+        # ||r||^2 overflows a dot product; the norm itself is finite, and with
+        # J = L = I the q-condition lam / (1 + lam) = q has the root lam = 1
+        r = np.array([1e200, 1.0, 1.0])
+        lam, kind, _ = select_lambda_q(gsvd(np.eye(3), identity(3)), r, 0.5, CFG)
+        assert kind == "equality"
+        assert lam == pytest.approx(1.0, rel=1e-8)
+
     def test_interval_bound_with_zeta_two(self):
         A = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
         rng = np.random.default_rng(2)
