@@ -203,7 +203,7 @@ def problem_autoconvolution(n: int) -> InverseProblem:
     diagonal = (h * bc) * np.eye(n)
 
     def eval_F(x):
-        F = h * bc * x.astype(float).copy()
+        F = (h * bc) * x
         F[1:] += h * np.convolve(x, x)[: n - 1]
         return F
 
@@ -230,8 +230,9 @@ def problem_autoconvolution(n: int) -> InverseProblem:
 
 
 def _conductivity_halfpoints(a: np.ndarray) -> np.ndarray:
-    # Flux-point values by averaging, with constant extension at the boundary.
-    am = np.empty(a.size + 1)
+    # Flux-point values by averaging along the first axis, with constant
+    # extension at the boundary.
+    am = np.empty((len(a) + 1,) + a.shape[1:])
     am[0] = a[0]
     am[-1] = a[-1]
     am[1:-1] = 0.5 * (a[:-1] + a[1:])
@@ -257,10 +258,11 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
     boundary, discretized by finite differences on n interior nodes; the
     unknowns are the nodal conductivities a_i (flux points by averaging,
     constant extension at the boundary).  The forward solve is one
-    tridiagonal system; the Jacobian comes from the sensitivity equation,
-    one tridiagonal solve per column, and its product with a direction v
-    from one forward and one sensitivity solve.  Evaluation fails when any
-    a_i drops to the positivity floor ``A_MIN``.
+    tridiagonal system T(a) u = h^2 f.  The derivative is stated once, as the
+    sensitivity ``J(a) V = T^-1 diff(flux * halfpoints(V))`` with flux the
+    differences of u: J is the sensitivity at V = I (one tridiagonal solve
+    with n right-hand sides), and J v the same expression at the one column
+    v.  Evaluation fails when any a_i drops to the positivity floor ``A_MIN``.
 
     The source ``f = 4 pi^2 cos(2 pi t)`` makes the flux vanish at the
     boundary, so the solution is least sensitive to boundary-adjacent
@@ -272,51 +274,36 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
     t = np.arange(1, n + 1) * h
     f = 4.0 * np.pi**2 * np.cos(2.0 * np.pi * t)
     rhs = h * h * f
+    identity = np.eye(n)
 
     def state(a):
-        # Flux-point conductivities and the differences of the forward solution.
+        # Flux-point conductivities and the forward solution.
         if (a <= A_MIN).any():
             raise NonpositiveCoefficient(f"conductivity at or below {A_MIN}")
         am = _conductivity_halfpoints(a)
-        ue = np.concatenate(([0.0], _conductivity_solve(am, rhs), [0.0]))
-        return am, ue[1:] - ue[:-1]
+        return am, _conductivity_solve(am, rhs)
 
-    def forward(a):
-        if (a <= A_MIN).any():
-            raise NonpositiveCoefficient(f"conductivity at or below {A_MIN}")
-        return _conductivity_solve(_conductivity_halfpoints(a), rhs)
-
-    def jacobian(a):
-        am, diff = state(a)
-        # B[:, k] = d(T u)/d am_k: flux point k couples rows k-1 and k.
-        B = np.zeros((n, n + 1))
-        idx = np.arange(n)
-        B[idx, idx] = diff[:n]
-        B[idx, idx + 1] = -diff[1:]
-        # Chain rule flux points -> nodal values.
-        G = np.zeros((n, n))
-        G[:, 0] += B[:, 0]
-        G[:, -1] += B[:, -1]
-        G[:, : n - 1] += 0.5 * B[:, 1:n]
-        G[:, 1:] += 0.5 * B[:, 1:n]
-        return -_conductivity_solve(am, G)
-
-    def jvp(a, v):
-        # J v = -T^-1 G v, and G v = B halfpoints(v) = -diff(diff * halfpoints(v)).
-        am, diff = state(a)
-        return _conductivity_solve(am, np.diff(diff * _conductivity_halfpoints(v)))
+    def sensitivity(a, V):
+        # J(a) V for one direction V or a matrix of them, along the first axis.
+        # T u = -diff(am * flux), flux the differences of u across the flux
+        # points; differentiating T u = rhs gives T^-1 diff(flux * halfpoints(V)).
+        am, u = state(a)
+        ue = np.concatenate(([0.0], u, [0.0]))
+        flux = ue[1:] - ue[:-1]
+        w = (flux * _conductivity_halfpoints(V).T).T
+        return _conductivity_solve(am, w[1:] - w[:-1])
 
     a_dag = 1.0 + 0.5 * np.sin(np.pi * t)
     return InverseProblem(
         name="coefficient",
-        eval_F=forward,
-        eval_J=jacobian,
+        eval_F=lambda a: state(a)[1],
+        eval_J=lambda a: sensitivity(a, identity),
         n=n,
-        y_exact=forward(a_dag),
+        y_exact=state(a_dag)[1],
         x_dagger=a_dag,
         domain_hint=Box(lower=np.full(n, 0.05), upper=np.full(n, np.inf)),
         x0_default=np.ones(n),
-        eval_jvp=jvp,
+        eval_jvp=sensitivity,
     )
 
 

@@ -320,6 +320,16 @@ class TestJacobianVectorProduct:
             assert got.shape == (prob.m,)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("n", [8, 32, 128])
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_jacobian_columns_are_hook_products_bit_for_bit(self, name, n):
+        # J is the product's matrix: column j has the bytes of J e_j
+        prob = make_problem(name, n)
+        x, _ = in_domain_point_and_direction(prob, 11)
+        J = prob.evaluate_J(x)
+        for j, e_j in enumerate(np.eye(n)):
+            assert J[:, j].tobytes() == prob.evaluate_jvp(x, e_j).tobytes(), j
+
     def test_from_files_has_hook(self, tmp_path):
         rng = np.random.default_rng(4)
         A = rng.standard_normal((6, 4))

@@ -714,3 +714,45 @@ def test_size_ladder_omega_evals():
     assert len(run_means) == 48
     assert np.mean(all_evals) <= 8.0
     assert max(run_means) <= 10.0
+
+
+# k* on the paper grid for delta = 1e-2, 1e-3, 1e-4, 1e-5; the same for seeds 1-3.
+PAPER_GRID_KSTAR = {
+    ("linear", "identity"): (7, 11, 16, 20),
+    ("linear", "d1"): (5, 10, 14, 19),
+    ("linear", "d2"): (4, 9, 13, 18),
+    ("autoconvolution", "identity"): (9, 14, 18, 23),
+    ("autoconvolution", "d1"): (9, 13, 18, 22),
+    ("autoconvolution", "d2"): (9, 13, 18, 22),
+    ("coefficient", "identity"): (9, 14, 19, 23),
+    ("coefficient", "d1"): (5, 9, 14, 18),
+    ("coefficient", "d2"): (3, 8, 12, 17),
+}
+
+
+def test_paper_grid_outcomes():
+    # Regression guard on the paper's noisy experiment at n = 64: every run
+    # stops by discrepancy with the pinned k*, the damping search falls back
+    # only in the first steps of d1 (k <= 1) and d2 (k <= 2) runs, and the
+    # Euclidean error never grows as delta falls.  A change that moves these
+    # numbers on purpose edits them here.
+    n, deltas = 64, (1e-2, 1e-3, 1e-4, 1e-5)
+    cfg = SolverConfig(q=0.6, tau=3.5, max_iter=500)
+    fallbacks = []
+    for (name, spec), kstars in PAPER_GRID_KSTAR.items():
+        prob = make_problem(name, n)
+        L = from_spec(spec, n)
+        for seed in (1, 2, 3):
+            errors = []
+            for delta, kstar in zip(deltas, kstars):
+                data = make_noisy_data(prob.y_exact, delta, seed)
+                run = solve(prob, data, L, prob.x0_default, cfg)
+                case = (name, spec, seed, delta)
+                assert (run.stop_reason, run.k_star) == ("discrepancy", kstar), case
+                fallbacks += [
+                    (spec, rec.k) for rec in run.trace[:-1] if rec.qcond_kind != "equality"
+                ]
+                errors.append(np.linalg.norm(run.final_x - prob.x_dagger))
+            assert all(b <= a for a, b in zip(errors, errors[1:])), (name, spec, seed, errors)
+    assert len(fallbacks) == 120
+    assert all(k <= {"d1": 1, "d2": 2}.get(spec, -1) for spec, k in fallbacks)
