@@ -34,7 +34,6 @@ from .solver import (
     IterateRecord,
     RunRecord,
     SolverConfig,
-    discrepancy_reached,
     lm_step_gsvd,
     select_lambda_q,
     solve,

@@ -15,7 +15,7 @@ import configparser
 import functools
 import hashlib
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,10 @@ def _fmt(value) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce a run (output location excluded)."""
+    """Everything needed to reproduce a run (output location excluded).
+
+    ``solver`` is the ``[solver]`` section, so its defaults and checks are the library's.
+    """
 
     problem: str = "linear"
     n: int = 32
@@ -50,13 +53,7 @@ class ExperimentConfig:
     solution_file: str = ""
     x0_file: str = ""
     scaling: str = "identity"
-    q: float = 0.5
-    tau: float = 2.5
-    max_iter: int = 500
-    lambda_root_tol: float = 1e-10
-    grad_tol: float = 1e-12
-    res_tol: float | None = None
-    lambda_fallback_factor: float = 0.5
+    solver: SolverConfig = SolverConfig()
     deltas: tuple[float, ...] = ()
     seeds: tuple[int, ...] = (0,)
     tcc_rho: float = 0.5
@@ -69,14 +66,16 @@ class ExperimentConfig:
             if sec != section:
                 lines += [f"[{sec}]"] if section is None else ["", f"[{sec}]"]
                 section = sec
-            lines.append(f"{key} = {_format_value(getattr(self, field), kind)}")
+            owner = self.solver if sec == "solver" else self
+            lines.append(f"{key} = {_format_value(getattr(owner, field), kind)}")
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_ini_text().encode()).hexdigest()[:12]
 
 
-#: The config schema: INI (section, key) -> (ExperimentConfig field, kind).
+#: The config schema: INI (section, key) -> (field, kind), the ``[solver]`` fields
+#: those of ``SolverConfig`` in order, the others those of ExperimentConfig.
 #: Each field's flag stores under the field's name (argparse ``dest``).
 _KEYS = {
     ("problem", "name"): ("problem", str),
@@ -121,8 +120,17 @@ _GAIN = {
 _EUCLIDEAN = {"lhs": "lhs", "rhs": "rhs", "ok": "ok"}
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse an INI config file into an ExperimentConfig."""
+def _build_config(values: dict) -> ExperimentConfig:
+    """``values`` (``_KEYS`` field -> value) over the defaults; a bad solver field is a ConfigError."""
+    solver = {f.name: values.pop(f.name) for f in fields(SolverConfig) if f.name in values}
+    try:
+        return ExperimentConfig(solver=SolverConfig(**solver), **values)
+    except ValueError as exc:
+        raise ConfigError(f"solver config: {exc}") from None
+
+
+def _read_ini(path) -> dict:
+    """The ``_KEYS`` fields an INI config file sets, parsed: field -> value."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -141,7 +149,12 @@ def load_config(path) -> ExperimentConfig:
                 values[field] = _parse_value(raw, kind)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {exc}") from None
-    return replace(ExperimentConfig(), **values)
+    return values
+
+
+def load_config(path) -> ExperimentConfig:
+    """Parse an INI config file into an ExperimentConfig."""
+    return _build_config(_read_ini(path))
 
 
 def _parse_value(raw: str, kind):
@@ -169,33 +182,22 @@ def _format_value(value, kind) -> str:
     return _fmt(value)
 
 
-def _apply_flags(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
+def resolve_config(args) -> ExperimentConfig:
+    """The ``--config`` file's values (if any), overridden by the flags given."""
+    values = _read_ini(args.config) if args.config else {}
     for field, kind in _KEYS.values():
         val = getattr(args, field, None)
         if val is not None:
-            updates[field] = tuple(val) if kind in ("floats", "ints") else val
-    return replace(cfg, **updates)
-
-
-def resolve_config(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    return _apply_flags(cfg, args)
-
-
-def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    try:
-        return SolverConfig(**{f.name: getattr(cfg, f.name) for f in fields(SolverConfig)})
-    except ValueError as exc:
-        raise ConfigError(f"solver config: {exc}") from None
+            values[field] = tuple(val) if kind in ("floats", "ints") else val
+    return _build_config(values)
 
 
 def _prepare(cfg: ExperimentConfig, args):
     """The prologue of ``solve``, ``sweep`` and ``diagnose``.
 
     Checks the noise levels, seeds and x0 file, then returns ``(problem, L,
-    scfg, x0, out, digest)``.  Nothing is written; ``_write_config`` creates
-    ``out``.
+    cfg.solver, x0, out, digest)``; the solver settings were checked when
+    ``cfg`` was built.  Nothing is written; ``_write_config`` creates ``out``.
     """
     bad = [d for d in cfg.deltas if not 0.0 <= d < np.inf]
     if bad:
@@ -209,7 +211,6 @@ def _prepare(cfg: ExperimentConfig, args):
     else:
         problem = make_problem(cfg.problem, cfg.n)
     L = scaling.from_spec(cfg.scaling, problem.n)
-    scfg = _solver_config(cfg)
     x0 = problem.x0_default
     if cfg.x0_file:
         x0 = np.loadtxt(cfg.x0_file).ravel()
@@ -217,7 +218,7 @@ def _prepare(cfg: ExperimentConfig, args):
             raise ConfigError(f"x0 file has length {x0.size}, problem has n={problem.n}")
         if not np.isfinite(x0).all():
             raise ConfigError("x0 file has a NaN or infinite entry")
-    return problem, L, scfg, x0, Path(args.out or "."), cfg.digest()
+    return problem, L, cfg.solver, x0, Path(args.out or "."), cfg.digest()
 
 
 def _single_run(cfg: ExperimentConfig):

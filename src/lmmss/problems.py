@@ -157,6 +157,20 @@ def make_noisy_data(y, delta: float, seed: int = 0) -> NoisyData:
     return NoisyData(y_delta=y + delta * u, delta=float(delta), seed=int(seed))
 
 
+def _linear_problem(name: str, A: np.ndarray, y, x_dagger) -> InverseProblem:
+    """The linear forward map F(x) = A x, with J = A and J v = A v, started from x0 = 0."""
+    return InverseProblem(
+        name=name,
+        eval_F=lambda x: A @ x,
+        eval_J=lambda x: A,
+        n=A.shape[1],
+        y_exact=y,
+        x_dagger=x_dagger,
+        x0_default=np.zeros(A.shape[1]),
+        eval_jvp=lambda x, v: A @ v,
+    )
+
+
 def problem_linear_illposed(n: int) -> InverseProblem:
     """Discretized smoothing operator: the Gram matrix of a Gaussian kernel.
 
@@ -171,16 +185,7 @@ def problem_linear_illposed(n: int) -> InverseProblem:
     t = (np.arange(n) + 0.5) / n
     A = (1.0 / n) * np.exp(-0.5 * ((t[:, None] - t[None, :]) / 0.06) ** 2)
     x_dag = np.sin(np.pi * t)
-    return InverseProblem(
-        name="linear",
-        eval_F=lambda x: A @ x,
-        eval_J=lambda x: A,
-        n=n,
-        y_exact=A @ x_dag,
-        x_dagger=x_dag,
-        x0_default=np.zeros(n),
-        eval_jvp=lambda x, v: A @ v,
-    )
+    return _linear_problem("linear", A, A @ x_dag, x_dag)
 
 
 def problem_autoconvolution(n: int) -> InverseProblem:
@@ -349,13 +354,4 @@ def problem_from_files(matrix_path, rhs_path, solution_path=None) -> InverseProb
             raise DimensionMismatch(
                 f"solution has length {x_dag.size}, matrix has {n} columns"
             )
-    return InverseProblem(
-        name="custom-linear",
-        eval_F=lambda x: A @ x,
-        eval_J=lambda x: A,
-        n=n,
-        y_exact=y,
-        x_dagger=x_dag,
-        x0_default=np.zeros(n),
-        eval_jvp=lambda x, v: A @ v,
-    )
+    return _linear_problem("custom-linear", A, y, x_dag)

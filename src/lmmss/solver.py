@@ -37,7 +37,9 @@ class SolverConfig:
     ``q`` is the residual contraction target in (0, 1); ``tau`` the
     discrepancy multiplier, constrained to tau > 1/q.  ``res_tol = None``
     resolves to 1e-10 times the initial residual when an exact-data solve
-    starts.
+    starts.  Every field is checked here, once (ValueError), so ``solve``
+    trusts them.  The command line's ``[solver]`` section is this class,
+    field by field and in order.
     """
 
     q: float = 0.5
@@ -252,15 +254,6 @@ def select_lambda_q(factors: GsvdFactors, r, q: float, cfg: SolverConfig):
     )
 
 
-def discrepancy_reached(res_norm: float, tau: float, delta: float) -> bool:
-    """True when ``res_norm <= tau * delta``."""
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if delta < 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    return res_norm <= tau * delta
-
-
 def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord:
     """Run the damped iteration from x0 until a stopping rule fires.
 
@@ -309,7 +302,7 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
         res = euclidean_norm(r)
         if res_tol is None:
             res_tol = 1e-10 * res
-        if noisy and discrepancy_reached(res, cfg.tau, delta):
+        if noisy and res <= cfg.tau * delta:
             stop = "discrepancy"
             break
         if not noisy and res <= res_tol:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lmmss
-from lmmss import make_noisy_data, make_problem
+from lmmss import SolverConfig, make_noisy_data, make_problem
 from lmmss.cli import _KEYS, ExperimentConfig, _build_parser, _reload_run, load_config, main
 from lmmss.diagnostics import SweepReport, SweepRow
 from helpers import assert_runs_bitwise_equal, unit_residual_start
@@ -19,8 +19,9 @@ def read(path):
 class TestConfig:
     def test_ini_round_trip(self, tmp_path):
         cfg = ExperimentConfig(
-            problem="coefficient", n=12, scaling="d1", q=0.6, tau=3.5,
-            deltas=(1e-2, 1e-3), seeds=(1, 2), res_tol=1e-9,
+            problem="coefficient", n=12, scaling="d1",
+            solver=SolverConfig(q=0.6, tau=3.5, res_tol=1e-9),
+            deltas=(1e-2, 1e-3), seeds=(1, 2),
         )
         path = tmp_path / "c.ini"
         path.write_text(cfg.to_ini_text())
@@ -28,7 +29,7 @@ class TestConfig:
 
     def test_digest_stable_and_sensitive(self):
         a = ExperimentConfig()
-        b = ExperimentConfig(q=0.6)
+        b = ExperimentConfig(solver=SolverConfig(q=0.6))
         assert a.digest() == ExperimentConfig().digest()
         assert a.digest() != b.digest()
 
@@ -59,8 +60,11 @@ class TestConfig:
             (
                 ExperimentConfig(
                     problem="file", n=7, matrix_file="A.txt", rhs_file="y.txt",
-                    scaling="d2", q=0.6, tau=3.5, max_iter=40, res_tol=1e-9,
-                    lambda_fallback_factor=0.25, deltas=(0.01, 1e-3, 3e-4),
+                    scaling="d2",
+                    solver=SolverConfig(
+                        q=0.6, tau=3.5, max_iter=40, res_tol=1e-9, lambda_fallback_factor=0.25
+                    ),
+                    deltas=(0.01, 1e-3, 3e-4),
                     seeds=(1, 22), tcc_rho=0.1, tcc_samples=150,
                 ),
                 EVERY_KIND_INI,
@@ -86,6 +90,20 @@ class TestConfig:
         dests = {action.dest for action in sub.choices[command]._actions}
         keys = {field for field, _ in _KEYS.values()}
         assert dests & keys == keys - ini_only
+
+    def test_solver_section_is_solver_config(self):
+        # the [solver] keys are SolverConfig's fields, in order, with its defaults
+        keys = [key for sec, key in _KEYS if sec == "solver"]
+        assert keys == [f.name for f in dataclasses.fields(SolverConfig)]
+        assert ExperimentConfig().solver == SolverConfig()
+
+    def test_bad_solver_value_in_ini_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text("[solver]\nq = 2\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        assert "solver config: q must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.ini"

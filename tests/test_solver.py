@@ -11,7 +11,6 @@ from lmmss import (
     NonpositiveLambda,
     SolverConfig,
     ZeroGradient,
-    discrepancy_reached,
     generalized_singular_values,
     gsvd,
     lm_step_gsvd,
@@ -395,20 +394,6 @@ class TestSelectLambda:
             assert evals <= 12
 
 
-class TestDiscrepancy:
-    def test_examples(self):
-        assert not discrepancy_reached(0.25, 2.0, 0.1)
-        assert discrepancy_reached(0.19, 2.0, 0.1)
-        assert discrepancy_reached(0.0, 2.0, 0.0)
-        assert not discrepancy_reached(1e-300, 2.0, 0.0)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            discrepancy_reached(1.0, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            discrepancy_reached(1.0, 2.0, -0.1)
-
-
 class TestSolve:
     def test_linear_contraction(self):
         prob = make_problem("linear", 16)
@@ -756,3 +741,24 @@ def test_paper_grid_outcomes():
             assert all(b <= a for a, b in zip(errors, errors[1:])), (name, spec, seed, errors)
     assert len(fallbacks) == 120
     assert all(k <= {"d1": 1, "d2": 2}.get(spec, -1) for spec, k in fallbacks)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="floor regime: the fallback damping barely moves x, so the run ends at max_iter",
+)
+@pytest.mark.parametrize(
+    "n, spec, q, tau, delta, start",
+    [(48, "d1", 0.05, 20.2, 1e-9, 1.0), (64, "d2", 0.6, 3.5, 1e-3, 4.0)],
+    ids=["tiny-delta", "far-start"],
+)
+def test_floor_regime_reaches_a_stop(n, spec, q, tau, delta, start):
+    # Autoconvolution runs whose damping search falls back in the floor regime
+    # (omega at the bracket floor already at or above q ||r||) step after step,
+    # the residual frozen above tau * delta.  The fix for that regime removes
+    # this marker.
+    prob = make_problem("autoconvolution", n)
+    data = make_noisy_data(prob.y_exact, delta, seed=1)
+    x0 = prob.x_dagger + start * (prob.x0_default - prob.x_dagger)
+    run = solve(prob, data, from_spec(spec, n), x0, SolverConfig(q=q, tau=tau, max_iter=500))
+    assert run.stop_reason != "max_iter"
