@@ -195,15 +195,21 @@ def resolve_config(args) -> ExperimentConfig:
 def _prepare(cfg: ExperimentConfig, args):
     """The prologue of ``solve``, ``sweep`` and ``diagnose``.
 
-    Checks the noise levels, seeds and x0 file, then returns ``(problem, L,
-    cfg.solver, x0, out, digest)``; the solver settings were checked when
-    ``cfg`` was built.  Nothing is written; ``_write_config`` creates ``out``.
+    Checks the noise levels, seeds, sampling settings and x0 file, then
+    returns ``(problem, L, cfg.solver, x0, out, digest)``; the solver settings
+    were checked when ``cfg`` was built.  Every command checks the sampling
+    settings, so no config that ``diagnose`` would refuse gets written.
+    Nothing is written; ``_write_config`` creates ``out``.
     """
     bad = [d for d in cfg.deltas if not 0.0 <= d < np.inf]
     if bad:
         raise ConfigError(f"deltas must be finite and nonnegative, got {_fmt(bad[0])}")
     if not cfg.seeds:
         raise ConfigError("seeds must not be empty")
+    bad = [s for s in cfg.seeds if s < 0]
+    if bad:
+        raise ConfigError(f"seeds must be nonnegative integers, got {bad[0]}")
+    diagnostics.check_tcc_settings(cfg.tcc_rho, cfg.tcc_samples)
     if cfg.problem == "file":
         if not cfg.matrix_file or not cfg.rhs_file:
             raise ConfigError("problem 'file' needs matrix_file and rhs_file")

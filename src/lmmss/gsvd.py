@@ -23,6 +23,14 @@ are skipped.  Completeness is decided by ``scaling.completeness_holds`` from
 bounds on the singular values of [A; L] taken from X and the norms of A and
 L; the exact singular values of [A; L] are computed only when the bounds
 cannot decide.
+
+For a pair (J, I_n) the solver needs neither U nor X, only the zeta_i, the
+projection w = U^T r and the step.  ``bidiagonalize`` gets them from one
+Householder bidiagonalization ``J = Q_B [B; 0] P_B^T`` (LAPACK ``gebrd``, in
+``_lapack``): ``bdsqr`` with Q_B^T r as its right-hand side gives the zeta_i
+and w, and a tridiagonal augmented system gives the step.  Its factors,
+``BidiagonalFactors``, answer ``project(r)`` and ``step(r, lam)`` as
+GsvdFactors do.
 """
 
 from __future__ import annotations
@@ -32,8 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
+from . import _lapack
 from .errors import CompletenessViolated, DimensionMismatch, NonFiniteInput
-from .scaling import ScalingOperator, completeness_holds, frobenius
+from .scaling import ScalingOperator, completeness_holds, euclidean_norm, frobenius
 
 #: The bounds accept a pair only if it passes the rule with s_min^2 divided by
 #: this factor, so rounding in X cannot accept a pair the exact singular
@@ -65,6 +74,27 @@ class GsvdFactors:
     @property
     def p(self) -> int:
         return self.V.shape[0]
+
+    def project(self, r):
+        """Return ``(sigma, mu, w, rho_perp)``: w = U^T r and rho_perp = ||r - U w||.
+
+        rho_perp is the norm of r - U w, not sqrt(||r||^2 - ||w||^2), which
+        cancels when U is square.
+        """
+        w = self.U.T @ r
+        return self.sigma, self.mu, w, euclidean_norm(r - self.U @ w)
+
+    def step(self, r, lam):
+        """Solve ``(A^T A + lam L^T L) d = -A^T r``.
+
+        With w = U^T r the step is ``d = -X diag(g) w`` where
+        g_i = sigma_i / (sigma_i^2 + lam mu_i^2) on the leading p entries and
+        1 on the trailing block.
+        """
+        w = self.U.T @ r
+        filt = np.ones(self.n)
+        filt[: self.p] = self.sigma / (self.sigma**2 + lam * self.mu**2)
+        return -(self.X @ (filt * w))
 
 
 def _as_matrix(L) -> np.ndarray:
@@ -174,15 +204,23 @@ def gsvd(A, L) -> GsvdFactors:
             W0_R0inv = W0_R0inv.T
             X = np.hstack([T - W0_R0inv @ (QtAL[:k] @ Vmu), W0_R0inv])
     if not _bounds_complete(np.hypot(frobenius(A), L.spectral_norm), X):
-        s = np.linalg.svd(np.vstack([A, Lmat]), compute_uv=False)
         # A pair that passes the rule has a finite X in exact arithmetic; one
         # whose X is unusable anyway is refused rather than returned.
-        if not completeness_holds(s) or X is None or not np.isfinite(X).all():
-            with np.errstate(over="ignore"):  # a refused pair can have s_min above 1e154
-                s_min_sq = s[-1] ** 2
-            raise CompletenessViolated(f"N(A) and N(L) intersect: s_min^2 = {s_min_sq:.3e}")
+        _require_complete(A, Lmat, usable=X is not None and np.isfinite(X).all())
 
     return GsvdFactors(U=U, V=V, X=X, sigma=sigma, mu=mu)
+
+
+def _require_complete(A, Lmat, usable: bool = True):
+    """Raise CompletenessViolated unless the exact singular values of [A; L] pass the rule.
+
+    A pair that passes is still refused when ``usable`` is False.
+    """
+    s = np.linalg.svd(np.vstack([A, Lmat]), compute_uv=False)
+    if not completeness_holds(s) or not usable:
+        with np.errstate(over="ignore"):  # a refused pair can have s_min above 1e154
+            s_min_sq = s[-1] ** 2
+        raise CompletenessViolated(f"N(A) and N(L) intersect: s_min^2 = {s_min_sq:.3e}")
 
 
 def _bounds_complete(s_max_up, X) -> bool:
@@ -209,6 +247,96 @@ def _bounds_complete(s_max_up, X) -> bool:
         return False
     s_min_low = 1.0 / (np.sqrt(_BOUND_MARGIN) * frobenius(X))
     return completeness_holds((s_max_up, s_min_low))
+
+
+class BidiagonalFactors:
+    """Factors of a pair (J, I_n), m >= n, as ``J = Q_B [B; 0] P_B^T``.
+
+    B is upper bidiagonal, and Q_B and P_B stay as ``dgebrd``'s Householder
+    reflectors.  Neither U nor X is formed; the factors answer the same two
+    questions as GsvdFactors:
+
+    - ``project(r)``: one ``dbdsqr`` call with ``Q_B^T r`` as its one
+      right-hand side gives the singular values of B, which are the zeta_i of
+      the pair, and w = U^T r.  The sigma and mu of the first projection are
+      kept as ``sigma`` and ``mu`` (None before it): they depend on B alone.
+    - ``step(r, lam)``: with c the leading n entries of Q_B^T r, z solves
+      ``(B^T B + lam I) z = B^T c`` through the 2n x 2n augmented system
+      ``[[sqrt(lam) I, B], [B^T, -sqrt(lam) I]] [t; z] = [c; 0]``.  Taken in
+      the order (z_1, t_1, z_2, t_2, ...) it is tridiagonal, and ``dgtsv``
+      solves it.  Its condition number is about zeta_p / sqrt(lam), not the
+      square that the normal equations would have.  Then d = -P_B z.
+    """
+
+    def __init__(self, a, d, e, tauq, taup):
+        self._a, self._d, self._e, self._tauq, self._taup = a, d, e, tauq, taup
+        self._off = np.empty(2 * d.size - 1)  # the augmented system's off-diagonal
+        self._off[0::2], self._off[1::2] = d, e
+        self.sigma = self.mu = None
+
+    @property
+    def m(self) -> int:
+        return self._a.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self._a.shape[1]
+
+    p = n
+
+    def project(self, r):
+        """Return ``(sigma, mu, w, rho_perp)`` as ``GsvdFactors.project`` does, sigma ascending."""
+        n = self.n
+        c = _lapack.dormbr("Q", "T", self._a, self._tauq, r, n)
+        s, w = _lapack.dbdsqr(self._d, self._e, c[:n])
+        if self.sigma is None:
+            zeta = s[::-1]
+            self.mu = 1.0 / np.hypot(1.0, zeta)
+            self.sigma = zeta * self.mu
+        return self.sigma, self.mu, w[::-1], euclidean_norm(c[n:])
+
+    def step(self, r, lam):
+        """Solve ``(J^T J + lam I) d = -J^T r``; see the class docstring."""
+        n = self.n
+        c = _lapack.dormbr("Q", "T", self._a, self._tauq, r, n)
+        root = np.sqrt(lam)
+        diag = np.empty(2 * n)
+        diag[0::2], diag[1::2] = -root, root
+        rhs = np.zeros((2 * n, 1))
+        rhs[1::2, 0] = c[:n]
+        _, _, _, u, info = lapack.dgtsv(self._off, diag, self._off, rhs,
+                                        overwrite_d=1, overwrite_b=1)
+        if info < 0:
+            raise ValueError(f"dgtsv rejected argument {-info}")
+        if info > 0:  # its eigenvalues are +-sqrt(zeta_i^2 + lam): only a lam lost to rounding
+            raise np.linalg.LinAlgError("the augmented step system is singular")
+        return -_lapack.dormbr("P", "N", self._a, self._taup, u[0::2, 0], self.m)
+
+
+def bidiagonalize(J) -> BidiagonalFactors:
+    """Factor the pair (J, I_n) by one Householder bidiagonalization (``dgebrd``).
+
+    Completeness needs no factor: s_min([J; I]) >= 1 holds exactly, and
+    s_max <= hypot(||J||_F, 1).  These bounds go through
+    ``completeness_holds`` with s_min^2 divided by ``_BOUND_MARGIN``, as in
+    ``_bounds_complete``.  Where they cannot decide (||J||_F above about
+    5e4), the exact singular values of [J; I] do, as in ``gsvd``, so a
+    refusal raises the same CompletenessViolated with the same message.
+
+    Raises DimensionMismatch if J is not two-dimensional or m < n,
+    NonFiniteInput if J has a NaN or infinite entry, and CompletenessViolated.
+    """
+    a = np.array(J, dtype=float, order="F")  # a copy: dgebrd overwrites it
+    if a.ndim != 2:
+        raise DimensionMismatch("J must be a two-dimensional array")
+    m, n = a.shape
+    if m < n:
+        raise DimensionMismatch(f"need m >= n, got m={m}, n={n}")
+    if not np.isfinite(a).all():
+        raise NonFiniteInput("A has a NaN or infinite entry")
+    if not completeness_holds((np.hypot(frobenius(a), 1.0), 1.0 / np.sqrt(_BOUND_MARGIN))):
+        _require_complete(a, np.eye(n))
+    return BidiagonalFactors(a, *_lapack.dgebrd(a))
 
 
 def generalized_singular_values(f: GsvdFactors) -> np.ndarray:

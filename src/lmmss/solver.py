@@ -5,6 +5,11 @@ The damping parameter lam is chosen so that the linearized residual after
 the step equals q times the current residual (the q-condition), which keeps
 the iteration regularizing; with noisy data the loop stops at the first
 iterate whose residual falls below tau * delta (discrepancy principle).
+
+Each step's damping search and step come from one factorization of (J, L),
+which answers ``project(r)`` and ``step(r, lam)``: ``gsvd`` in general, and for
+L = I at n >= 48 a Householder bidiagonalization of every Jacobian after a
+run's first (``bidiagonalize``), which forms no singular vectors.
 """
 
 from __future__ import annotations
@@ -23,11 +28,29 @@ from .errors import (
     NonpositiveLambda,
     ZeroGradient,
 )
-from .gsvd import GsvdFactors, generalized_singular_values, gsvd
+from .gsvd import (
+    BidiagonalFactors,
+    GsvdFactors,
+    bidiagonalize,
+    generalized_singular_values,
+    gsvd,
+)
 from .scaling import ScalingOperator, euclidean_norm, seminorm
 
 _SEARCH_MAX_ITER = 60
 _BRACKET_LO_FACTOR = 1e-14
+
+#: From this n on, an identity-scaled run factors each Jacobian after its first
+#: by ``bidiagonalize`` instead of ``gsvd``.  Factoring a coefficient Jacobian,
+#: projecting a residual and taking the step cost, ``gsvd`` against
+#: ``bidiagonalize`` (2-vCPU Xeon, one BLAS thread, numpy 2.4.6 / scipy
+#: 1.17.1): n = 128 2.68 / 1.66 ms, n = 64 609 / 447 us, n = 48 394 / 313 us,
+#: n = 32 205 / 217 us.  Re-projecting a residual on factors kept for an
+#: unchanged J costs 5-29 us with ``gsvd``'s U against 80-776 us through
+#: ``dbdsqr``, so a run's first J, all a linear map needs, goes to ``gsvd``.
+_BIDIAG_MIN_N = 48
+
+Factors = GsvdFactors | BidiagonalFactors
 
 
 @dataclass(frozen=True)
@@ -118,33 +141,28 @@ class RunRecord:
         return "noisy" if self.delta > 0.0 else "exact"
 
 
-def lm_step_gsvd(f: GsvdFactors, r, lam: float) -> np.ndarray:
+def lm_step_gsvd(f: Factors, r, lam: float) -> np.ndarray:
     """Solve ``(J^T J + lam L^T L) d = -J^T r`` from the factors of (J, L).
 
-    With w = U^T r the step is ``d = -X diag(g) w`` where
-    g_i = sigma_i / (sigma_i^2 + lam mu_i^2) on the leading p entries and 1
-    on the trailing block.
+    The factors' ``step`` solves it: from U^T r and X for ``gsvd`` factors,
+    from the bidiagonal B for ``bidiagonalize`` ones.
     """
     if not 0.0 < lam < np.inf:
         raise NonpositiveLambda(f"lambda must be positive and finite, got {lam}")
     r = np.asarray(r, dtype=float)
     if r.shape != (f.m,):
         raise DimensionMismatch(f"residual has shape {r.shape}, expected ({f.m},)")
-    w = f.U.T @ r
-    filt = np.ones(f.n)
-    filt[: f.p] = f.sigma / (f.sigma**2 + lam * f.mu**2)
-    return -(f.X @ (filt * w))
+    return f.step(r, lam)
 
 
-def _omega_kernel(f: GsvdFactors, r: np.ndarray):
+def _omega_kernel(f: Factors, r: np.ndarray):
     """Return ``lam -> ||r + J d(lam)||`` evaluated from the factors of (J, L).
 
-    With w = U^T r the linearized residual is the part of r outside range(U)
-    plus ``U [lam mu_i^2 w_i / (sigma_i^2 + lam mu_i^2); 0]``, so each
-    evaluation costs O(p) and forms neither d nor J d.  The outside part is
-    the norm of r - U w, not sqrt(||r||^2 - ||w||^2), which cancels when U is
-    square.  It raises ZeroGradient when diag(sigma, I) w, and so
-    J^T r = X^-T diag(sigma, I) w, vanishes.
+    With ``(sigma, mu, w, rho_perp) = f.project(r)``, w = U^T r, the
+    linearized residual is the part rho_perp of r outside range(U) plus
+    ``U [lam mu_i^2 w_i / (sigma_i^2 + lam mu_i^2); 0]``, so each evaluation
+    costs O(p) and forms neither d nor J d.  It raises ZeroGradient when
+    diag(sigma, I) w, and so J^T r = X^-T diag(sigma, I) w, vanishes.
 
     Called as ``omega(lam, target)`` it returns ``(omega(lam), lam_newton)``,
     where ``lam_newton`` is the Newton iterate toward ``omega = target`` on
@@ -157,11 +175,11 @@ def _omega_kernel(f: GsvdFactors, r: np.ndarray):
     only along directions with sigma_i = 0) there is no Newton iterate, and
     ``lam_newton`` is NaN.
     """
-    w = f.U.T @ r
-    if not (f.sigma * w[: f.p]).any() and not w[f.p :].any():
+    sigma, mu, w, rho_perp = f.project(r)
+    p = sigma.size
+    if not (sigma * w[:p]).any() and not w[p:].any():
         raise ZeroGradient("J^T r = 0: the step is zero for every lambda")
-    rho_perp = euclidean_norm(r - f.U @ w)
-    wp, s2, m2 = w[: f.p], f.sigma**2, f.mu**2
+    wp, s2, m2 = w[:p], sigma**2, mu**2
 
     def omega(lam, target=None):
         den = s2 + lam * m2
@@ -181,13 +199,14 @@ def _omega_kernel(f: GsvdFactors, r: np.ndarray):
     return omega
 
 
-def select_lambda_q(factors: GsvdFactors, r, q: float, cfg: SolverConfig):
+def select_lambda_q(factors: Factors, r, q: float, cfg: SolverConfig):
     """Choose the damping parameter from the q-condition.
 
     ``omega(lam) = ||r + J d(lam)||``, nondecreasing in lam, is evaluated
-    from ``factors``, the ``gsvd`` of (J, L), in O(p) per call
+    from ``factors`` of (J, L), in O(p) per call
     (``_omega_kernel``) and never twice at one lam.  The search bracket is
-    ``[1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]``.  The floor comes first:
+    ``[1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]``, with zeta_p read off the
+    factors after their projection of r.  The floor comes first:
     omega within the tolerance of the target ``q ||r||`` there is an
     ``"equality"``, and omega at or above the target returns a fixed fraction
     of the interval upper bound with kind ``"inequality-fallback"`` (the
@@ -276,10 +295,14 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
     CompletenessViolated, BracketFailure) is re-raised as the same type with
     the message prefixed by ``iterate k:``.
 
-    The ``gsvd`` factors of (J, L) are reused while J is unchanged, compared
-    entry by entry with a copy of the last factored J, so a linear forward map
-    is factored once per solve.  The damping search and the step still read
-    each step's residual.
+    The factors of (J, L) are reused while J is unchanged, compared entry by
+    entry with a copy of the last factored J, so a linear forward map is
+    factored once per solve.  The damping search and the step still read each
+    step's residual.  The first J of a run is factored by ``gsvd``, whose
+    factors re-project a residual cheaply.  When L is the identity and
+    n >= ``_BIDIAG_MIN_N``, every later J is factored by ``bidiagonalize``,
+    which forms no singular vectors; below that n, or for any other L, by
+    ``gsvd`` again.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (problem.n,):
@@ -295,6 +318,7 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
 
     trace: list[IterateRecord] = []
     J_factored = np.full((problem.m, problem.n), np.nan)  # equals no J: step 0 factors
+    factors = None
     stop = None
     res = np.inf
     for k in range(cfg.max_iter + 1):
@@ -321,7 +345,10 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
             break
         try:
             if not np.array_equal(J, J_factored):
-                factors = gsvd(J, L)
+                if factors is not None and L.inverse_is_identity and problem.n >= _BIDIAG_MIN_N:
+                    factors = bidiagonalize(J)
+                else:
+                    factors = gsvd(J, L)
                 np.copyto(J_factored, J)  # eval_J may hand back one buffer it rewrites
             lam, kind, omega_evals = select_lambda_q(factors, r, cfg.q, cfg)
         except LmmssError as exc:

@@ -590,18 +590,40 @@ class TestInputErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "setting, message",
-        [("tcc_rho = -1", "rho must be finite and positive"),
-         ("tcc_samples = 0", "need at least 100 sample pairs")],
-        ids=["tcc_rho", "tcc_samples"],
+        "command, setting, message",
+        [
+            pytest.param(command, setting, message, id=f"{prefix}{name}")
+            for command, prefix in [("diagnose", ""), ("solve", "solve-"), ("sweep", "sweep-")]
+            for name, setting, message in [
+                ("tcc_rho", "tcc_rho = -1", "rho must be finite and positive"),
+                ("tcc_samples", "tcc_samples = 5", "need at least 100 sample pairs"),
+                ("seed", "seeds = -1", "seeds must be nonnegative integers, got -1"),
+            ]
+        ],
     )
-    def test_bad_tcc_settings_rejected(self, tmp_path, capsys, setting, message):
+    def test_bad_tcc_settings_rejected(self, tmp_path, capsys, monkeypatch, command, setting,
+                                       message):
+        # every command refuses a config that diagnose would refuse, before it solves
+        def no_solve(*args):
+            raise AssertionError("solved before checking the config")
+
+        monkeypatch.setattr(lmmss.cli, "solve", no_solve)
+        monkeypatch.setattr(lmmss.cli.diagnostics, "regularization_sweep", no_solve)
         path = tmp_path / "c.ini"
         path.write_text(f"[problem]\nn = 16\n[experiment]\ndeltas = 1e-3\n{setting}\n")
         out = tmp_path / "out"
-        rc = main(["diagnose", "--config", str(path), "--out", str(out)])
+        rc = main([command, "--config", str(path), "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "diagnose"])
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        rc = main([command, "--problem", "linear", "--n", "16", "--delta", "1e-3",
+                   "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        assert "seeds must be nonnegative integers, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
