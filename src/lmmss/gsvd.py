@@ -24,13 +24,14 @@ bounds on the singular values of [A; L] taken from X and the norms of A and
 L; the exact singular values of [A; L] are computed only when the bounds
 cannot decide.
 
-For a pair (J, I_n) the solver needs neither U nor X, only the zeta_i, the
-projection w = U^T r and the step.  ``bidiagonalize`` gets them from one
-Householder bidiagonalization ``J = Q_B [B; 0] P_B^T`` (LAPACK ``gebrd``, in
-``_lapack``): ``bdsqr`` with Q_B^T r as its right-hand side gives the zeta_i
-and w, and a tridiagonal augmented system gives the step.  Its factors,
-``BidiagonalFactors``, answer ``project(r)`` and ``step(r, lam)`` as
-GsvdFactors do.
+The solver needs neither U, V nor X, only the zeta_i, the projection
+w = U^T r and the step.  ``bidiagonalize`` gets them from the same standard
+form and one Householder bidiagonalization of the p-column operator,
+``Q_perp^T J L^+ = Q_B [B; 0] P_B^T`` (LAPACK ``gebrd``, in ``_lapack``; for
+L = I it is J itself): ``bdsqr`` with Q_B^T Q_perp^T r as its right-hand side
+gives the zeta_i and w, and a tridiagonal augmented system gives the step.
+Its completeness bound needs no V.  Its factors, ``BidiagonalFactors``,
+answer ``project(r)`` and ``step(r, lam)`` as GsvdFactors do.
 """
 
 from __future__ import annotations
@@ -116,6 +117,51 @@ def _apply_q(trans: str, qr, tau, C, overwrite: bool = False) -> np.ndarray:
     return out
 
 
+def _checked_pair(A, L):
+    """Check the pair as ``gsvd`` documents; return A (F-ordered float), L's matrix and L.
+
+    A raw L array is wrapped in a ScalingOperator, which checks its shape,
+    entries and rank.
+    """
+    # One layout for every input: a product of A with the few columns of W_0
+    # rounds differently for C- and F-ordered A, and LAPACK reads F order.
+    A = np.asarray(A, dtype=float, order="F")
+    Lmat = _as_matrix(L)
+    if A.ndim != 2 or Lmat.ndim != 2:
+        raise DimensionMismatch("A and L must be two-dimensional arrays")
+    m, n = A.shape
+    if Lmat.shape[1] != n:
+        raise DimensionMismatch(f"column counts differ: A has {n}, L has {Lmat.shape[1]}")
+    if m < n:
+        raise DimensionMismatch(f"need m >= n, got m={m}, n={n}")
+    if not np.isfinite(A).all():
+        raise NonFiniteInput("A has a NaN or infinite entry")
+    if not isinstance(L, ScalingOperator):
+        L = ScalingOperator(Lmat)
+    return A, Lmat, L
+
+
+def _standard_form(A, L: ScalingOperator):
+    """Eldén's standard form of (A, L), x = L^+ y + W_0 z, with k = n - p.
+
+    Returns ``(qr, tau, QtAL, W0_R0inv)``.  For p < n, ``qr`` and ``tau``
+    are ``geqrf``'s Householder reflectors of ``A W_0 = Q [R_0; 0]`` with
+    Q = [Q_0 Q_perp], ``QtAL`` is Q^T A L^+ (its first k rows Q_0^T A L^+,
+    the rest the projection Q_perp^T A L^+), and ``W0_R0inv`` is W_0 R_0^-1,
+    or None when R_0 has an exact zero on its diagonal (A W_0 is singular).
+    For p = n there is no QR: ``(None, None, A L^+, n x 0 array)``, with A
+    itself for A L^+ when L^+ is exactly I_n.
+    """
+    k = L.n - L.p
+    AL = A if L.inverse_is_identity else A @ L.right_inverse
+    if not k:
+        return None, None, AL, np.empty((L.n, 0))
+    qr, tau, _, _ = lapack.dgeqrf(A @ L.null_basis, overwrite_a=1)
+    # R_0 is the upper k x k triangle of qr; W_0 R_0^-1 = (R_0^-T W_0^T)^T
+    W0_R0inv, info = lapack.dtrtrs(qr, L.null_basis.T, trans=1)
+    return qr, tau, _apply_q("T", qr, tau, AL), None if info > 0 else W0_R0inv.T
+
+
 def gsvd(A, L) -> GsvdFactors:
     """Factor the pair (A, L).
 
@@ -147,35 +193,20 @@ def gsvd(A, L) -> GsvdFactors:
     numpy.linalg.LinAlgError
         If the SVD does not converge ("SVD did not converge").
     """
-    # One layout for every input: a product of A with the few columns of W_0
-    # rounds differently for C- and F-ordered A, and LAPACK reads F order.
-    A = np.asarray(A, dtype=float, order="F")
-    Lmat = _as_matrix(L)
-    if A.ndim != 2 or Lmat.ndim != 2:
-        raise DimensionMismatch("A and L must be two-dimensional arrays")
+    A, Lmat, L = _checked_pair(A, L)
+    return _gsvd_of_standard_form(A, Lmat, L, _standard_form(A, L))
+
+
+def _gsvd_of_standard_form(A, Lmat, L: ScalingOperator, form) -> GsvdFactors:
+    """``gsvd``'s factors of the checked pair, given its ``_standard_form``."""
+    qr, tau, QtAL, W0_R0inv = form
     m, n = A.shape
-    if Lmat.shape[1] != n:
-        raise DimensionMismatch(f"column counts differ: A has {n}, L has {Lmat.shape[1]}")
-    if m < n:
-        raise DimensionMismatch(f"need m >= n, got m={m}, n={n}")
-    if not np.isfinite(A).all():
-        raise NonFiniteInput("A has a NaN or infinite entry")
-    if not isinstance(L, ScalingOperator):
-        L = ScalingOperator(Lmat)
     p = L.p
 
-    # Standard form: x = L^+ y + W_0 z.  The QR of A W_0, kept as geqrf's
-    # Householder reflectors, splits A L^+ into Q_0^T A L^+ (its first k
-    # rows after one Q^T) and the projection Q_perp^T A L^+ whose SVD gives
-    # zeta = sigma / mu and V.
+    # Q_perp^T A L^+, the last m - k rows of Q^T A L^+, has the SVD that
+    # gives zeta = sigma / mu and V.
     k = n - p
-    AL = A if L.inverse_is_identity else A @ L.right_inverse
-    if k:
-        qr, tau, _, _ = lapack.dgeqrf(A @ L.null_basis, overwrite_a=1)
-        QtAL = _apply_q("T", qr, tau, AL)
-        Ub, zeta, Vt, info = lapack.dgesdd(QtAL[k:], compute_uv=1, full_matrices=0)
-    else:
-        Ub, zeta, Vt, info = lapack.dgesdd(AL, compute_uv=1, full_matrices=0)
+    Ub, zeta, Vt, info = lapack.dgesdd(QtAL[k:], compute_uv=1, full_matrices=0)
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     Ub, zeta, V = Ub[:, ::-1], zeta[::-1], Vt[::-1].T
@@ -196,13 +227,7 @@ def gsvd(A, L) -> GsvdFactors:
         U[k:, :p] = Ub
         U[:k, p:] = np.eye(k)
         U = _apply_q("N", qr, tau, U, overwrite=True)
-        # R_0 is the upper k x k triangle of qr; W_0 R_0^-1 = (R_0^-T W_0^T)^T
-        W0_R0inv, info = lapack.dtrtrs(qr, L.null_basis.T, trans=1)
-        if info > 0:  # an exact zero on R_0's diagonal: A W_0 is singular
-            X = None
-        else:
-            W0_R0inv = W0_R0inv.T
-            X = np.hstack([T - W0_R0inv @ (QtAL[:k] @ Vmu), W0_R0inv])
+        X = None if W0_R0inv is None else np.hstack([T - W0_R0inv @ (QtAL[:k] @ Vmu), W0_R0inv])
     if not _bounds_complete(np.hypot(frobenius(A), L.spectral_norm), X):
         # A pair that passes the rule has a finite X in exact arithmetic; one
         # whose X is unusable anyway is refused rather than returned.
@@ -224,20 +249,10 @@ def _require_complete(A, Lmat, usable: bool = True):
 
 
 def _bounds_complete(s_max_up, X) -> bool:
-    """Whether bounds on the singular values of [A; L] prove the completeness rule.
+    """Whether ``gsvd``'s X proves the completeness rule by ``_norm_bound_complete``.
 
-    The columns of [A; L] X are orthonormal, so s_min >= 1 / ||X||_F; the
-    caller passes ``s_max_up = hypot(||A||_F, ||L||_2) >= s_max``, since
-    ||[A; L]||_2 <= hypot(||A||_2, ||L||_2).  The bounds go through
-    ``completeness_holds`` with s_min^2 divided by ``_BOUND_MARGIN``.  False
-    means undecided, as when X is missing or not finite.
-
-    Rounding: ||L||_2 is ``ScalingOperator.spectral_norm``, the largest
-    singular value from ``svdvals``, which can fall a few ulps below the true
-    one; the nrm2 norms of A and X are rounded too.  An s_max understated by
-    a relative eps lowers the rule's threshold by at most that eps, while the
-    margin raises it by a factor sqrt(2), so rounding this small cannot
-    accept a pair the exact singular values reject.
+    ||X||_F >= ||X||_2 is the bound on X; False means undecided, as when X is
+    missing or not finite.
 
     The exact fallback takes the singular values of the stacked [A; L], not
     the reciprocals of those of X: X can be ill-conditioned where [A; L] is
@@ -245,98 +260,148 @@ def _bounds_complete(s_max_up, X) -> bool:
     """
     if X is None or not np.isfinite(X).all():
         return False
-    s_min_low = 1.0 / (np.sqrt(_BOUND_MARGIN) * frobenius(X))
+    return _norm_bound_complete(s_max_up, frobenius(X))
+
+
+def _norm_bound_complete(s_max_up, x_norm_up) -> bool:
+    """Whether bounds on the singular values of [A; L] prove the completeness rule.
+
+    [A; L] X has orthonormal columns for the GSVD's X, so s_min = 1 / ||X||_2,
+    and the caller passes ``x_norm_up >= ||X||_2`` and
+    ``s_max_up = hypot(||A||_F, ||L||_2) >= s_max``, since
+    ||[A; L]||_2 <= hypot(||A||_2, ||L||_2).  The bounds go through
+    ``completeness_holds`` with s_min^2 divided by ``_BOUND_MARGIN``.  A NaN
+    or infinite ``x_norm_up`` (nrm2 passes a NaN or infinite entry on) is
+    undecided: False.
+
+    Rounding: ||L||_2 is ``ScalingOperator.spectral_norm``, the largest
+    singular value from ``svdvals``, which can fall a few ulps below the true
+    one; the nrm2 norms of A and X are rounded too.  An s_max understated by
+    a relative eps lowers the rule's threshold by at most that eps, while the
+    margin raises it by a factor sqrt(2), so rounding this small cannot
+    accept a pair the exact singular values reject.
+    """
+    s_min_low = 1.0 / (np.sqrt(_BOUND_MARGIN) * x_norm_up)
     return completeness_holds((s_max_up, s_min_low))
 
 
 class BidiagonalFactors:
-    """Factors of a pair (J, I_n), m >= n, as ``J = Q_B [B; 0] P_B^T``.
+    """Factors of a pair (J, L), m >= n >= p, without singular vectors.
 
-    B is upper bidiagonal, and Q_B and P_B stay as ``dgebrd``'s Householder
-    reflectors.  Neither U nor X is formed; the factors answer the same two
-    questions as GsvdFactors:
+    In the standard form of ``_standard_form`` (k = n - p; Q = [Q_0 Q_perp]
+    from the QR of J W_0 stays as reflectors) the p-column operator is
+    bidiagonalized, ``Q_perp^T J L^+ = Q_B [B; 0] P_B^T``, with B upper
+    bidiagonal and Q_B, P_B kept as ``dgebrd``'s reflectors.  W_0 R_0^-1 and
+    G = L^+ - W_0 R_0^-1 C with C = Q_0^T J L^+ (k x p) are kept too.  For
+    L = I, k = 0 and G = L^+ = I: B is J's own bidiagonal, and G is not
+    kept.  Neither U, V nor X is formed; the factors answer the same two
+    questions as GsvdFactors, from c = Q^T r:
 
-    - ``project(r)``: one ``dbdsqr`` call with ``Q_B^T r`` as its one
+    - ``project(r)``: one ``dbdsqr`` call with ``Q_B^T c[k:]`` as its one
       right-hand side gives the singular values of B, which are the zeta_i of
-      the pair, and w = U^T r.  The sigma and mu of the first projection are
-      kept as ``sigma`` and ``mu`` (None before it): they depend on B alone.
-    - ``step(r, lam)``: with c the leading n entries of Q_B^T r, z solves
-      ``(B^T B + lam I) z = B^T c`` through the 2n x 2n augmented system
-      ``[[sqrt(lam) I, B], [B^T, -sqrt(lam) I]] [t; z] = [c; 0]``.  Taken in
+      the pair, and the leading p entries of w = U^T r; the trailing k are
+      c[:k], since Q_0 is U's trailing block.  The sigma and mu of the first
+      projection are kept as ``sigma`` and ``mu`` (None before it): they
+      depend on B alone.
+    - ``step(r, lam)``: with b the leading p entries of Q_B^T c[k:], z solves
+      ``(B^T B + lam I) z = B^T b`` through the 2p x 2p augmented system
+      ``[[sqrt(lam) I, B], [B^T, -sqrt(lam) I]] [t; z] = [b; 0]``.  Taken in
       the order (z_1, t_1, z_2, t_2, ...) it is tridiagonal, and ``dgtsv``
       solves it.  Its condition number is about zeta_p / sqrt(lam), not the
-      square that the normal equations would have.  Then d = -P_B z.
+      square that the normal equations would have.  Then y = -P_B z = L d
+      and ``d = L^+ y - W_0 R_0^-1 (c[:k] + C y) = G y - W_0 R_0^-1 c[:k]``.
+      That is GsvdFactors' ``-X diag(g) w`` written without V:
+      X = [G V diag(mu), W_0 R_0^-1], and y = -V diag(g_i mu_i) w[:p].
     """
 
-    def __init__(self, a, d, e, tauq, taup):
-        self._a, self._d, self._e, self._tauq, self._taup = a, d, e, tauq, taup
-        self._off = np.empty(2 * d.size - 1)  # the augmented system's off-diagonal
-        self._off[0::2], self._off[1::2] = d, e
+    def __init__(self, shape, a, brd, qr, tau, G, W0_R0inv):
+        (self.m, self.n), self.p = shape, a.shape[1]
+        self._a, self._qr, self._tau, self._G, self._W0_R0inv = a, qr, tau, G, W0_R0inv
+        self._d, self._e, self._tauq, self._taup = brd
+        self._off = np.empty(2 * self.p - 1)  # the augmented system's off-diagonal
+        self._off[0::2], self._off[1::2] = self._d, self._e
         self.sigma = self.mu = None
 
-    @property
-    def m(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self._a.shape[1]
-
-    p = n
+    def _split(self, r):
+        """``(Q_0^T r, Q_B^T Q_perp^T r)``."""
+        c = r if self._qr is None else _apply_q("T", self._qr, self._tau, r[:, None])[:, 0]
+        k = self.n - self.p
+        return c[:k], _lapack.dormbr("Q", "T", self._a, self._tauq, c[k:], self.p)
 
     def project(self, r):
         """Return ``(sigma, mu, w, rho_perp)`` as ``GsvdFactors.project`` does, sigma ascending."""
-        n = self.n
-        c = _lapack.dormbr("Q", "T", self._a, self._tauq, r, n)
-        s, w = _lapack.dbdsqr(self._d, self._e, c[:n])
+        c0, b = self._split(r)
+        s, w = _lapack.dbdsqr(self._d, self._e, b[: self.p])
         if self.sigma is None:
             zeta = s[::-1]
             self.mu = 1.0 / np.hypot(1.0, zeta)
             self.sigma = zeta * self.mu
-        return self.sigma, self.mu, w[::-1], euclidean_norm(c[n:])
+        return self.sigma, self.mu, np.concatenate([w[::-1], c0]), euclidean_norm(b[self.p :])
 
     def step(self, r, lam):
-        """Solve ``(J^T J + lam I) d = -J^T r``; see the class docstring."""
-        n = self.n
-        c = _lapack.dormbr("Q", "T", self._a, self._tauq, r, n)
+        """Solve ``(J^T J + lam L^T L) d = -J^T r``; see the class docstring."""
+        p = self.p
+        c0, b = self._split(r)
         root = np.sqrt(lam)
-        diag = np.empty(2 * n)
+        diag = np.empty(2 * p)
         diag[0::2], diag[1::2] = -root, root
-        rhs = np.zeros((2 * n, 1))
-        rhs[1::2, 0] = c[:n]
+        rhs = np.zeros((2 * p, 1))
+        rhs[1::2, 0] = b[:p]
         _, _, _, u, info = lapack.dgtsv(self._off, diag, self._off, rhs,
                                         overwrite_d=1, overwrite_b=1)
         if info < 0:
             raise ValueError(f"dgtsv rejected argument {-info}")
         if info > 0:  # its eigenvalues are +-sqrt(zeta_i^2 + lam): only a lam lost to rounding
             raise np.linalg.LinAlgError("the augmented step system is singular")
-        return -_lapack.dormbr("P", "N", self._a, self._taup, u[0::2, 0], self.m)
+        y = -_lapack.dormbr("P", "N", self._a, self._taup, u[0::2, 0], self._a.shape[0])
+        if self._G is None:  # L^+ = I, so k = 0 and d = y
+            return y
+        return self._G @ y - self._W0_R0inv @ c0
 
 
-def bidiagonalize(J) -> BidiagonalFactors:
-    """Factor the pair (J, I_n) by one Householder bidiagonalization (``dgebrd``).
+def bidiagonalize(J, L) -> BidiagonalFactors | GsvdFactors:
+    """Factor the pair (J, L) by one Householder bidiagonalization (``dgebrd``).
 
-    Completeness needs no factor: s_min([J; I]) >= 1 holds exactly, and
-    s_max <= hypot(||J||_F, 1).  These bounds go through
-    ``completeness_holds`` with s_min^2 divided by ``_BOUND_MARGIN``, as in
-    ``_bounds_complete``.  Where they cannot decide (||J||_F above about
-    5e4), the exact singular values of [J; I] do, as in ``gsvd``, so a
-    refusal raises the same CompletenessViolated with the same message.
+    Per call: ``_standard_form`` (for p < n a QR of J W_0 kept as reflectors,
+    Q^T J L^+ and W_0 R_0^-1; nothing for L = I) and one ``dgebrd`` of the
+    (m - k) x p block Q_perp^T J L^+.  Input is checked as ``gsvd`` checks it.
 
-    Raises DimensionMismatch if J is not two-dimensional or m < n,
-    NonFiniteInput if J has a NaN or infinite entry, and CompletenessViolated.
+    Completeness needs no V: ``_x_norm_bound`` bounds ||X||_2 from
+    G = L^+ - W_0 R_0^-1 C and W_0 R_0^-1 (1 for L = I), and that bound and
+    s_max <= hypot(||J||_F, ||L||_2) go through ``_norm_bound_complete``.  G
+    is the same difference that forms X's first block in ``gsvd``, so the
+    rounding argument there holds here.  A pair the bound cannot decide (as
+    for d2 at n = 512 or ||J||_F above about 5e4 with L = I), or one whose
+    J W_0 is singular, is returned as ``gsvd(J, L)`` would return it: its SVD
+    is taken of the standard form already computed, and it decides on its
+    own X and then on the exact singular values, so a refusal raises the
+    same CompletenessViolated with the same message.
+
+    Raises what ``gsvd`` raises.
     """
-    a = np.array(J, dtype=float, order="F")  # a copy: dgebrd overwrites it
-    if a.ndim != 2:
-        raise DimensionMismatch("J must be a two-dimensional array")
-    m, n = a.shape
-    if m < n:
-        raise DimensionMismatch(f"need m >= n, got m={m}, n={n}")
-    if not np.isfinite(a).all():
-        raise NonFiniteInput("A has a NaN or infinite entry")
-    if not completeness_holds((np.hypot(frobenius(a), 1.0), 1.0 / np.sqrt(_BOUND_MARGIN))):
-        _require_complete(a, np.eye(n))
-    return BidiagonalFactors(a, *_lapack.dgebrd(a))
+    a, Lmat, L = _checked_pair(J, L)
+    k = L.n - L.p
+    form = qr, tau, QtAL, W0_R0inv = _standard_form(a, L)
+    if W0_R0inv is None:
+        return _gsvd_of_standard_form(a, Lmat, L, form)
+    G = None if L.inverse_is_identity else L.right_inverse - W0_R0inv @ QtAL[:k]
+    if not _norm_bound_complete(np.hypot(frobenius(a), L.spectral_norm),
+                                _x_norm_bound(G, W0_R0inv)):
+        return _gsvd_of_standard_form(a, Lmat, L, form)
+    abar = np.array(QtAL[k:], order="F")  # a copy: dgebrd overwrites it
+    return BidiagonalFactors(a.shape, abar, _lapack.dgebrd(abar), qr, tau, G, W0_R0inv)
+
+
+def _x_norm_bound(G, W0_R0inv) -> float:
+    """An upper bound on ||X||_2, for the GSVD's X of the pair, that needs no V.
+
+    X = [G V diag(mu), W_0 R_0^-1] with G = L^+ - W_0 R_0^-1 C, V orthogonal
+    and mu_i <= 1, so ||X||_2 <= hypot(||G||_F, ||W_0 R_0^-1||_F); for
+    L^+ = I (G None, k = 0) X = V diag(mu) and the bound is 1 exactly.
+    """
+    if G is None:
+        return 1.0
+    return float(np.hypot(frobenius(G), frobenius(W0_R0inv)))
 
 
 def generalized_singular_values(f: GsvdFactors) -> np.ndarray:

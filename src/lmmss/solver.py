@@ -7,9 +7,10 @@ the iteration regularizing; with noisy data the loop stops at the first
 iterate whose residual falls below tau * delta (discrepancy principle).
 
 Each step's damping search and step come from one factorization of (J, L),
-which answers ``project(r)`` and ``step(r, lam)``: ``gsvd`` in general, and for
-L = I at n >= 48 a Householder bidiagonalization of every Jacobian after a
-run's first (``bidiagonalize``), which forms no singular vectors.
+which answers ``project(r)`` and ``step(r, lam)``: at n >= 48 a Householder
+bidiagonalization of the standard-form operator of each new Jacobian
+(``bidiagonalize``), which forms no singular vectors, and ``gsvd`` below that
+n and for a Jacobian factored a second time.
 """
 
 from __future__ import annotations
@@ -40,14 +41,17 @@ from .scaling import ScalingOperator, euclidean_norm, seminorm
 _SEARCH_MAX_ITER = 60
 _BRACKET_LO_FACTOR = 1e-14
 
-#: From this n on, an identity-scaled run factors each Jacobian after its first
-#: by ``bidiagonalize`` instead of ``gsvd``.  Factoring a coefficient Jacobian,
+#: From this n on, ``solve`` factors each new Jacobian by ``bidiagonalize``
+#: instead of ``gsvd``, for every scaling.  Factoring a coefficient Jacobian,
 #: projecting a residual and taking the step cost, ``gsvd`` against
 #: ``bidiagonalize`` (2-vCPU Xeon, one BLAS thread, numpy 2.4.6 / scipy
-#: 1.17.1): n = 128 2.68 / 1.66 ms, n = 64 609 / 447 us, n = 48 394 / 313 us,
-#: n = 32 205 / 217 us.  Re-projecting a residual on factors kept for an
-#: unchanged J costs 5-29 us with ``gsvd``'s U against 80-776 us through
-#: ``dbdsqr``, so a run's first J, all a linear map needs, goes to ``gsvd``.
+#: 1.17.1), for L = I: n = 128 2.68 / 1.66 ms, n = 64 609 / 447 us, n = 48
+#: 394 / 313 us, n = 32 205 / 217 us; for d1/d2: n = 128 2.7-3.0 / 1.6-1.7
+#: ms, n = 64 649-675 / 434-449 us, n = 48 350-380 / 277-286 us, n = 32
+#: 149-163 / 162-168 us.  So one crossover serves every L.  Re-projecting a
+#: residual on factors kept for an unchanged J costs 5-29 us with ``gsvd``'s U
+#: against 80-776 us through ``dbdsqr``, so a J that recurs, as a linear
+#: map's does, is factored once more, by ``gsvd``.
 _BIDIAG_MIN_N = 48
 
 Factors = GsvdFactors | BidiagonalFactors
@@ -296,13 +300,14 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
     the message prefixed by ``iterate k:``.
 
     The factors of (J, L) are reused while J is unchanged, compared entry by
-    entry with a copy of the last factored J, so a linear forward map is
-    factored once per solve.  The damping search and the step still read each
-    step's residual.  The first J of a run is factored by ``gsvd``, whose
-    factors re-project a residual cheaply.  When L is the identity and
-    n >= ``_BIDIAG_MIN_N``, every later J is factored by ``bidiagonalize``,
-    which forms no singular vectors; below that n, or for any other L, by
-    ``gsvd`` again.
+    entry with a copy of the last factored J.  The damping search and the
+    step still read each step's residual.  At n >= ``_BIDIAG_MIN_N`` a new J
+    is factored by ``bidiagonalize``, which forms no singular vectors, and
+    below that n by ``gsvd``.  A J equal to the last factored one while the
+    kept factors are bidiagonal is factored once more, by ``gsvd``, whose
+    factors re-project a residual cheaply; so a linear forward map costs one
+    bidiagonalization and one ``gsvd`` per solve at n >= 48, and one ``gsvd``
+    below.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (problem.n,):
@@ -345,11 +350,10 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
             break
         try:
             if not np.array_equal(J, J_factored):
-                if factors is not None and L.inverse_is_identity and problem.n >= _BIDIAG_MIN_N:
-                    factors = bidiagonalize(J)
-                else:
-                    factors = gsvd(J, L)
+                factors = bidiagonalize(J, L) if problem.n >= _BIDIAG_MIN_N else gsvd(J, L)
                 np.copyto(J_factored, J)  # eval_J may hand back one buffer it rewrites
+            elif isinstance(factors, BidiagonalFactors):
+                factors = gsvd(J, L)
             lam, kind, omega_evals = select_lambda_q(factors, r, cfg.q, cfg)
         except LmmssError as exc:
             raise type(exc)(f"iterate {k}: {exc}") from exc
