@@ -11,22 +11,26 @@ nonsingular, and diagonals sigma (nondecreasing, in [0, 1]) and mu
 (nonincreasing, in (0, 1]) normalized by sigma_i^2 + mu_i^2 = 1.  The ratios
 zeta_i = sigma_i / mu_i are the generalized singular values.
 
-Eldén's standard form x = L^+ y + W_0 z uses L^+ and an orthonormal basis
-W_0 of N(L), both kept by ``ScalingOperator``.  For p < n a QR
+Both factorizations start from Eldén's standard form x = L^+ y + W_0 z,
+built by ``_standard_form`` from L^+ and an orthonormal basis W_0 of N(L),
+both kept by ``ScalingOperator``.  For p < n a QR
 ``A W_0 = [Q_0 Q_perp] [R_0; 0]`` (LAPACK ``geqrf``) splits off the part of
 A that L does not see.  Q is never formed: ``ormqr`` applies its Householder
-reflectors, once as Q^T to A L^+ and once as Q to assemble U, and ``trtrs``
-gives W_0 R_0^-1.  One thin SVD (``gesdd``) of ``Q_perp^T A L^+`` gives the
-zeta_i, U's leading block and, since L L^+ = I_p, V itself.  When L^+ is
-exactly I_n (``ScalingOperator.inverse_is_identity``) the products with it
-are skipped.  Completeness is decided by ``scaling.completeness_holds`` from
-bounds on the singular values of [A; L] taken from X and the norms of A and
-L; the exact singular values of [A; L] are computed only when the bounds
-cannot decide.
+reflectors, as Q^T to A L^+ (and in ``gsvd`` as Q to assemble U), and
+``trtrs`` gives W_0 R_0^-1; an exactly singular R_0 refuses the pair there.
+The form is the p-column operator ``Q_perp^T A L^+``, W_0 R_0^-1 and
+G = L^+ - W_0 R_0^-1 Q_0^T A L^+; when L^+ is exactly I_n
+(``ScalingOperator.inverse_is_identity``) G is None and no product with L^+
+is made.  ``gsvd`` takes one thin SVD (``gesdd``) of the operator, which
+gives the zeta_i, U's leading block and, since L L^+ = I_p, V itself; then
+X = [G V diag(mu), W_0 R_0^-1].  Completeness is decided by
+``scaling.completeness_holds`` from bounds on the singular values of [A; L]
+taken from ||X||_F and the norms of A and L; the exact singular values of
+[A; L] are computed only when the bounds cannot decide.
 
 The solver needs neither U, V nor X, only the zeta_i, the projection
 w = U^T r and the step.  ``bidiagonalize`` gets them from the same standard
-form and one Householder bidiagonalization of the p-column operator,
+form, G included, and one Householder bidiagonalization of the operator,
 ``Q_perp^T J L^+ = Q_B [B; 0] P_B^T`` (LAPACK ``gebrd``, in ``_lapack``; for
 L = I it is J itself): ``bdsqr`` with Q_B^T Q_perp^T r as its right-hand side
 gives the zeta_i and w, and a tridiagonal augmented system gives the step.
@@ -118,10 +122,10 @@ def _apply_q(trans: str, qr, tau, C, overwrite: bool = False) -> np.ndarray:
 
 
 def _checked_pair(A, L):
-    """Check the pair as ``gsvd`` documents; return A (F-ordered float), L's matrix and L.
+    """Check the pair as ``gsvd`` documents; return A (F-ordered float) and L.
 
     A raw L array is wrapped in a ScalingOperator, which checks its shape,
-    entries and rank.
+    entries and rank; a ScalingOperator is returned as it is.
     """
     # One layout for every input: a product of A with the few columns of W_0
     # rounds differently for C- and F-ordered A, and LAPACK reads F order.
@@ -138,40 +142,47 @@ def _checked_pair(A, L):
         raise NonFiniteInput("A has a NaN or infinite entry")
     if not isinstance(L, ScalingOperator):
         L = ScalingOperator(Lmat)
-    return A, Lmat, L
+    return A, L
 
 
 def _standard_form(A, L: ScalingOperator):
     """Eldén's standard form of (A, L), x = L^+ y + W_0 z, with k = n - p.
 
-    Returns ``(qr, tau, QtAL, W0_R0inv)``.  For p < n, ``qr`` and ``tau``
-    are ``geqrf``'s Householder reflectors of ``A W_0 = Q [R_0; 0]`` with
-    Q = [Q_0 Q_perp], ``QtAL`` is Q^T A L^+ (its first k rows Q_0^T A L^+,
-    the rest the projection Q_perp^T A L^+), and ``W0_R0inv`` is W_0 R_0^-1,
-    or None when R_0 has an exact zero on its diagonal (A W_0 is singular).
-    For p = n there is no QR: ``(None, None, A L^+, n x 0 array)``, with A
-    itself for A L^+ when L^+ is exactly I_n.
+    Returns ``(qr, tau, Abar, G, W0_R0inv)``, from which ``gsvd`` and
+    ``bidiagonalize`` both work.  For p < n, ``qr`` and ``tau`` are
+    ``geqrf``'s reflectors of ``A W_0 = Q [R_0; 0]`` with Q = [Q_0 Q_perp],
+    ``Abar`` is the p-column operator Q_perp^T A L^+, ``W0_R0inv`` is
+    W_0 R_0^-1 and G = L^+ - W_0 R_0^-1 Q_0^T A L^+.  For p = n there is no
+    QR: ``(None, None, A L^+, L^+, n x 0 array)``.  When L^+ is exactly I_n,
+    A itself stands for A L^+ and G is None, so no product with L^+ is made.
+    An exact zero on R_0's diagonal (A W_0 singular) refuses the pair here,
+    on the exact singular values of [A; L] (CompletenessViolated).
     """
     k = L.n - L.p
     AL = A if L.inverse_is_identity else A @ L.right_inverse
     if not k:
-        return None, None, AL, np.empty((L.n, 0))
+        G = None if L.inverse_is_identity else L.right_inverse
+        return None, None, AL, G, np.empty((L.n, 0))
     qr, tau, _, _ = lapack.dgeqrf(A @ L.null_basis, overwrite_a=1)
     # R_0 is the upper k x k triangle of qr; W_0 R_0^-1 = (R_0^-T W_0^T)^T
-    W0_R0inv, info = lapack.dtrtrs(qr, L.null_basis.T, trans=1)
-    return qr, tau, _apply_q("T", qr, tau, AL), None if info > 0 else W0_R0inv.T
+    R0invT_W0T, info = lapack.dtrtrs(qr, L.null_basis.T, trans=1)
+    if info > 0:
+        _require_complete(A, L.matrix, usable=False)
+    W0_R0inv = R0invT_W0T.T
+    QtAL = _apply_q("T", qr, tau, AL)
+    return qr, tau, QtAL[k:], L.right_inverse - W0_R0inv @ QtAL[:k], W0_R0inv
 
 
 def gsvd(A, L) -> GsvdFactors:
     """Factor the pair (A, L).
 
-    Per call: a QR of A W_0 kept as reflectors (skipped when p = n) and one
-    thin SVD of the projected ``Q_perp^T A L^+``, whose right factor is V;
-    L^+ and W_0 are the ScalingOperator's ``right_inverse`` and
+    Per call: ``_standard_form`` (a QR of A W_0 kept as reflectors, skipped
+    when p = n) and one thin SVD of its ``Q_perp^T A L^+``, whose right
+    factor is V; L^+ and W_0 are the ScalingOperator's ``right_inverse`` and
     ``null_basis``.  The factors do not depend on the memory layout of A.
-    Completeness is decided by ``scaling.completeness_holds``: first on the
-    bounds of ``_bounds_complete``, and on the exact singular values of
-    [A; L] only when those bounds cannot prove the rule.  A raw L array is
+    Completeness is decided by ``scaling.completeness_holds``: first by
+    ``_norm_bound_complete`` on ||X||_F, and on the exact singular values of
+    [A; L] only when that bound cannot prove the rule.  A raw L array is
     wrapped in a ScalingOperator, which checks its shape, entries and rank.
 
     Parameters
@@ -193,20 +204,19 @@ def gsvd(A, L) -> GsvdFactors:
     numpy.linalg.LinAlgError
         If the SVD does not converge ("SVD did not converge").
     """
-    A, Lmat, L = _checked_pair(A, L)
-    return _gsvd_of_standard_form(A, Lmat, L, _standard_form(A, L))
+    A, L = _checked_pair(A, L)
+    return _gsvd_of_standard_form(A, L, _standard_form(A, L))
 
 
-def _gsvd_of_standard_form(A, Lmat, L: ScalingOperator, form) -> GsvdFactors:
+def _gsvd_of_standard_form(A, L: ScalingOperator, form) -> GsvdFactors:
     """``gsvd``'s factors of the checked pair, given its ``_standard_form``."""
-    qr, tau, QtAL, W0_R0inv = form
+    qr, tau, Abar, G, W0_R0inv = form
     m, n = A.shape
     p = L.p
-
-    # Q_perp^T A L^+, the last m - k rows of Q^T A L^+, has the SVD that
-    # gives zeta = sigma / mu and V.
     k = n - p
-    Ub, zeta, Vt, info = lapack.dgesdd(QtAL[k:], compute_uv=1, full_matrices=0)
+
+    # The SVD of Q_perp^T A L^+ gives zeta = sigma / mu and V.
+    Ub, zeta, Vt, info = lapack.dgesdd(Abar, compute_uv=1, full_matrices=0)
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     Ub, zeta, V = Ub[:, ::-1], zeta[::-1], Vt[::-1].T
@@ -214,24 +224,26 @@ def _gsvd_of_standard_form(A, Lmat, L: ScalingOperator, form) -> GsvdFactors:
     sigma = zeta * mu
     Vmu = V * mu
 
-    # X = [T - W_0 R_0^-1 Q_0^T A T,  W_0 R_0^-1] with T = L^+ V diag(mu).
-    # It comes before the completeness decision because its norm bounds s_min.
-    # T is C-contiguous on both paths: the layout of X sets the rounding of
-    # every later X @ v, and Vmu itself is strided like V.
-    T = np.ascontiguousarray(Vmu) if L.inverse_is_identity else L.right_inverse @ Vmu
+    # X = [G V diag(mu), W_0 R_0^-1].  It comes before the completeness
+    # decision because its norm bounds s_min.  Its first block is
+    # C-contiguous for every G: the layout of X sets the rounding of every
+    # later X @ v, and Vmu itself is strided like V.
+    GVmu = np.ascontiguousarray(Vmu) if G is None else G @ Vmu
     if not k:
-        U, X = Ub, T
+        U, X = Ub, GVmu
     else:
         # U = Q [[0, I_k], [U_b, 0]] = [Q_perp U_b, Q_0]
         U = np.zeros((m, n), order="F")
         U[k:, :p] = Ub
         U[:k, p:] = np.eye(k)
         U = _apply_q("N", qr, tau, U, overwrite=True)
-        X = None if W0_R0inv is None else np.hstack([T - W0_R0inv @ (QtAL[:k] @ Vmu), W0_R0inv])
-    if not _bounds_complete(np.hypot(frobenius(A), L.spectral_norm), X):
+        X = np.hstack([GVmu, W0_R0inv])
+    # ||X||_F >= ||X||_2; nrm2 passes a NaN or infinite entry on, which
+    # leaves the bound undecided.
+    if not _norm_bound_complete(np.hypot(frobenius(A), L.spectral_norm), frobenius(X)):
         # A pair that passes the rule has a finite X in exact arithmetic; one
         # whose X is unusable anyway is refused rather than returned.
-        _require_complete(A, Lmat, usable=X is not None and np.isfinite(X).all())
+        _require_complete(A, L.matrix, usable=np.isfinite(X).all())
 
     return GsvdFactors(U=U, V=V, X=X, sigma=sigma, mu=mu)
 
@@ -239,28 +251,16 @@ def _gsvd_of_standard_form(A, Lmat, L: ScalingOperator, form) -> GsvdFactors:
 def _require_complete(A, Lmat, usable: bool = True):
     """Raise CompletenessViolated unless the exact singular values of [A; L] pass the rule.
 
-    A pair that passes is still refused when ``usable`` is False.
+    A pair that passes is still refused when ``usable`` is False.  The values
+    are those of the stacked [A; L], not the reciprocals of those of X: X can
+    be ill-conditioned where [A; L] is not, and the tests check every refusal
+    against the stacked values.
     """
     s = np.linalg.svd(np.vstack([A, Lmat]), compute_uv=False)
     if not completeness_holds(s) or not usable:
         with np.errstate(over="ignore"):  # a refused pair can have s_min above 1e154
             s_min_sq = s[-1] ** 2
         raise CompletenessViolated(f"N(A) and N(L) intersect: s_min^2 = {s_min_sq:.3e}")
-
-
-def _bounds_complete(s_max_up, X) -> bool:
-    """Whether ``gsvd``'s X proves the completeness rule by ``_norm_bound_complete``.
-
-    ||X||_F >= ||X||_2 is the bound on X; False means undecided, as when X is
-    missing or not finite.
-
-    The exact fallback takes the singular values of the stacked [A; L], not
-    the reciprocals of those of X: X can be ill-conditioned where [A; L] is
-    not, and the tests check every refusal against the stacked values.
-    """
-    if X is None or not np.isfinite(X).all():
-        return False
-    return _norm_bound_complete(s_max_up, frobenius(X))
 
 
 def _norm_bound_complete(s_max_up, x_norm_up) -> bool:
@@ -291,11 +291,11 @@ class BidiagonalFactors:
     In the standard form of ``_standard_form`` (k = n - p; Q = [Q_0 Q_perp]
     from the QR of J W_0 stays as reflectors) the p-column operator is
     bidiagonalized, ``Q_perp^T J L^+ = Q_B [B; 0] P_B^T``, with B upper
-    bidiagonal and Q_B, P_B kept as ``dgebrd``'s reflectors.  W_0 R_0^-1 and
-    G = L^+ - W_0 R_0^-1 C with C = Q_0^T J L^+ (k x p) are kept too.  For
-    L = I, k = 0 and G = L^+ = I: B is J's own bidiagonal, and G is not
-    kept.  Neither U, V nor X is formed; the factors answer the same two
-    questions as GsvdFactors, from c = Q^T r:
+    bidiagonal and Q_B, P_B kept as ``dgebrd``'s reflectors.  The form's
+    W_0 R_0^-1 and G = L^+ - W_0 R_0^-1 C with C = Q_0^T J L^+ (k x p) are
+    kept too; for L = I, B is J's own bidiagonal and G is None.  Neither U,
+    V nor X is formed; the factors answer the same two questions as
+    GsvdFactors, from c = Q^T r:
 
     - ``project(r)``: one ``dbdsqr`` call with ``Q_B^T c[k:]`` as its one
       right-hand side gives the singular values of B, which are the zeta_i of
@@ -362,40 +362,36 @@ class BidiagonalFactors:
 def bidiagonalize(J, L) -> BidiagonalFactors | GsvdFactors:
     """Factor the pair (J, L) by one Householder bidiagonalization (``dgebrd``).
 
-    Per call: ``_standard_form`` (for p < n a QR of J W_0 kept as reflectors,
-    Q^T J L^+ and W_0 R_0^-1; nothing for L = I) and one ``dgebrd`` of the
-    (m - k) x p block Q_perp^T J L^+.  Input is checked as ``gsvd`` checks it.
+    Per call: ``_standard_form``, which ``gsvd`` takes too (for p < n a QR
+    of J W_0 kept as reflectors; it refuses a singular J W_0), and one
+    ``dgebrd`` of its (m - k) x p operator Q_perp^T J L^+.  Input is checked
+    as ``gsvd`` checks it.
 
-    Completeness needs no V: ``_x_norm_bound`` bounds ||X||_2 from
-    G = L^+ - W_0 R_0^-1 C and W_0 R_0^-1 (1 for L = I), and that bound and
+    Completeness needs no V: ``_x_norm_bound`` bounds ||X||_2 from the
+    form's G and W_0 R_0^-1 (1 for L = I), and that bound and
     s_max <= hypot(||J||_F, ||L||_2) go through ``_norm_bound_complete``.  G
-    is the same difference that forms X's first block in ``gsvd``, so the
-    rounding argument there holds here.  A pair the bound cannot decide (as
-    for d2 at n = 512 or ||J||_F above about 5e4 with L = I), or one whose
-    J W_0 is singular, is returned as ``gsvd(J, L)`` would return it: its SVD
-    is taken of the standard form already computed, and it decides on its
-    own X and then on the exact singular values, so a refusal raises the
-    same CompletenessViolated with the same message.
+    forms X's first block in ``gsvd`` too, so the rounding argument there
+    holds here.  A pair the bound cannot decide (as for d2 at n = 512 or
+    ||J||_F above about 5e4 with L = I) is returned as ``gsvd(J, L)`` would
+    return it: its SVD is taken of the form already computed, and it decides
+    on its own X and then on the exact singular values, so a refusal raises
+    the same CompletenessViolated with the same message.
 
     Raises what ``gsvd`` raises.
     """
-    a, Lmat, L = _checked_pair(J, L)
-    k = L.n - L.p
-    form = qr, tau, QtAL, W0_R0inv = _standard_form(a, L)
-    if W0_R0inv is None:
-        return _gsvd_of_standard_form(a, Lmat, L, form)
-    G = None if L.inverse_is_identity else L.right_inverse - W0_R0inv @ QtAL[:k]
+    a, L = _checked_pair(J, L)
+    form = qr, tau, abar, G, W0_R0inv = _standard_form(a, L)
     if not _norm_bound_complete(np.hypot(frobenius(a), L.spectral_norm),
                                 _x_norm_bound(G, W0_R0inv)):
-        return _gsvd_of_standard_form(a, Lmat, L, form)
-    abar = np.array(QtAL[k:], order="F")  # a copy: dgebrd overwrites it
+        return _gsvd_of_standard_form(a, L, form)
+    abar = np.array(abar, order="F")  # a copy: dgebrd overwrites it
     return BidiagonalFactors(a.shape, abar, _lapack.dgebrd(abar), qr, tau, G, W0_R0inv)
 
 
 def _x_norm_bound(G, W0_R0inv) -> float:
     """An upper bound on ||X||_2, for the GSVD's X of the pair, that needs no V.
 
-    X = [G V diag(mu), W_0 R_0^-1] with G = L^+ - W_0 R_0^-1 C, V orthogonal
+    X = [G V diag(mu), W_0 R_0^-1] with ``_standard_form``'s G, V orthogonal
     and mu_i <= 1, so ||X||_2 <= hypot(||G||_F, ||W_0 R_0^-1||_F); for
     L^+ = I (G None, k = 0) X = V diag(mu) and the bound is 1 exactly.
     """

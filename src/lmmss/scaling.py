@@ -28,15 +28,16 @@ class ScalingOperator:
     (NonFiniteInput) and full row rank (RankDeficientL) once, the rank on the
     singular values of R_L in one complete QR ``L^T = [W_p W_0] [R_L; 0]``.
     L stays fixed while the Jacobian changes, so the standard-form factors
-    ``gsvd`` needs at every step are kept: ``right_inverse = W_p R_L^-T``, the
-    Moore-Penrose inverse L^+ (L L^+ = I_p), and ``null_basis = W_0``, an
-    orthonormal basis of N(L).  ``inverse_is_identity`` records whether
-    ``right_inverse`` came out exactly I_n (as it does for L = I_n), so that
-    ``gsvd`` can skip the products with it; it is read off the matrix, not
-    off ``kind``.  ``spectral_norm`` is ||L||_2, the largest singular value
-    of R_L from the rank check, which bounds s_max in ``gsvd``'s completeness
-    decision and enters ``diagnostics.check_euclidean_bound``.  The derived
-    fields cannot be set.  Instances compare and hash by identity.
+    both factorizations need at every step are kept: ``right_inverse``
+    = W_p R_L^-T, the Moore-Penrose inverse L^+ (L L^+ = I_p), and
+    ``null_basis = W_0``, an orthonormal basis of N(L).  ``inverse_is_identity``
+    records whether ``right_inverse`` came out exactly I_n (as it does for
+    L = I_n), so that ``gsvd._standard_form`` skips the products with it for
+    both; it is read off the matrix, not off ``kind``.  ``spectral_norm`` is
+    ||L||_2, the largest singular value of R_L from the rank check, which
+    bounds s_max in the completeness decisions and enters
+    ``diagnostics.check_euclidean_bound``.  The derived fields cannot be set.
+    Instances compare and hash by identity.
     """
 
     matrix: np.ndarray
@@ -154,9 +155,11 @@ def frobenius(M: np.ndarray) -> float:
     """Return ||M||_F from BLAS nrm2, summed in M's memory order.
 
     nrm2 scales as it sums, so entries near 1e200 or 1e-200 neither overflow
-    nor underflow, as squaring them in ``np.linalg.norm`` would.
+    nor underflow, as squaring them in ``np.linalg.norm`` would, and it
+    passes a NaN or infinite entry on.  An empty ``M`` gives 0.0.
     """
-    return scipy.linalg.blas.dnrm2(np.ravel(M, order="K"))
+    v = np.ravel(M, order="K")
+    return scipy.linalg.blas.dnrm2(v) if v.size else 0.0
 
 
 def seminorm(L: ScalingOperator, v) -> float:

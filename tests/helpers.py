@@ -118,6 +118,11 @@ def random_pair(rng, m_max=50, n_max=40):
     return rng.standard_normal((m, n)), rng.standard_normal((p, n))
 
 
+def cyclic_difference(n):
+    """J = I - (cyclic shift): J 1 = 0 exactly, so J W_0 = 0 for the constants W_0 of d1."""
+    return np.eye(n) - np.roll(np.eye(n), 1, axis=1)
+
+
 def central_diff_jacobian(F, x, step=None):
     """Independent central-difference Jacobian oracle."""
     x = np.asarray(x, dtype=float)

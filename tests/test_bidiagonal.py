@@ -9,6 +9,7 @@ import lmmss
 from lmmss import (
     CompletenessViolated,
     GsvdFactors,
+    InverseProblem,
     SolverConfig,
     generalized_singular_values,
     gsvd,
@@ -19,9 +20,16 @@ from lmmss import (
 )
 from lmmss import _lapack
 from lmmss.gsvd import BidiagonalFactors, _standard_form, _x_norm_bound, bidiagonalize
-from lmmss.scaling import from_spec, frobenius, identity, second_difference
+from lmmss.scaling import (
+    first_difference,
+    from_matrix,
+    from_spec,
+    frobenius,
+    identity,
+    second_difference,
+)
 from lmmss.solver import _omega_kernel
-from helpers import in_range_residual, lm_step_reference, omega_reference
+from helpers import cyclic_difference, in_range_residual, lm_step_reference, omega_reference
 
 
 def _problem_pair(name, n):
@@ -104,12 +112,21 @@ def _run(prob, L):
     return solve(prob, data, L, prob.x0_default, SolverConfig(q=0.6, tau=3.5))
 
 
-@pytest.mark.parametrize("name, spec", _cases(["autoconvolution", "coefficient"], ["identity", "d2"]))
+def _scaling(spec, n):
+    """``from_spec``, and "square": I + 0.5 (superdiagonal), a p = n scaling whose L^+ is not I."""
+    if spec == "square":
+        return from_matrix(np.eye(n) + 0.5 * np.eye(n, k=1))
+    return from_spec(spec, n)
+
+
+@pytest.mark.parametrize(
+    "name, spec", _cases(["autoconvolution", "coefficient"], ["identity", "d2", "square"])
+)
 def test_both_paths_give_the_same_run(monkeypatch, name, spec):
     prob = make_problem(name, 64)
-    fast = _run(prob, from_spec(spec, 64))
+    fast = _run(prob, _scaling(spec, 64))
     monkeypatch.setattr(lmmss.solver, "_BIDIAG_MIN_N", 10**9)
-    slow = _run(prob, from_spec(spec, 64))
+    slow = _run(prob, _scaling(spec, 64))
     assert fast.k_star == slow.k_star > 2
     assert fast.stop_reason == slow.stop_reason == "discrepancy"
     assert [rec.qcond_kind for rec in fast.trace] == [rec.qcond_kind for rec in slow.trace]
@@ -218,16 +235,17 @@ def test_refusal_in_solve_names_the_iterate(monkeypatch):
 @pytest.mark.parametrize("n", [48, 128])
 @pytest.mark.parametrize("spec", ["d1", "d2"])
 def test_norm_bound_covers_gsvd_x(spec, n, name):
-    # The bound that needs no V is at least ||X||_F of gsvd's X, and at J(x0)
-    # of every bundled problem it decides the pair (by 13x or more for d2 at
-    # n = 128), so bidiagonalize keeps it.
+    # Both routes read the one G of the standard form: gsvd's X starts with
+    # G V diag(mu), bit for bit.  The bound that needs no V is at least
+    # ||X||_F of that X, and at J(x0) of every bundled problem it decides the
+    # pair (by 13x or more for d2 at n = 128), so bidiagonalize keeps it.
     prob = make_problem(name, n)
     J = prob.evaluate_J(prob.x0_default)
     L = from_spec(spec, n)
-    _, _, QtAL, W0_R0inv = _standard_form(np.asfortranarray(J), L)
-    G = L.right_inverse - W0_R0inv @ QtAL[: n - L.p]
-    bound = _x_norm_bound(G, W0_R0inv)
-    assert bound >= frobenius(gsvd(J, L).X)
+    _, _, _, G, W0_R0inv = _standard_form(np.asfortranarray(J), L)
+    f = gsvd(J, L)
+    assert f.X[:, : L.p].tobytes() == (G @ (f.V * f.mu)).tobytes()
+    assert _x_norm_bound(G, W0_R0inv) >= frobenius(f.X)
     assert isinstance(bidiagonalize(J, L), BidiagonalFactors)
 
 
@@ -253,3 +271,15 @@ def test_constant_null_space_refused_as_gsvd_refuses():
     with pytest.raises(CompletenessViolated) as got:
         bidiagonalize(J, L)
     assert str(got.value) == str(want.value)
+
+
+def test_singular_jacobian_on_the_null_space_refused_in_solve():
+    # J kills the constants, which d1 does too, so J W_0 is exactly 0 and the
+    # standard form refuses the pair at n = 48, on the bidiagonal route,
+    # before any factorization of J L^+.
+    n = 48
+    J = cyclic_difference(n)
+    prob = InverseProblem(name="cyclic-difference", eval_F=lambda x: J @ x,
+                          eval_J=lambda x: J, n=n, y_exact=J @ np.linspace(0.0, 1.0, n))
+    with pytest.raises(CompletenessViolated, match=r"^iterate 0: N\(A\) and N\(L\) intersect"):
+        solve(prob, None, first_difference(n), np.zeros(n), SolverConfig(q=0.6, tau=3.5))

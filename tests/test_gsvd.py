@@ -13,15 +13,16 @@ from lmmss import (
     make_problem,
     validate,
 )
-from lmmss.gsvd import _bounds_complete
+from lmmss.gsvd import _norm_bound_complete, bidiagonalize
 from lmmss.scaling import (
     completeness_holds,
     first_difference,
     from_matrix,
+    frobenius,
     identity,
     second_difference,
 )
-from helpers import gsvd_reference, pencil_gsv_squared, random_pair
+from helpers import cyclic_difference, gsvd_reference, pencil_gsv_squared, random_pair
 
 SQ2 = np.sqrt(0.5)
 
@@ -170,14 +171,21 @@ def test_rank_deficient_scaling_rejected():
 
 
 @pytest.mark.filterwarnings("error")
-def test_completeness_violation_detected():
+@pytest.mark.parametrize("factor", [gsvd, bidiagonalize])
+@pytest.mark.parametrize(
+    "A, L",
+    [(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[1.0, 0.0]])),
+     (cyclic_difference(48), first_difference(48))],
+    ids=["n2", "cyclic-d1-n48"],
+)
+def test_completeness_violation_detected(A, L, factor):
     # A W_0 = 0 leaves an exact zero on R_0's diagonal, so the triangular
-    # solve for X fails and the exact singular values must reject the pair on
-    # their own.
-    A = np.array([[1.0, 0.0], [0.0, 0.0]])
-    L = np.array([[1.0, 0.0]])
-    with pytest.raises(CompletenessViolated, match="s_min\\^2 = 0.000e\\+00"):
-        gsvd(A, L)
+    # solve in the standard form fails and the exact singular values of
+    # [A; L] must reject the pair on their own, on both routes alike.
+    s = np.linalg.svd(np.vstack([A, getattr(L, "matrix", L)]), compute_uv=False)
+    with pytest.raises(CompletenessViolated) as got:
+        factor(A, L)
+    assert str(got.value) == f"N(A) and N(L) intersect: s_min^2 = {s[-1] ** 2:.3e}"
 
 
 @pytest.mark.parametrize("L", [np.eye(3), np.diff(np.eye(3), axis=0)], ids=["p=n", "p<n"])
@@ -257,9 +265,9 @@ def test_pair_between_the_two_s_max_bounds_takes_no_exact_svd(monkeypatch):
     calls = _count_exact_svds(monkeypatch)
     f = gsvd(A, L)
     assert calls == []
-    a_fro = np.linalg.norm(A)
-    assert _bounds_complete(np.hypot(a_fro, L.spectral_norm), f.X)
-    assert not _bounds_complete(np.hypot(a_fro, np.linalg.norm(L.matrix)), f.X)
+    a_fro, x_fro = np.linalg.norm(A), frobenius(f.X)
+    assert _norm_bound_complete(np.hypot(a_fro, L.spectral_norm), x_fro)
+    assert not _norm_bound_complete(np.hypot(a_fro, np.linalg.norm(L.matrix)), x_fro)
 
 
 @pytest.mark.parametrize("scaling", [identity, first_difference, second_difference])
@@ -329,7 +337,7 @@ def _bound_and_exact(M, W):
     R = np.linalg.qr(M, mode="r")
     X = scipy.linalg.solve_triangular(R, W)
     return (
-        _bounds_complete(np.linalg.norm(M), X),
+        _norm_bound_complete(np.linalg.norm(M), frobenius(X)),
         completeness_holds(np.linalg.svd(M, compute_uv=False)),
     )
 
@@ -343,7 +351,17 @@ def test_bounds_undecided_at_the_threshold_n1():
         t = np.nextafter(t, 1.0)
     for value in (np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)):
         for w in (1.0, -1.0):
-            assert not _bounds_complete(value, np.array([[w / value]]))
+            assert not _norm_bound_complete(value, frobenius(np.array([[w / value]])))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_norm_bound_undecided_for_a_non_finite_x(bad):
+    # nrm2 passes a NaN or infinite entry on, so gsvd needs no isfinite
+    # check on X before the bound: such an X leaves the pair undecided.
+    X = np.eye(3)
+    X[1, 2] = bad
+    assert _norm_bound_complete(1.0, frobenius(np.eye(3)))
+    assert not _norm_bound_complete(1.0, frobenius(X))
 
 
 @pytest.mark.parametrize("t2", [3.003e-10, 2.997e-10, 2.5e-10])

@@ -16,6 +16,7 @@ from lmmss.scaling import (
     completeness_holds,
     euclidean_norm,
     first_difference,
+    frobenius,
     from_matrix,
     from_spec,
     identity,
@@ -203,6 +204,12 @@ def test_euclidean_norm_does_not_overflow():
     assert euclidean_norm(np.array([1e200, 1.0, 1.0])) == 1e200
     assert euclidean_norm(np.array([[3e200], [4e200]])) == pytest.approx(5e200, rel=1e-15)
     assert euclidean_norm(np.array([1e200, np.inf])) == np.inf
+
+
+@pytest.mark.parametrize("shape", [(0,), (48, 0), (0, 3)], ids=["0", "48x0", "0x3"])
+def test_frobenius_of_an_empty_array_is_zero(shape):
+    # W_0 R_0^-1 of a square L is n x 0; BLAS nrm2 refuses an empty array
+    assert frobenius(np.empty(shape)) == 0.0
 
 
 def test_seminorm_shape_check():
