@@ -1,16 +1,13 @@
-"""Three LAPACK routines that ``scipy.linalg.lapack`` does not wrap.
+"""Two LAPACK routines that ``scipy.linalg.lapack`` does not wrap.
 
-``dgebrd`` reduces a matrix to bidiagonal form by Householder reflectors,
-``dbdsqr`` takes the SVD of a bidiagonal matrix and applies its left singular
-vectors to a right-hand side, and ``dormbr`` applies ``dgebrd``'s reflectors.
-``scipy.linalg.cython_lapack`` exports all three as C function pointers in the
-capsules of its ``__pyx_capi__``.  They are bound here once, through ctypes,
-with ``PyCapsule_GetName`` and ``PyCapsule_GetPointer`` (the lookup numba's
-``get_cython_function_address`` makes).  Every argument is passed by
-reference, Fortran style, and every call checks ``info``: an illegal argument
-raises ValueError and a ``dbdsqr`` that does not converge raises
-``numpy.linalg.LinAlgError``.  Arrays are F-ordered float64 and the inputs
-are left unchanged unless a docstring says otherwise.
+``dgebrd`` reduces a matrix to bidiagonal form by Householder reflectors, and
+``dormbr`` applies its reflectors.  ``scipy.linalg.cython_lapack`` exports
+both as C function pointers in the capsules of its ``__pyx_capi__``.  They
+are bound here once, through ctypes, with ``PyCapsule_GetName`` and
+``PyCapsule_GetPointer`` (the lookup numba's ``get_cython_function_address``
+makes).  Every argument is passed by reference, Fortran style, and every call
+checks ``info``: an illegal argument raises ValueError.  Arrays are F-ordered
+float64 and the inputs are left unchanged unless a docstring says otherwise.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ def _bind(name: str, nargs: int):
 
 
 _dgebrd = _bind("dgebrd", 11)
-_dbdsqr = _bind("dbdsqr", 15)
 _dormbr = _bind("dormbr", 14)
 
 
@@ -72,34 +68,6 @@ def dgebrd(a: np.ndarray):
             tauq.ctypes.data, taup.ctypes.data, work.ctypes.data, _ref(lwork_), _ref(info))
     _check("dgebrd", info)
     return d, e[: n - 1], tauq, taup
-
-
-def dbdsqr(d: np.ndarray, e: np.ndarray, c: np.ndarray):
-    """Singular values of the upper bidiagonal B, largest first, and ``U^T c``.
-
-    B has diagonal ``d`` (n) and superdiagonal ``e`` (n - 1), and
-    ``B = U diag(s) W^T`` is its SVD; ``c`` is one right-hand side of length n.
-    Returns ``(s, U^T c)``.  Raises ``numpy.linalg.LinAlgError("SVD did not
-    converge")`` when the QR iteration does not converge, and ValueError for a
-    NaN or infinite entry of B, on which the routine does not return.
-    """
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ValueError("the bidiagonal matrix has a NaN or infinite entry")
-    n = d.size
-    s = np.array(d, dtype=float)
-    ework = np.zeros(max(n - 1, 1))
-    ework[: n - 1] = e
-    out = np.array(c, dtype=float)
-    work = np.empty(4 * n)
-    uplo = ctypes.c_char(b"U")
-    n_, zero, one, info = _ints(n, 0, 1, 0)
-    _dbdsqr(_ref(uplo), _ref(n_), _ref(zero), _ref(zero), _ref(one), s.ctypes.data,
-            ework.ctypes.data, None, _ref(one), None, _ref(one), out.ctypes.data, _ref(n_),
-            work.ctypes.data, _ref(info))
-    _check("dbdsqr", info)
-    if info.value > 0:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    return s, out
 
 
 def dormbr(vect: str, trans: str, a: np.ndarray, tau: np.ndarray, c: np.ndarray, k: int):

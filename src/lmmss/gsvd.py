@@ -28,19 +28,23 @@ X = [G V diag(mu), W_0 R_0^-1].  Completeness is decided by
 taken from ||X||_F and the norms of A and L; the exact singular values of
 [A; L] are computed only when the bounds cannot decide.
 
-The solver needs neither U, V nor X, only the zeta_i, the projection
-w = U^T r and the step.  ``bidiagonalize`` gets them from the same standard
-form, G included, and one Householder bidiagonalization of the operator,
+The solver needs neither U, V nor X, nor even every zeta_i: only zeta_p,
+the linearized residual ||r + J d(lam)|| with its slope for the damping
+search, and the step.  Both factor classes answer them through ``zeta_p``,
+``split(r)``, whose result the search and the step share, and
+``step(r, lam)``.  ``gsvd``'s factors answer from w = U^T r by spectral sums.
+``bidiagonalize`` gets them from the same standard form, G included, and one
+Householder bidiagonalization of the operator,
 ``Q_perp^T J L^+ = Q_B [B; 0] P_B^T`` (LAPACK ``gebrd``, in ``_lapack``; for
-L = I it is J itself): ``bdsqr`` with Q_B^T Q_perp^T r as its right-hand side
-gives the zeta_i and w, and a tridiagonal augmented system gives the step.
-Its completeness bound needs no V.  Its factors, ``BidiagonalFactors``,
-answer ``project(r)`` and ``step(r, lam)`` as GsvdFactors do.
+L = I it is J itself), without any SVD: bisection (``stebz``) on B's
+Golub–Kahan tridiagonal gives zeta_p, and a tridiagonal augmented system on
+B (``gtsv``) gives the linearized residual at each lam, its slope and the
+step.  Its completeness bound needs no V.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
@@ -67,6 +71,7 @@ class GsvdFactors:
     X: np.ndarray
     sigma: np.ndarray
     mu: np.ndarray
+    _last_split: list = field(default_factory=lambda: [None, None], init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -80,14 +85,14 @@ class GsvdFactors:
     def p(self) -> int:
         return self.V.shape[0]
 
-    def project(self, r):
-        """Return ``(sigma, mu, w, rho_perp)``: w = U^T r and rho_perp = ||r - U w||.
+    @property
+    def zeta_p(self) -> float:
+        """The largest generalized singular value, sigma_p / mu_p."""
+        return float(self.sigma[-1] / self.mu[-1])
 
-        rho_perp is the norm of r - U w, not sqrt(||r||^2 - ||w||^2), which
-        cancels when U is square.
-        """
-        w = self.U.T @ r
-        return self.sigma, self.mu, w, euclidean_norm(r - self.U @ w)
+    def split(self, r) -> _GsvdSplit:
+        """r in the factors' coordinates, kept for the last r (``_kept_split``)."""
+        return _kept_split(self, r, _GsvdSplit)
 
     def step(self, r, lam):
         """Solve ``(A^T A + lam L^T L) d = -A^T r``.
@@ -96,10 +101,53 @@ class GsvdFactors:
         g_i = sigma_i / (sigma_i^2 + lam mu_i^2) on the leading p entries and
         1 on the trailing block.
         """
-        w = self.U.T @ r
         filt = np.ones(self.n)
         filt[: self.p] = self.sigma / (self.sigma**2 + lam * self.mu**2)
-        return -(self.X @ (filt * w))
+        return -(self.X @ (filt * self.split(r).w))
+
+
+def _kept_split(f, r, split_class):
+    """``split_class(f, r)``, kept on f for the last r, so a step reuses its search's split.
+
+    The key is the bytes of r, so an r changed in place is split afresh.  A
+    split holds no reference to f: a cycle would keep every factors object
+    alive until the garbage collector ran.
+    """
+    key = r.tobytes()
+    if f._last_split[0] != key:
+        f._last_split[:] = key, split_class(f, r)
+    return f._last_split[1]
+
+
+class _GsvdSplit:
+    """A residual r split by gsvd's factors: w = U^T r and rho_perp = ||r - U w||.
+
+    rho_perp is the norm of r - U w, not sqrt(||r||^2 - ||w||^2), which
+    cancels when U is square.  J^T r = X^-T diag(sigma, I) w vanishes when
+    ``gradient_vanishes``.
+    """
+
+    def __init__(self, f: GsvdFactors, r):
+        self.w = w = f.U.T @ r
+        self.rho_perp = euclidean_norm(r - f.U @ w)
+        p = f.p
+        self.gradient_vanishes = not (f.sigma * w[:p]).any() and not w[p:].any()
+        self._wp, self._s2, self._m2 = w[:p], f.sigma**2, f.mu**2
+
+    def secular(self, lam, newton: bool = False):
+        """``(gamma, slope)`` at lam; slope is None unless ``newton``.
+
+        The linearized residual is the part rho_perp of r outside range(U)
+        plus ``U [e; 0]`` with e_i = lam mu_i^2 w_i / (sigma_i^2 + lam mu_i^2),
+        so gamma = ||e||, and slope = sum (e_i / gamma)^2 sigma_i^2 /
+        (sigma_i^2 + lam mu_i^2), a sum of nonnegative terms (0 for gamma = 0).
+        """
+        den = self._s2 + lam * self._m2
+        e = lam * self._m2 * self._wp / den
+        gamma = euclidean_norm(e)
+        if not newton:
+            return gamma, None
+        return gamma, float(((e / gamma) ** 2) @ (self._s2 / den)) if gamma else 0.0
 
 
 def _as_matrix(L) -> np.ndarray:
@@ -219,7 +267,9 @@ def _gsvd_of_standard_form(A, L: ScalingOperator, form) -> GsvdFactors:
     Ub, zeta, Vt, info = lapack.dgesdd(Abar, compute_uv=1, full_matrices=0)
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
-    Ub, zeta, V = Ub[:, ::-1], zeta[::-1], Vt[::-1].T
+    # U's columns reversed into a new array: a reversed view would make every
+    # later U^T r and U w take numpy's loop instead of BLAS.
+    Ub, zeta, V = np.asfortranarray(Ub[:, ::-1]), zeta[::-1], Vt[::-1].T
     mu = 1.0 / np.hypot(1.0, zeta)
     sigma = zeta * mu
     Vmu = V * mu
@@ -294,24 +344,26 @@ class BidiagonalFactors:
     bidiagonal and Q_B, P_B kept as ``dgebrd``'s reflectors.  The form's
     W_0 R_0^-1 and G = L^+ - W_0 R_0^-1 C with C = Q_0^T J L^+ (k x p) are
     kept too; for L = I, B is J's own bidiagonal and G is None.  Neither U,
-    V nor X is formed; the factors answer the same two questions as
-    GsvdFactors, from c = Q^T r:
+    V, X nor the SVD of B is formed; the factors answer the same questions as
+    GsvdFactors:
 
-    - ``project(r)``: one ``dbdsqr`` call with ``Q_B^T c[k:]`` as its one
-      right-hand side gives the singular values of B, which are the zeta_i of
-      the pair, and the leading p entries of w = U^T r; the trailing k are
-      c[:k], since Q_0 is U's trailing block.  The sigma and mu of the first
-      projection are kept as ``sigma`` and ``mu`` (None before it): they
-      depend on B alone.
-    - ``step(r, lam)``: with b the leading p entries of Q_B^T c[k:], z solves
-      ``(B^T B + lam I) z = B^T b`` through the 2p x 2p augmented system
-      ``[[sqrt(lam) I, B], [B^T, -sqrt(lam) I]] [t; z] = [b; 0]``.  Taken in
-      the order (z_1, t_1, z_2, t_2, ...) it is tridiagonal, and ``dgtsv``
-      solves it.  Its condition number is about zeta_p / sqrt(lam), not the
-      square that the normal equations would have.  Then y = -P_B z = L d
-      and ``d = L^+ y - W_0 R_0^-1 (c[:k] + C y) = G y - W_0 R_0^-1 c[:k]``.
-      That is GsvdFactors' ``-X diag(g) w`` written without V:
-      X = [G V diag(mu), W_0 R_0^-1], and y = -V diag(g_i mu_i) w[:p].
+    - ``zeta_p``, the largest singular value of B, is the largest eigenvalue
+      of its Golub–Kahan tridiagonal (``_largest_singular_value``).
+    - ``split(r)``: c = Q^T r, c_0 = c[:k] = Q_0^T r and b = Q_B^T c[k:];
+      rho_perp = ||b[p:]||, and J^T r = 0 exactly when c_0 = 0 and B^T b[:p]
+      = 0 (see ``_BidiagonalSplit``).
+    - The damping search and the step solve, for b[:p] or another right-hand
+      side h, ``[[sqrt(lam) I, B], [B^T, -sqrt(lam) I]] [t; z] = [h; 0]``.
+      For h = b[:p], z solves ``(B^T B + lam I) z = B^T b`` and sqrt(lam) t =
+      b - B z is the residual of the projected problem.  Taken in the order
+      (z_1, t_1, z_2, t_2, ...) the system is tridiagonal, and ``dgtsv``
+      solves it in O(p) (Eldén's direct solution of a regularized problem on
+      a bidiagonal).  Its condition number is about zeta_p / sqrt(lam), not
+      the square that the normal equations would have.
+    - ``step(r, lam)``: y = -P_B z = L d and ``d = L^+ y - W_0 R_0^-1 (c_0 +
+      C y) = G y - W_0 R_0^-1 c_0``.  That is GsvdFactors' ``-X diag(g) w``
+      written without V: X = [G V diag(mu), W_0 R_0^-1], and y = -V diag(g_i
+      mu_i) w[:p].
     """
 
     def __init__(self, shape, a, brd, qr, tau, G, W0_R0inv):
@@ -320,43 +372,101 @@ class BidiagonalFactors:
         self._d, self._e, self._tauq, self._taup = brd
         self._off = np.empty(2 * self.p - 1)  # the augmented system's off-diagonal
         self._off[0::2], self._off[1::2] = self._d, self._e
-        self.sigma = self.mu = None
+        self.zeta_p = _largest_singular_value(self._off)
+        self._last_split = [None, None]
 
-    def _split(self, r):
-        """``(Q_0^T r, Q_B^T Q_perp^T r)``."""
-        c = r if self._qr is None else _apply_q("T", self._qr, self._tau, r[:, None])[:, 0]
-        k = self.n - self.p
-        return c[:k], _lapack.dormbr("Q", "T", self._a, self._tauq, c[k:], self.p)
-
-    def project(self, r):
-        """Return ``(sigma, mu, w, rho_perp)`` as ``GsvdFactors.project`` does, sigma ascending."""
-        c0, b = self._split(r)
-        s, w = _lapack.dbdsqr(self._d, self._e, b[: self.p])
-        if self.sigma is None:
-            zeta = s[::-1]
-            self.mu = 1.0 / np.hypot(1.0, zeta)
-            self.sigma = zeta * self.mu
-        return self.sigma, self.mu, np.concatenate([w[::-1], c0]), euclidean_norm(b[self.p :])
+    def split(self, r) -> _BidiagonalSplit:
+        """r in the factors' coordinates; kept for the last r (``_kept_split``)."""
+        return _kept_split(self, r, _BidiagonalSplit)
 
     def step(self, r, lam):
         """Solve ``(J^T J + lam L^T L) d = -J^T r``; see the class docstring."""
-        p = self.p
-        c0, b = self._split(r)
-        root = np.sqrt(lam)
-        diag = np.empty(2 * p)
-        diag[0::2], diag[1::2] = -root, root
-        rhs = np.zeros((2 * p, 1))
-        rhs[1::2, 0] = b[:p]
-        _, _, _, u, info = lapack.dgtsv(self._off, diag, self._off, rhs,
-                                        overwrite_d=1, overwrite_b=1)
-        if info < 0:
-            raise ValueError(f"dgtsv rejected argument {-info}")
-        if info > 0:  # its eigenvalues are +-sqrt(zeta_i^2 + lam): only a lam lost to rounding
-            raise np.linalg.LinAlgError("the augmented step system is singular")
-        y = -_lapack.dormbr("P", "N", self._a, self._taup, u[0::2, 0], self._a.shape[0])
+        split = self.split(r)
+        z, _ = _solve_augmented(self._off, lam, split.b)
+        y = -_lapack.dormbr("P", "N", self._a, self._taup, z, self._a.shape[0])
         if self._G is None:  # L^+ = I, so k = 0 and d = y
             return y
-        return self._G @ y - self._W0_R0inv @ c0
+        return self._G @ y - self._W0_R0inv @ split.c0
+
+
+class _BidiagonalSplit:
+    """A residual r split by bidiagonal factors: c0 = Q_0^T r and b = (Q_B^T Q_perp^T r)[:p].
+
+    J^T r = X^-T diag(sigma, I) w, and diag(zeta) w[:p] is B^T b up to the
+    orthogonal W of B's SVD, so J^T r = 0 exactly when c0 and B^T b vanish
+    (``gradient_vanishes``).
+    """
+
+    def __init__(self, f: BidiagonalFactors, r):
+        c = r if f._qr is None else _apply_q("T", f._qr, f._tau, r[:, None])[:, 0]
+        k = f.n - f.p
+        self.c0 = c[:k]
+        b = _lapack.dormbr("Q", "T", f._a, f._tauq, c[k:], f.p)
+        self.b = b[: f.p]
+        self.rho_perp = euclidean_norm(b[f.p :])
+        grad = f._d * self.b  # B^T b, B upper bidiagonal
+        grad[1:] += f._e * self.b[:-1]
+        self.gradient_vanishes = not self.c0.any() and not grad.any()
+        self._off = f._off
+
+    def secular(self, lam, newton: bool = False):
+        """``(gamma, slope)`` at lam, as ``_GsvdSplit.secular`` gives them, without B's SVD.
+
+        gamma = sqrt(lam) ||t||, from t itself rather than from b - B z,
+        which cancels at small lam.  For the slope a second solve with
+        right-hand side e / gamma, e = sqrt(lam) t, gives z' / gamma, where
+        z' = lam (B^T B + lam I)^-1 z since B^T e = lam z; then slope =
+        lam (z . z') / gamma^2, a quadratic form in z that is nonnegative,
+        and in B's singular basis the spectral sum of ``_GsvdSplit``.
+        """
+        z, t = _solve_augmented(self._off, lam, self.b)
+        t_norm = euclidean_norm(t)
+        gamma = np.sqrt(lam) * t_norm
+        if not newton:
+            return gamma, None
+        if not gamma:
+            return gamma, 0.0
+        z_unit, _ = _solve_augmented(self._off, lam, t / t_norm)
+        return gamma, float(lam / gamma * (z @ z_unit))
+
+
+def _solve_augmented(off, lam, h):
+    """``(z, t)`` solving ``BidiagonalFactors``' augmented system at lam for ``[h; 0]``.
+
+    ``off`` = (d_1, e_1, ..., d_p) holds B and is the system's off-diagonal.
+    """
+    p = (off.size + 1) // 2
+    root = np.sqrt(lam)
+    diag = np.empty(2 * p)
+    diag[0::2], diag[1::2] = -root, root
+    rhs = np.zeros((2 * p, 1))
+    rhs[1::2, 0] = h
+    _, _, _, u, info = lapack.dgtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)
+    if info < 0:
+        raise ValueError(f"dgtsv rejected argument {-info}")
+    if info > 0:  # its eigenvalues are +-sqrt(zeta_i^2 + lam): only a lam lost to rounding
+        raise np.linalg.LinAlgError("the augmented step system is singular")
+    return u[0::2, 0], u[1::2, 0]
+
+
+def _largest_singular_value(off) -> float:
+    """s_max(B) for the upper bidiagonal B with entries ``off`` = (d_1, e_1, ..., d_p).
+
+    The 2p x 2p symmetric tridiagonal with zero diagonal and off-diagonal
+    ``off``, B's Golub–Kahan tridiagonal, has the eigenvalues +-s_i(B), so
+    s_max(B) is its largest, found by bisection (``dstebz`` with il = iu =
+    2p).  A NaN or infinite entry raises ValueError before bisection, and a
+    ``dstebz`` failure numpy.linalg.LinAlgError.
+    """
+    if not np.isfinite(off).all():
+        raise ValueError("the bidiagonal matrix has a NaN or infinite entry")
+    n = off.size + 1
+    found, w, _, _, info = lapack.dstebz(np.zeros(n), off, 2, 0.0, 0.0, n, n, 0.0, "E")
+    if info < 0:
+        raise ValueError(f"dstebz rejected argument {-info}")
+    if info > 0 or found != 1:
+        raise np.linalg.LinAlgError("bisection for the largest singular value of B failed")
+    return float(w[0])
 
 
 def bidiagonalize(J, L) -> BidiagonalFactors | GsvdFactors:

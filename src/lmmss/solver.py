@@ -7,10 +7,12 @@ the iteration regularizing; with noisy data the loop stops at the first
 iterate whose residual falls below tau * delta (discrepancy principle).
 
 Each step's damping search and step come from one factorization of (J, L),
-which answers ``project(r)`` and ``step(r, lam)``: at n >= 48 a Householder
+which splits the residual once (``split(r)``) and answers ``zeta_p``, the
+omega kernel's values and ``step(r, lam)``: at n >= 34 a Householder
 bidiagonalization of the standard-form operator of each new Jacobian
-(``bidiagonalize``), which forms no singular vectors, and ``gsvd`` below that
-n and for a Jacobian factored a second time.
+(``bidiagonalize``), which forms neither singular vectors nor singular
+values beyond the largest, and ``gsvd`` below that n and for a Jacobian
+factored a second time.
 """
 
 from __future__ import annotations
@@ -29,30 +31,28 @@ from .errors import (
     NonpositiveLambda,
     ZeroGradient,
 )
-from .gsvd import (
-    BidiagonalFactors,
-    GsvdFactors,
-    bidiagonalize,
-    generalized_singular_values,
-    gsvd,
-)
+from .gsvd import BidiagonalFactors, GsvdFactors, bidiagonalize, gsvd
 from .scaling import ScalingOperator, euclidean_norm, seminorm
 
 _SEARCH_MAX_ITER = 60
 _BRACKET_LO_FACTOR = 1e-14
 
 #: From this n on, ``solve`` factors each new Jacobian by ``bidiagonalize``
-#: instead of ``gsvd``, for every scaling.  Factoring a coefficient Jacobian,
-#: projecting a residual and taking the step cost, ``gsvd`` against
-#: ``bidiagonalize`` (2-vCPU Xeon, one BLAS thread, numpy 2.4.6 / scipy
-#: 1.17.1), for L = I: n = 128 2.68 / 1.66 ms, n = 64 609 / 447 us, n = 48
-#: 394 / 313 us, n = 32 205 / 217 us; for d1/d2: n = 128 2.7-3.0 / 1.6-1.7
-#: ms, n = 64 649-675 / 434-449 us, n = 48 350-380 / 277-286 us, n = 32
-#: 149-163 / 162-168 us.  So one crossover serves every L.  Re-projecting a
-#: residual on factors kept for an unchanged J costs 5-29 us with ``gsvd``'s U
-#: against 80-776 us through ``dbdsqr``, so a J that recurs, as a linear
-#: map's does, is factored once more, by ``gsvd``.
-_BIDIAG_MIN_N = 48
+#: instead of ``gsvd``, for every scaling.  One step on a new Jacobian
+#: (factor, damping search, step) at J(x0) of the three bundled problems with
+#: identity, d1 and d2 (2-vCPU Xeon, one BLAS thread, numpy 2.4.6 / scipy
+#: 1.17.1) takes on the bidiagonal route 0.86-1.18 times gsvd's time at
+#: n = 32, 0.87-1.02 at n = 33, 0.84-0.96 at n = 34 and 0.71-0.91 at n = 36;
+#: for the coefficient problem, ``gsvd`` against ``bidiagonalize``, n = 48
+#: 0.52-0.79 / 0.43-0.47 ms and n = 128 3.0-3.2 / 1.2-1.4 ms.  So one
+#: crossover serves every L.  On factors kept for an unchanged J a step costs
+#: 42-74 us with ``gsvd``'s U against 143-192 us on the bidiagonal (linear
+#: problem, n = 48-128), and one ``gsvd`` 0.5-0.9 ms at n = 48-64 and
+#: 1.8-2.8 ms at n = 128.  So a J that recurs, as a linear map's does, is
+#: factored once more, by ``gsvd``: summed over delta = 1e-2 ... 1e-5 (k* 4-21)
+#: linear solves take 9-13% less time with it at n = 96-112 and up to 35% less
+#: at n = 48-64 (k* >= 9), and at n = 128 it breaks even at about k* = 15.
+_BIDIAG_MIN_N = 34
 
 Factors = GsvdFactors | BidiagonalFactors
 
@@ -162,39 +162,38 @@ def lm_step_gsvd(f: Factors, r, lam: float) -> np.ndarray:
 def _omega_kernel(f: Factors, r: np.ndarray):
     """Return ``lam -> ||r + J d(lam)||`` evaluated from the factors of (J, L).
 
-    With ``(sigma, mu, w, rho_perp) = f.project(r)``, w = U^T r, the
-    linearized residual is the part rho_perp of r outside range(U) plus
-    ``U [lam mu_i^2 w_i / (sigma_i^2 + lam mu_i^2); 0]``, so each evaluation
-    costs O(p) and forms neither d nor J d.  It raises ZeroGradient when
-    diag(sigma, I) w, and so J^T r = X^-T diag(sigma, I) w, vanishes.
+    ``f.split(r)`` supplies what the kernel reads: rho_perp, the part of r
+    that no step removes; whether J^T r = 0, on which it raises ZeroGradient;
+    and, at each lam, gamma = ||r + J d(lam)|| projected off that part and
+    the slope below.  The linearized residual is hypot(rho_perp, gamma).
+    Neither d nor J d is formed: gsvd's factors give gamma as a spectral sum
+    over w = U^T r in O(p), bidiagonal ones from one O(p) tridiagonal solve
+    on B, and one more for the slope.
 
     Called as ``omega(lam, target)`` it returns ``(omega(lam), lam_newton)``,
     where ``lam_newton`` is the Newton iterate toward ``omega = target`` on
     the secular equation in Moré–Sorensen's reciprocal form: with nu = 1/lam,
-    gamma(nu)^2 = omega^2 - rho_perp^2 = sum w_i^2 / (1 + zeta_i^2 nu)^2, and
-    ``psi(nu) = 1/gamma(nu) - 1/sqrt(target^2 - rho_perp^2)`` is increasing and
-    (by Cauchy-Schwarz) concave, so Newton from a point where omega > target
-    never passes the root and converges monotonically.  ``target`` must
-    exceed rho_perp.  Where omega is flat in lam (gamma = 0, or r + J d moving
-    only along directions with sigma_i = 0) there is no Newton iterate, and
-    ``lam_newton`` is NaN.
+    gamma(nu)^2 = omega^2 - rho_perp^2 = sum w_i^2 / (1 + zeta_i^2 nu)^2 in
+    the pair's GSVD, and ``psi(nu) = 1/gamma(nu) - 1/sqrt(target^2 -
+    rho_perp^2)`` is increasing and (by Cauchy-Schwarz) concave, so Newton
+    from a point where omega > target never passes the root and converges
+    monotonically.  The slope is -(dgamma/dnu) / (lam gamma).  ``target``
+    must exceed rho_perp.  Where omega is flat in lam (gamma = 0, or r + J d
+    moving only along directions with zeta_i = 0) there is no Newton
+    iterate, and ``lam_newton`` is NaN.
     """
-    sigma, mu, w, rho_perp = f.project(r)
-    p = sigma.size
-    if not (sigma * w[:p]).any() and not w[p:].any():
+    split = f.split(r)
+    if split.gradient_vanishes:
         raise ZeroGradient("J^T r = 0: the step is zero for every lambda")
-    wp, s2, m2 = w[:p], sigma**2, mu**2
+    rho_perp = split.rho_perp
 
     def omega(lam, target=None):
-        den = s2 + lam * m2
-        e = lam * m2 * wp / den
-        gamma = euclidean_norm(e)
+        gamma, slope = split.secular(lam, newton=target is not None)
         val = float(np.hypot(rho_perp, gamma))
         if target is None:
             return val
         # dgamma/dnu = -lam gamma slope, so the Newton iterate on psi is
         # nu + (gamma/Delta - 1) / (lam slope) with Delta^2 = target^2 - rho_perp^2
-        slope = float(((e / gamma) ** 2) @ (s2 / den)) if gamma else 0.0
         if slope == 0.0:  # omega is flat in lam here, so there is no Newton iterate
             return val, np.nan
         ratio = gamma / np.sqrt((target - rho_perp) * (target + rho_perp))
@@ -207,10 +206,12 @@ def select_lambda_q(factors: Factors, r, q: float, cfg: SolverConfig):
     """Choose the damping parameter from the q-condition.
 
     ``omega(lam) = ||r + J d(lam)||``, nondecreasing in lam, is evaluated
-    from ``factors`` of (J, L), in O(p) per call
-    (``_omega_kernel``) and never twice at one lam.  The search bracket is
-    ``[1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]``, with zeta_p read off the
-    factors after their projection of r.  The floor comes first:
+    from ``factors`` of (J, L), in O(p) per call (``_omega_kernel``: a
+    spectral sum on gsvd's factors, one or two tridiagonal solves on
+    bidiagonal ones) and never twice at one lam.  The search bracket is
+    ``[1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]`` with the factors'
+    ``zeta_p``: sigma_p / mu_p of gsvd's, the largest singular value of B by
+    bisection for bidiagonal ones.  The floor comes first:
     omega within the tolerance of the target ``q ||r||`` there is an
     ``"equality"``, and omega at or above the target returns a fixed fraction
     of the interval upper bound with kind ``"inequality-fallback"`` (the
@@ -244,7 +245,7 @@ def select_lambda_q(factors: Factors, r, q: float, cfg: SolverConfig):
     if not math.isfinite(rnorm):
         raise NonFiniteInput(f"the residual norm is {rnorm}: a NaN or infinite entry, or overflow")
     omega = _omega_kernel(factors, r)
-    zeta_p = float(factors.sigma[-1] / factors.mu[-1])
+    zeta_p = factors.zeta_p
     if zeta_p == 0.0:
         raise BracketFailure(
             "all generalized singular values vanish; the admissible interval is empty"
@@ -301,13 +302,14 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
 
     The factors of (J, L) are reused while J is unchanged, compared entry by
     entry with a copy of the last factored J.  The damping search and the
-    step still read each step's residual.  At n >= ``_BIDIAG_MIN_N`` a new J
+    step still read each step's residual, split once per step: the factors
+    keep the split of the last residual.  At n >= ``_BIDIAG_MIN_N`` a new J
     is factored by ``bidiagonalize``, which forms no singular vectors, and
     below that n by ``gsvd``.  A J equal to the last factored one while the
     kept factors are bidiagonal is factored once more, by ``gsvd``, whose
     factors re-project a residual cheaply; so a linear forward map costs one
-    bidiagonalization and one ``gsvd`` per solve at n >= 48, and one ``gsvd``
-    below.
+    bidiagonalization and one ``gsvd`` per solve at n >= ``_BIDIAG_MIN_N``,
+    and one ``gsvd`` below.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (problem.n,):
@@ -357,7 +359,6 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
             lam, kind, omega_evals = select_lambda_q(factors, r, cfg.q, cfg)
         except LmmssError as exc:
             raise type(exc)(f"iterate {k}: {exc}") from exc
-        zeta_p = float(generalized_singular_values(factors)[-1])
         d = lm_step_gsvd(factors, r, lam)
         lin_res = euclidean_norm(r + J @ d)
         trace.append(
@@ -366,7 +367,7 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
                 x=x.copy(),
                 res_norm=res,
                 lam=float(lam),
-                zeta_p=zeta_p,
+                zeta_p=factors.zeta_p,
                 step_Lnorm=seminorm(L, d),
                 qcond_kind=kind,
                 lin_res_norm=lin_res,

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import lmmss
 from lmmss import (
@@ -11,15 +12,21 @@ from lmmss import (
     GsvdFactors,
     InverseProblem,
     SolverConfig,
-    generalized_singular_values,
     gsvd,
     lm_step_gsvd,
     make_noisy_data,
     make_problem,
+    select_lambda_q,
     solve,
 )
 from lmmss import _lapack
-from lmmss.gsvd import BidiagonalFactors, _standard_form, _x_norm_bound, bidiagonalize
+from lmmss.gsvd import (
+    BidiagonalFactors,
+    _largest_singular_value,
+    _standard_form,
+    _x_norm_bound,
+    bidiagonalize,
+)
 from lmmss.scaling import (
     first_difference,
     from_matrix,
@@ -76,7 +83,7 @@ def test_omega_and_step_match_the_stacked_reference(source, n, spec):
     L = from_spec(spec, n)
     f, g = bidiagonalize(J, L), gsvd(J, L)
     omega, omega_gsvd = _omega_kernel(f, r), _omega_kernel(g, r)
-    zeta_p = generalized_singular_values(f)[-1]
+    zeta_p = f.zeta_p
     for lam in np.geomspace(1e-14 * zeta_p**2, 1.5 * zeta_p**2, 9):
         want = lm_step_reference(J, r, L, lam)
         omega_want = omega_reference(J, L, r, lam)
@@ -97,14 +104,90 @@ def test_spectrum_matches_gsvd(source, spec):
     J, r = _tall_pair(64) if source == "tall" else _problem_pair(source, 64)
     L = from_spec(spec, 64)
     f, g = bidiagonalize(J, L), gsvd(J, L)
-    assert f.sigma is None  # the spectrum comes with the first projection
-    sigma, mu, w, rho_perp = f.project(r)
-    _, _, w_gsvd, rho_perp_gsvd = g.project(r)
-    np.testing.assert_allclose(sigma / mu, g.sigma / g.mu, rtol=1e-13)
-    # the trailing block, Q_0^T r, has no sign convention to differ by
-    np.testing.assert_allclose(w[L.p:], w_gsvd[L.p:], rtol=1e-13, atol=1e-15 * np.linalg.norm(r))
-    assert rho_perp == pytest.approx(rho_perp_gsvd, rel=1e-10, abs=1e-14 * np.linalg.norm(r))
-    assert f.project(2.0 * r)[0] is sigma  # later projections keep the first spectrum
+    assert f.zeta_p == pytest.approx(g.zeta_p, rel=1e-13)
+    split, split_gsvd = f.split(r), g.split(r)
+    # the trailing block of w, Q_0^T r, has no sign convention to differ by
+    np.testing.assert_allclose(split.c0, split_gsvd.w[L.p:], rtol=1e-13,
+                               atol=1e-15 * np.linalg.norm(r))
+    # b = Q_B^T Q_perp^T r and w's leading block differ by the orthogonal U_B of B's SVD
+    assert np.linalg.norm(split.b) == pytest.approx(np.linalg.norm(split_gsvd.w[: L.p]), rel=1e-12)
+    assert split.rho_perp == pytest.approx(split_gsvd.rho_perp, rel=1e-10,
+                                           abs=1e-14 * np.linalg.norm(r))
+
+
+@pytest.mark.parametrize("name", ["linear", "autoconvolution", "coefficient"])
+@pytest.mark.parametrize("n", [48, 128])
+@pytest.mark.parametrize("spec", ["identity", "d1", "d2"])
+def test_newton_iterate_matches_gsvd(spec, n, name):
+    # Across the bracket of q = 0.6, omega(lam, target) gives the same omega
+    # and the same Newton iterate on both routes.  The iterate divides by the
+    # slope, which the bidiagonal route takes from a second solve of the
+    # augmented system, so it carries that system's condition number
+    # zeta_p / sqrt(lam): at J(x0) the routes differ by at most 1.1e-14 times
+    # it (6.3e-9 relative at the floor, linear n = 128 d1).
+    J, r = _problem_pair(name, n)
+    L = from_spec(spec, n)
+    f, g = bidiagonalize(J, L), gsvd(J, L)
+    assert isinstance(f, BidiagonalFactors)
+    omega, omega_gsvd = _omega_kernel(f, r), _omega_kernel(g, r)
+    target = 0.6 * np.linalg.norm(r)
+    for lam in np.geomspace(1e-14 * f.zeta_p**2, 1.5 * f.zeta_p**2 * (1.0 + 1e-10), 9):
+        (val, newton), (val_gsvd, newton_gsvd) = omega(lam, target), omega_gsvd(lam, target)
+        assert abs(val - val_gsvd) <= 1e-14 * np.linalg.norm(r)
+        tol = 1e-12 + 3e-14 * f.zeta_p / np.sqrt(lam)
+        assert abs(newton - newton_gsvd) <= tol * abs(newton_gsvd)
+
+
+def test_floor_regime_step_falls_back_on_both_routes():
+    # Iterate 8 of autoconvolution n = 128, d1, q = 0.05, q tau = 1.01,
+    # delta = 1e-9 (seed 1), where that run's fallbacks start: omega at the
+    # bracket floor is 0.095 ||r||, above q ||r||.
+    n, q = 128, 0.05
+    prob = make_problem("autoconvolution", n)
+    data = make_noisy_data(prob.y_exact, 1e-9, seed=1)
+    L = from_spec("d1", n)
+    cfg = SolverConfig(q=q, tau=1.01 / q, max_iter=8)
+    run = solve(prob, data, L, prob.x0_default, cfg)
+    assert run.stop_reason == "max_iter"
+    assert [rec.qcond_kind for rec in run.trace[:-1]] == ["equality"] * 8
+    J, r = prob.evaluate_J(run.final_x), prob.evaluate_F(run.final_x) - data.y_delta
+    f, g = bidiagonalize(J, L), gsvd(J, L)
+    floor = _omega_kernel(f, r)(1e-14 * f.zeta_p**2)
+    floor_gsvd = _omega_kernel(g, r)(1e-14 * g.zeta_p**2)
+    assert floor == pytest.approx(0.095 * np.linalg.norm(r), rel=0.01)
+    assert abs(floor - floor_gsvd) <= 1e-12 * floor_gsvd
+    assert select_lambda_q(f, r, q, cfg)[1:] == select_lambda_q(g, r, q, cfg)[1:] == (
+        "inequality-fallback", 1)
+
+
+@pytest.mark.parametrize("factor", [gsvd, bidiagonalize])
+def test_split_is_kept_for_the_last_residual(factor):
+    J, r = _problem_pair("coefficient", 48)
+    f = factor(J, first_difference(48))
+    split = f.split(r)
+    assert f.split(r.copy()) is split
+    assert f.split(2.0 * r) is not split
+    r2 = r.copy()
+    split = f.split(r2)
+    r2[0] += 1.0  # changed in place: split afresh
+    assert f.split(r2) is not split
+    fresh = factor(J, first_difference(48))
+    np.testing.assert_array_equal(lm_step_gsvd(f, r2, 1.0), lm_step_gsvd(fresh, r2, 1.0))
+
+
+def test_one_row_scaling_on_the_bidiagonal_route():
+    # p = 1: B is 1 x 1 and the augmented system 2 x 2
+    n = 48
+    J, r = _problem_pair("coefficient", n)
+    L = from_matrix(np.ones((1, n)))
+    f, g = bidiagonalize(J, L), gsvd(J, L)
+    assert isinstance(f, BidiagonalFactors)
+    assert f.zeta_p == pytest.approx(g.zeta_p, rel=1e-14)
+    omega, omega_gsvd = _omega_kernel(f, r), _omega_kernel(g, r)
+    for lam in (1e-3, 1.0, 1e3):
+        assert omega(lam) == pytest.approx(omega_gsvd(lam), rel=1e-13)
+        np.testing.assert_allclose(lm_step_gsvd(f, r, lam), lm_step_gsvd(g, r, lam), rtol=1e-10,
+                                   atol=1e-12 * np.linalg.norm(lm_step_gsvd(g, r, lam)))
 
 
 def _run(prob, L):
@@ -136,13 +219,15 @@ def test_both_paths_give_the_same_run(monkeypatch, name, spec):
 
 @pytest.mark.parametrize(
     "name, spec, n", [("coefficient", "identity", 64), ("linear", "identity", 64),
-                      ("coefficient", "identity", 32), ("coefficient", "d2", 64)],
+                      ("coefficient", "identity", 32), ("coefficient", "d2", 64),
+                      ("coefficient", "d1", 40)],
 )
 def test_factorization_counts(monkeypatch, name, spec, n):
-    # At n >= 48 every distinct J is bidiagonalized, for every L, and gsvd is
+    # At n >= 34 every distinct J is bidiagonalized, for every L, and gsvd is
     # not called; a linear map's one J is bidiagonalized at step 0 and, seen
     # again at step 1, factored once more by gsvd, whose kept U re-projects
-    # each later residual.  Below n = 48 every J goes to gsvd.
+    # each later residual.  Below n = 34 every J goes to gsvd.
+    assert lmmss.solver._BIDIAG_MIN_N == 34
     calls = []
 
     def counting(kind, factor):
@@ -156,7 +241,7 @@ def test_factorization_counts(monkeypatch, name, spec, n):
     prob = make_problem(name, n)
     run = _run(prob, from_spec(spec, n))
     assert run.stop_reason == "discrepancy" and run.k_star > 2
-    if n < 48:
+    if n < 34:
         assert calls == ["gsvd"] * run.k_star
     elif name == "linear":
         assert calls == ["bidiag", "gsvd"]
@@ -164,24 +249,34 @@ def test_factorization_counts(monkeypatch, name, spec, n):
         assert calls == ["bidiag"] * run.k_star
 
 
-def test_unconverged_bidiagonal_svd_is_a_linalg_error(monkeypatch):
-    J, r = _problem_pair("coefficient", 48)
-    f = bidiagonalize(J, identity(48))
-    call = _lapack._dbdsqr
-
-    def unconverged(*args):
-        call(*args)
-        args[-1]._obj.value = 1  # info > 0: that many superdiagonals did not converge
-
-    monkeypatch.setattr(_lapack, "_dbdsqr", unconverged)
-    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-        f.project(r)
+def test_failed_bisection_raises(monkeypatch):
+    # dstebz info > 0 (eigenvalues that did not converge, or a failed Sturm
+    # sequence) is a LinAlgError, info < 0 (an illegal argument) a ValueError
+    J, _ = _problem_pair("coefficient", 48)
+    call = scipy.linalg.lapack.dstebz
+    for info, error in [(1, np.linalg.LinAlgError), (4, np.linalg.LinAlgError), (-3, ValueError)]:
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", lambda *args: (*call(*args)[:-1], info))
+        with pytest.raises(error):
+            bidiagonalize(J, identity(48))
 
 
 def test_non_finite_bidiagonal_rejected():
-    # dbdsqr does not return on a NaN entry of B
-    with pytest.raises(ValueError, match="NaN or infinite"):
-        _lapack.dbdsqr(np.array([np.nan, 1.0]), np.array([1.0]), np.ones(2))
+    # bisection has no meaning on a NaN or infinite entry of B
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            _largest_singular_value(np.array([bad, 1.0, 1.0]))
+
+
+def test_singular_augmented_system_is_a_linalg_error():
+    # J's first column is zero, so dgebrd's d_1 and e_1 are exactly 0, and at
+    # lam = 0 the augmented system [[0, B], [B^T, 0]] has a zero pivot
+    n = 48
+    J = np.diag(np.r_[0.0, np.ones(n - 1)])
+    f = bidiagonalize(J, identity(n))
+    assert f._off[0] == f._off[1] == 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="augmented step system is singular"):
+        _omega_kernel(f, np.ones(n))(0.0)
+    assert _omega_kernel(f, np.ones(n))(1.0) == pytest.approx(np.sqrt(1.0 + (n - 1) / 4.0))
 
 
 def test_lapack_argument_errors_raise():
