@@ -28,23 +28,24 @@ X = [G V diag(mu), W_0 R_0^-1].  Completeness is decided by
 taken from ||X||_F and the norms of A and L; the exact singular values of
 [A; L] are computed only when the bounds cannot decide.
 
-The solver needs neither U, V nor X, nor even every zeta_i: only zeta_p,
-the linearized residual ||r + J d(lam)|| with its slope for the damping
-search, and the step.  Both factor classes answer them through ``zeta_p``,
-``split(r)``, whose result the search and the step share, and
-``step(r, lam)``.  ``gsvd``'s factors answer from w = U^T r by spectral sums.
-``bidiagonalize`` gets them from the same standard form, G included, and one
-Householder bidiagonalization of the operator,
+``gsvd`` serves ``lmmss gsvd`` and ``validate``; the solver factors each
+Jacobian by ``bidiagonalize`` alone.  It needs neither U, V nor X, nor even
+every zeta_i: only zeta_p, the linearized residual ||r + J d(lam)|| with its
+slope for the damping search, and the step.  ``bidiagonalize``'s factors
+answer them through ``zeta_p``, ``split(r)``, whose result the search and
+the step share, and ``step(r, lam)``, from the same standard form, G
+included, and one Householder bidiagonalization of the operator,
 ``Q_perp^T J L^+ = Q_B [B; 0] P_B^T`` (LAPACK ``gebrd``, in ``_lapack``; for
 L = I it is J itself), without any SVD: bisection (``stebz``) on B's
 Golub–Kahan tridiagonal gives zeta_p, and a tridiagonal augmented system on
 B (``gtsv``) gives the linearized residual at each lam, its slope and the
-step.  Its completeness bound needs no V.
+step.  Its completeness bound needs no V; a pair that bound cannot decide
+is decided on the exact singular values of [J; L].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -71,7 +72,6 @@ class GsvdFactors:
     X: np.ndarray
     sigma: np.ndarray
     mu: np.ndarray
-    _last_split: list = field(default_factory=lambda: [None, None], init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -84,70 +84,6 @@ class GsvdFactors:
     @property
     def p(self) -> int:
         return self.V.shape[0]
-
-    @property
-    def zeta_p(self) -> float:
-        """The largest generalized singular value, sigma_p / mu_p."""
-        return float(self.sigma[-1] / self.mu[-1])
-
-    def split(self, r) -> _GsvdSplit:
-        """r in the factors' coordinates, kept for the last r (``_kept_split``)."""
-        return _kept_split(self, r, _GsvdSplit)
-
-    def step(self, r, lam):
-        """Solve ``(A^T A + lam L^T L) d = -A^T r``.
-
-        With w = U^T r the step is ``d = -X diag(g) w`` where
-        g_i = sigma_i / (sigma_i^2 + lam mu_i^2) on the leading p entries and
-        1 on the trailing block.
-        """
-        filt = np.ones(self.n)
-        filt[: self.p] = self.sigma / (self.sigma**2 + lam * self.mu**2)
-        return -(self.X @ (filt * self.split(r).w))
-
-
-def _kept_split(f, r, split_class):
-    """``split_class(f, r)``, kept on f for the last r, so a step reuses its search's split.
-
-    The key is the bytes of r, so an r changed in place is split afresh.  A
-    split holds no reference to f: a cycle would keep every factors object
-    alive until the garbage collector ran.
-    """
-    key = r.tobytes()
-    if f._last_split[0] != key:
-        f._last_split[:] = key, split_class(f, r)
-    return f._last_split[1]
-
-
-class _GsvdSplit:
-    """A residual r split by gsvd's factors: w = U^T r and rho_perp = ||r - U w||.
-
-    rho_perp is the norm of r - U w, not sqrt(||r||^2 - ||w||^2), which
-    cancels when U is square.  J^T r = X^-T diag(sigma, I) w vanishes when
-    ``gradient_vanishes``.
-    """
-
-    def __init__(self, f: GsvdFactors, r):
-        self.w = w = f.U.T @ r
-        self.rho_perp = euclidean_norm(r - f.U @ w)
-        p = f.p
-        self.gradient_vanishes = not (f.sigma * w[:p]).any() and not w[p:].any()
-        self._wp, self._s2, self._m2 = w[:p], f.sigma**2, f.mu**2
-
-    def secular(self, lam, newton: bool = False):
-        """``(gamma, slope)`` at lam; slope is None unless ``newton``.
-
-        The linearized residual is the part rho_perp of r outside range(U)
-        plus ``U [e; 0]`` with e_i = lam mu_i^2 w_i / (sigma_i^2 + lam mu_i^2),
-        so gamma = ||e||, and slope = sum (e_i / gamma)^2 sigma_i^2 /
-        (sigma_i^2 + lam mu_i^2), a sum of nonnegative terms (0 for gamma = 0).
-        """
-        den = self._s2 + lam * self._m2
-        e = lam * self._m2 * self._wp / den
-        gamma = euclidean_norm(e)
-        if not newton:
-            return gamma, None
-        return gamma, float(((e / gamma) ** 2) @ (self._s2 / den)) if gamma else 0.0
 
 
 def _as_matrix(L) -> np.ndarray:
@@ -253,12 +189,7 @@ def gsvd(A, L) -> GsvdFactors:
         If the SVD does not converge ("SVD did not converge").
     """
     A, L = _checked_pair(A, L)
-    return _gsvd_of_standard_form(A, L, _standard_form(A, L))
-
-
-def _gsvd_of_standard_form(A, L: ScalingOperator, form) -> GsvdFactors:
-    """``gsvd``'s factors of the checked pair, given its ``_standard_form``."""
-    qr, tau, Abar, G, W0_R0inv = form
+    qr, tau, Abar, G, W0_R0inv = _standard_form(A, L)
     m, n = A.shape
     p = L.p
     k = n - p
@@ -344,8 +275,7 @@ class BidiagonalFactors:
     bidiagonal and Q_B, P_B kept as ``dgebrd``'s reflectors.  The form's
     W_0 R_0^-1 and G = L^+ - W_0 R_0^-1 C with C = Q_0^T J L^+ (k x p) are
     kept too; for L = I, B is J's own bidiagonal and G is None.  Neither U,
-    V, X nor the SVD of B is formed; the factors answer the same questions as
-    GsvdFactors:
+    V, X nor the SVD of B is formed; the factors answer:
 
     - ``zeta_p``, the largest singular value of B, is the largest eigenvalue
       of its Golub–Kahan tridiagonal (``_largest_singular_value``).
@@ -361,9 +291,10 @@ class BidiagonalFactors:
       a bidiagonal).  Its condition number is about zeta_p / sqrt(lam), not
       the square that the normal equations would have.
     - ``step(r, lam)``: y = -P_B z = L d and ``d = L^+ y - W_0 R_0^-1 (c_0 +
-      C y) = G y - W_0 R_0^-1 c_0``.  That is GsvdFactors' ``-X diag(g) w``
-      written without V: X = [G V diag(mu), W_0 R_0^-1], and y = -V diag(g_i
-      mu_i) w[:p].
+      C y) = G y - W_0 R_0^-1 c_0``.  That is the GSVD's filter-factor step
+      ``-X diag(g) w`` with w = U^T r, g_i = sigma_i / (sigma_i^2 + lam
+      mu_i^2) on the leading p entries and 1 on the rest, written without V:
+      X = [G V diag(mu), W_0 R_0^-1], and y = -V diag(g_i mu_i) w[:p].
     """
 
     def __init__(self, shape, a, brd, qr, tau, G, W0_R0inv):
@@ -373,11 +304,19 @@ class BidiagonalFactors:
         self._off = np.empty(2 * self.p - 1)  # the augmented system's off-diagonal
         self._off[0::2], self._off[1::2] = self._d, self._e
         self.zeta_p = _largest_singular_value(self._off)
-        self._last_split = [None, None]
+        self._split_key = self._split = None
 
     def split(self, r) -> _BidiagonalSplit:
-        """r in the factors' coordinates; kept for the last r (``_kept_split``)."""
-        return _kept_split(self, r, _BidiagonalSplit)
+        """r in the factors' coordinates, kept for the last r, so a step reuses its search's split.
+
+        The key is the bytes of r, so an r changed in place is split afresh.  A
+        split holds no reference to the factors: a cycle would keep every
+        factors object alive until the garbage collector ran.
+        """
+        key = r.tobytes()
+        if self._split_key != key:
+            self._split_key, self._split = key, _BidiagonalSplit(self, r)
+        return self._split
 
     def step(self, r, lam):
         """Solve ``(J^T J + lam L^T L) d = -J^T r``; see the class docstring."""
@@ -410,14 +349,18 @@ class _BidiagonalSplit:
         self._off = f._off
 
     def secular(self, lam, newton: bool = False):
-        """``(gamma, slope)`` at lam, as ``_GsvdSplit.secular`` gives them, without B's SVD.
+        """``(gamma, slope)`` at lam, without B's SVD; slope is None unless ``newton``.
 
-        gamma = sqrt(lam) ||t||, from t itself rather than from b - B z,
-        which cancels at small lam.  For the slope a second solve with
-        right-hand side e / gamma, e = sqrt(lam) t, gives z' / gamma, where
-        z' = lam (B^T B + lam I)^-1 z since B^T e = lam z; then slope =
-        lam (z . z') / gamma^2, a quadratic form in z that is nonnegative,
-        and in B's singular basis the spectral sum of ``_GsvdSplit``.
+        gamma is the linearized residual with rho_perp projected off, so
+        ||r + J d(lam)|| = hypot(rho_perp, gamma), and slope = -(dgamma/dnu)
+        / (lam gamma) with nu = 1/lam.  gamma = sqrt(lam) ||t||, from t
+        itself rather than from b - B z, which cancels at small lam.  For the
+        slope a second solve with right-hand side e / gamma, e = sqrt(lam) t,
+        gives z' / gamma, where z' = lam (B^T B + lam I)^-1 z since B^T e =
+        lam z; then slope = lam (z . z') / gamma^2, a quadratic form in z
+        that is nonnegative (0 for gamma = 0).  In the pair's GSVD it is the
+        sum of (e_i / gamma)^2 sigma_i^2 / (sigma_i^2 + lam mu_i^2), with
+        e_i = lam mu_i^2 w_i / (sigma_i^2 + lam mu_i^2) and gamma = ||e||.
         """
         z, t = _solve_augmented(self._off, lam, self.b)
         t_norm = euclidean_norm(t)
@@ -469,7 +412,7 @@ def _largest_singular_value(off) -> float:
     return float(w[0])
 
 
-def bidiagonalize(J, L) -> BidiagonalFactors | GsvdFactors:
+def bidiagonalize(J, L) -> BidiagonalFactors:
     """Factor the pair (J, L) by one Householder bidiagonalization (``dgebrd``).
 
     Per call: ``_standard_form``, which ``gsvd`` takes too (for p < n a QR
@@ -482,18 +425,17 @@ def bidiagonalize(J, L) -> BidiagonalFactors | GsvdFactors:
     s_max <= hypot(||J||_F, ||L||_2) go through ``_norm_bound_complete``.  G
     forms X's first block in ``gsvd`` too, so the rounding argument there
     holds here.  A pair the bound cannot decide (as for d2 at n = 512 or
-    ||J||_F above about 5e4 with L = I) is returned as ``gsvd(J, L)`` would
-    return it: its SVD is taken of the form already computed, and it decides
-    on its own X and then on the exact singular values, so a refusal raises
-    the same CompletenessViolated with the same message.
+    ||J||_F above about 5e4 with L = I) is decided on the exact singular
+    values of [J; L] (``_require_complete``), which refuse it with the
+    CompletenessViolated message ``gsvd`` gives.
 
-    Raises what ``gsvd`` raises.
+    Raises what ``gsvd`` raises on its input and on a refused pair.
     """
     a, L = _checked_pair(J, L)
-    form = qr, tau, abar, G, W0_R0inv = _standard_form(a, L)
+    qr, tau, abar, G, W0_R0inv = _standard_form(a, L)
     if not _norm_bound_complete(np.hypot(frobenius(a), L.spectral_norm),
                                 _x_norm_bound(G, W0_R0inv)):
-        return _gsvd_of_standard_form(a, L, form)
+        _require_complete(a, L.matrix)
     abar = np.array(abar, order="F")  # a copy: dgebrd overwrites it
     return BidiagonalFactors(a.shape, abar, _lapack.dgebrd(abar), qr, tau, G, W0_R0inv)
 

@@ -7,12 +7,11 @@ the iteration regularizing; with noisy data the loop stops at the first
 iterate whose residual falls below tau * delta (discrepancy principle).
 
 Each step's damping search and step come from one factorization of (J, L),
-which splits the residual once (``split(r)``) and answers ``zeta_p``, the
-omega kernel's values and ``step(r, lam)``: at n >= 34 a Householder
-bidiagonalization of the standard-form operator of each new Jacobian
-(``bidiagonalize``), which forms neither singular vectors nor singular
-values beyond the largest, and ``gsvd`` below that n and for a Jacobian
-factored a second time.
+a Householder bidiagonalization of the standard-form operator of each new
+Jacobian (``bidiagonalize``), which forms neither singular vectors nor
+singular values beyond the largest.  It splits the residual once
+(``split(r)``) and answers ``zeta_p``, the omega kernel's values and
+``step(r, lam)``.
 """
 
 from __future__ import annotations
@@ -31,31 +30,11 @@ from .errors import (
     NonpositiveLambda,
     ZeroGradient,
 )
-from .gsvd import BidiagonalFactors, GsvdFactors, bidiagonalize, gsvd
+from .gsvd import BidiagonalFactors, bidiagonalize
 from .scaling import ScalingOperator, euclidean_norm, seminorm
 
 _SEARCH_MAX_ITER = 60
 _BRACKET_LO_FACTOR = 1e-14
-
-#: From this n on, ``solve`` factors each new Jacobian by ``bidiagonalize``
-#: instead of ``gsvd``, for every scaling.  One step on a new Jacobian
-#: (factor, damping search, step) at J(x0) of the three bundled problems with
-#: identity, d1 and d2 (2-vCPU Xeon, one BLAS thread, numpy 2.4.6 / scipy
-#: 1.17.1) takes on the bidiagonal route 0.86-1.18 times gsvd's time at
-#: n = 32, 0.87-1.02 at n = 33, 0.84-0.96 at n = 34 and 0.71-0.91 at n = 36;
-#: for the coefficient problem, ``gsvd`` against ``bidiagonalize``, n = 48
-#: 0.52-0.79 / 0.43-0.47 ms and n = 128 3.0-3.2 / 1.2-1.4 ms.  So one
-#: crossover serves every L.  On factors kept for an unchanged J a step costs
-#: 42-74 us with ``gsvd``'s U against 143-192 us on the bidiagonal (linear
-#: problem, n = 48-128), and one ``gsvd`` 0.5-0.9 ms at n = 48-64 and
-#: 1.8-2.8 ms at n = 128.  So a J that recurs, as a linear map's does, is
-#: factored once more, by ``gsvd``: summed over delta = 1e-2 ... 1e-5 (k* 4-21)
-#: linear solves take 9-13% less time with it at n = 96-112 and up to 35% less
-#: at n = 48-64 (k* >= 9), and at n = 128 it breaks even at about k* = 15.
-_BIDIAG_MIN_N = 34
-
-Factors = GsvdFactors | BidiagonalFactors
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -145,11 +124,11 @@ class RunRecord:
         return "noisy" if self.delta > 0.0 else "exact"
 
 
-def lm_step_gsvd(f: Factors, r, lam: float) -> np.ndarray:
-    """Solve ``(J^T J + lam L^T L) d = -J^T r`` from the factors of (J, L).
+def lm_step_gsvd(f: BidiagonalFactors, r, lam: float) -> np.ndarray:
+    """Solve ``(J^T J + lam L^T L) d = -J^T r`` from ``bidiagonalize``'s factors of (J, L).
 
-    The factors' ``step`` solves it: from U^T r and X for ``gsvd`` factors,
-    from the bidiagonal B for ``bidiagonalize`` ones.
+    The factors' ``step`` solves it on the bidiagonal B, with no SVD; the
+    result is the GSVD filter-factor step.
     """
     if not 0.0 < lam < np.inf:
         raise NonpositiveLambda(f"lambda must be positive and finite, got {lam}")
@@ -159,25 +138,24 @@ def lm_step_gsvd(f: Factors, r, lam: float) -> np.ndarray:
     return f.step(r, lam)
 
 
-def _omega_kernel(f: Factors, r: np.ndarray):
+def _omega_kernel(f: BidiagonalFactors, r: np.ndarray):
     """Return ``lam -> ||r + J d(lam)||`` evaluated from the factors of (J, L).
 
     ``f.split(r)`` supplies what the kernel reads: rho_perp, the part of r
     that no step removes; whether J^T r = 0, on which it raises ZeroGradient;
     and, at each lam, gamma = ||r + J d(lam)|| projected off that part and
     the slope below.  The linearized residual is hypot(rho_perp, gamma).
-    Neither d nor J d is formed: gsvd's factors give gamma as a spectral sum
-    over w = U^T r in O(p), bidiagonal ones from one O(p) tridiagonal solve
-    on B, and one more for the slope.
+    Neither d nor J d is formed: gamma comes from one O(p) tridiagonal solve
+    on B, and the slope from one more.
 
     Called as ``omega(lam, target)`` it returns ``(omega(lam), lam_newton)``,
     where ``lam_newton`` is the Newton iterate toward ``omega = target`` on
     the secular equation in Moré–Sorensen's reciprocal form: with nu = 1/lam,
     gamma(nu)^2 = omega^2 - rho_perp^2 = sum w_i^2 / (1 + zeta_i^2 nu)^2 in
-    the pair's GSVD, and ``psi(nu) = 1/gamma(nu) - 1/sqrt(target^2 -
-    rho_perp^2)`` is increasing and (by Cauchy-Schwarz) concave, so Newton
-    from a point where omega > target never passes the root and converges
-    monotonically.  The slope is -(dgamma/dnu) / (lam gamma).  ``target``
+    the pair's GSVD (w = U^T r, which is never formed), and ``psi(nu) =
+    1/gamma(nu) - 1/sqrt(target^2 - rho_perp^2)`` is increasing and (by
+    Cauchy-Schwarz) concave, so Newton from a point where omega > target
+    never passes the root and converges monotonically.  The slope is -(dgamma/dnu) / (lam gamma).  ``target``
     must exceed rho_perp.  Where omega is flat in lam (gamma = 0, or r + J d
     moving only along directions with zeta_i = 0) there is no Newton
     iterate, and ``lam_newton`` is NaN.
@@ -202,16 +180,15 @@ def _omega_kernel(f: Factors, r: np.ndarray):
     return omega
 
 
-def select_lambda_q(factors: Factors, r, q: float, cfg: SolverConfig):
+def select_lambda_q(factors: BidiagonalFactors, r, q: float, cfg: SolverConfig):
     """Choose the damping parameter from the q-condition.
 
     ``omega(lam) = ||r + J d(lam)||``, nondecreasing in lam, is evaluated
-    from ``factors`` of (J, L), in O(p) per call (``_omega_kernel``: a
-    spectral sum on gsvd's factors, one or two tridiagonal solves on
-    bidiagonal ones) and never twice at one lam.  The search bracket is
-    ``[1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]`` with the factors'
-    ``zeta_p``: sigma_p / mu_p of gsvd's, the largest singular value of B by
-    bisection for bidiagonal ones.  The floor comes first:
+    from ``bidiagonalize``'s ``factors`` of (J, L), in O(p) per call
+    (``_omega_kernel``: one or two tridiagonal solves on B) and never twice
+    at one lam.  The search bracket is ``[1e-14 zeta_p^2, q/(1-q) zeta_p^2
+    (1 + tol)]`` with the factors' ``zeta_p``, the largest singular value
+    of B by bisection.  The floor comes first:
     omega within the tolerance of the target ``q ||r||`` there is an
     ``"equality"``, and omega at or above the target returns a fixed fraction
     of the interval upper bound with kind ``"inequality-fallback"`` (the
@@ -303,13 +280,9 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
     The factors of (J, L) are reused while J is unchanged, compared entry by
     entry with a copy of the last factored J.  The damping search and the
     step still read each step's residual, split once per step: the factors
-    keep the split of the last residual.  At n >= ``_BIDIAG_MIN_N`` a new J
-    is factored by ``bidiagonalize``, which forms no singular vectors, and
-    below that n by ``gsvd``.  A J equal to the last factored one while the
-    kept factors are bidiagonal is factored once more, by ``gsvd``, whose
-    factors re-project a residual cheaply; so a linear forward map costs one
-    bidiagonalization and one ``gsvd`` per solve at n >= ``_BIDIAG_MIN_N``,
-    and one ``gsvd`` below.
+    keep the split of the last residual.  Every new J is factored by
+    ``bidiagonalize``, which forms no singular vectors, so a linear forward
+    map costs one bidiagonalization per solve.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (problem.n,):
@@ -352,10 +325,8 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
             break
         try:
             if not np.array_equal(J, J_factored):
-                factors = bidiagonalize(J, L) if problem.n >= _BIDIAG_MIN_N else gsvd(J, L)
+                factors = bidiagonalize(J, L)
                 np.copyto(J_factored, J)  # eval_J may hand back one buffer it rewrites
-            elif isinstance(factors, BidiagonalFactors):
-                factors = gsvd(J, L)
             lam, kind, omega_evals = select_lambda_q(factors, r, cfg.q, cfg)
         except LmmssError as exc:
             raise type(exc)(f"iterate {k}: {exc}") from exc

@@ -6,7 +6,9 @@ problem, Jacobian checks from central differences, the LM step and the
 q-condition residual from a stacked least-squares solve.  ``gsvd_reference``
 is the exception: the earlier stacked-QR form of ``lmmss.gsvd``, kept to
 check that the library still makes the same completeness decisions and
-computes the same sigma and mu.
+computes the same sigma and mu.  ``SpectralOracle`` reads only ``gsvd``'s
+public factors, to check the bidiagonal route's damping search and step
+against the spectral sums of the GSVD.
 """
 
 from dataclasses import fields
@@ -22,6 +24,7 @@ from lmmss import (
     NonpositiveLambda,
     RunRecord,
     ScalingOperator,
+    gsvd,
 )
 from lmmss.scaling import completeness_holds
 
@@ -78,6 +81,52 @@ def gsvd_reference(A, L):
             if j < p:
                 V[:, j] = -V[:, j]
     return GsvdFactors(U=U, V=V, X=X, sigma=sigma, mu=mu)
+
+
+class SpectralOracle:
+    """zeta_p, the linearized residual and the step of (J, L) at r, by the GSVD's spectral sums.
+
+    Built from the public U, X, sigma and mu of ``gsvd(J, L)``: w = U^T r,
+    rho_perp = ||r - U w|| (not sqrt(||r||^2 - ||w||^2), which cancels when
+    U is square), the filter-factor step and the secular sum with its slope.
+    """
+
+    def __init__(self, J, L, r):
+        self.f = f = gsvd(J, L)
+        self.zeta_p = float(f.sigma[-1] / f.mu[-1])
+        self.w = f.U.T @ r
+        self.rho_perp = float(np.linalg.norm(r - f.U @ self.w))
+
+    def step(self, lam):
+        """``-X diag(g) w``, g_i = sigma_i / (sigma_i^2 + lam mu_i^2) for i <= p and 1 after."""
+        f = self.f
+        g = np.ones(f.n)
+        g[: f.p] = f.sigma / (f.sigma**2 + lam * f.mu**2)
+        return -(f.X @ (g * self.w))
+
+    def omega(self, lam, target=None):
+        """``||r + J d(lam)||``; with ``target`` also the Newton iterate toward omega = target.
+
+        The residual is hypot(rho_perp, ||e||) with e_i = lam mu_i^2 w_i /
+        (sigma_i^2 + lam mu_i^2), and slope = sum (e_i / ||e||)^2 sigma_i^2 /
+        (sigma_i^2 + lam mu_i^2).  The Newton iterate on the secular equation
+        in Moré–Sorensen's reciprocal form is lam / (1 + (ratio - 1) / slope)
+        with ratio = ||e|| / sqrt(target^2 - rho_perp^2), and NaN where the
+        slope vanishes.
+        """
+        f = self.f
+        s2, m2 = f.sigma**2, f.mu**2
+        den = s2 + lam * m2
+        e = lam * m2 * self.w[: f.p] / den
+        gamma = np.linalg.norm(e)
+        val = float(np.hypot(self.rho_perp, gamma))
+        if target is None:
+            return val
+        slope = float(((e / gamma) ** 2) @ (s2 / den)) if gamma else 0.0
+        if slope == 0.0:
+            return val, np.nan
+        ratio = gamma / np.sqrt((target - self.rho_perp) * (target + self.rho_perp))
+        return val, float(lam / (1.0 + (ratio - 1.0) / slope))
 
 
 def lm_step_reference(J, r, L, lam):

@@ -29,6 +29,7 @@ from lmmss import (
     validate,
 )
 from lmmss.cli import main
+from lmmss.gsvd import bidiagonalize
 from lmmss.scaling import from_matrix, identity, second_difference
 from lmmss.solver import _omega_kernel
 from helpers import (
@@ -119,7 +120,7 @@ def test_criterion_2_step_equivalence():
         r = rng.standard_normal(m)
         lam = 10.0 ** rng.uniform(-6, 3)
         d_stacked = lm_step_reference(J, r, L, lam)
-        d_factored = lm_step_gsvd(gsvd(J, L.matrix), r, lam)
+        d_factored = lm_step_gsvd(bidiagonalize(J, L.matrix), r, lam)
         rel = np.linalg.norm(d_stacked - d_factored) / max(np.linalg.norm(d_stacked), 1e-300)
         ok &= rel <= 1e-8
     ok &= saw_p_lt_n
@@ -138,8 +139,8 @@ def test_criterion_3_damping_selection_suite():
         J = rng.standard_normal((m, n))
         L = from_matrix(rng.standard_normal((p, n)))
         r = in_range_residual(rng, J)
-        f = gsvd(J, L.matrix)
-        zeta_p = generalized_singular_values(f)[-1]
+        f = bidiagonalize(J, L.matrix)
+        zeta_p = generalized_singular_values(gsvd(J, L.matrix))[-1]
         q = float(rng.uniform(0.3, 0.8))
         bound = q / (1.0 - q) * zeta_p**2
         grid = np.logspace(np.log10(bound) - 10, np.log10(bound) + 2, 50)
@@ -155,7 +156,7 @@ def test_criterion_3_damping_selection_suite():
     ok &= n_equality >= 20
     # constructed unsolvable instance: residual orthogonal-heavy to range(J)
     lam, kind, _ = select_lambda_q(
-        gsvd(np.array([[0.0], [1.0]]), identity(1)), np.array([1.0, 0.1]), 0.5, cfg
+        bidiagonalize(np.array([[0.0], [1.0]]), identity(1)), np.array([1.0, 0.1]), 0.5, cfg
     )
     ok &= kind == "inequality-fallback" and lam > 0.0
     _report(
@@ -257,7 +258,7 @@ def test_criterion_8_damping_continuity_in_data():
             J = rng.standard_normal((n, n))
             L = identity(n) if inst % 2 == 0 else from_matrix(rng.standard_normal((n - 1, n)))
             r = rng.standard_normal(n)
-            lam0, kind, _ = select_lambda_q(gsvd(J, L), r, 0.5, cfg)
+            lam0, kind, _ = select_lambda_q(bidiagonalize(J, L), r, 0.5, cfg)
             if kind == "equality":
                 break
         ok &= kind == "equality"
@@ -266,7 +267,7 @@ def test_criterion_8_damping_continuity_in_data():
         eps = 1e-3
         diffs = []
         while eps >= 1.25e-4 / 2:
-            lam_eps = select_lambda_q(gsvd(J, L), r - eps * u, 0.5, cfg)[0]
+            lam_eps = select_lambda_q(bidiagonalize(J, L), r - eps * u, 0.5, cfg)[0]
             diffs.append(abs(lam_eps - lam0))
             eps /= 2.0
         ok &= all(b <= 0.7 * a for a, b in zip(diffs, diffs[1:]))

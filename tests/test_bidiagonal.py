@@ -1,4 +1,4 @@
-"""The bidiagonal path: ``bidiagonalize`` for every scaling and its use in ``solve``."""
+"""The bidiagonal route: ``bidiagonalize`` for every scaling and its use in ``solve``."""
 
 import itertools
 
@@ -9,7 +9,6 @@ import scipy.linalg
 import lmmss
 from lmmss import (
     CompletenessViolated,
-    GsvdFactors,
     InverseProblem,
     SolverConfig,
     gsvd,
@@ -36,7 +35,13 @@ from lmmss.scaling import (
     second_difference,
 )
 from lmmss.solver import _omega_kernel
-from helpers import cyclic_difference, in_range_residual, lm_step_reference, omega_reference
+from helpers import (
+    SpectralOracle,
+    cyclic_difference,
+    in_range_residual,
+    lm_step_reference,
+    omega_reference,
+)
 
 
 def _problem_pair(name, n):
@@ -78,19 +83,20 @@ def test_omega_and_step_match_the_stacked_reference(source, n, spec):
     # gsvd's factors by as much: with d2 on the tall source ([J; L] has
     # condition number about 2e3) both routes agree to 7e-16 but sit 2.3e-11
     # from the stacked omega at the floor, with a step error 1.8 times the
-    # tolerance.  There the bidiagonal route is held to twice gsvd's distance.
+    # tolerance.  There the bidiagonal route is held to twice the distance
+    # of gsvd's spectral sums (SpectralOracle).
     J, r = _tall_pair(n) if source == "tall" else _problem_pair(source, n)
     L = from_spec(spec, n)
-    f, g = bidiagonalize(J, L), gsvd(J, L)
-    omega, omega_gsvd = _omega_kernel(f, r), _omega_kernel(g, r)
+    f, g = bidiagonalize(J, L), SpectralOracle(J, L, r)
+    omega = _omega_kernel(f, r)
     zeta_p = f.zeta_p
     for lam in np.geomspace(1e-14 * zeta_p**2, 1.5 * zeta_p**2, 9):
         want = lm_step_reference(J, r, L, lam)
         omega_want = omega_reference(J, L, r, lam)
         step_slack = omega_slack = 0.0
         if L.p < n:
-            step_slack = 2.0 * np.linalg.norm(lm_step_gsvd(g, r, lam) - want)
-            omega_slack = 2.0 * abs(omega_gsvd(lam) - omega_want)
+            step_slack = 2.0 * np.linalg.norm(g.step(lam) - want)
+            omega_slack = 2.0 * abs(g.omega(lam) - omega_want)
         got = lm_step_gsvd(f, r, lam)
         tol = 1e-11 + 1e-14 * zeta_p / np.sqrt(lam)
         assert np.linalg.norm(got - want) <= max(tol * np.linalg.norm(want), step_slack)
@@ -103,15 +109,15 @@ def test_omega_and_step_match_the_stacked_reference(source, n, spec):
 def test_spectrum_matches_gsvd(source, spec):
     J, r = _tall_pair(64) if source == "tall" else _problem_pair(source, 64)
     L = from_spec(spec, 64)
-    f, g = bidiagonalize(J, L), gsvd(J, L)
+    f, g = bidiagonalize(J, L), SpectralOracle(J, L, r)
     assert f.zeta_p == pytest.approx(g.zeta_p, rel=1e-13)
-    split, split_gsvd = f.split(r), g.split(r)
+    split = f.split(r)
     # the trailing block of w, Q_0^T r, has no sign convention to differ by
-    np.testing.assert_allclose(split.c0, split_gsvd.w[L.p:], rtol=1e-13,
+    np.testing.assert_allclose(split.c0, g.w[L.p:], rtol=1e-13,
                                atol=1e-15 * np.linalg.norm(r))
     # b = Q_B^T Q_perp^T r and w's leading block differ by the orthogonal U_B of B's SVD
-    assert np.linalg.norm(split.b) == pytest.approx(np.linalg.norm(split_gsvd.w[: L.p]), rel=1e-12)
-    assert split.rho_perp == pytest.approx(split_gsvd.rho_perp, rel=1e-10,
+    assert np.linalg.norm(split.b) == pytest.approx(np.linalg.norm(g.w[: L.p]), rel=1e-12)
+    assert split.rho_perp == pytest.approx(g.rho_perp, rel=1e-10,
                                            abs=1e-14 * np.linalg.norm(r))
 
 
@@ -120,19 +126,20 @@ def test_spectrum_matches_gsvd(source, spec):
 @pytest.mark.parametrize("spec", ["identity", "d1", "d2"])
 def test_newton_iterate_matches_gsvd(spec, n, name):
     # Across the bracket of q = 0.6, omega(lam, target) gives the same omega
-    # and the same Newton iterate on both routes.  The iterate divides by the
+    # and the same Newton iterate on the bidiagonal route as gsvd's spectral
+    # sums (SpectralOracle).  The iterate divides by the
     # slope, which the bidiagonal route takes from a second solve of the
     # augmented system, so it carries that system's condition number
     # zeta_p / sqrt(lam): at J(x0) the routes differ by at most 1.1e-14 times
     # it (6.3e-9 relative at the floor, linear n = 128 d1).
     J, r = _problem_pair(name, n)
     L = from_spec(spec, n)
-    f, g = bidiagonalize(J, L), gsvd(J, L)
+    f, g = bidiagonalize(J, L), SpectralOracle(J, L, r)
     assert isinstance(f, BidiagonalFactors)
-    omega, omega_gsvd = _omega_kernel(f, r), _omega_kernel(g, r)
+    omega = _omega_kernel(f, r)
     target = 0.6 * np.linalg.norm(r)
     for lam in np.geomspace(1e-14 * f.zeta_p**2, 1.5 * f.zeta_p**2 * (1.0 + 1e-10), 9):
-        (val, newton), (val_gsvd, newton_gsvd) = omega(lam, target), omega_gsvd(lam, target)
+        (val, newton), (val_gsvd, newton_gsvd) = omega(lam, target), g.omega(lam, target)
         assert abs(val - val_gsvd) <= 1e-14 * np.linalg.norm(r)
         tol = 1e-12 + 3e-14 * f.zeta_p / np.sqrt(lam)
         assert abs(newton - newton_gsvd) <= tol * abs(newton_gsvd)
@@ -141,7 +148,8 @@ def test_newton_iterate_matches_gsvd(spec, n, name):
 def test_floor_regime_step_falls_back_on_both_routes():
     # Iterate 8 of autoconvolution n = 128, d1, q = 0.05, q tau = 1.01,
     # delta = 1e-9 (seed 1), where that run's fallbacks start: omega at the
-    # bracket floor is 0.095 ||r||, above q ||r||.
+    # bracket floor is 0.095 ||r||, above q ||r||, on the bidiagonal route
+    # and in gsvd's spectral sums (SpectralOracle) alike.
     n, q = 128, 0.05
     prob = make_problem("autoconvolution", n)
     data = make_noisy_data(prob.y_exact, 1e-9, seed=1)
@@ -151,16 +159,18 @@ def test_floor_regime_step_falls_back_on_both_routes():
     assert run.stop_reason == "max_iter"
     assert [rec.qcond_kind for rec in run.trace[:-1]] == ["equality"] * 8
     J, r = prob.evaluate_J(run.final_x), prob.evaluate_F(run.final_x) - data.y_delta
-    f, g = bidiagonalize(J, L), gsvd(J, L)
+    f, g = bidiagonalize(J, L), SpectralOracle(J, L, r)
     floor = _omega_kernel(f, r)(1e-14 * f.zeta_p**2)
-    floor_gsvd = _omega_kernel(g, r)(1e-14 * g.zeta_p**2)
+    floor_gsvd = g.omega(1e-14 * g.zeta_p**2)
     assert floor == pytest.approx(0.095 * np.linalg.norm(r), rel=0.01)
     assert abs(floor - floor_gsvd) <= 1e-12 * floor_gsvd
-    assert select_lambda_q(f, r, q, cfg)[1:] == select_lambda_q(g, r, q, cfg)[1:] == (
-        "inequality-fallback", 1)
+    # the search falls back at the floor: omega there is above the target
+    # by more than the root tolerance
+    assert floor_gsvd - q * np.linalg.norm(r) > cfg.lambda_root_tol * np.linalg.norm(r)
+    assert select_lambda_q(f, r, q, cfg)[1:] == ("inequality-fallback", 1)
 
 
-@pytest.mark.parametrize("factor", [gsvd, bidiagonalize])
+@pytest.mark.parametrize("factor", [bidiagonalize])
 def test_split_is_kept_for_the_last_residual(factor):
     J, r = _problem_pair("coefficient", 48)
     f = factor(J, first_difference(48))
@@ -180,19 +190,40 @@ def test_one_row_scaling_on_the_bidiagonal_route():
     n = 48
     J, r = _problem_pair("coefficient", n)
     L = from_matrix(np.ones((1, n)))
-    f, g = bidiagonalize(J, L), gsvd(J, L)
+    f, g = bidiagonalize(J, L), SpectralOracle(J, L, r)
     assert isinstance(f, BidiagonalFactors)
     assert f.zeta_p == pytest.approx(g.zeta_p, rel=1e-14)
-    omega, omega_gsvd = _omega_kernel(f, r), _omega_kernel(g, r)
+    omega = _omega_kernel(f, r)
     for lam in (1e-3, 1.0, 1e3):
-        assert omega(lam) == pytest.approx(omega_gsvd(lam), rel=1e-13)
-        np.testing.assert_allclose(lm_step_gsvd(f, r, lam), lm_step_gsvd(g, r, lam), rtol=1e-10,
-                                   atol=1e-12 * np.linalg.norm(lm_step_gsvd(g, r, lam)))
+        assert omega(lam) == pytest.approx(g.omega(lam), rel=1e-13)
+        np.testing.assert_allclose(lm_step_gsvd(f, r, lam), g.step(lam), rtol=1e-10,
+                                   atol=1e-12 * np.linalg.norm(g.step(lam)))
 
 
 def _run(prob, L):
     data = make_noisy_data(prob.y_exact, 1e-3, seed=1)
     return solve(prob, data, L, prob.x0_default, SolverConfig(q=0.6, tau=3.5))
+
+
+@pytest.mark.parametrize(
+    "name, spec, n", [("coefficient", "identity", 64), ("linear", "identity", 64),
+                      ("coefficient", "identity", 32), ("coefficient", "d2", 64),
+                      ("coefficient", "d1", 40)],
+)
+def test_factorization_counts(monkeypatch, name, spec, n):
+    # Every distinct J is bidiagonalized, at every n and for every L; a linear
+    # map's one J is bidiagonalized at step 0 and its factors serve every step.
+    calls = []
+
+    def counting(J, L):
+        calls.append("bidiag")
+        return bidiagonalize(J, L)
+
+    monkeypatch.setattr(lmmss.solver, "bidiagonalize", counting)
+    prob = make_problem(name, n)
+    run = _run(prob, from_spec(spec, n))
+    assert run.stop_reason == "discrepancy" and run.k_star > 2
+    assert calls == ["bidiag"] * (1 if name == "linear" else run.k_star)
 
 
 def _scaling(spec, n):
@@ -202,51 +233,29 @@ def _scaling(spec, n):
     return from_spec(spec, n)
 
 
+#: The smallest n each bundled problem accepts.
+SMALLEST_N = {"linear": 4, "autoconvolution": 8, "coefficient": 8}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "name, spec", _cases(["autoconvolution", "coefficient"], ["identity", "d2", "square"])
+    "name, spec", _cases(list(SMALLEST_N), ["identity", "d1", "d2", "square"])
 )
-def test_both_paths_give_the_same_run(monkeypatch, name, spec):
-    prob = make_problem(name, 64)
-    fast = _run(prob, _scaling(spec, 64))
-    monkeypatch.setattr(lmmss.solver, "_BIDIAG_MIN_N", 10**9)
-    slow = _run(prob, _scaling(spec, 64))
-    assert fast.k_star == slow.k_star > 2
-    assert fast.stop_reason == slow.stop_reason == "discrepancy"
-    assert [rec.qcond_kind for rec in fast.trace] == [rec.qcond_kind for rec in slow.trace]
-    for a, b in zip(fast.trace, slow.trace):
-        assert np.linalg.norm(a.x - b.x) <= 1e-10 * np.linalg.norm(b.x)
-
-
-@pytest.mark.parametrize(
-    "name, spec, n", [("coefficient", "identity", 64), ("linear", "identity", 64),
-                      ("coefficient", "identity", 32), ("coefficient", "d2", 64),
-                      ("coefficient", "d1", 40)],
-)
-def test_factorization_counts(monkeypatch, name, spec, n):
-    # At n >= 34 every distinct J is bidiagonalized, for every L, and gsvd is
-    # not called; a linear map's one J is bidiagonalized at step 0 and, seen
-    # again at step 1, factored once more by gsvd, whose kept U re-projects
-    # each later residual.  Below n = 34 every J goes to gsvd.
-    assert lmmss.solver._BIDIAG_MIN_N == 34
-    calls = []
-
-    def counting(kind, factor):
-        def wrapped(*args):
-            calls.append(kind)
-            return factor(*args)
-        return wrapped
-
-    monkeypatch.setattr(lmmss.solver, "gsvd", counting("gsvd", gsvd))
-    monkeypatch.setattr(lmmss.solver, "bidiagonalize", counting("bidiag", bidiagonalize))
+def test_smallest_sizes_stop_by_discrepancy(name, spec):
+    # At the smallest n, B and W_0 are tiny (linear d2: p = k = 2), and every
+    # run still stops by discrepancy, with the linearized residual never above
+    # the residual and the q-condition met at equality steps.
+    n = SMALLEST_N[name]
     prob = make_problem(name, n)
-    run = _run(prob, from_spec(spec, n))
-    assert run.stop_reason == "discrepancy" and run.k_star > 2
-    if n < 34:
-        assert calls == ["gsvd"] * run.k_star
-    elif name == "linear":
-        assert calls == ["bidiag", "gsvd"]
-    else:
-        assert calls == ["bidiag"] * run.k_star
+    cfg = SolverConfig(q=0.6, tau=3.5, max_iter=200)
+    for delta in (1e-2, 1e-4):
+        data = make_noisy_data(prob.y_exact, delta, seed=1)
+        run = solve(prob, data, _scaling(spec, n), prob.x0_default, cfg)
+        assert run.stop_reason == "discrepancy", delta
+        for rec in run.trace[:-1]:
+            assert rec.lin_res_norm <= rec.res_norm
+            if rec.qcond_kind == "equality":
+                assert abs(rec.lin_res_norm / rec.res_norm - cfg.q) <= 1e-8
 
 
 def test_failed_bisection_raises(monkeypatch):
@@ -346,11 +355,12 @@ def test_norm_bound_covers_gsvd_x(spec, n, name):
 
 def test_undecided_pair_comes_back_as_gsvd():
     # J = 3e4 I with d2 at n = 48: G = L^+ (C = 0), so the bound reads
-    # ||L^+||_F = 2.4e2 against s_max = 2.1e5 and cannot decide, while gsvd's
-    # own X, whose columns carry mu_i of about 1e-4, proves the rule.
+    # ||L^+||_F = 2.4e2 against s_max = 2.1e5 and cannot decide.  The exact
+    # singular values of [J; L] (s_min = 3e4) accept the pair, and the
+    # factors stay bidiagonal.
     J, L = 3e4 * np.eye(48), second_difference(48)
     f = bidiagonalize(J, L)
-    assert isinstance(f, GsvdFactors)
+    assert isinstance(f, BidiagonalFactors)
     r = np.ones(48)
     np.testing.assert_allclose(lm_step_gsvd(f, r, 1.0), lm_step_reference(J, r, L, 1.0),
                                rtol=1e-12)

@@ -20,6 +20,7 @@ from lmmss import (
     seminorm,
     solve,
 )
+from lmmss.gsvd import bidiagonalize
 from lmmss.scaling import completeness_holds, first_difference, from_matrix, from_spec, identity
 from lmmss.solver import _omega_kernel
 from helpers import (
@@ -105,7 +106,7 @@ class TestLmStep:
 
 class TestLmStepGsvd:
     def test_matches_identity_pair(self):
-        f = gsvd(np.eye(2), np.eye(2))
+        f = bidiagonalize(np.eye(2), np.eye(2))
         d = lm_step_gsvd(f, np.array([1.0, 1.0]), 1.0)
         np.testing.assert_allclose(d, [-0.5, -0.5], atol=1e-14)
 
@@ -113,7 +114,7 @@ class TestLmStepGsvd:
         J = np.array([[1.0, 0.0], [0.0, 0.1], [0.0, 0.0]])
         L = from_matrix([[1.0, -1.0]])
         r = np.array([1.0, 1.0, 1.0])
-        f = gsvd(J, L.matrix)
+        f = bidiagonalize(J, L.matrix)
         np.testing.assert_allclose(
             lm_step_gsvd(f, r, 0.5), lm_step_reference(J, r, L, 0.5), rtol=1e-8
         )
@@ -123,20 +124,20 @@ class TestLmStepGsvd:
         J = rng.standard_normal((6, 4))
         L = from_matrix(rng.standard_normal((4, 4)))
         r = rng.standard_normal(6)
-        f = gsvd(J, L.matrix)
+        f = bidiagonalize(J, L.matrix)
         assert np.linalg.norm(lm_step_gsvd(f, r, 1e12)) < 1e-10
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(NonpositiveLambda):
-            lm_step_gsvd(gsvd(np.eye(2), np.eye(2)), np.ones(2), lam)
+            lm_step_gsvd(bidiagonalize(np.eye(2), np.eye(2)), np.ones(2), lam)
 
 
 class TestQcondResidual:
     # The O(p) kernel select_lambda_q searches on, and the stacked oracle.
     def test_identity_closed_form(self):
         r = np.array([3.0, 4.0])
-        omega = _omega_kernel(gsvd(np.eye(2), np.eye(2)), r)
+        omega = _omega_kernel(bidiagonalize(np.eye(2), np.eye(2)), r)
         for lam in (1e-3, 0.1, 1.0, 42.0):
             expected = lam / (1.0 + lam) * 5.0
             assert omega(lam) == pytest.approx(expected)
@@ -148,16 +149,15 @@ class TestQcondResidual:
         # projector onto range(J)^perp keeps the first component
         assert omega_reference(J, identity(1), r, 1e-12) == pytest.approx(1.0, abs=1e-9)
         # and the kernel reaches it at the bracket floor 1e-14 zeta_p^2
-        f = gsvd(J, np.eye(1))
-        zeta_p = generalized_singular_values(f)[-1]
-        assert _omega_kernel(f, r)(1e-14 * zeta_p**2) == pytest.approx(1.0, rel=1e-14)
+        f = bidiagonalize(J, np.eye(1))
+        assert _omega_kernel(f, r)(1e-14 * f.zeta_p**2) == pytest.approx(1.0, rel=1e-14)
 
     def test_nondecreasing_on_grid(self):
         rng = np.random.default_rng(17)
         J = rng.standard_normal((6, 4))
         L = from_matrix(rng.standard_normal((3, 4)))
         r = rng.standard_normal(6)
-        f = gsvd(J, L.matrix)
+        f = bidiagonalize(J, L.matrix)
         omega = _omega_kernel(f, r)
         vals = [omega(lam) for lam in np.logspace(-8, 4, 50)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -180,8 +180,8 @@ class TestQcondResidual:
 
 def _assert_kernel_matches_reference(J, L, r, q=0.6):
     # over the search bracket [1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]
-    f = gsvd(J, L)
-    zeta_p = generalized_singular_values(f)[-1]
+    f = bidiagonalize(J, L)
+    zeta_p = f.zeta_p
     omega = _omega_kernel(f, r)
     rnorm = np.linalg.norm(r)
     for lam in np.geomspace(1e-14 * zeta_p**2, q / (1.0 - q) * zeta_p**2 * (1.0 + 1e-10), 30):
@@ -190,7 +190,8 @@ def _assert_kernel_matches_reference(J, L, r, q=0.6):
 
 class TestSelectLambda:
     def test_identity_pair_closed_form(self):
-        lam, kind, _ = select_lambda_q(gsvd(np.eye(2), identity(2)), np.array([3.0, 4.0]), 0.5, CFG)
+        f = bidiagonalize(np.eye(2), identity(2))
+        lam, kind, _ = select_lambda_q(f, np.array([3.0, 4.0]), 0.5, CFG)
         assert kind == "equality"
         assert lam == pytest.approx(1.0, rel=1e-6)
 
@@ -199,7 +200,7 @@ class TestSelectLambda:
         # ||r||^2 overflows a dot product; the norm itself is finite, and with
         # J = L = I the q-condition lam / (1 + lam) = q has the root lam = 1
         r = np.array([1e200, 1.0, 1.0])
-        lam, kind, _ = select_lambda_q(gsvd(np.eye(3), identity(3)), r, 0.5, CFG)
+        lam, kind, _ = select_lambda_q(bidiagonalize(np.eye(3), identity(3)), r, 0.5, CFG)
         assert kind == "equality"
         assert lam == pytest.approx(1.0, rel=1e-8)
 
@@ -207,7 +208,7 @@ class TestSelectLambda:
         A = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
         rng = np.random.default_rng(2)
         r = in_range_residual(rng, A)
-        lam, kind, _ = select_lambda_q(gsvd(A, identity(2)), r, 0.5, CFG)
+        lam, kind, _ = select_lambda_q(bidiagonalize(A, identity(2)), r, 0.5, CFG)
         assert kind == "equality"
         assert 0.0 < lam <= 0.5 / 0.5 * 4.0 * (1.0 + 1e-8)
 
@@ -216,10 +217,10 @@ class TestSelectLambda:
         r = np.array([1.0, 0.1])
         # ||P r|| = 1 > q ||r||
         assert 1.0 > 0.5 * np.linalg.norm(r)
-        lam, kind, _ = select_lambda_q(gsvd(J, identity(1)), r, 0.5, CFG)
+        f = bidiagonalize(J, identity(1))
+        lam, kind, _ = select_lambda_q(f, r, 0.5, CFG)
         assert kind == "inequality-fallback"
-        f = gsvd(J, np.eye(1))
-        zeta_p = generalized_singular_values(f)[-1]
+        zeta_p = generalized_singular_values(gsvd(J, np.eye(1)))[-1]
         assert lam == pytest.approx(0.5 * 0.5 / 0.5 * zeta_p**2)
 
     @pytest.mark.parametrize("s", [1e-10, 1e-12])
@@ -232,7 +233,8 @@ class TestSelectLambda:
         Q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         J = Q1 @ np.diag([1.0, 1e-3, 1e-6, s]) @ Q2.T
         r = Q1 @ np.array([0.1, 0.1, 0.1, 1.0])
-        lam, kind, _ = select_lambda_q(gsvd(J, identity(4)), r, 0.5, CFG)
+        f = bidiagonalize(J, identity(4))
+        lam, kind, _ = select_lambda_q(f, r, 0.5, CFG)
         assert kind == "inequality-fallback"
         zeta_p = generalized_singular_values(gsvd(J, np.eye(4)))[-1]
         assert lam == pytest.approx(CFG.lambda_fallback_factor * zeta_p**2, rel=1e-12)
@@ -252,7 +254,8 @@ class TestSelectLambda:
         ids=["floor-equality", "floor-fallback", "top-equality", "top-fallback"],
     )
     def test_evals_per_regime(self, J, L, r, q, kind, evals):
-        assert select_lambda_q(gsvd(np.array(J), L), np.array(r), q, CFG)[1:] == (kind, evals)
+        f = bidiagonalize(np.array(J), L)
+        assert select_lambda_q(f, np.array(r), q, CFG)[1:] == (kind, evals)
 
     @pytest.mark.parametrize(
         "J, L, r, q",
@@ -267,7 +270,7 @@ class TestSelectLambda:
     def test_flat_omega_falls_back_at_the_top(self, J, L, r, q):
         # omega(floor) < q ||r||, so the top is evaluated in the Newton form,
         # which has no iterate on a flat omega; RuntimeWarnings are errors here
-        lam, kind, evals = select_lambda_q(gsvd(J, from_matrix(L)), np.array(r), q, CFG)
+        lam, kind, evals = select_lambda_q(bidiagonalize(J, from_matrix(L)), np.array(r), q, CFG)
         assert (kind, evals) == ("inequality-fallback", 2)
 
     def test_no_lambda_evaluated_twice(self, monkeypatch):
@@ -285,7 +288,7 @@ class TestSelectLambda:
             return recorded
 
         monkeypatch.setattr(lmmss.solver, "_omega_kernel", recording_kernel)
-        lam, kind, evals = select_lambda_q(gsvd(J, identity(3)), r, 0.5, CFG)
+        lam, kind, evals = select_lambda_q(bidiagonalize(J, identity(3)), r, 0.5, CFG)
         assert kind == "equality"
         assert evals == len(evaluated) > 2
         assert len(set(evaluated)) == len(evaluated)
@@ -302,12 +305,12 @@ class TestSelectLambda:
     )
     def test_malformed_residual_rejected(self, r, error):
         with pytest.raises(error):
-            select_lambda_q(gsvd(np.eye(3), identity(3)), r, 0.5, CFG)
+            select_lambda_q(bidiagonalize(np.eye(3), identity(3)), r, 0.5, CFG)
 
     def test_zero_gradient_rejected(self):
         J = np.array([[1.0], [0.0]])
         with pytest.raises(ZeroGradient):
-            select_lambda_q(gsvd(J, identity(1)), np.array([0.0, 1.0]), 0.5, CFG)
+            select_lambda_q(bidiagonalize(J, identity(1)), np.array([0.0, 1.0]), 0.5, CFG)
 
     def test_vanishing_spectrum_is_bracket_failure(self):
         # J acts only on the null space of L, so every zeta_i is zero and
@@ -315,7 +318,7 @@ class TestSelectLambda:
         J = np.array([[0.0, 0.0], [0.0, 1.0]])
         L = from_matrix([[1.0, 0.0]])
         with pytest.raises(lmmss.BracketFailure):
-            select_lambda_q(gsvd(J, L), np.array([1.0, 1.0]), 0.5, CFG)
+            select_lambda_q(bidiagonalize(J, L), np.array([1.0, 1.0]), 0.5, CFG)
 
     def test_returned_lambda_meets_target(self):
         rng = np.random.default_rng(23)
@@ -325,7 +328,7 @@ class TestSelectLambda:
             L = identity(n)
             r = in_range_residual(rng, J)
             q = float(rng.uniform(0.3, 0.8))
-            lam, kind, _ = select_lambda_q(gsvd(J, L), r, q, CFG)
+            lam, kind, _ = select_lambda_q(bidiagonalize(J, L), r, q, CFG)
             if kind == "equality":
                 val = omega_reference(J, L, r, lam)
                 assert abs(val - q * np.linalg.norm(r)) <= CFG.lambda_root_tol * np.linalg.norm(r)
@@ -343,7 +346,7 @@ class TestSelectLambda:
 
     def test_newton_meets_target_on_spread_spectrum(self):
         J, r = self._spread_pair()
-        lam, kind, evals = select_lambda_q(gsvd(J, identity(3)), r, 0.5, CFG)
+        lam, kind, evals = select_lambda_q(bidiagonalize(J, identity(3)), r, 0.5, CFG)
         assert kind == "equality"
         assert 1e-13 < lam < 1e-11
         assert evals <= 10
@@ -360,7 +363,7 @@ class TestSelectLambda:
         # bracket, on the first Newton call or on every one; the search must
         # then bisect log(lam) and still meet the target.
         J, r = self._spread_pair()
-        f = gsvd(J, identity(3))
+        f = bidiagonalize(J, identity(3))
         kernel = lmmss.solver._omega_kernel
         evaluated = []
 
@@ -565,15 +568,15 @@ class TestSolve:
     @pytest.mark.parametrize("spec", ["identity", "d2"])
     @pytest.mark.parametrize("name", ["linear", "coefficient"])
     def test_one_factorization_per_distinct_jacobian(self, monkeypatch, name, spec):
-        # a linear map has one J, factored once; the coefficient map's J
-        # moves with x, so every step factors its own
+        # a linear map has one J, bidiagonalized once; the coefficient map's J
+        # moves with x, so every step bidiagonalizes its own
         calls = []
 
-        def counting_gsvd(J, L):
+        def counting_bidiagonalize(J, L):
             calls.append(1)
-            return gsvd(J, L)
+            return bidiagonalize(J, L)
 
-        monkeypatch.setattr(lmmss.solver, "gsvd", counting_gsvd)
+        monkeypatch.setattr(lmmss.solver, "bidiagonalize", counting_bidiagonalize)
         prob = make_problem(name, 32)
         data = make_noisy_data(prob.y_exact, 1e-3, seed=1)
         cfg = SolverConfig(q=0.6, tau=3.5)
@@ -610,12 +613,12 @@ class TestLambdaContinuity:
         r = rng.standard_normal(6)
         u = rng.standard_normal(6)
         u /= np.linalg.norm(u)
-        lam0, kind, _ = select_lambda_q(gsvd(J, L), r, 0.5, cfg)
+        lam0, kind, _ = select_lambda_q(bidiagonalize(J, L), r, 0.5, cfg)
         assert kind == "equality"
         eps = 1e-3
         diffs = []
         for _ in range(4):
-            lam_eps = select_lambda_q(gsvd(J, L), r - eps * u, 0.5, cfg)[0]
+            lam_eps = select_lambda_q(bidiagonalize(J, L), r - eps * u, 0.5, cfg)[0]
             diffs.append(abs(lam_eps - lam0))
             eps /= 2
         for a, b in zip(diffs, diffs[1:]):
