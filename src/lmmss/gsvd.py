@@ -30,15 +30,14 @@ taken from ||X||_F and the norms of A and L; the exact singular values of
 
 ``gsvd`` serves ``lmmss gsvd`` and ``validate``; the solver factors each
 Jacobian by ``bidiagonalize`` alone.  It needs neither U, V nor X, nor even
-every zeta_i: only zeta_p, the linearized residual ||r + J d(lam)|| with its
-slope for the damping search, and the step.  ``bidiagonalize``'s factors
-answer them through ``zeta_p``, ``split(r)``, whose result the search and
-the step share, and ``step(r, lam)``, from the same standard form, G
-included, and one Householder bidiagonalization of the operator,
-``Q_perp^T J L^+ = Q_B [B; 0] P_B^T`` (LAPACK ``gebrd``, in ``_lapack``; for
-L = I it is J itself), without any SVD: bisection (``stebz``) on B's
-Golub–Kahan tridiagonal gives zeta_p, and a tridiagonal augmented system on
-B (``gtsv``) gives the linearized residual at each lam, its slope and the
+every zeta_i: only zeta_p, the linearized residual ||r + J d(lam)|| for the
+damping search, and the step.  ``bidiagonalize``'s factors answer them
+through ``zeta_p``, ``split(r).omega`` and ``step(r, lam)``, from the same
+standard form, G included, and one Householder bidiagonalization of the
+operator, ``Q_perp^T J L^+ = Q_B [B; 0] P_B^T`` (LAPACK ``gebrd``, in
+``_lapack``; for L = I it is J itself), without any SVD: bisection
+(``stebz``) on B's Golub–Kahan tridiagonal gives zeta_p, and a tridiagonal
+augmented system on B (``gtsv``) gives the linearized residual and the
 step.  Its completeness bound needs no V; a pair that bound cannot decide
 is decided on the exact singular values of [J; L].
 """
@@ -281,9 +280,9 @@ class BidiagonalFactors:
       of its Golub–Kahan tridiagonal (``_largest_singular_value``).
     - ``split(r)``: c = Q^T r, c_0 = c[:k] = Q_0^T r and b = Q_B^T c[k:];
       rho_perp = ||b[p:]||, and J^T r = 0 exactly when c_0 = 0 and B^T b[:p]
-      = 0 (see ``_BidiagonalSplit``).
-    - The damping search and the step solve, for b[:p] or another right-hand
-      side h, ``[[sqrt(lam) I, B], [B^T, -sqrt(lam) I]] [t; z] = [h; 0]``.
+      = 0.  Its ``omega`` answers the damping search (``_BidiagonalSplit``).
+    - ``omega`` and the step solve, for b[:p] or another right-hand side h,
+      ``[[sqrt(lam) I, B], [B^T, -sqrt(lam) I]] [t; z] = [h; 0]``.
       For h = b[:p], z solves ``(B^T B + lam I) z = B^T b`` and sqrt(lam) t =
       b - B z is the residual of the projected problem.  Taken in the order
       (z_1, t_1, z_2, t_2, ...) the system is tridiagonal, and ``dgtsv``
@@ -348,29 +347,47 @@ class _BidiagonalSplit:
         self.gradient_vanishes = not self.c0.any() and not grad.any()
         self._off = f._off
 
-    def secular(self, lam, newton: bool = False):
-        """``(gamma, slope)`` at lam, without B's SVD; slope is None unless ``newton``.
+    def omega(self, lam, target=None):
+        """``||r + J d(lam)||`` at lam; with a ``target``, ``(omega, lam_newton)``.
 
-        gamma is the linearized residual with rho_perp projected off, so
-        ||r + J d(lam)|| = hypot(rho_perp, gamma), and slope = -(dgamma/dnu)
-        / (lam gamma) with nu = 1/lam.  gamma = sqrt(lam) ||t||, from t
-        itself rather than from b - B z, which cancels at small lam.  For the
-        slope a second solve with right-hand side e / gamma, e = sqrt(lam) t,
-        gives z' / gamma, where z' = lam (B^T B + lam I)^-1 z since B^T e =
-        lam z; then slope = lam (z . z') / gamma^2, a quadratic form in z
-        that is nonnegative (0 for gamma = 0).  In the pair's GSVD it is the
-        sum of (e_i / gamma)^2 sigma_i^2 / (sigma_i^2 + lam mu_i^2), with
+        omega = hypot(rho_perp, gamma), where gamma is the linearized residual
+        with rho_perp projected off: gamma = sqrt(lam) ||t|| from one O(p)
+        solve of the augmented system, taken from t itself rather than from
+        b - B z, which cancels at small lam.  Neither d nor J d is formed.
+
+        ``lam_newton`` is the Newton iterate toward omega = target, which must
+        exceed rho_perp, on the secular equation in Moré–Sorensen's reciprocal
+        form.  With nu = 1/lam, gamma(nu)^2 = sum w_i^2 / (1 + zeta_i^2 nu)^2
+        in the pair's GSVD (w = U^T r, never formed), and ``psi(nu) =
+        1/gamma(nu) - 1/sqrt(target^2 - rho_perp^2)`` is increasing and (by
+        Cauchy–Schwarz) concave, so Newton from a point where omega > target
+        never passes the root and converges monotonically.  It needs slope =
+        -(dgamma/dnu) / (lam gamma), from a second solve with right-hand side
+        e / gamma, e = sqrt(lam) t: that gives z' / gamma, where z' = lam
+        (B^T B + lam I)^-1 z since B^T e = lam z, and slope = lam (z . z') /
+        gamma^2, a quadratic form in z that is nonnegative.  In the GSVD it is
+        the sum of (e_i / gamma)^2 sigma_i^2 / (sigma_i^2 + lam mu_i^2), with
         e_i = lam mu_i^2 w_i / (sigma_i^2 + lam mu_i^2) and gamma = ||e||.
+        Where omega is flat in lam (gamma = 0, or r + J d moving only along
+        directions with zeta_i = 0) there is no Newton iterate, and
+        ``lam_newton`` is NaN.
         """
         z, t = _solve_augmented(self._off, lam, self.b)
         t_norm = euclidean_norm(t)
         gamma = np.sqrt(lam) * t_norm
-        if not newton:
-            return gamma, None
+        val = float(np.hypot(self.rho_perp, gamma))
+        if target is None:
+            return val
         if not gamma:
-            return gamma, 0.0
+            return val, np.nan
         z_unit, _ = _solve_augmented(self._off, lam, t / t_norm)
-        return gamma, float(lam / gamma * (z @ z_unit))
+        slope = float(lam / gamma * (z @ z_unit))
+        if slope == 0.0:
+            return val, np.nan
+        # dgamma/dnu = -lam gamma slope, so the Newton iterate on psi is
+        # nu + (gamma/Delta - 1) / (lam slope) with Delta^2 = target^2 - rho_perp^2
+        ratio = gamma / np.sqrt((target - self.rho_perp) * (target + self.rho_perp))
+        return val, float(lam / (1.0 + (ratio - 1.0) / slope))
 
 
 def _solve_augmented(off, lam, h):

@@ -9,9 +9,9 @@ iterate whose residual falls below tau * delta (discrepancy principle).
 Each step's damping search and step come from one factorization of (J, L),
 a Householder bidiagonalization of the standard-form operator of each new
 Jacobian (``bidiagonalize``), which forms neither singular vectors nor
-singular values beyond the largest.  It splits the residual once
-(``split(r)``) and answers ``zeta_p``, the omega kernel's values and
-``step(r, lam)``.
+singular values beyond the largest.  It answers ``zeta_p``, and splits the
+residual once (``split(r)``): the split's ``omega`` serves the damping
+search and ``step(r, lam)`` reuses it.
 """
 
 from __future__ import annotations
@@ -138,69 +138,26 @@ def lm_step_gsvd(f: BidiagonalFactors, r, lam: float) -> np.ndarray:
     return f.step(r, lam)
 
 
-def _omega_kernel(f: BidiagonalFactors, r: np.ndarray):
-    """Return ``lam -> ||r + J d(lam)||`` evaluated from the factors of (J, L).
+def select_lambda_q(factors: BidiagonalFactors, r, cfg: SolverConfig):
+    """Choose the damping parameter from the q-condition with ``q = cfg.q``.
 
-    ``f.split(r)`` supplies what the kernel reads: rho_perp, the part of r
-    that no step removes; whether J^T r = 0, on which it raises ZeroGradient;
-    and, at each lam, gamma = ||r + J d(lam)|| projected off that part and
-    the slope below.  The linearized residual is hypot(rho_perp, gamma).
-    Neither d nor J d is formed: gamma comes from one O(p) tridiagonal solve
-    on B, and the slope from one more.
-
-    Called as ``omega(lam, target)`` it returns ``(omega(lam), lam_newton)``,
-    where ``lam_newton`` is the Newton iterate toward ``omega = target`` on
-    the secular equation in Moré–Sorensen's reciprocal form: with nu = 1/lam,
-    gamma(nu)^2 = omega^2 - rho_perp^2 = sum w_i^2 / (1 + zeta_i^2 nu)^2 in
-    the pair's GSVD (w = U^T r, which is never formed), and ``psi(nu) =
-    1/gamma(nu) - 1/sqrt(target^2 - rho_perp^2)`` is increasing and (by
-    Cauchy-Schwarz) concave, so Newton from a point where omega > target
-    never passes the root and converges monotonically.  The slope is -(dgamma/dnu) / (lam gamma).  ``target``
-    must exceed rho_perp.  Where omega is flat in lam (gamma = 0, or r + J d
-    moving only along directions with zeta_i = 0) there is no Newton
-    iterate, and ``lam_newton`` is NaN.
-    """
-    split = f.split(r)
-    if split.gradient_vanishes:
-        raise ZeroGradient("J^T r = 0: the step is zero for every lambda")
-    rho_perp = split.rho_perp
-
-    def omega(lam, target=None):
-        gamma, slope = split.secular(lam, newton=target is not None)
-        val = float(np.hypot(rho_perp, gamma))
-        if target is None:
-            return val
-        # dgamma/dnu = -lam gamma slope, so the Newton iterate on psi is
-        # nu + (gamma/Delta - 1) / (lam slope) with Delta^2 = target^2 - rho_perp^2
-        if slope == 0.0:  # omega is flat in lam here, so there is no Newton iterate
-            return val, np.nan
-        ratio = gamma / np.sqrt((target - rho_perp) * (target + rho_perp))
-        return val, float(lam / (1.0 + (ratio - 1.0) / slope))
-
-    return omega
-
-
-def select_lambda_q(factors: BidiagonalFactors, r, q: float, cfg: SolverConfig):
-    """Choose the damping parameter from the q-condition.
-
-    ``omega(lam) = ||r + J d(lam)||``, nondecreasing in lam, is evaluated
-    from ``bidiagonalize``'s ``factors`` of (J, L), in O(p) per call
-    (``_omega_kernel``: one or two tridiagonal solves on B) and never twice
-    at one lam.  The search bracket is ``[1e-14 zeta_p^2, q/(1-q) zeta_p^2
-    (1 + tol)]`` with the factors' ``zeta_p``, the largest singular value
-    of B by bisection.  The floor comes first:
-    omega within the tolerance of the target ``q ||r||`` there is an
-    ``"equality"``, and omega at or above the target returns a fixed fraction
-    of the interval upper bound with kind ``"inequality-fallback"`` (the
-    residual on directions with zeta_i below about 1e-7 zeta_p counts as
-    unremovable).  Otherwise the target exceeds omega(floor) >= rho_perp, the
-    residual outside range(U), so the secular equation in Moré–Sorensen's
-    reciprocal form is defined, and a safeguarded Newton iteration on it
-    starts at the top.  A top within the tolerance is an equality; a top
-    below the target falls back (components of r along the image of the
-    undamped null space of L are removed regardless of lam).  Otherwise each
-    evaluation shrinks the bracket, a Newton iterate outside it is replaced
-    by one bisection step on log(lam), and the root found is an equality.
+    ``omega(lam) = ||r + J d(lam)||``, nondecreasing in lam, and its Newton
+    iterate come from the split of r by ``bidiagonalize``'s ``factors`` of
+    (J, L) (``_BidiagonalSplit.omega``, in O(p) per call); no lam is
+    evaluated twice.  The search bracket is ``[1e-14 zeta_p^2, q/(1-q)
+    zeta_p^2 (1 + tol)]`` with the factors' ``zeta_p``, the largest singular
+    value of B by bisection.  The floor comes first: omega within the
+    tolerance of the target ``q ||r||`` there is an ``"equality"``, and omega
+    at or above the target returns a fixed fraction of the interval upper
+    bound with kind ``"inequality-fallback"`` (the residual on directions
+    with zeta_i below about 1e-7 zeta_p counts as unremovable).  Otherwise
+    the target exceeds omega(floor) >= rho_perp, so the Newton iterate is
+    defined, and a safeguarded Newton iteration starts at the top.  A top
+    within the tolerance is an equality; a top below the target falls back
+    (components of r along the image of the undamped null space of L are
+    removed regardless of lam).  Otherwise each evaluation shrinks the
+    bracket, a Newton iterate outside it is replaced by one bisection step
+    on log(lam), and the root found is an equality.
 
     Returns
     -------
@@ -214,24 +171,25 @@ def select_lambda_q(factors: BidiagonalFactors, r, q: float, cfg: SolverConfig):
     misses the tolerance within its iteration cap.
     """
     r = np.asarray(r, dtype=float)
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
     if r.shape != (factors.m,):
         raise DimensionMismatch(f"residual has shape {r.shape}, expected ({factors.m},)")
     rnorm = euclidean_norm(r)
     if not math.isfinite(rnorm):
         raise NonFiniteInput(f"the residual norm is {rnorm}: a NaN or infinite entry, or overflow")
-    omega = _omega_kernel(factors, r)
+    split = factors.split(r)
+    if split.gradient_vanishes:
+        raise ZeroGradient("J^T r = 0: the step is zero for every lambda")
     zeta_p = factors.zeta_p
     if zeta_p == 0.0:
         raise BracketFailure(
             "all generalized singular values vanish; the admissible interval is empty"
         )
+    q = cfg.q
     target, tol = q * rnorm, cfg.lambda_root_tol * rnorm
     bound = q / (1.0 - q) * zeta_p**2
 
     lo = _BRACKET_LO_FACTOR * zeta_p**2
-    val = omega(lo)
+    val = split.omega(lo)
     if abs(val - target) <= tol:
         return lo, "equality", 1
     if val >= target:
@@ -239,7 +197,7 @@ def select_lambda_q(factors: BidiagonalFactors, r, q: float, cfg: SolverConfig):
 
     lam = hi = bound * (1.0 + cfg.lambda_root_tol)
     for evals in range(2, _SEARCH_MAX_ITER + 3):
-        val, lam_next = omega(lam, target)
+        val, lam_next = split.omega(lam, target)
         if abs(val - target) <= tol:
             return lam, "equality", evals
         if val >= target:
@@ -327,7 +285,7 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
             if not np.array_equal(J, J_factored):
                 factors = bidiagonalize(J, L)
                 np.copyto(J_factored, J)  # eval_J may hand back one buffer it rewrites
-            lam, kind, omega_evals = select_lambda_q(factors, r, cfg.q, cfg)
+            lam, kind, omega_evals = select_lambda_q(factors, r, cfg)
         except LmmssError as exc:
             raise type(exc)(f"iterate {k}: {exc}") from exc
         d = lm_step_gsvd(factors, r, lam)

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.  All
 checks are property-based at desk scale; tolerances are pinned here.
 """
 
+import dataclasses
 import filecmp
 import time
 from functools import lru_cache
@@ -31,7 +32,6 @@ from lmmss import (
 from lmmss.cli import main
 from lmmss.gsvd import bidiagonalize
 from lmmss.scaling import from_matrix, identity, second_difference
-from lmmss.solver import _omega_kernel
 from helpers import (
     in_range_residual,
     lm_step_reference,
@@ -144,10 +144,10 @@ def test_criterion_3_damping_selection_suite():
         q = float(rng.uniform(0.3, 0.8))
         bound = q / (1.0 - q) * zeta_p**2
         grid = np.logspace(np.log10(bound) - 10, np.log10(bound) + 2, 50)
-        omega = _omega_kernel(f, r)
+        omega = f.split(r).omega
         vals = [omega(lam) for lam in grid]
         ok &= all(b >= a - 1e-12 * (1.0 + a) for a, b in zip(vals, vals[1:]))
-        lam, kind, _ = select_lambda_q(f, r, q, cfg)
+        lam, kind, _ = select_lambda_q(f, r, dataclasses.replace(cfg, q=q, tau=2.0 / q))
         ok &= 0.0 < lam <= bound * (1.0 + 1e-8)
         if kind == "equality":
             n_equality += 1
@@ -156,7 +156,7 @@ def test_criterion_3_damping_selection_suite():
     ok &= n_equality >= 20
     # constructed unsolvable instance: residual orthogonal-heavy to range(J)
     lam, kind, _ = select_lambda_q(
-        bidiagonalize(np.array([[0.0], [1.0]]), identity(1)), np.array([1.0, 0.1]), 0.5, cfg
+        bidiagonalize(np.array([[0.0], [1.0]]), identity(1)), np.array([1.0, 0.1]), cfg
     )
     ok &= kind == "inequality-fallback" and lam > 0.0
     _report(
@@ -258,7 +258,7 @@ def test_criterion_8_damping_continuity_in_data():
             J = rng.standard_normal((n, n))
             L = identity(n) if inst % 2 == 0 else from_matrix(rng.standard_normal((n - 1, n)))
             r = rng.standard_normal(n)
-            lam0, kind, _ = select_lambda_q(bidiagonalize(J, L), r, 0.5, cfg)
+            lam0, kind, _ = select_lambda_q(bidiagonalize(J, L), r, cfg)
             if kind == "equality":
                 break
         ok &= kind == "equality"
@@ -267,7 +267,7 @@ def test_criterion_8_damping_continuity_in_data():
         eps = 1e-3
         diffs = []
         while eps >= 1.25e-4 / 2:
-            lam_eps = select_lambda_q(bidiagonalize(J, L), r - eps * u, 0.5, cfg)[0]
+            lam_eps = select_lambda_q(bidiagonalize(J, L), r - eps * u, cfg)[0]
             diffs.append(abs(lam_eps - lam0))
             eps /= 2.0
         ok &= all(b <= 0.7 * a for a, b in zip(diffs, diffs[1:]))

@@ -34,7 +34,6 @@ from lmmss.scaling import (
     identity,
     second_difference,
 )
-from lmmss.solver import _omega_kernel
 from helpers import (
     SpectralOracle,
     cyclic_difference,
@@ -88,7 +87,7 @@ def test_omega_and_step_match_the_stacked_reference(source, n, spec):
     J, r = _tall_pair(n) if source == "tall" else _problem_pair(source, n)
     L = from_spec(spec, n)
     f, g = bidiagonalize(J, L), SpectralOracle(J, L, r)
-    omega = _omega_kernel(f, r)
+    omega = f.split(r).omega
     zeta_p = f.zeta_p
     for lam in np.geomspace(1e-14 * zeta_p**2, 1.5 * zeta_p**2, 9):
         want = lm_step_reference(J, r, L, lam)
@@ -136,7 +135,7 @@ def test_newton_iterate_matches_gsvd(spec, n, name):
     L = from_spec(spec, n)
     f, g = bidiagonalize(J, L), SpectralOracle(J, L, r)
     assert isinstance(f, BidiagonalFactors)
-    omega = _omega_kernel(f, r)
+    omega = f.split(r).omega
     target = 0.6 * np.linalg.norm(r)
     for lam in np.geomspace(1e-14 * f.zeta_p**2, 1.5 * f.zeta_p**2 * (1.0 + 1e-10), 9):
         (val, newton), (val_gsvd, newton_gsvd) = omega(lam, target), g.omega(lam, target)
@@ -145,10 +144,22 @@ def test_newton_iterate_matches_gsvd(spec, n, name):
         assert abs(newton - newton_gsvd) <= tol * abs(newton_gsvd)
 
 
-def test_floor_regime_step_falls_back_on_both_routes():
+def test_omega_matches_the_oracle_on_the_tall_pair():
+    # Across the bracket of q = 0.6, m > n with p < n: omega without a target
+    # agrees with gsvd's spectral sums (SpectralOracle) as the Newton test's
+    # omega does.
+    J, r = _tall_pair(64)
+    L = from_spec("d2", 64)
+    f, g = bidiagonalize(J, L), SpectralOracle(J, L, r)
+    omega = f.split(r).omega
+    for lam in np.geomspace(1e-14 * f.zeta_p**2, 1.5 * f.zeta_p**2 * (1.0 + 1e-10), 9):
+        assert abs(omega(lam) - g.omega(lam)) <= 1e-14 * np.linalg.norm(r)
+
+
+def test_floor_regime_step_falls_back_as_the_oracle_predicts():
     # Iterate 8 of autoconvolution n = 128, d1, q = 0.05, q tau = 1.01,
     # delta = 1e-9 (seed 1), where that run's fallbacks start: omega at the
-    # bracket floor is 0.095 ||r||, above q ||r||, on the bidiagonal route
+    # bracket floor is 0.095 ||r||, above q ||r||, on the bidiagonal factors
     # and in gsvd's spectral sums (SpectralOracle) alike.
     n, q = 128, 0.05
     prob = make_problem("autoconvolution", n)
@@ -160,20 +171,19 @@ def test_floor_regime_step_falls_back_on_both_routes():
     assert [rec.qcond_kind for rec in run.trace[:-1]] == ["equality"] * 8
     J, r = prob.evaluate_J(run.final_x), prob.evaluate_F(run.final_x) - data.y_delta
     f, g = bidiagonalize(J, L), SpectralOracle(J, L, r)
-    floor = _omega_kernel(f, r)(1e-14 * f.zeta_p**2)
+    floor = f.split(r).omega(1e-14 * f.zeta_p**2)
     floor_gsvd = g.omega(1e-14 * g.zeta_p**2)
     assert floor == pytest.approx(0.095 * np.linalg.norm(r), rel=0.01)
     assert abs(floor - floor_gsvd) <= 1e-12 * floor_gsvd
     # the search falls back at the floor: omega there is above the target
     # by more than the root tolerance
     assert floor_gsvd - q * np.linalg.norm(r) > cfg.lambda_root_tol * np.linalg.norm(r)
-    assert select_lambda_q(f, r, q, cfg)[1:] == ("inequality-fallback", 1)
+    assert select_lambda_q(f, r, cfg)[1:] == ("inequality-fallback", 1)
 
 
-@pytest.mark.parametrize("factor", [bidiagonalize])
-def test_split_is_kept_for_the_last_residual(factor):
+def test_split_is_kept_for_the_last_residual():
     J, r = _problem_pair("coefficient", 48)
-    f = factor(J, first_difference(48))
+    f = bidiagonalize(J, first_difference(48))
     split = f.split(r)
     assert f.split(r.copy()) is split
     assert f.split(2.0 * r) is not split
@@ -181,7 +191,7 @@ def test_split_is_kept_for_the_last_residual(factor):
     split = f.split(r2)
     r2[0] += 1.0  # changed in place: split afresh
     assert f.split(r2) is not split
-    fresh = factor(J, first_difference(48))
+    fresh = bidiagonalize(J, first_difference(48))
     np.testing.assert_array_equal(lm_step_gsvd(f, r2, 1.0), lm_step_gsvd(fresh, r2, 1.0))
 
 
@@ -193,7 +203,7 @@ def test_one_row_scaling_on_the_bidiagonal_route():
     f, g = bidiagonalize(J, L), SpectralOracle(J, L, r)
     assert isinstance(f, BidiagonalFactors)
     assert f.zeta_p == pytest.approx(g.zeta_p, rel=1e-14)
-    omega = _omega_kernel(f, r)
+    omega = f.split(r).omega
     for lam in (1e-3, 1.0, 1e3):
         assert omega(lam) == pytest.approx(g.omega(lam), rel=1e-13)
         np.testing.assert_allclose(lm_step_gsvd(f, r, lam), g.step(lam), rtol=1e-10,
@@ -284,8 +294,8 @@ def test_singular_augmented_system_is_a_linalg_error():
     f = bidiagonalize(J, identity(n))
     assert f._off[0] == f._off[1] == 0.0
     with pytest.raises(np.linalg.LinAlgError, match="augmented step system is singular"):
-        _omega_kernel(f, np.ones(n))(0.0)
-    assert _omega_kernel(f, np.ones(n))(1.0) == pytest.approx(np.sqrt(1.0 + (n - 1) / 4.0))
+        f.split(np.ones(n)).omega(0.0)
+    assert f.split(np.ones(n)).omega(1.0) == pytest.approx(np.sqrt(1.0 + (n - 1) / 4.0))
 
 
 def test_lapack_argument_errors_raise():
@@ -300,7 +310,8 @@ def test_lapack_argument_errors_raise():
 def test_large_jacobian_refused_as_gsvd_refuses():
     # ||J|| = 1e5 with a zero column: s_min([J; I]) = 1 falls below the rule's
     # 1e-5 hypot(1, s_max, s_max) = 1.41, so the bound cannot decide, the pair
-    # goes to gsvd, and both refuse it with the exact singular values' message.
+    # is decided on the exact singular values of [J; L], and bidiagonalize
+    # refuses it with gsvd's message.
     n = 48
     J = np.zeros((n, n))
     J[0, 0] = 1e5
@@ -353,7 +364,7 @@ def test_norm_bound_covers_gsvd_x(spec, n, name):
     assert isinstance(bidiagonalize(J, L), BidiagonalFactors)
 
 
-def test_undecided_pair_comes_back_as_gsvd():
+def test_undecided_pair_accepted_by_the_exact_values_stays_bidiagonal():
     # J = 3e4 I with d2 at n = 48: G = L^+ (C = 0), so the bound reads
     # ||L^+||_F = 2.4e2 against s_max = 2.1e5 and cannot decide.  The exact
     # singular values of [J; L] (s_min = 3e4) accept the pair, and the

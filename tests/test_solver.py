@@ -20,9 +20,8 @@ from lmmss import (
     seminorm,
     solve,
 )
-from lmmss.gsvd import bidiagonalize
+from lmmss.gsvd import _BidiagonalSplit, bidiagonalize
 from lmmss.scaling import completeness_holds, first_difference, from_matrix, from_spec, identity
-from lmmss.solver import _omega_kernel
 from helpers import (
     assert_runs_bitwise_equal,
     in_range_residual,
@@ -33,6 +32,22 @@ from helpers import (
 )
 
 CFG = SolverConfig(q=0.5, tau=2.5)
+
+
+def _with_q(q):
+    """CFG with the contraction target q; tau = 2 / q keeps tau q > 1."""
+    return dataclasses.replace(CFG, q=q, tau=2.0 / q)
+
+
+#: Pairs on which omega is flat in lam at the top of the bracket, so there is
+#: no Newton iterate.
+FLAT_OMEGA = [
+    # r lies in J N(L): gamma = 0 and omega = rho_perp for every lam
+    (np.eye(2), [[1.0, 0.0]], [0.0, 1.0], 0.5),
+    # gamma > 0 only on a direction with sigma = 0, so d omega / d lam = 0
+    (np.diag([1.0, 0.0, 1.0]), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0, 1.0, 1.0], 0.8),
+]
+FLAT_OMEGA_IDS = ["zero-gamma", "zero-slope"]
 
 
 class TestSolverConfig:
@@ -134,10 +149,10 @@ class TestLmStepGsvd:
 
 
 class TestQcondResidual:
-    # The O(p) kernel select_lambda_q searches on, and the stacked oracle.
+    # The split's O(p) omega that select_lambda_q searches on, and the stacked oracle.
     def test_identity_closed_form(self):
         r = np.array([3.0, 4.0])
-        omega = _omega_kernel(bidiagonalize(np.eye(2), np.eye(2)), r)
+        omega = bidiagonalize(np.eye(2), np.eye(2)).split(r).omega
         for lam in (1e-3, 0.1, 1.0, 42.0):
             expected = lam / (1.0 + lam) * 5.0
             assert omega(lam) == pytest.approx(expected)
@@ -148,9 +163,9 @@ class TestQcondResidual:
         r = np.array([1.0, 0.1])
         # projector onto range(J)^perp keeps the first component
         assert omega_reference(J, identity(1), r, 1e-12) == pytest.approx(1.0, abs=1e-9)
-        # and the kernel reaches it at the bracket floor 1e-14 zeta_p^2
+        # and the split's omega reaches it at the bracket floor 1e-14 zeta_p^2
         f = bidiagonalize(J, np.eye(1))
-        assert _omega_kernel(f, r)(1e-14 * f.zeta_p**2) == pytest.approx(1.0, rel=1e-14)
+        assert f.split(r).omega(1e-14 * f.zeta_p**2) == pytest.approx(1.0, rel=1e-14)
 
     def test_nondecreasing_on_grid(self):
         rng = np.random.default_rng(17)
@@ -158,9 +173,21 @@ class TestQcondResidual:
         L = from_matrix(rng.standard_normal((3, 4)))
         r = rng.standard_normal(6)
         f = bidiagonalize(J, L.matrix)
-        omega = _omega_kernel(f, r)
+        omega = f.split(r).omega
         vals = [omega(lam) for lam in np.logspace(-8, 4, 50)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("J, L, r, q", FLAT_OMEGA, ids=FLAT_OMEGA_IDS)
+    def test_flat_omega_has_no_newton_iterate(self, J, L, r, q):
+        # at the top of the bracket, where the search first asks for an iterate
+        f = bidiagonalize(J, from_matrix(L))
+        r = np.array(r)
+        split = f.split(r)
+        top = q / (1.0 - q) * f.zeta_p**2 * (1.0 + CFG.lambda_root_tol)
+        val, lam_newton = split.omega(top, q * np.linalg.norm(r))
+        assert np.isfinite(val) and val == split.omega(top)
+        assert np.isnan(lam_newton)
 
     def test_kernel_matches_reference_random_pairs(self):
         rng = np.random.default_rng(41)
@@ -182,7 +209,7 @@ def _assert_kernel_matches_reference(J, L, r, q=0.6):
     # over the search bracket [1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]
     f = bidiagonalize(J, L)
     zeta_p = f.zeta_p
-    omega = _omega_kernel(f, r)
+    omega = f.split(r).omega
     rnorm = np.linalg.norm(r)
     for lam in np.geomspace(1e-14 * zeta_p**2, q / (1.0 - q) * zeta_p**2 * (1.0 + 1e-10), 30):
         assert abs(omega(lam) - omega_reference(J, L, r, lam)) <= 1e-12 * rnorm
@@ -191,7 +218,7 @@ def _assert_kernel_matches_reference(J, L, r, q=0.6):
 class TestSelectLambda:
     def test_identity_pair_closed_form(self):
         f = bidiagonalize(np.eye(2), identity(2))
-        lam, kind, _ = select_lambda_q(f, np.array([3.0, 4.0]), 0.5, CFG)
+        lam, kind, _ = select_lambda_q(f, np.array([3.0, 4.0]), CFG)
         assert kind == "equality"
         assert lam == pytest.approx(1.0, rel=1e-6)
 
@@ -200,7 +227,7 @@ class TestSelectLambda:
         # ||r||^2 overflows a dot product; the norm itself is finite, and with
         # J = L = I the q-condition lam / (1 + lam) = q has the root lam = 1
         r = np.array([1e200, 1.0, 1.0])
-        lam, kind, _ = select_lambda_q(bidiagonalize(np.eye(3), identity(3)), r, 0.5, CFG)
+        lam, kind, _ = select_lambda_q(bidiagonalize(np.eye(3), identity(3)), r, CFG)
         assert kind == "equality"
         assert lam == pytest.approx(1.0, rel=1e-8)
 
@@ -208,7 +235,7 @@ class TestSelectLambda:
         A = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
         rng = np.random.default_rng(2)
         r = in_range_residual(rng, A)
-        lam, kind, _ = select_lambda_q(bidiagonalize(A, identity(2)), r, 0.5, CFG)
+        lam, kind, _ = select_lambda_q(bidiagonalize(A, identity(2)), r, CFG)
         assert kind == "equality"
         assert 0.0 < lam <= 0.5 / 0.5 * 4.0 * (1.0 + 1e-8)
 
@@ -218,7 +245,7 @@ class TestSelectLambda:
         # ||P r|| = 1 > q ||r||
         assert 1.0 > 0.5 * np.linalg.norm(r)
         f = bidiagonalize(J, identity(1))
-        lam, kind, _ = select_lambda_q(f, r, 0.5, CFG)
+        lam, kind, _ = select_lambda_q(f, r, CFG)
         assert kind == "inequality-fallback"
         zeta_p = generalized_singular_values(gsvd(J, np.eye(1)))[-1]
         assert lam == pytest.approx(0.5 * 0.5 / 0.5 * zeta_p**2)
@@ -234,7 +261,7 @@ class TestSelectLambda:
         J = Q1 @ np.diag([1.0, 1e-3, 1e-6, s]) @ Q2.T
         r = Q1 @ np.array([0.1, 0.1, 0.1, 1.0])
         f = bidiagonalize(J, identity(4))
-        lam, kind, _ = select_lambda_q(f, r, 0.5, CFG)
+        lam, kind, _ = select_lambda_q(f, r, CFG)
         assert kind == "inequality-fallback"
         zeta_p = generalized_singular_values(gsvd(J, np.eye(4)))[-1]
         assert lam == pytest.approx(CFG.lambda_fallback_factor * zeta_p**2, rel=1e-12)
@@ -255,40 +282,44 @@ class TestSelectLambda:
     )
     def test_evals_per_regime(self, J, L, r, q, kind, evals):
         f = bidiagonalize(np.array(J), L)
-        assert select_lambda_q(f, np.array(r), q, CFG)[1:] == (kind, evals)
+        assert select_lambda_q(f, np.array(r), _with_q(q))[1:] == (kind, evals)
 
-    @pytest.mark.parametrize(
-        "J, L, r, q",
-        [
-            # r lies in J N(L): gamma = 0 and omega = rho_perp for every lam
-            (np.eye(2), [[1.0, 0.0]], [0.0, 1.0], 0.5),
-            # gamma > 0 only on a direction with sigma = 0, so d omega / d lam = 0
-            (np.diag([1.0, 0.0, 1.0]), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0, 1.0, 1.0], 0.8),
-        ],
-        ids=["zero-gamma", "zero-slope"],
-    )
+    @pytest.mark.parametrize("J, L, r, q", FLAT_OMEGA, ids=FLAT_OMEGA_IDS)
     def test_flat_omega_falls_back_at_the_top(self, J, L, r, q):
         # omega(floor) < q ||r||, so the top is evaluated in the Newton form,
         # which has no iterate on a flat omega; RuntimeWarnings are errors here
-        lam, kind, evals = select_lambda_q(bidiagonalize(J, from_matrix(L)), np.array(r), q, CFG)
+        f = bidiagonalize(J, from_matrix(L))
+        lam, kind, evals = select_lambda_q(f, np.array(r), _with_q(q))
         assert (kind, evals) == ("inequality-fallback", 2)
+
+    def test_q_comes_from_the_config(self):
+        # one pair and residual, two configs that differ only in q: each
+        # equality step meets its own target q ||r||
+        rng = np.random.default_rng(5)
+        J = rng.standard_normal((7, 5))
+        L = identity(5)
+        r = in_range_residual(rng, J)
+        f = bidiagonalize(J, L)
+        rnorm = np.linalg.norm(r)
+        lams = []
+        for q in (0.3, 0.7):
+            lam, kind, _ = select_lambda_q(f, r, _with_q(q))
+            assert kind == "equality"
+            assert abs(omega_reference(J, L, r, lam) - q * rnorm) <= CFG.lambda_root_tol * rnorm
+            lams.append(lam)
+        assert lams[0] < lams[1]
 
     def test_no_lambda_evaluated_twice(self, monkeypatch):
         J, r = self._spread_pair()
-        kernel = lmmss.solver._omega_kernel
+        omega = _BidiagonalSplit.omega
         evaluated = []
 
-        def recording_kernel(factors, res):
-            omega = kernel(factors, res)
+        def recorded(split, lam, target=None):
+            evaluated.append(lam)
+            return omega(split, lam, target)
 
-            def recorded(lam, target=None):
-                evaluated.append(lam)
-                return omega(lam, target)
-
-            return recorded
-
-        monkeypatch.setattr(lmmss.solver, "_omega_kernel", recording_kernel)
-        lam, kind, evals = select_lambda_q(bidiagonalize(J, identity(3)), r, 0.5, CFG)
+        monkeypatch.setattr(_BidiagonalSplit, "omega", recorded)
+        lam, kind, evals = select_lambda_q(bidiagonalize(J, identity(3)), r, CFG)
         assert kind == "equality"
         assert evals == len(evaluated) > 2
         assert len(set(evaluated)) == len(evaluated)
@@ -305,12 +336,12 @@ class TestSelectLambda:
     )
     def test_malformed_residual_rejected(self, r, error):
         with pytest.raises(error):
-            select_lambda_q(bidiagonalize(np.eye(3), identity(3)), r, 0.5, CFG)
+            select_lambda_q(bidiagonalize(np.eye(3), identity(3)), r, CFG)
 
     def test_zero_gradient_rejected(self):
         J = np.array([[1.0], [0.0]])
         with pytest.raises(ZeroGradient):
-            select_lambda_q(bidiagonalize(J, identity(1)), np.array([0.0, 1.0]), 0.5, CFG)
+            select_lambda_q(bidiagonalize(J, identity(1)), np.array([0.0, 1.0]), CFG)
 
     def test_vanishing_spectrum_is_bracket_failure(self):
         # J acts only on the null space of L, so every zeta_i is zero and
@@ -318,7 +349,7 @@ class TestSelectLambda:
         J = np.array([[0.0, 0.0], [0.0, 1.0]])
         L = from_matrix([[1.0, 0.0]])
         with pytest.raises(lmmss.BracketFailure):
-            select_lambda_q(bidiagonalize(J, L), np.array([1.0, 1.0]), 0.5, CFG)
+            select_lambda_q(bidiagonalize(J, L), np.array([1.0, 1.0]), CFG)
 
     def test_returned_lambda_meets_target(self):
         rng = np.random.default_rng(23)
@@ -328,7 +359,7 @@ class TestSelectLambda:
             L = identity(n)
             r = in_range_residual(rng, J)
             q = float(rng.uniform(0.3, 0.8))
-            lam, kind, _ = select_lambda_q(bidiagonalize(J, L), r, q, CFG)
+            lam, kind, _ = select_lambda_q(bidiagonalize(J, L), r, _with_q(q))
             if kind == "equality":
                 val = omega_reference(J, L, r, lam)
                 assert abs(val - q * np.linalg.norm(r)) <= CFG.lambda_root_tol * np.linalg.norm(r)
@@ -346,7 +377,7 @@ class TestSelectLambda:
 
     def test_newton_meets_target_on_spread_spectrum(self):
         J, r = self._spread_pair()
-        lam, kind, evals = select_lambda_q(bidiagonalize(J, identity(3)), r, 0.5, CFG)
+        lam, kind, evals = select_lambda_q(bidiagonalize(J, identity(3)), r, CFG)
         assert kind == "equality"
         assert 1e-13 < lam < 1e-11
         assert evals <= 10
@@ -364,24 +395,19 @@ class TestSelectLambda:
         # then bisect log(lam) and still meet the target.
         J, r = self._spread_pair()
         f = bidiagonalize(J, identity(3))
-        kernel = lmmss.solver._omega_kernel
+        omega = _BidiagonalSplit.omega
         evaluated = []
 
-        def leaving_kernel(factors, res):
-            omega = kernel(factors, res)
+        def leaving(split, lam, target=None):
+            evaluated.append(lam)
+            if target is None:
+                return omega(split, lam)
+            val, lam_next = omega(split, lam, target)
+            first = len(evaluated) == 2  # the top, the first Newton call
+            return val, (0.0 if leave == "every" or first else lam_next)
 
-            def patched(lam, target=None):
-                evaluated.append(lam)
-                if target is None:
-                    return omega(lam)
-                val, lam_next = omega(lam, target)
-                first = len(evaluated) == 2  # the top, the first Newton call
-                return val, (0.0 if leave == "every" or first else lam_next)
-
-            return patched
-
-        monkeypatch.setattr(lmmss.solver, "_omega_kernel", leaving_kernel)
-        lam, kind, evals = select_lambda_q(f, r, 0.5, CFG)
+        monkeypatch.setattr(_BidiagonalSplit, "omega", leaving)
+        lam, kind, evals = select_lambda_q(f, r, CFG)
         assert kind == "equality"
         assert evals == len(evaluated)
         # evaluations: floor, top (the first Newton call), then the
@@ -613,12 +639,12 @@ class TestLambdaContinuity:
         r = rng.standard_normal(6)
         u = rng.standard_normal(6)
         u /= np.linalg.norm(u)
-        lam0, kind, _ = select_lambda_q(bidiagonalize(J, L), r, 0.5, cfg)
+        lam0, kind, _ = select_lambda_q(bidiagonalize(J, L), r, cfg)
         assert kind == "equality"
         eps = 1e-3
         diffs = []
         for _ in range(4):
-            lam_eps = select_lambda_q(bidiagonalize(J, L), r - eps * u, 0.5, cfg)[0]
+            lam_eps = select_lambda_q(bidiagonalize(J, L), r - eps * u, cfg)[0]
             diffs.append(abs(lam_eps - lam0))
             eps /= 2
         for a, b in zip(diffs, diffs[1:]):
