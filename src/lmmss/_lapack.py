@@ -1,13 +1,13 @@
-"""Two LAPACK routines that ``scipy.linalg.lapack`` does not wrap.
+"""``dgebrd``, a LAPACK routine that ``scipy.linalg.lapack`` does not wrap.
 
-``dgebrd`` reduces a matrix to bidiagonal form by Householder reflectors, and
-``dormbr`` applies its reflectors.  ``scipy.linalg.cython_lapack`` exports
-both as C function pointers in the capsules of its ``__pyx_capi__``.  They
-are bound here once, through ctypes, with ``PyCapsule_GetName`` and
-``PyCapsule_GetPointer`` (the lookup numba's ``get_cython_function_address``
-makes).  Every argument is passed by reference, Fortran style, and every call
-checks ``info``: an illegal argument raises ValueError.  Arrays are F-ordered
-float64 and the inputs are left unchanged unless a docstring says otherwise.
+``dgebrd`` reduces a matrix to bidiagonal form by Householder reflectors,
+which ``scipy.linalg.lapack.dormqr`` applies (``gsvd.BidiagonalFactors``).
+``scipy.linalg.cython_lapack`` exports it as a C function pointer in a
+capsule of its ``__pyx_capi__``.  It is bound here once, through ctypes,
+with ``PyCapsule_GetName`` and ``PyCapsule_GetPointer`` (the lookup numba's
+``get_cython_function_address`` makes).  Every argument is passed by
+reference, Fortran style, and the call checks ``info``: an illegal argument
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -33,19 +33,6 @@ def _bind(name: str, nargs: int):
 
 
 _dgebrd = _bind("dgebrd", 11)
-_dormbr = _bind("dormbr", 14)
-
-
-def _ints(*values):
-    return [ctypes.c_int(v) for v in values]
-
-
-_ref = ctypes.byref
-
-
-def _check(name: str, info: ctypes.c_int):
-    if info.value < 0:
-        raise ValueError(f"{name} rejected argument {-info.value}")
 
 
 def dgebrd(a: np.ndarray):
@@ -63,27 +50,11 @@ def dgebrd(a: np.ndarray):
     e = np.empty(max(n - 1, 1))
     lwork = (m + n) * 64
     work = np.empty(lwork)
-    m_, n_, lwork_, info = _ints(m, n, lwork, 0)
-    _dgebrd(_ref(m_), _ref(n_), a.ctypes.data, _ref(m_), d.ctypes.data, e.ctypes.data,
-            tauq.ctypes.data, taup.ctypes.data, work.ctypes.data, _ref(lwork_), _ref(info))
-    _check("dgebrd", info)
+    m_, n_, lwork_, info = (ctypes.c_int(v) for v in (m, n, lwork, 0))
+    ref = ctypes.byref
+    _dgebrd(ref(m_), ref(n_), a.ctypes.data, ref(m_), d.ctypes.data, e.ctypes.data,
+            tauq.ctypes.data, taup.ctypes.data, work.ctypes.data, ref(lwork_), ref(info))
+    if info.value < 0:
+        raise ValueError(f"dgebrd rejected argument {-info.value}")
     return d, e[: n - 1], tauq, taup
 
-
-def dormbr(vect: str, trans: str, a: np.ndarray, tau: np.ndarray, c: np.ndarray, k: int):
-    """Apply Q_B (``vect`` "Q") or P_B ("P") of ``dgebrd``, or its transpose, to the vector c.
-
-    ``trans`` is "N" or "T", ``a`` and ``tau`` are ``dgebrd``'s output, and
-    ``k`` is, as in LAPACK, the number of columns of the reduced matrix for
-    "Q" and its number of rows for "P".  Returns the product as a new array.
-    """
-    out = np.array(c, dtype=float)
-    lwork = 64  # below dormqr's blocked workspace, so one vector takes the unblocked path
-    work = np.empty(lwork)
-    v, t, side = ctypes.c_char(vect.encode()), ctypes.c_char(trans.encode()), ctypes.c_char(b"L")
-    m_, one, k_, lda, lwork_, info = _ints(out.size, 1, k, a.shape[0], lwork, 0)
-    _dormbr(_ref(v), _ref(side), _ref(t), _ref(m_), _ref(one), _ref(k_), a.ctypes.data,
-            _ref(lda), tau.ctypes.data, out.ctypes.data, _ref(m_), work.ctypes.data,
-            _ref(lwork_), _ref(info))
-    _check("dormbr", info)
-    return out

@@ -85,7 +85,7 @@ def estimate_tcc_constant(
 ) -> TccEstimate:
     """Estimate the tangential-cone constant by sampling pairs in an L-ball.
 
-    Points are drawn as ``x0 + v`` with ``||v||_L`` uniform on (0, rho];
+    Points are drawn as ``x0 + v`` with ``||v||_L`` uniform on [0, rho);
     draws falling outside the problem's domain hint are rejected.  Raises
     DegenerateBall when no pair with a usable denominator is found.
     """
@@ -99,7 +99,7 @@ def estimate_tcc_constant(
             nl = seminorm(L, z)
             if nl == 0.0:
                 continue
-            pt = x0 + z * (rho * rng.uniform() / nl)
+            pt = x0 + z * (rho * rng.random() / nl)
             if problem.domain_hint is None or problem.domain_hint.contains(pt):
                 return pt
         return None

@@ -35,7 +35,9 @@ damping search, and the step.  ``bidiagonalize``'s factors answer them
 through ``zeta_p``, ``split(r).omega`` and ``step(r, lam)``, from the same
 standard form, G included, and one Householder bidiagonalization of the
 operator, ``Q_perp^T J L^+ = Q_B [B; 0] P_B^T`` (LAPACK ``gebrd``, in
-``_lapack``; for L = I it is J itself), without any SVD: bisection
+``_lapack``; for L = I it is J itself), whose reflectors ``ormqr`` applies
+as it applies Q's (P_B's row reflectors transposed once into columns),
+without any SVD: bisection
 (``stebz``) on B's Golub–Kahan tridiagonal gives zeta_p, and a tridiagonal
 augmented system on B (``gtsv``) gives the linearized residual and the
 step.  Its completeness bound needs no V; a pair that bound cannot decide
@@ -44,6 +46,7 @@ is decided on the exact singular values of [J; L].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,15 +92,17 @@ def _as_matrix(L) -> np.ndarray:
     return np.asarray(getattr(L, "matrix", L), dtype=float)
 
 
-def _apply_q(trans: str, qr, tau, C, overwrite: bool = False) -> np.ndarray:
-    """Q @ C (trans "N") or Q^T @ C ("T") for the m x m Q held in geqrf's reflectors.
+def _apply_q(trans: str, qr, tau, C, overwrite: bool = False, blocked: bool = True) -> np.ndarray:
+    """Q @ C (trans "N") or Q^T @ C ("T") for the m x m Q held in geqrf-style reflectors.
 
-    The workspace is the one ormqr asks for at its largest block size (64
-    columns plus the 65 x 64 block reflector), so it blocks whenever Q has
-    enough reflectors for that to pay.  With ``overwrite`` an F-ordered C is
+    When ``blocked``, the workspace is the one ormqr asks for at its largest
+    block size (64 columns plus the 65 x 64 block reflector), so it blocks
+    whenever Q has enough reflectors for that to pay.  Otherwise it is LAPACK
+    ormbr's 64 for one vector, which keeps ormqr on its unblocked path (the
+    blocked one rounds differently).  With ``overwrite`` an F-ordered C is
     overwritten.
     """
-    lwork = 64 * C.shape[1] + 65 * 64
+    lwork = 64 * C.shape[1] + 65 * 64 if blocked else 64
     out, _, info = lapack.dormqr("L", trans, qr, tau, C, lwork, overwrite_c=overwrite)
     if info:
         raise ValueError(f"dormqr rejected argument {-info}")
@@ -271,7 +276,9 @@ class BidiagonalFactors:
     In the standard form of ``_standard_form`` (k = n - p; Q = [Q_0 Q_perp]
     from the QR of J W_0 stays as reflectors) the p-column operator is
     bidiagonalized, ``Q_perp^T J L^+ = Q_B [B; 0] P_B^T``, with B upper
-    bidiagonal and Q_B, P_B kept as ``dgebrd``'s reflectors.  The form's
+    bidiagonal and Q_B, P_B kept as ``dgebrd``'s reflectors, which ``ormqr``
+    applies on its unblocked path; P_B's row reflectors are transposed into
+    columns once, when the factors are made.  The form's
     W_0 R_0^-1 and G = L^+ - W_0 R_0^-1 C with C = Q_0^T J L^+ (k x p) are
     kept too; for L = I, B is J's own bidiagonal and G is None.  Neither U,
     V, X nor the SVD of B is formed; the factors answer:
@@ -299,9 +306,12 @@ class BidiagonalFactors:
     def __init__(self, shape, a, brd, qr, tau, G, W0_R0inv):
         (self.m, self.n), self.p = shape, a.shape[1]
         self._a, self._qr, self._tau, self._G, self._W0_R0inv = a, qr, tau, G, W0_R0inv
-        self._d, self._e, self._tauq, self._taup = brd
+        self._d, self._e, self._tauq, taup = brd
+        # P_B's reflectors, rows of a[:p-1, 1:] (ormbr's ormlq block), as ormqr's columns
+        self._p_reflectors, self._taup = np.array(a[: self.p - 1, 1:].T, order="F"), taup[:-1]
         self._off = np.empty(2 * self.p - 1)  # the augmented system's off-diagonal
         self._off[0::2], self._off[1::2] = self._d, self._e
+        self._sign = np.tile((-1.0, 1.0), self.p)  # its diagonal over sqrt(lam)
         self.zeta_p = _largest_singular_value(self._off)
         self._split_key = self._split = None
 
@@ -317,11 +327,21 @@ class BidiagonalFactors:
             self._split_key, self._split = key, _BidiagonalSplit(self, r)
         return self._split
 
+    def _apply_qb_transpose(self, c):
+        """Q_B^T c, as a new array, for c of length m - k."""
+        return _apply_q("T", self._a, self._tauq, c, blocked=False)
+
+    def _apply_pb(self, z):
+        """P_B z, in place, for z of length p."""
+        if self.p > 1:  # P_B = I for p = 1
+            z[1:] = _apply_q("N", self._p_reflectors, self._taup, z[1:], blocked=False)
+        return z
+
     def step(self, r, lam):
         """Solve ``(J^T J + lam L^T L) d = -J^T r``; see the class docstring."""
         split = self.split(r)
-        z, _ = _solve_augmented(self._off, lam, split.b)
-        y = -_lapack.dormbr("P", "N", self._a, self._taup, z, self._a.shape[0])
+        z, _ = _solve_augmented(self._off, self._sign * math.sqrt(lam), split.b)
+        y = -self._apply_pb(z)
         if self._G is None:  # L^+ = I, so k = 0 and d = y
             return y
         return self._G @ y - self._W0_R0inv @ split.c0
@@ -339,13 +359,13 @@ class _BidiagonalSplit:
         c = r if f._qr is None else _apply_q("T", f._qr, f._tau, r[:, None])[:, 0]
         k = f.n - f.p
         self.c0 = c[:k]
-        b = _lapack.dormbr("Q", "T", f._a, f._tauq, c[k:], f.p)
+        b = f._apply_qb_transpose(c[k:])
         self.b = b[: f.p]
         self.rho_perp = euclidean_norm(b[f.p :])
         grad = f._d * self.b  # B^T b, B upper bidiagonal
         grad[1:] += f._e * self.b[:-1]
         self.gradient_vanishes = not self.c0.any() and not grad.any()
-        self._off = f._off
+        self._off, self._sign = f._off, f._sign
 
     def omega(self, lam, target=None):
         """``||r + J d(lam)||`` at lam; with a ``target``, ``(omega, lam_newton)``.
@@ -372,15 +392,16 @@ class _BidiagonalSplit:
         directions with zeta_i = 0) there is no Newton iterate, and
         ``lam_newton`` is NaN.
         """
-        z, t = _solve_augmented(self._off, lam, self.b)
+        root = math.sqrt(lam)
+        z, t = _solve_augmented(self._off, self._sign * root, self.b)
         t_norm = euclidean_norm(t)
-        gamma = np.sqrt(lam) * t_norm
+        gamma = root * t_norm
         val = float(np.hypot(self.rho_perp, gamma))
         if target is None:
             return val
         if not gamma:
             return val, np.nan
-        z_unit, _ = _solve_augmented(self._off, lam, t / t_norm)
+        z_unit, _ = _solve_augmented(self._off, self._sign * root, t / t_norm)
         slope = float(lam / gamma * (z @ z_unit))
         if slope == 0.0:
             return val, np.nan
@@ -390,16 +411,13 @@ class _BidiagonalSplit:
         return val, float(lam / (1.0 + (ratio - 1.0) / slope))
 
 
-def _solve_augmented(off, lam, h):
-    """``(z, t)`` solving ``BidiagonalFactors``' augmented system at lam for ``[h; 0]``.
+def _solve_augmented(off, diag, h):
+    """``(z, t)`` solving ``BidiagonalFactors``' augmented system for ``[h; 0]``.
 
-    ``off`` = (d_1, e_1, ..., d_p) holds B and is the system's off-diagonal.
+    ``off`` = (d_1, e_1, ..., d_p) holds B and is the system's off-diagonal;
+    ``diag`` = sqrt(lam) (-1, 1, ..., -1, 1) is its diagonal, overwritten.
     """
-    p = (off.size + 1) // 2
-    root = np.sqrt(lam)
-    diag = np.empty(2 * p)
-    diag[0::2], diag[1::2] = -root, root
-    rhs = np.zeros((2 * p, 1))
+    rhs = np.zeros((diag.size, 1))
     rhs[1::2, 0] = h
     _, _, _, u, info = lapack.dgtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)
     if info < 0:

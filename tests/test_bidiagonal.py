@@ -20,7 +20,7 @@ from lmmss import (
 )
 from lmmss import _lapack
 from lmmss.gsvd import (
-    BidiagonalFactors,
+    _apply_q,
     _largest_singular_value,
     _standard_form,
     _x_norm_bound,
@@ -120,6 +120,45 @@ def test_spectrum_matches_gsvd(source, spec):
                                            abs=1e-14 * np.linalg.norm(r))
 
 
+#: Pairs (J, L) whose operator Q_perp^T J L^+ has the shapes where LAPACK's
+#: ormbr took its edge cases for P_B: p = 1, p = 2, p = n, d2 (p = n - 2),
+#: and a tall J with m - k > p.
+REFLECTOR_CASES = {
+    "one-row": lambda: (_problem_pair("coefficient", 48)[0], from_matrix(np.ones((1, 48)))),
+    "tall-one-row": lambda: (np.random.default_rng(1).standard_normal((65, 48)),
+                             from_matrix(np.ones((1, 48)))),
+    "tall-two-row": lambda: (np.random.default_rng(1).standard_normal((65, 48)),
+                             from_matrix(np.random.default_rng(2).standard_normal((2, 48)))),
+    "identity": lambda: (_problem_pair("coefficient", 48)[0], identity(48)),
+    "identity-n128": lambda: (_problem_pair("coefficient", 128)[0], identity(128)),
+    "square": lambda: (_problem_pair("coefficient", 48)[0], _scaling("square", 48)),
+    "d2": lambda: (_problem_pair("coefficient", 48)[0], second_difference(48)),
+    "tall-identity": lambda: (_tall_pair(48)[0], identity(48)),
+    "tall-d2": lambda: (_tall_pair(48)[0], second_difference(48)),
+}
+
+
+@pytest.mark.parametrize("case", list(REFLECTOR_CASES))
+def test_reflectors_reduce_the_operator_to_b(case):
+    # Q_B^T and P_B, built column by column from the factors' own
+    # applications to unit vectors (Q_B^T as split applies it, P_B as step
+    # does), are orthogonal to 1e-15 times their order and take Abar =
+    # Q_perp^T J L^+ to [B; 0] within 1e-14 ||Abar||_F (measured: at most
+    # 1.1e-14 and 8.4e-16).  A transposed or misordered P_B breaks the
+    # reduction.
+    J, L = REFLECTOR_CASES[case]()
+    abar = _standard_form(np.asfortranarray(J), L)[2]
+    f = bidiagonalize(J, L)
+    rows, p = abar.shape
+    qbt = np.column_stack([f._apply_qb_transpose(e) for e in np.eye(rows)])
+    pb = np.column_stack([f._apply_pb(e) for e in np.eye(p)])
+    want = np.zeros((rows, p))
+    want[:p] = np.diag(f._d) + np.diag(f._e, 1)
+    assert np.linalg.norm(qbt @ abar @ pb - want) <= 1e-14 * np.linalg.norm(abar)
+    assert np.linalg.norm(qbt.T @ qbt - np.eye(rows)) <= 1e-15 * rows
+    assert np.linalg.norm(pb.T @ pb - np.eye(p)) <= 1e-15 * p
+
+
 @pytest.mark.parametrize("name", ["linear", "autoconvolution", "coefficient"])
 @pytest.mark.parametrize("n", [48, 128])
 @pytest.mark.parametrize("spec", ["identity", "d1", "d2"])
@@ -134,7 +173,6 @@ def test_newton_iterate_matches_gsvd(spec, n, name):
     J, r = _problem_pair(name, n)
     L = from_spec(spec, n)
     f, g = bidiagonalize(J, L), SpectralOracle(J, L, r)
-    assert isinstance(f, BidiagonalFactors)
     omega = f.split(r).omega
     target = 0.6 * np.linalg.norm(r)
     for lam in np.geomspace(1e-14 * f.zeta_p**2, 1.5 * f.zeta_p**2 * (1.0 + 1e-10), 9):
@@ -201,7 +239,6 @@ def test_one_row_scaling_on_the_bidiagonal_route():
     J, r = _problem_pair("coefficient", n)
     L = from_matrix(np.ones((1, n)))
     f, g = bidiagonalize(J, L), SpectralOracle(J, L, r)
-    assert isinstance(f, BidiagonalFactors)
     assert f.zeta_p == pytest.approx(g.zeta_p, rel=1e-14)
     omega = f.split(r).omega
     for lam in (1e-3, 1.0, 1e3):
@@ -299,12 +336,12 @@ def test_singular_augmented_system_is_a_linalg_error():
 
 
 def test_lapack_argument_errors_raise():
-    a = np.asfortranarray(np.eye(3))
-    d, e, tauq, taup = _lapack.dgebrd(a)
-    with pytest.raises(ValueError, match="dormbr rejected argument 1"):
-        _lapack.dormbr("X", "N", a, tauq, np.ones(3), 3)
     with pytest.raises(ValueError, match="dgebrd needs"):
         _lapack.dgebrd(np.eye(3))  # C order
+    # three reflectors for a vector of length 2 (k > m): scipy passes the
+    # shapes on, and LAPACK rejects its fifth argument
+    with pytest.raises(ValueError, match="dormqr rejected argument 5"):
+        _apply_q("T", np.ones((2, 3), order="F"), np.ones(3), np.ones(2), blocked=False)
 
 
 def test_large_jacobian_refused_as_gsvd_refuses():
@@ -361,7 +398,7 @@ def test_norm_bound_covers_gsvd_x(spec, n, name):
     f = gsvd(J, L)
     assert f.X[:, : L.p].tobytes() == (G @ (f.V * f.mu)).tobytes()
     assert _x_norm_bound(G, W0_R0inv) >= frobenius(f.X)
-    assert isinstance(bidiagonalize(J, L), BidiagonalFactors)
+    bidiagonalize(J, L)
 
 
 def test_undecided_pair_accepted_by_the_exact_values_stays_bidiagonal():
@@ -371,7 +408,6 @@ def test_undecided_pair_accepted_by_the_exact_values_stays_bidiagonal():
     # factors stay bidiagonal.
     J, L = 3e4 * np.eye(48), second_difference(48)
     f = bidiagonalize(J, L)
-    assert isinstance(f, BidiagonalFactors)
     r = np.ones(48)
     np.testing.assert_allclose(lm_step_gsvd(f, r, 1.0), lm_step_reference(J, r, L, 1.0),
                                rtol=1e-12)

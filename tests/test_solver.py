@@ -189,23 +189,23 @@ class TestQcondResidual:
         assert np.isfinite(val) and val == split.omega(top)
         assert np.isnan(lam_newton)
 
-    def test_kernel_matches_reference_random_pairs(self):
+    def test_omega_matches_reference_random_pairs(self):
         rng = np.random.default_rng(41)
         for _ in range(40):
             A, Lmat = random_pair(rng)
-            _assert_kernel_matches_reference(A, Lmat, rng.standard_normal(A.shape[0]))
+            _assert_omega_matches_reference(A, Lmat, rng.standard_normal(A.shape[0]))
 
     @pytest.mark.parametrize("spec", ["identity", "d2"])
     @pytest.mark.parametrize("name", ["linear", "autoconvolution", "coefficient"])
-    def test_kernel_matches_reference_n128(self, name, spec):
+    def test_omega_matches_reference_n128(self, name, spec):
         prob = make_problem(name, 128)
         data = make_noisy_data(prob.y_exact, 1e-3, seed=1)
         x = prob.x0_default
         r = prob.evaluate_F(x) - data.y_delta
-        _assert_kernel_matches_reference(prob.evaluate_J(x), from_spec(spec, 128), r)
+        _assert_omega_matches_reference(prob.evaluate_J(x), from_spec(spec, 128), r)
 
 
-def _assert_kernel_matches_reference(J, L, r, q=0.6):
+def _assert_omega_matches_reference(J, L, r, q=0.6):
     # over the search bracket [1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]
     f = bidiagonalize(J, L)
     zeta_p = f.zeta_p
