@@ -1,8 +1,8 @@
 """Command-line harness: single solves, noise sweeps, factor inspection, diagnostics.
 
 Configuration lives in flat INI files.  Every key also has a flag except
-``lambda_root_tol``, ``grad_tol``, ``res_tol``, ``lambda_fallback_factor``,
-``tcc_rho`` and ``tcc_samples``, which are set in the INI file only.  The
+``lambda_root_tol``, ``res_tol``, ``lambda_fallback_factor``, ``tcc_rho``
+and ``tcc_samples``, which are set in the INI file only.  The
 canonical serialization is hashed and the digest stamped on every emitted
 table, so identical configs reproduce identical artifacts byte for byte.
 Numbers are printed with 17 significant digits to round-trip exactly.
@@ -89,7 +89,6 @@ _KEYS = {
     ("solver", "tau"): ("tau", float),
     ("solver", "max_iter"): ("max_iter", int),
     ("solver", "lambda_root_tol"): ("lambda_root_tol", float),
-    ("solver", "grad_tol"): ("grad_tol", float),
     ("solver", "res_tol"): ("res_tol", "res_tol"),
     ("solver", "lambda_fallback_factor"): ("lambda_fallback_factor", float),
     ("experiment", "deltas"): ("deltas", "floats"),
@@ -298,7 +297,7 @@ def cmd_solve(args) -> int:
         )
     _write_text(out / "summary.txt", _summary_lines(pairs))
     print(f"solve: k_star={run.k_star} stop_reason={run.stop_reason}")
-    return 0 if run.stop_reason in ("discrepancy", "res_tol", "grad_tol") else 1
+    return 0 if run.stop_reason in ("discrepancy", "res_tol", "stagnation") else 1
 
 
 def cmd_sweep(args) -> int:

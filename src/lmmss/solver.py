@@ -43,16 +43,15 @@ class SolverConfig:
     ``q`` is the residual contraction target in (0, 1); ``tau`` the
     discrepancy multiplier, constrained to tau > 1/q.  ``res_tol = None``
     resolves to 1e-10 times the initial residual when an exact-data solve
-    starts.  Every field is checked here, once (ValueError), so ``solve``
-    trusts them.  The command line's ``[solver]`` section is this class,
-    field by field and in order.
+    starts (``solve`` lists its other stops).  Every field is checked here,
+    once (ValueError), so ``solve`` trusts them.  The command line's
+    ``[solver]`` section is this class, field by field and in order.
     """
 
     q: float = 0.5
     tau: float = 2.5
     max_iter: int = 500
     lambda_root_tol: float = 1e-10
-    grad_tol: float = 1e-12
     res_tol: float | None = None
     lambda_fallback_factor: float = 0.5
 
@@ -65,8 +64,6 @@ class SolverConfig:
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter}")
         if not 0.0 < self.lambda_root_tol < np.inf:
             raise ValueError(f"lambda_root_tol must be finite and > 0, got {self.lambda_root_tol}")
-        if not np.isfinite(self.grad_tol):
-            raise ValueError(f"grad_tol must be finite, got {self.grad_tol}")
         if self.res_tol is not None and not 0.0 <= self.res_tol < np.inf:
             raise ValueError(f"res_tol must be finite and nonnegative, got {self.res_tol}")
         if not 0.0 < self.lambda_fallback_factor < 1.0:
@@ -150,14 +147,15 @@ def select_lambda_q(factors: BidiagonalFactors, r, cfg: SolverConfig):
     tolerance of the target ``q ||r||`` there is an ``"equality"``, and omega
     at or above the target returns a fixed fraction of the interval upper
     bound with kind ``"inequality-fallback"`` (the residual on directions
-    with zeta_i below about 1e-7 zeta_p counts as unremovable).  Otherwise
-    the target exceeds omega(floor) >= rho_perp, so the Newton iterate is
-    defined, and a safeguarded Newton iteration starts at the top.  A top
-    within the tolerance is an equality; a top below the target falls back
-    (components of r along the image of the undamped null space of L are
-    removed regardless of lam).  Otherwise each evaluation shrinks the
-    bracket, a Newton iterate outside it is replaced by one bisection step
-    on log(lam), and the root found is an equality.
+    with zeta_i below about 1e-7 zeta_p counts as unremovable; exact-data
+    ``solve`` stops there, by ``stagnation``).  Otherwise the target exceeds
+    omega(floor) >= rho_perp, so the Newton iterate is defined, and a
+    safeguarded Newton iteration starts at the top.  A top within the
+    tolerance is an equality; a top below the target falls back (components
+    of r along the image of the undamped null space of L are removed
+    regardless of lam).  Otherwise each evaluation shrinks the bracket, a
+    Newton iterate outside it is replaced by one bisection step on log(lam),
+    and the root found is an equality.
 
     Returns
     -------
@@ -221,26 +219,29 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
     problem : InverseProblem
     data : NoisyData or None
         None (or delta == 0) selects exact mode: stop once the residual
-        falls below ``res_tol`` or the gradient norm below ``grad_tol``.
-        Positive delta selects noisy mode with the discrepancy rule
+        falls below ``res_tol``, or by ``stagnation``.  Positive delta
+        selects noisy mode with the discrepancy rule
         ``||F_k - y_delta|| <= tau * delta``.  A ``y_delta`` whose shape is
         not (m,) raises DimensionMismatch.
     L : ScalingOperator
     x0 : array
     cfg : SolverConfig
 
-    Stop reasons: ``discrepancy``, ``res_tol``, ``grad_tol``, ``max_iter``,
-    ``qcond_unsolvable_hard`` (J^T r = 0 at a nonzero residual).  An
-    LmmssError from a step's factorization or damping selection (e.g.
-    CompletenessViolated, BracketFailure) is re-raised as the same type with
-    the message prefixed by ``iterate k:``.
+    Stop reasons: ``discrepancy``, ``res_tol``, ``stagnation``, ``max_iter``
+    and ``qcond_unsolvable_hard`` (the search's ZeroGradient: J^T r = 0 at
+    r != 0, once the pair passed its completeness check and k < ``max_iter``).
+    Any other LmmssError from a step's factorization or damping selection is
+    re-raised as the same type with its message prefixed by ``iterate k:``.
 
-    The factors of (J, L) are reused while J is unchanged, compared entry by
-    entry with a copy of the last factored J.  The damping search and the
-    step still read each step's residual, split once per step: the factors
-    keep the split of the last residual.  Every new J is factored by
-    ``bidiagonalize``, which forms no singular vectors, so a linear forward
-    map costs one bidiagonalization per solve.
+    ``stagnation`` (exact mode only): the search ends at its first
+    evaluation with a fallback, omega(floor) >= q ||r||.  omega is
+    nondecreasing, so the q-condition has no root in the admissible
+    interval, and the premise of the exact-data analysis fails at x_k; no
+    step is taken.  A fallback at the top (2 evaluations) does not stop.
+
+    The factors of (J, L) are reused while J is unchanged, entry by entry
+    against a copy of the last factored J, so a linear forward map costs one
+    bidiagonalization per solve; each step's residual is split once.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (problem.n,):
@@ -270,24 +271,23 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
         if not noisy and res <= res_tol:
             stop = "res_tol"
             break
-        J = problem.evaluate_J(x)
-        gnorm = euclidean_norm(J.T @ r)
-        if not noisy and gnorm <= cfg.grad_tol:
-            stop = "grad_tol"
-            break
-        if gnorm == 0.0:
-            stop = "qcond_unsolvable_hard"
-            break
         if k == cfg.max_iter:
             stop = "max_iter"
             break
+        J = problem.evaluate_J(x)
         try:
             if not np.array_equal(J, J_factored):
                 factors = bidiagonalize(J, L)
                 np.copyto(J_factored, J)  # eval_J may hand back one buffer it rewrites
             lam, kind, omega_evals = select_lambda_q(factors, r, cfg)
+        except ZeroGradient:
+            stop = "qcond_unsolvable_hard"
+            break
         except LmmssError as exc:
             raise type(exc)(f"iterate {k}: {exc}") from exc
+        if not noisy and kind == "inequality-fallback" and omega_evals == 1:
+            stop = "stagnation"
+            break
         d = lm_step_gsvd(factors, r, lam)
         lin_res = euclidean_norm(r + J @ d)
         trace.append(

@@ -166,7 +166,7 @@ def test_criterion_3_damping_selection_suite():
 
 
 def _exact_run(prob, L, x0, q, tau):
-    cfg = SolverConfig(q=q, tau=tau, grad_tol=1e-300)
+    cfg = SolverConfig(q=q, tau=tau)
     return solve(prob, None, L, x0, cfg)
 
 

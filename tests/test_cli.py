@@ -39,7 +39,7 @@ class TestConfig:
         "[problem]\nname = linear\nn = 32\nmatrix_file = \nrhs_file = \n"
         "solution_file = \nx0_file = \n\n[scaling]\nkind = identity\n\n"
         "[solver]\nq = 0.5\ntau = 2.5\nmax_iter = 500\nlambda_root_tol = 1e-10\n"
-        "grad_tol = 9.9999999999999998e-13\nres_tol = auto\n"
+        "res_tol = auto\n"
         "lambda_fallback_factor = 0.5\n\n[experiment]\ndeltas = \nseeds = 0\n"
         "tcc_rho = 0.5\ntcc_samples = 200\n"
     )
@@ -47,7 +47,7 @@ class TestConfig:
         "[problem]\nname = file\nn = 7\nmatrix_file = A.txt\nrhs_file = y.txt\n"
         "solution_file = \nx0_file = \n\n[scaling]\nkind = d2\n\n"
         "[solver]\nq = 0.59999999999999998\ntau = 3.5\nmax_iter = 40\n"
-        "lambda_root_tol = 1e-10\ngrad_tol = 9.9999999999999998e-13\n"
+        "lambda_root_tol = 1e-10\n"
         "res_tol = 1.0000000000000001e-09\nlambda_fallback_factor = 0.25\n\n"
         "[experiment]\ndeltas = 0.01 0.001 0.00029999999999999997\nseeds = 1 22\n"
         "tcc_rho = 0.10000000000000001\ntcc_samples = 150\n"
@@ -56,7 +56,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "cfg, text, digest",
         [
-            (ExperimentConfig(), DEFAULT_INI, "1345ad16ceca"),
+            (ExperimentConfig(), DEFAULT_INI, "d7395b6853f0"),
             (
                 ExperimentConfig(
                     problem="file", n=7, matrix_file="A.txt", rhs_file="y.txt",
@@ -68,7 +68,7 @@ class TestConfig:
                     seeds=(1, 22), tcc_rho=0.1, tcc_samples=150,
                 ),
                 EVERY_KIND_INI,
-                "01b1592d5073",
+                "8f0b66f6d696",
             ),
         ],
         ids=["default", "every-kind"],
@@ -83,7 +83,7 @@ class TestConfig:
     @pytest.mark.parametrize("command", ["solve", "sweep", "diagnose"])
     def test_flags_cover_every_key_but_the_ini_only_ones(self, command):
         ini_only = {
-            "lambda_root_tol", "grad_tol", "res_tol", "lambda_fallback_factor",
+            "lambda_root_tol", "res_tol", "lambda_fallback_factor",
             "tcc_rho", "tcc_samples",
         }
         sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -105,9 +105,12 @@ class TestConfig:
         assert "solver config: q must lie in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_key_rejected(self, tmp_path):
+    # the second key is the retired gradient threshold: a config.ini from
+    # before exact-data runs stopped by stagnation is refused, not read
+    @pytest.mark.parametrize("key", ["bogus", "grad_tol"])
+    def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "c.ini"
-        path.write_text("[solver]\nbogus = 1\n")
+        path.write_text(f"[solver]\n{key} = 1\n")
         assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
@@ -180,7 +183,7 @@ class TestSolveCommand:
         assert rc == 0
         summary = read(out / "summary.txt")
         assert "mode = exact" in summary
-        assert ("stop_reason = res_tol" in summary) or ("stop_reason = grad_tol" in summary)
+        assert "stop_reason = res_tol" in summary
 
 
 class TestSweepCommand:

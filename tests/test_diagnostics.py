@@ -353,7 +353,7 @@ class TestEuclideanBound:
         prob = make_problem("autoconvolution", n)
         L = identity(n)
         x0 = prob.x_dagger + 0.05
-        cfg = SolverConfig(q=0.5, tau=3.0, grad_tol=1e-300)
+        cfg = SolverConfig(q=0.5, tau=3.0)
         run = solve(prob, None, L, x0, cfg)
         est = estimate_tcc_constant(prob, L, x0, rho=0.3, samples=150, seed=4)
         rep = check_euclidean_bound(run, prob, prob.x_dagger, L, est.c_hat)

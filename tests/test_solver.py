@@ -70,8 +70,6 @@ class TestSolverConfig:
             {"tau": np.nan},
             {"lambda_root_tol": np.inf},
             {"lambda_root_tol": np.nan},
-            {"grad_tol": np.nan},
-            {"grad_tol": np.inf},
             {"res_tol": -1.0},
             {"res_tol": np.inf},
             {"res_tol": np.nan},
@@ -482,20 +480,27 @@ class TestSolve:
     def test_exact_mode_reaches_res_tol(self):
         prob = make_problem("autoconvolution", 12)
         x0 = prob.x_dagger + 0.03
-        cfg = SolverConfig(q=0.5, tau=2.5, grad_tol=1e-300)
+        cfg = SolverConfig(q=0.5, tau=2.5)
         run = solve(prob, None, identity(12), x0, cfg)
         assert run.stop_reason == "res_tol"
         assert run.trace[-1].res_norm <= 1e-10 * run.trace[0].res_norm
 
     def test_max_iter_cap(self):
         prob = make_problem("linear", 8)
-        cfg = SolverConfig(q=0.9, tau=1.2, max_iter=3, res_tol=1e-300, grad_tol=1e-300)
+        cfg = SolverConfig(q=0.9, tau=1.2, max_iter=3, res_tol=1e-300)
         run = solve(prob, None, identity(8), np.ones(8), cfg)
         assert run.stop_reason == "max_iter"
         assert run.k_star == 3
         assert len(run.trace) == 4
 
-    def test_zero_gradient_hard_stop(self):
+    @pytest.mark.parametrize(
+        "data",
+        [NoisyData(y_delta=np.array([0.0, 1.0 + 1e-3]), delta=1e-3, seed=0), None],
+        ids=["noisy", "exact"],
+    )
+    def test_zero_gradient_hard_stop(self, data):
+        # J^T r = 0 at a nonzero residual: the search's ZeroGradient stops the
+        # run, in either mode
         A = np.array([[1.0, 0.0], [0.0, 0.0]])
         prob = InverseProblem(
             name="rank-deficient",
@@ -504,9 +509,9 @@ class TestSolve:
             n=2,
             y_exact=np.array([0.0, 1.0]),
         )
-        data = NoisyData(y_delta=prob.y_exact + [0.0, 1e-3], delta=1e-3, seed=0)
         run = solve(prob, data, identity(2), np.zeros(2), SolverConfig(q=0.5, tau=2.5))
         assert run.stop_reason == "qcond_unsolvable_hard"
+        assert run.k_star == 0
 
     def test_nonlinear_desk_run(self):
         prob = make_problem("coefficient", 16)
@@ -521,13 +526,47 @@ class TestSolve:
         slack = 1e-12 * (1.0 + dists[0])
         assert all(b <= a + slack for a, b in zip(dists, dists[1:]))
 
-    def test_exact_mode_gradient_stop(self):
-        # ill-conditioned linear operator: the gradient collapses while the
-        # residual is still above the residual cutoff
+    def test_exact_mode_contracts_to_res_tol(self):
+        # ill-conditioned linear operator: ||J^T r|| is down to rounding level
+        # (about 1e-12) by k = 25, yet every step still meets the q-condition,
+        # so the run goes on to the residual cutoff
         prob = make_problem("linear", 32)
-        cfg = SolverConfig(q=0.5, tau=2.5, grad_tol=1e-12, res_tol=1e-300)
-        run = solve(prob, None, identity(32), np.zeros(32), cfg)
-        assert run.stop_reason == "grad_tol"
+        run = solve(prob, None, identity(32), np.zeros(32), CFG)
+        assert (run.stop_reason, run.k_star) == ("res_tol", 34)
+        assert all(rec.qcond_kind == "equality" for rec in run.trace[:-1])
+        err = np.linalg.norm(run.final_x - prob.x_dagger) / np.linalg.norm(prob.x_dagger)
+        assert err < 5e-5
+
+    @pytest.mark.parametrize("name, n, k_star", [("linear", 48, 31), ("autoconvolution", 64, 27)])
+    def test_exact_mode_stagnation_stop(self, name, n, k_star):
+        # at x_k* omega at the bracket floor is already >= q ||r||, so the
+        # q-condition has no root: the run stops there rather than taking
+        # fallback steps that leave x where it is
+        prob = make_problem(name, n)
+        L = first_difference(n)
+        run = solve(prob, None, L, prob.x0_default, CFG)
+        assert (run.stop_reason, run.k_star) == ("stagnation", k_star)
+        x = run.final_x
+        r = prob.evaluate_F(x) - prob.y_exact
+        _, kind, evals = select_lambda_q(bidiagonalize(prob.evaluate_J(x), L), r, CFG)
+        assert (kind, evals) == ("inequality-fallback", 1)
+
+    @pytest.mark.parametrize(
+        "name, n, spec, q, tau, outcome",
+        [
+            ("coefficient", 128, "identity", 0.3, 3.5, (21, "res_tol")),
+            ("autoconvolution", 64, "d1", 0.5, 2.5, (27, "stagnation")),
+        ],
+        ids=["coefficient-res_tol", "autoconvolution-stagnation"],
+    )
+    def test_exact_stop_not_decided_by_rounding(self, name, n, spec, q, tau, outcome):
+        # x0 moved by one part in 1e15 either way keeps k* and the stop reason
+        prob = make_problem(name, n)
+        L = from_spec(spec, n)
+        cfg = SolverConfig(q=q, tau=tau)
+        for scale in (1.0, 1.0 + 1e-15, 1.0 - 1e-15):
+            run = solve(prob, None, L, prob.x0_default * scale, cfg)
+            assert (run.k_star, run.stop_reason) == outcome
 
     def test_completeness_violation_reports_iterate(self):
         A = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -565,7 +604,7 @@ class TestSolve:
     def test_noisy_zero_delta_behaves_as_exact(self):
         prob = make_problem("linear", 8)
         data = make_noisy_data(prob.y_exact, 0.0, seed=1)
-        cfg = SolverConfig(q=0.5, tau=2.5, grad_tol=1e-300)
+        cfg = SolverConfig(q=0.5, tau=2.5)
         run = solve(prob, data, identity(8), np.zeros(8), cfg)
         assert run.mode == "exact"
         assert run.stop_reason == "res_tol"
@@ -577,7 +616,7 @@ class TestSolve:
         t = np.arange(1, 13) / 13.0
         x0 = prob.x_dagger + 0.05 * np.cos(2 * np.pi * t)
         q = 0.6
-        cfg = SolverConfig(q=q, tau=3.5, grad_tol=1e-300)
+        cfg = SolverConfig(q=q, tau=3.5)
         run = solve(prob, None, L, x0, cfg)
         est = lmmss.estimate_tcc_constant(
             prob, L, x0, rho=2 * seminorm(L, x0 - prob.x_dagger), samples=150, seed=2
