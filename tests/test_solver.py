@@ -73,6 +73,8 @@ class TestSolverConfig:
             {"res_tol": -1.0},
             {"res_tol": np.inf},
             {"res_tol": np.nan},
+            {"lambda_fallback_factor": 0.0},
+            {"lambda_fallback_factor": np.nan},
         ],
     )
     def test_invalid(self, kwargs):
@@ -493,14 +495,10 @@ class TestSolve:
         assert run.k_star == 3
         assert len(run.trace) == 4
 
-    @pytest.mark.parametrize(
-        "data",
-        [NoisyData(y_delta=np.array([0.0, 1.0 + 1e-3]), delta=1e-3, seed=0), None],
-        ids=["noisy", "exact"],
-    )
-    def test_zero_gradient_hard_stop(self, data):
+    @staticmethod
+    def _zero_gradient_run(data):
         # J^T r = 0 at a nonzero residual: the search's ZeroGradient stops the
-        # run, in either mode
+        # run at x0
         A = np.array([[1.0, 0.0], [0.0, 0.0]])
         prob = InverseProblem(
             name="rank-deficient",
@@ -509,9 +507,17 @@ class TestSolve:
             n=2,
             y_exact=np.array([0.0, 1.0]),
         )
-        run = solve(prob, data, identity(2), np.zeros(2), SolverConfig(q=0.5, tau=2.5))
-        assert run.stop_reason == "qcond_unsolvable_hard"
-        assert run.k_star == 0
+        return solve(prob, data, identity(2), np.zeros(2), SolverConfig(q=0.5, tau=2.5))
+
+    def test_zero_gradient_hard_stop(self):
+        data = NoisyData(y_delta=np.array([0.0, 1.0 + 1e-3]), delta=1e-3, seed=0)
+        run = self._zero_gradient_run(data)
+        assert (run.stop_reason, run.k_star) == ("qcond_unsolvable_hard", 0)
+
+    def test_zero_gradient_hard_stop_exact(self):
+        # the same check serves exact data: no separate gradient threshold
+        run = self._zero_gradient_run(None)
+        assert (run.stop_reason, run.k_star) == ("qcond_unsolvable_hard", 0)
 
     def test_nonlinear_desk_run(self):
         prob = make_problem("coefficient", 16)
