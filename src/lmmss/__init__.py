@@ -22,7 +22,7 @@ from .errors import (
     RankDeficientL,
     ZeroGradient,
 )
-from .gsvd import GsvdFactors, GsvdValidation, generalized_singular_values, gsvd, validate
+from .gsvd import GsvdFactors, GsvdValidation, generalized_singular_values, validate
 from .scaling import (
     ScalingOperator,
     first_difference,
@@ -34,7 +34,6 @@ from .solver import (
     IterateRecord,
     RunRecord,
     SolverConfig,
-    lm_step_gsvd,
     select_lambda_q,
     solve,
 )

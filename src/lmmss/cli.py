@@ -454,11 +454,9 @@ def cmd_diagnose(args) -> int:
 
     x_star = problem.x_dagger
     c_used = tcc.c_hat
-    c_run = max(float(diagnostics.run_tcc_ratios(problem, L, run, x_star).max()) for run in runs)
     dist0 = scaling.seminorm(L, np.asarray(x0, float) - x_star)
 
     summary_pairs += [
-        ("c_run_pairs", c_run),
         ("tcc_rho", tcc.rho),
         ("tcc_samples", tcc.samples),
         ("dist0_Lnorm", dist0),
@@ -466,6 +464,7 @@ def cmd_diagnose(args) -> int:
     reports = []
     for run in runs:
         euclid = kstar = None
+        c_run = float(diagnostics.run_tcc_ratios(problem, L, run, x_star).max())
         if run.mode == "exact":
             theta = diagnostics.theta_exact(scfg.q, c_used, dist0)
             euclid = diagnostics.check_euclidean_bound(run, problem, x_star, L, c_used)
@@ -474,11 +473,12 @@ def cmd_diagnose(args) -> int:
         gain = diagnostics.check_gain(run, x_star, L, scfg.q, theta)
         if run.stop_reason == "discrepancy":
             kstar = diagnostics.check_kstar_bound(run, x_star, L, scfg.q, scfg.tau, theta)
-        reports.append((run.mode, theta, gain, euclid, kstar))
+        reports.append((run.mode, c_run, theta, gain, euclid, kstar))
 
     _write_config(out, cfg)
-    for mode, theta, gain, euclid, kstar in reports:
+    for mode, c_run, theta, gain, euclid, kstar in reports:
         _write_report(out / f"gain_{mode}.csv", digest, gain, _GAIN)
+        summary_pairs.append((f"c_run_pairs_{mode}", c_run))
         summary_pairs.append((f"theta_{mode}", theta))
         summary_pairs.append((f"gain_{mode}_violations", len(gain.violations)))
         if euclid is not None:
@@ -490,7 +490,7 @@ def cmd_diagnose(args) -> int:
             _write_text(out / "kstar_report.txt", _summary_lines(pairs))
             summary_pairs.append(("kstar_bound_holds", kstar.holds_squared))
     _write_text(out / "diagnostics_summary.txt", _summary_lines(summary_pairs))
-    hard_violation = any(0 in gain.ok_step for _, _, gain, _, _ in reports)
+    hard_violation = any(0 in gain.ok_step for _, _, _, gain, _, _ in reports)
     print(f"diagnose: c_hat={c_used:.6g} hard_violation={hard_violation}")
     return 1 if hard_violation else 0
 

@@ -32,7 +32,8 @@ taken from ||X||_F and the norms of A and L; the exact singular values of
 Jacobian by ``bidiagonalize`` alone.  It needs neither U, V nor X, nor even
 every zeta_i: only zeta_p, the linearized residual ||r + J d(lam)|| for the
 damping search, and the step.  ``bidiagonalize``'s factors answer them
-through ``zeta_p``, ``split(r).omega`` and ``step(r, lam)``, from the same
+through ``zeta_p`` and the split of the residual, ``split(r)``, whose
+``omega(lam)`` and ``step(lam)`` answer the other two, from the same
 standard form, G included, and one Householder bidiagonalization of the
 operator, ``Q_perp^T J L^+ = Q_B [B; 0] P_B^T`` (LAPACK ``gebrd``, in
 ``_lapack``; for L = I it is J itself), whose reflectors ``ormqr`` applies
@@ -53,7 +54,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import _lapack
-from .errors import CompletenessViolated, DimensionMismatch, NonFiniteInput
+from .errors import CompletenessViolated, DimensionMismatch, NonFiniteInput, NonpositiveLambda
 from .scaling import ScalingOperator, completeness_holds, euclidean_norm, frobenius
 
 #: The bounds accept a pair only if it passes the rule with s_min^2 divided by
@@ -287,7 +288,8 @@ class BidiagonalFactors:
       of its Golub–Kahan tridiagonal (``_largest_singular_value``).
     - ``split(r)``: c = Q^T r, c_0 = c[:k] = Q_0^T r and b = Q_B^T c[k:];
       rho_perp = ||b[p:]||, and J^T r = 0 exactly when c_0 = 0 and B^T b[:p]
-      = 0.  Its ``omega`` answers the damping search (``_BidiagonalSplit``).
+      = 0.  Its ``omega`` answers the damping search and its ``step`` the
+      step (``_BidiagonalSplit``).
     - ``omega`` and the step solve, for b[:p] or another right-hand side h,
       ``[[sqrt(lam) I, B], [B^T, -sqrt(lam) I]] [t; z] = [h; 0]``.
       For h = b[:p], z solves ``(B^T B + lam I) z = B^T b`` and sqrt(lam) t =
@@ -296,11 +298,12 @@ class BidiagonalFactors:
       solves it in O(p) (Eldén's direct solution of a regularized problem on
       a bidiagonal).  Its condition number is about zeta_p / sqrt(lam), not
       the square that the normal equations would have.
-    - ``step(r, lam)``: y = -P_B z = L d and ``d = L^+ y - W_0 R_0^-1 (c_0 +
-      C y) = G y - W_0 R_0^-1 c_0``.  That is the GSVD's filter-factor step
-      ``-X diag(g) w`` with w = U^T r, g_i = sigma_i / (sigma_i^2 + lam
-      mu_i^2) on the leading p entries and 1 on the rest, written without V:
-      X = [G V diag(mu), W_0 R_0^-1], and y = -V diag(g_i mu_i) w[:p].
+    - ``split(r).step(lam)``: y = -P_B z = L d and ``d = L^+ y - W_0 R_0^-1
+      (c_0 + C y) = G y - W_0 R_0^-1 c_0``.  That is the GSVD's
+      filter-factor step ``-X diag(g) w`` with w = U^T r, g_i = sigma_i /
+      (sigma_i^2 + lam mu_i^2) on the leading p entries and 1 on the rest,
+      written without V: X = [G V diag(mu), W_0 R_0^-1], and y = -V
+      diag(g_i mu_i) w[:p].
     """
 
     def __init__(self, shape, a, brd, qr, tau, G, W0_R0inv):
@@ -313,19 +316,10 @@ class BidiagonalFactors:
         self._off[0::2], self._off[1::2] = self._d, self._e
         self._sign = np.tile((-1.0, 1.0), self.p)  # its diagonal over sqrt(lam)
         self.zeta_p = _largest_singular_value(self._off)
-        self._split_key = self._split = None
 
     def split(self, r) -> _BidiagonalSplit:
-        """r in the factors' coordinates, kept for the last r, so a step reuses its search's split.
-
-        The key is the bytes of r, so an r changed in place is split afresh.  A
-        split holds no reference to the factors: a cycle would keep every
-        factors object alive until the garbage collector ran.
-        """
-        key = r.tobytes()
-        if self._split_key != key:
-            self._split_key, self._split = key, _BidiagonalSplit(self, r)
-        return self._split
+        """r in the factors' coordinates; see ``_BidiagonalSplit``."""
+        return _BidiagonalSplit(self, r)
 
     def _apply_qb_transpose(self, c):
         """Q_B^T c, as a new array, for c of length m - k."""
@@ -337,25 +331,32 @@ class BidiagonalFactors:
             z[1:] = _apply_q("N", self._p_reflectors, self._taup, z[1:], blocked=False)
         return z
 
-    def step(self, r, lam):
-        """Solve ``(J^T J + lam L^T L) d = -J^T r``; see the class docstring."""
-        split = self.split(r)
-        z, _ = _solve_augmented(self._off, self._sign * math.sqrt(lam), split.b)
-        y = -self._apply_pb(z)
-        if self._G is None:  # L^+ = I, so k = 0 and d = y
-            return y
-        return self._G @ y - self._W0_R0inv @ split.c0
-
 
 class _BidiagonalSplit:
     """A residual r split by bidiagonal factors: c0 = Q_0^T r and b = (Q_B^T Q_perp^T r)[:p].
 
+    It answers one step's questions about r: ``rnorm`` = ||r||, the factors'
+    ``zeta_p``, ``gradient_vanishes``, ``omega`` for the damping search and
+    ``step`` for the damping it picks.  It copies what it needs of r, so an
+    r changed in place afterwards leaves the split's answers as they were.
     J^T r = X^-T diag(sigma, I) w, and diag(zeta) w[:p] is B^T b up to the
     orthogonal W of B's SVD, so J^T r = 0 exactly when c0 and B^T b vanish
     (``gradient_vanishes``).
+
+    Raises DimensionMismatch for a residual whose shape is not (m,) and
+    NonFiniteInput for one whose norm is not finite.
     """
 
     def __init__(self, f: BidiagonalFactors, r):
+        r = np.asarray(r, dtype=float)
+        if r.shape != (f.m,):
+            raise DimensionMismatch(f"residual has shape {r.shape}, expected ({f.m},)")
+        self.rnorm = euclidean_norm(r)
+        if not math.isfinite(self.rnorm):
+            raise NonFiniteInput(
+                f"the residual norm is {self.rnorm}: a NaN or infinite entry, or overflow"
+            )
+        self.factors, self.zeta_p = f, f.zeta_p
         c = r if f._qr is None else _apply_q("T", f._qr, f._tau, r[:, None])[:, 0]
         k = f.n - f.p
         self.c0 = c[:k]
@@ -365,7 +366,6 @@ class _BidiagonalSplit:
         grad = f._d * self.b  # B^T b, B upper bidiagonal
         grad[1:] += f._e * self.b[:-1]
         self.gradient_vanishes = not self.c0.any() and not grad.any()
-        self._off, self._sign = f._off, f._sign
 
     def omega(self, lam, target=None):
         """``||r + J d(lam)||`` at lam; with a ``target``, ``(omega, lam_newton)``.
@@ -392,8 +392,8 @@ class _BidiagonalSplit:
         directions with zeta_i = 0) there is no Newton iterate, and
         ``lam_newton`` is NaN.
         """
-        root = math.sqrt(lam)
-        z, t = _solve_augmented(self._off, self._sign * root, self.b)
+        f, root = self.factors, math.sqrt(lam)
+        z, t = _solve_augmented(f._off, f._sign * root, self.b)
         t_norm = euclidean_norm(t)
         gamma = root * t_norm
         val = float(np.hypot(self.rho_perp, gamma))
@@ -401,7 +401,7 @@ class _BidiagonalSplit:
             return val
         if not gamma:
             return val, np.nan
-        z_unit, _ = _solve_augmented(self._off, self._sign * root, t / t_norm)
+        z_unit, _ = _solve_augmented(f._off, f._sign * root, t / t_norm)
         slope = float(lam / gamma * (z @ z_unit))
         if slope == 0.0:
             return val, np.nan
@@ -409,6 +409,20 @@ class _BidiagonalSplit:
         # nu + (gamma/Delta - 1) / (lam slope) with Delta^2 = target^2 - rho_perp^2
         ratio = gamma / np.sqrt((target - self.rho_perp) * (target + self.rho_perp))
         return val, float(lam / (1.0 + (ratio - 1.0) / slope))
+
+    def step(self, lam) -> np.ndarray:
+        """Solve ``(J^T J + lam L^T L) d = -J^T r``; see ``BidiagonalFactors``.
+
+        Raises NonpositiveLambda unless lam is positive and finite.
+        """
+        if not 0.0 < lam < np.inf:
+            raise NonpositiveLambda(f"lambda must be positive and finite, got {lam}")
+        f = self.factors
+        z, _ = _solve_augmented(f._off, f._sign * math.sqrt(lam), self.b)
+        y = -f._apply_pb(z)
+        if f._G is None:  # L^+ = I, so k = 0 and d = y
+            return y
+        return f._G @ y - f._W0_R0inv @ self.c0
 
 
 def _solve_augmented(off, diag, h):

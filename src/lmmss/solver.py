@@ -11,26 +11,18 @@ a Householder bidiagonalization of the standard-form operator of each new
 Jacobian (``bidiagonalize``), which forms neither singular vectors nor
 singular values beyond the largest.  It answers ``zeta_p``, and splits the
 residual once (``split(r)``): the split's ``omega`` serves the damping
-search and ``step(r, lam)`` reuses it.
+search (``select_lambda_q(split, cfg)``) and its ``step(lam)`` the step.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BracketFailure,
-    DimensionMismatch,
-    LmmssError,
-    NonFiniteInput,
-    NonpositiveLambda,
-    ZeroGradient,
-)
-from .gsvd import BidiagonalFactors, bidiagonalize
+from .errors import BracketFailure, DimensionMismatch, LmmssError, ZeroGradient
+from .gsvd import _BidiagonalSplit, bidiagonalize
 from .scaling import ScalingOperator, euclidean_norm, seminorm
 
 _SEARCH_MAX_ITER = 60
@@ -121,41 +113,29 @@ class RunRecord:
         return "noisy" if self.delta > 0.0 else "exact"
 
 
-def lm_step_gsvd(f: BidiagonalFactors, r, lam: float) -> np.ndarray:
-    """Solve ``(J^T J + lam L^T L) d = -J^T r`` from ``bidiagonalize``'s factors of (J, L).
-
-    The factors' ``step`` solves it on the bidiagonal B, with no SVD; the
-    result is the GSVD filter-factor step.
-    """
-    if not 0.0 < lam < np.inf:
-        raise NonpositiveLambda(f"lambda must be positive and finite, got {lam}")
-    r = np.asarray(r, dtype=float)
-    if r.shape != (f.m,):
-        raise DimensionMismatch(f"residual has shape {r.shape}, expected ({f.m},)")
-    return f.step(r, lam)
-
-
-def select_lambda_q(factors: BidiagonalFactors, r, cfg: SolverConfig):
+def select_lambda_q(split: _BidiagonalSplit, cfg: SolverConfig):
     """Choose the damping parameter from the q-condition with ``q = cfg.q``.
 
-    ``omega(lam) = ||r + J d(lam)||``, nondecreasing in lam, and its Newton
-    iterate come from the split of r by ``bidiagonalize``'s ``factors`` of
-    (J, L) (``_BidiagonalSplit.omega``, in O(p) per call); no lam is
-    evaluated twice.  The search bracket is ``[1e-14 zeta_p^2, q/(1-q)
-    zeta_p^2 (1 + tol)]`` with the factors' ``zeta_p``, the largest singular
-    value of B by bisection.  The floor comes first: omega within the
-    tolerance of the target ``q ||r||`` there is an ``"equality"``, and omega
-    at or above the target returns a fixed fraction of the interval upper
-    bound with kind ``"inequality-fallback"`` (the residual on directions
-    with zeta_i below about 1e-7 zeta_p counts as unremovable; exact-data
-    ``solve`` stops there, by ``stagnation``).  Otherwise the target exceeds
-    omega(floor) >= rho_perp, so the Newton iterate is defined, and a
-    safeguarded Newton iteration starts at the top.  A top within the
-    tolerance is an equality; a top below the target falls back (components
-    of r along the image of the undamped null space of L are removed
-    regardless of lam).  Otherwise each evaluation shrinks the bracket, a
-    Newton iterate outside it is replaced by one bisection step on log(lam),
-    and the root found is an equality.
+    ``split`` is the residual r split by ``bidiagonalize``'s factors of
+    (J, L) (``BidiagonalFactors.split``), which checked r.  ``omega(lam) =
+    ||r + J d(lam)||``, nondecreasing in lam, and its Newton iterate come
+    from ``split.omega``, in O(p) per call; no lam is evaluated twice.  The
+    search bracket is ``[1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]`` with
+    ``split.zeta_p``, the largest singular value of B by bisection.
+
+    The floor comes first: omega within the tolerance of the target
+    ``q ||r||`` there is an ``"equality"``, and omega at or above the target
+    returns a fixed fraction of the interval upper bound with kind
+    ``"fallback-floor"`` (the residual on directions with zeta_i below about
+    1e-7 zeta_p counts as unremovable; exact-data ``solve`` stops there, by
+    ``stagnation``).  Otherwise the target exceeds omega(floor) >= rho_perp,
+    so the Newton iterate is defined, and a safeguarded Newton iteration
+    starts at the top.  A top within the tolerance is an equality; a top
+    below the target returns the same fraction with kind ``"fallback-top"``
+    (components of r along the image of the undamped null space of L are
+    removed regardless of lam).  Otherwise each evaluation shrinks the
+    bracket, a Newton iterate outside it is replaced by one bisection step
+    on log(lam), and the root found is an equality.
 
     Returns
     -------
@@ -163,26 +143,18 @@ def select_lambda_q(factors: BidiagonalFactors, r, cfg: SolverConfig):
         ``evals`` counts the omega evaluations: 1 when the floor decides, 2
         when the top does, plus one per iterate after the top (at most 60).
 
-    Raises DimensionMismatch for a residual whose shape is not (m,),
-    NonFiniteInput for one whose norm is not finite, ZeroGradient when
-    J^T r = 0, and BracketFailure when every zeta_i vanishes or the search
-    misses the tolerance within its iteration cap.
+    Raises ZeroGradient when J^T r = 0, and BracketFailure when every
+    zeta_i vanishes or the search misses the tolerance within its iteration
+    cap.
     """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (factors.m,):
-        raise DimensionMismatch(f"residual has shape {r.shape}, expected ({factors.m},)")
-    rnorm = euclidean_norm(r)
-    if not math.isfinite(rnorm):
-        raise NonFiniteInput(f"the residual norm is {rnorm}: a NaN or infinite entry, or overflow")
-    split = factors.split(r)
     if split.gradient_vanishes:
         raise ZeroGradient("J^T r = 0: the step is zero for every lambda")
-    zeta_p = factors.zeta_p
+    zeta_p = split.zeta_p
     if zeta_p == 0.0:
         raise BracketFailure(
             "all generalized singular values vanish; the admissible interval is empty"
         )
-    q = cfg.q
+    q, rnorm = cfg.q, split.rnorm
     target, tol = q * rnorm, cfg.lambda_root_tol * rnorm
     bound = q / (1.0 - q) * zeta_p**2
 
@@ -191,7 +163,7 @@ def select_lambda_q(factors: BidiagonalFactors, r, cfg: SolverConfig):
     if abs(val - target) <= tol:
         return lo, "equality", 1
     if val >= target:
-        return cfg.lambda_fallback_factor * bound, "inequality-fallback", 1
+        return cfg.lambda_fallback_factor * bound, "fallback-floor", 1
 
     lam = hi = bound * (1.0 + cfg.lambda_root_tol)
     for evals in range(2, _SEARCH_MAX_ITER + 3):
@@ -201,7 +173,7 @@ def select_lambda_q(factors: BidiagonalFactors, r, cfg: SolverConfig):
         if val >= target:
             hi = lam
         elif evals == 2:  # below the target even at the top
-            return cfg.lambda_fallback_factor * bound, "inequality-fallback", 2
+            return cfg.lambda_fallback_factor * bound, "fallback-top", 2
         else:
             lo = lam
         lam = lam_next if lo < lam_next < hi else float(np.sqrt(lo) * np.sqrt(hi))
@@ -233,11 +205,11 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
     Any other LmmssError from a step's factorization or damping selection is
     re-raised as the same type with its message prefixed by ``iterate k:``.
 
-    ``stagnation`` (exact mode only): the search ends at its first
-    evaluation with a fallback, omega(floor) >= q ||r||.  omega is
-    nondecreasing, so the q-condition has no root in the admissible
-    interval, and the premise of the exact-data analysis fails at x_k; no
-    step is taken.  A fallback at the top (2 evaluations) does not stop.
+    ``stagnation`` (exact mode only): the search ends with
+    ``"fallback-floor"``, omega(floor) >= q ||r||.  omega is nondecreasing,
+    so the q-condition has no root in the admissible interval, and the
+    premise of the exact-data analysis fails at x_k; no step is taken.  A
+    ``"fallback-top"`` does not stop.
 
     The factors of (J, L) are reused while J is unchanged, entry by entry
     against a copy of the last factored J, so a linear forward map costs one
@@ -279,16 +251,17 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
             if not np.array_equal(J, J_factored):
                 factors = bidiagonalize(J, L)
                 np.copyto(J_factored, J)  # eval_J may hand back one buffer it rewrites
-            lam, kind, omega_evals = select_lambda_q(factors, r, cfg)
+            split = factors.split(r)
+            lam, kind, omega_evals = select_lambda_q(split, cfg)
         except ZeroGradient:
             stop = "qcond_unsolvable_hard"
             break
         except LmmssError as exc:
             raise type(exc)(f"iterate {k}: {exc}") from exc
-        if not noisy and kind == "inequality-fallback" and omega_evals == 1:
+        if not noisy and kind == "fallback-floor":
             stop = "stagnation"
             break
-        d = lm_step_gsvd(factors, r, lam)
+        d = split.step(lam)
         lin_res = euclidean_norm(r + J @ d)
         trace.append(
             IterateRecord(

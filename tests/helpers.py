@@ -24,8 +24,8 @@ from lmmss import (
     NonpositiveLambda,
     RunRecord,
     ScalingOperator,
-    gsvd,
 )
+from lmmss.gsvd import gsvd
 from lmmss.scaling import completeness_holds
 
 

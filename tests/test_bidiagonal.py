@@ -11,8 +11,6 @@ from lmmss import (
     CompletenessViolated,
     InverseProblem,
     SolverConfig,
-    gsvd,
-    lm_step_gsvd,
     make_noisy_data,
     make_problem,
     select_lambda_q,
@@ -25,6 +23,7 @@ from lmmss.gsvd import (
     _standard_form,
     _x_norm_bound,
     bidiagonalize,
+    gsvd,
 )
 from lmmss.scaling import (
     first_difference,
@@ -96,7 +95,7 @@ def test_omega_and_step_match_the_stacked_reference(source, n, spec):
         if L.p < n:
             step_slack = 2.0 * np.linalg.norm(g.step(lam) - want)
             omega_slack = 2.0 * abs(g.omega(lam) - omega_want)
-        got = lm_step_gsvd(f, r, lam)
+        got = f.split(r).step(lam)
         tol = 1e-11 + 1e-14 * zeta_p / np.sqrt(lam)
         assert np.linalg.norm(got - want) <= max(tol * np.linalg.norm(want), step_slack)
         omega_tol = max(1e-11 * omega_want, 1e-12, omega_slack)
@@ -216,21 +215,25 @@ def test_floor_regime_step_falls_back_as_the_oracle_predicts():
     # the search falls back at the floor: omega there is above the target
     # by more than the root tolerance
     assert floor_gsvd - q * np.linalg.norm(r) > cfg.lambda_root_tol * np.linalg.norm(r)
-    assert select_lambda_q(f, r, cfg)[1:] == ("inequality-fallback", 1)
+    assert select_lambda_q(f.split(r), cfg)[1:] == ("fallback-floor", 1)
 
 
-def test_split_is_kept_for_the_last_residual():
+@pytest.mark.parametrize("spec", ["identity", "d1"])
+def test_split_keeps_its_answers_when_r_changes_in_place(spec):
+    # A split copies what it needs of r (for L = I, k = 0 and c = r itself):
+    # one taken before r changes in place answers as before, bit for bit,
+    # and only a fresh split of the changed r sees the change.
     J, r = _problem_pair("coefficient", 48)
-    f = bidiagonalize(J, first_difference(48))
+    f = bidiagonalize(J, from_spec(spec, 48))
+    lam, target = f.zeta_p**2, 0.6 * np.linalg.norm(r)
     split = f.split(r)
-    assert f.split(r.copy()) is split
-    assert f.split(2.0 * r) is not split
-    r2 = r.copy()
-    split = f.split(r2)
-    r2[0] += 1.0  # changed in place: split afresh
-    assert f.split(r2) is not split
-    fresh = bidiagonalize(J, first_difference(48))
-    np.testing.assert_array_equal(lm_step_gsvd(f, r2, 1.0), lm_step_gsvd(fresh, r2, 1.0))
+    omega, step = split.omega(lam, target), split.step(lam)
+    r[0] += 1.0
+    assert split.omega(lam, target) == omega
+    np.testing.assert_array_equal(split.step(lam), step)
+    fresh = f.split(r)
+    assert fresh.omega(lam, target) != omega
+    assert not np.array_equal(fresh.step(lam), step)
 
 
 def test_one_row_scaling_on_the_bidiagonal_route():
@@ -243,7 +246,7 @@ def test_one_row_scaling_on_the_bidiagonal_route():
     omega = f.split(r).omega
     for lam in (1e-3, 1.0, 1e3):
         assert omega(lam) == pytest.approx(g.omega(lam), rel=1e-13)
-        np.testing.assert_allclose(lm_step_gsvd(f, r, lam), g.step(lam), rtol=1e-10,
+        np.testing.assert_allclose(f.split(r).step(lam), g.step(lam), rtol=1e-10,
                                    atol=1e-12 * np.linalg.norm(g.step(lam)))
 
 
@@ -365,7 +368,7 @@ def test_large_jacobian_accepted_by_the_exact_values():
     f = bidiagonalize(J, identity(48))
     r = np.ones(48)
     lam = 1e8
-    np.testing.assert_allclose(lm_step_gsvd(f, r, lam), -3e4 / (9e8 + lam) * r, rtol=1e-14)
+    np.testing.assert_allclose(f.split(r).step(lam), -3e4 / (9e8 + lam) * r, rtol=1e-14)
 
 
 def test_refusal_in_solve_names_the_iterate(monkeypatch):
@@ -409,7 +412,7 @@ def test_undecided_pair_accepted_by_the_exact_values_stays_bidiagonal():
     J, L = 3e4 * np.eye(48), second_difference(48)
     f = bidiagonalize(J, L)
     r = np.ones(48)
-    np.testing.assert_allclose(lm_step_gsvd(f, r, 1.0), lm_step_reference(J, r, L, 1.0),
+    np.testing.assert_allclose(f.split(r).step(1.0), lm_step_reference(J, r, L, 1.0),
                                rtol=1e-12)
 
 

@@ -405,6 +405,26 @@ class TestFromDir:
         assert main(["diagnose", "--from-dir", str(run), "--out", str(again)]) == 0
         assert filecmp.cmp(fresh / "gain_noisy.csv", again / "gain_noisy.csv", shallow=False)
 
+    def test_c_run_pairs_taken_per_run(self, tmp_path):
+        # A fresh diagnose also solves the exact-data run, whose own pairs
+        # give the larger constant here (15.8 against 7.86): each run reports
+        # its own, so the noisy run's is the one --from-dir reports.
+        flags = [
+            "--problem", "autoconvolution", "--n", "64", "--scaling", "d2", "--q", "0.6",
+            "--tau", "3.5", "--delta", "1e-3", "--seed", "1",
+        ]
+        run, fresh, again = tmp_path / "run", tmp_path / "fresh", tmp_path / "again"
+        assert main(["solve", *flags, "--out", str(run)]) == 0
+        assert main(["diagnose", *flags, "--out", str(fresh)]) == 0
+        assert main(["diagnose", "--from-dir", str(run), "--out", str(again)]) == 0
+        fresh, again = (
+            dict(line.split(" = ") for line in read(d / "diagnostics_summary.txt").splitlines())
+            for d in (fresh, again)
+        )
+        assert again["c_run_pairs_noisy"] == fresh["c_run_pairs_noisy"]
+        assert "c_run_pairs_exact" not in again
+        assert float(fresh["c_run_pairs_exact"]) > float(fresh["c_run_pairs_noisy"])
+
     def test_iterate_moved_away_is_a_hard_violation(self, tmp_path, capsys, run_dir):
         copy = tmp_path / "run"
         copy.mkdir()

@@ -521,7 +521,7 @@ _RECORDS = {
     "GainReport": lambda: GainReport(
         theta=2.0, gains=np.ones(2), rhs_step=np.ones(2),
         rhs_residual=np.ones(2), rhs_spectral=np.ones(2),
-        kinds=("equality", "inequality-fallback"), ok_step=(1, 1), ok_residual=(1, None),
+        kinds=("equality", "fallback-top"), ok_step=(1, 1), ok_residual=(1, None),
         ok_spectral=(1, None),
     ),
     "EuclideanBoundReport": lambda: EuclideanBoundReport(

@@ -9,11 +9,10 @@ from lmmss import (
     NonFiniteInput,
     RankDeficientL,
     generalized_singular_values,
-    gsvd,
     make_problem,
     validate,
 )
-from lmmss.gsvd import _norm_bound_complete, bidiagonalize
+from lmmss.gsvd import _norm_bound_complete, bidiagonalize, gsvd
 from lmmss.scaling import (
     completeness_holds,
     first_difference,
@@ -25,6 +24,16 @@ from lmmss.scaling import (
 from helpers import cyclic_difference, gsvd_reference, pencil_gsv_squared, random_pair
 
 SQ2 = np.sqrt(0.5)
+
+
+def test_module_is_bound_to_its_name():
+    # the package re-exports the module's classes and helpers but not the
+    # function gsvd, so lmmss.gsvd names the module
+    import lmmss
+    import lmmss.gsvd as module
+
+    assert lmmss.gsvd is module
+    assert module.gsvd is gsvd and module.bidiagonalize is bidiagonalize
 
 
 def test_identity_pair_normalization():

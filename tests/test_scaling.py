@@ -6,11 +6,11 @@ from lmmss import (
     DimensionMismatch,
     DimensionTooSmall,
     RankDeficientL,
-    gsvd,
     make_problem,
     seminorm,
     validate,
 )
+from lmmss.gsvd import gsvd
 from lmmss.scaling import (
     ScalingOperator,
     completeness_holds,

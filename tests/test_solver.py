@@ -12,15 +12,13 @@ from lmmss import (
     SolverConfig,
     ZeroGradient,
     generalized_singular_values,
-    gsvd,
-    lm_step_gsvd,
     make_noisy_data,
     make_problem,
     select_lambda_q,
     seminorm,
     solve,
 )
-from lmmss.gsvd import _BidiagonalSplit, bidiagonalize
+from lmmss.gsvd import _BidiagonalSplit, bidiagonalize, gsvd
 from lmmss.scaling import completeness_holds, first_difference, from_matrix, from_spec, identity
 from helpers import (
     assert_runs_bitwise_equal,
@@ -119,10 +117,10 @@ class TestLmStep:
             lm_step_reference(J, np.ones(2), L, 1.0)
 
 
-class TestLmStepGsvd:
+class TestSplitStep:
     def test_matches_identity_pair(self):
         f = bidiagonalize(np.eye(2), np.eye(2))
-        d = lm_step_gsvd(f, np.array([1.0, 1.0]), 1.0)
+        d = f.split(np.array([1.0, 1.0])).step(1.0)
         np.testing.assert_allclose(d, [-0.5, -0.5], atol=1e-14)
 
     def test_matches_stacked_route(self):
@@ -131,7 +129,7 @@ class TestLmStepGsvd:
         r = np.array([1.0, 1.0, 1.0])
         f = bidiagonalize(J, L.matrix)
         np.testing.assert_allclose(
-            lm_step_gsvd(f, r, 0.5), lm_step_reference(J, r, L, 0.5), rtol=1e-8
+            f.split(r).step(0.5), lm_step_reference(J, r, L, 0.5), rtol=1e-8
         )
 
     def test_step_vanishes_for_huge_damping(self):
@@ -140,12 +138,12 @@ class TestLmStepGsvd:
         L = from_matrix(rng.standard_normal((4, 4)))
         r = rng.standard_normal(6)
         f = bidiagonalize(J, L.matrix)
-        assert np.linalg.norm(lm_step_gsvd(f, r, 1e12)) < 1e-10
+        assert np.linalg.norm(f.split(r).step(1e12)) < 1e-10
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(NonpositiveLambda):
-            lm_step_gsvd(bidiagonalize(np.eye(2), np.eye(2)), np.ones(2), lam)
+            bidiagonalize(np.eye(2), np.eye(2)).split(np.ones(2)).step(lam)
 
 
 class TestQcondResidual:
@@ -218,7 +216,7 @@ def _assert_omega_matches_reference(J, L, r, q=0.6):
 class TestSelectLambda:
     def test_identity_pair_closed_form(self):
         f = bidiagonalize(np.eye(2), identity(2))
-        lam, kind, _ = select_lambda_q(f, np.array([3.0, 4.0]), CFG)
+        lam, kind, _ = select_lambda_q(f.split(np.array([3.0, 4.0])), CFG)
         assert kind == "equality"
         assert lam == pytest.approx(1.0, rel=1e-6)
 
@@ -227,7 +225,7 @@ class TestSelectLambda:
         # ||r||^2 overflows a dot product; the norm itself is finite, and with
         # J = L = I the q-condition lam / (1 + lam) = q has the root lam = 1
         r = np.array([1e200, 1.0, 1.0])
-        lam, kind, _ = select_lambda_q(bidiagonalize(np.eye(3), identity(3)), r, CFG)
+        lam, kind, _ = select_lambda_q(bidiagonalize(np.eye(3), identity(3)).split(r), CFG)
         assert kind == "equality"
         assert lam == pytest.approx(1.0, rel=1e-8)
 
@@ -235,7 +233,7 @@ class TestSelectLambda:
         A = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
         rng = np.random.default_rng(2)
         r = in_range_residual(rng, A)
-        lam, kind, _ = select_lambda_q(bidiagonalize(A, identity(2)), r, CFG)
+        lam, kind, _ = select_lambda_q(bidiagonalize(A, identity(2)).split(r), CFG)
         assert kind == "equality"
         assert 0.0 < lam <= 0.5 / 0.5 * 4.0 * (1.0 + 1e-8)
 
@@ -245,8 +243,8 @@ class TestSelectLambda:
         # ||P r|| = 1 > q ||r||
         assert 1.0 > 0.5 * np.linalg.norm(r)
         f = bidiagonalize(J, identity(1))
-        lam, kind, _ = select_lambda_q(f, r, CFG)
-        assert kind == "inequality-fallback"
+        lam, kind, _ = select_lambda_q(f.split(r), CFG)
+        assert kind == "fallback-floor"
         zeta_p = generalized_singular_values(gsvd(J, np.eye(1)))[-1]
         assert lam == pytest.approx(0.5 * 0.5 / 0.5 * zeta_p**2)
 
@@ -261,8 +259,8 @@ class TestSelectLambda:
         J = Q1 @ np.diag([1.0, 1e-3, 1e-6, s]) @ Q2.T
         r = Q1 @ np.array([0.1, 0.1, 0.1, 1.0])
         f = bidiagonalize(J, identity(4))
-        lam, kind, _ = select_lambda_q(f, r, CFG)
-        assert kind == "inequality-fallback"
+        lam, kind, _ = select_lambda_q(f.split(r), CFG)
+        assert kind == "fallback-floor"
         zeta_p = generalized_singular_values(gsvd(J, np.eye(4)))[-1]
         assert lam == pytest.approx(CFG.lambda_fallback_factor * zeta_p**2, rel=1e-12)
 
@@ -272,25 +270,25 @@ class TestSelectLambda:
             # omega(floor) = rho_perp = q ||r||: equality at the floor
             ([[0.0], [1.0]], identity(1), [0.6, 0.8], 0.6, "equality", 1),
             # omega(floor) = rho_perp = 1 > q ||r||: fallback at the floor
-            ([[0.0], [1.0]], identity(1), [1.0, 0.1], 0.5, "inequality-fallback", 1),
+            ([[0.0], [1.0]], identity(1), [1.0, 0.1], 0.5, "fallback-floor", 1),
             # omega(lam) = lam / (1 + lam) ||r|| meets q ||r|| at the top
             (np.eye(2), identity(2), [3.0, 4.0], 0.5, "equality", 2),
             # r lies mostly along J N(L), removed for every lam: omega(top) < q ||r||
-            (np.eye(3), first_difference(3), [1.1, 1.0, 0.9], 0.5, "inequality-fallback", 2),
+            (np.eye(3), first_difference(3), [1.1, 1.0, 0.9], 0.5, "fallback-top", 2),
         ],
         ids=["floor-equality", "floor-fallback", "top-equality", "top-fallback"],
     )
     def test_evals_per_regime(self, J, L, r, q, kind, evals):
         f = bidiagonalize(np.array(J), L)
-        assert select_lambda_q(f, np.array(r), _with_q(q))[1:] == (kind, evals)
+        assert select_lambda_q(f.split(np.array(r)), _with_q(q))[1:] == (kind, evals)
 
     @pytest.mark.parametrize("J, L, r, q", FLAT_OMEGA, ids=FLAT_OMEGA_IDS)
     def test_flat_omega_falls_back_at_the_top(self, J, L, r, q):
         # omega(floor) < q ||r||, so the top is evaluated in the Newton form,
         # which has no iterate on a flat omega; RuntimeWarnings are errors here
         f = bidiagonalize(J, from_matrix(L))
-        lam, kind, evals = select_lambda_q(f, np.array(r), _with_q(q))
-        assert (kind, evals) == ("inequality-fallback", 2)
+        lam, kind, evals = select_lambda_q(f.split(np.array(r)), _with_q(q))
+        assert (kind, evals) == ("fallback-top", 2)
 
     def test_q_comes_from_the_config(self):
         # one pair and residual, two configs that differ only in q: each
@@ -303,7 +301,7 @@ class TestSelectLambda:
         rnorm = np.linalg.norm(r)
         lams = []
         for q in (0.3, 0.7):
-            lam, kind, _ = select_lambda_q(f, r, _with_q(q))
+            lam, kind, _ = select_lambda_q(f.split(r), _with_q(q))
             assert kind == "equality"
             assert abs(omega_reference(J, L, r, lam) - q * rnorm) <= CFG.lambda_root_tol * rnorm
             lams.append(lam)
@@ -319,7 +317,7 @@ class TestSelectLambda:
             return omega(split, lam, target)
 
         monkeypatch.setattr(_BidiagonalSplit, "omega", recorded)
-        lam, kind, evals = select_lambda_q(bidiagonalize(J, identity(3)), r, CFG)
+        lam, kind, evals = select_lambda_q(bidiagonalize(J, identity(3)).split(r), CFG)
         assert kind == "equality"
         assert evals == len(evaluated) > 2
         assert len(set(evaluated)) == len(evaluated)
@@ -335,13 +333,14 @@ class TestSelectLambda:
         ids=["long", "column", "nan", "inf"],
     )
     def test_malformed_residual_rejected(self, r, error):
+        # the split checks r once, for the search and the step alike
         with pytest.raises(error):
-            select_lambda_q(bidiagonalize(np.eye(3), identity(3)), r, CFG)
+            bidiagonalize(np.eye(3), identity(3)).split(r)
 
     def test_zero_gradient_rejected(self):
         J = np.array([[1.0], [0.0]])
         with pytest.raises(ZeroGradient):
-            select_lambda_q(bidiagonalize(J, identity(1)), np.array([0.0, 1.0]), CFG)
+            select_lambda_q(bidiagonalize(J, identity(1)).split(np.array([0.0, 1.0])), CFG)
 
     def test_vanishing_spectrum_is_bracket_failure(self):
         # J acts only on the null space of L, so every zeta_i is zero and
@@ -349,7 +348,7 @@ class TestSelectLambda:
         J = np.array([[0.0, 0.0], [0.0, 1.0]])
         L = from_matrix([[1.0, 0.0]])
         with pytest.raises(lmmss.BracketFailure):
-            select_lambda_q(bidiagonalize(J, L), np.array([1.0, 1.0]), CFG)
+            select_lambda_q(bidiagonalize(J, L).split(np.array([1.0, 1.0])), CFG)
 
     def test_returned_lambda_meets_target(self):
         rng = np.random.default_rng(23)
@@ -359,7 +358,7 @@ class TestSelectLambda:
             L = identity(n)
             r = in_range_residual(rng, J)
             q = float(rng.uniform(0.3, 0.8))
-            lam, kind, _ = select_lambda_q(bidiagonalize(J, L), r, _with_q(q))
+            lam, kind, _ = select_lambda_q(bidiagonalize(J, L).split(r), _with_q(q))
             if kind == "equality":
                 val = omega_reference(J, L, r, lam)
                 assert abs(val - q * np.linalg.norm(r)) <= CFG.lambda_root_tol * np.linalg.norm(r)
@@ -377,7 +376,7 @@ class TestSelectLambda:
 
     def test_newton_meets_target_on_spread_spectrum(self):
         J, r = self._spread_pair()
-        lam, kind, evals = select_lambda_q(bidiagonalize(J, identity(3)), r, CFG)
+        lam, kind, evals = select_lambda_q(bidiagonalize(J, identity(3)).split(r), CFG)
         assert kind == "equality"
         assert 1e-13 < lam < 1e-11
         assert evals <= 10
@@ -407,7 +406,7 @@ class TestSelectLambda:
             return val, (0.0 if leave == "every" or first else lam_next)
 
         monkeypatch.setattr(_BidiagonalSplit, "omega", leaving)
-        lam, kind, evals = select_lambda_q(f, r, CFG)
+        lam, kind, evals = select_lambda_q(f.split(r), CFG)
         assert kind == "equality"
         assert evals == len(evaluated)
         # evaluations: floor, top (the first Newton call), then the
@@ -554,8 +553,8 @@ class TestSolve:
         assert (run.stop_reason, run.k_star) == ("stagnation", k_star)
         x = run.final_x
         r = prob.evaluate_F(x) - prob.y_exact
-        _, kind, evals = select_lambda_q(bidiagonalize(prob.evaluate_J(x), L), r, CFG)
-        assert (kind, evals) == ("inequality-fallback", 1)
+        _, kind, evals = select_lambda_q(bidiagonalize(prob.evaluate_J(x), L).split(r), CFG)
+        assert (kind, evals) == ("fallback-floor", 1)
 
     @pytest.mark.parametrize(
         "name, n, spec, q, tau, outcome",
@@ -684,12 +683,12 @@ class TestLambdaContinuity:
         r = rng.standard_normal(6)
         u = rng.standard_normal(6)
         u /= np.linalg.norm(u)
-        lam0, kind, _ = select_lambda_q(bidiagonalize(J, L), r, cfg)
+        lam0, kind, _ = select_lambda_q(bidiagonalize(J, L).split(r), cfg)
         assert kind == "equality"
         eps = 1e-3
         diffs = []
         for _ in range(4):
-            lam_eps = select_lambda_q(bidiagonalize(J, L), r - eps * u, cfg)[0]
+            lam_eps = select_lambda_q(bidiagonalize(J, L).split(r - eps * u), cfg)[0]
             diffs.append(abs(lam_eps - lam0))
             eps /= 2
         for a, b in zip(diffs, diffs[1:]):
@@ -792,7 +791,8 @@ PAPER_GRID_KSTAR = {
 def test_paper_grid_outcomes():
     # Regression guard on the paper's noisy experiment at n = 64: every run
     # stops by discrepancy with the pinned k*, the damping search falls back
-    # only in the first steps of d1 (k <= 1) and d2 (k <= 2) runs, and the
+    # only in the first steps of d1 (k <= 1) and d2 (k <= 2) runs, and only
+    # at the top of the bracket (omega(top) < q ||r||), and the
     # Euclidean error never grows as delta falls.  A change that moves these
     # numbers on purpose edits them here.
     n, deltas = 64, (1e-2, 1e-3, 1e-4, 1e-5)
@@ -809,12 +809,14 @@ def test_paper_grid_outcomes():
                 case = (name, spec, seed, delta)
                 assert (run.stop_reason, run.k_star) == ("discrepancy", kstar), case
                 fallbacks += [
-                    (spec, rec.k) for rec in run.trace[:-1] if rec.qcond_kind != "equality"
+                    (spec, rec.k, rec.qcond_kind)
+                    for rec in run.trace[:-1] if rec.qcond_kind != "equality"
                 ]
                 errors.append(np.linalg.norm(run.final_x - prob.x_dagger))
             assert all(b <= a for a, b in zip(errors, errors[1:])), (name, spec, seed, errors)
     assert len(fallbacks) == 120
-    assert all(k <= {"d1": 1, "d2": 2}.get(spec, -1) for spec, k in fallbacks)
+    assert all(k <= {"d1": 1, "d2": 2}.get(spec, -1) for spec, k, _ in fallbacks)
+    assert all(kind == "fallback-top" for _, _, kind in fallbacks)
 
 
 @pytest.mark.xfail(
