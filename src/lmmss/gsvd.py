@@ -38,8 +38,8 @@ standard form, G included, and one Householder bidiagonalization of the
 operator, ``Q_perp^T J L^+ = Q_B [B; 0] P_B^T`` (LAPACK ``gebrd``, in
 ``_lapack``; for L = I it is J itself), whose reflectors ``ormqr`` applies
 as it applies Q's (P_B's row reflectors transposed once into columns),
-without any SVD: bisection
-(``stebz``) on B's Golub–Kahan tridiagonal gives zeta_p, and a tridiagonal
+without any SVD: bisection (``stebz``) on B's p x p Gram tridiagonal B^T B,
+formed from B scaled by a power of two, gives zeta_p, and a tridiagonal
 augmented system on B (``gtsv``) gives the linearized residual and the
 step.  Its completeness bound needs no V; a pair that bound cannot decide
 is decided on the exact singular values of [J; L].
@@ -284,8 +284,10 @@ class BidiagonalFactors:
     kept too; for L = I, B is J's own bidiagonal and G is None.  Neither U,
     V, X nor the SVD of B is formed; the factors answer:
 
-    - ``zeta_p``, the largest singular value of B, is the largest eigenvalue
-      of its Golub–Kahan tridiagonal (``_largest_singular_value``).
+    - ``zeta_p``, the largest singular value of B, is the square root of the
+      largest eigenvalue of the p x p tridiagonal B^T B, formed from B scaled
+      by a power of two so that no square overflows
+      (``_largest_singular_value``).
     - ``split(r)``: c = Q^T r, c_0 = c[:k] = Q_0^T r and b = Q_B^T c[k:];
       rho_perp = ||b[p:]||, and J^T r = 0 exactly when c_0 = 0 and B^T b[:p]
       = 0.  Its ``omega`` answers the damping search and its ``step`` the
@@ -444,21 +446,49 @@ def _solve_augmented(off, diag, h):
 def _largest_singular_value(off) -> float:
     """s_max(B) for the upper bidiagonal B with entries ``off`` = (d_1, e_1, ..., d_p).
 
-    The 2p x 2p symmetric tridiagonal with zero diagonal and off-diagonal
-    ``off``, B's Golub–Kahan tridiagonal, has the eigenvalues +-s_i(B), so
-    s_max(B) is its largest, found by bisection (``dstebz`` with il = iu =
-    2p).  A NaN or infinite entry raises ValueError before bisection, and a
-    ``dstebz`` failure numpy.linalg.LinAlgError.
+    s_max(B)^2 is the largest eigenvalue of the p x p Gram tridiagonal B^T B
+    (diagonal d_i^2 + e_{i-1}^2, off-diagonal d_i e_i), found by bisection
+    (``dstebz`` with il = iu = p).  The Gram matrix is formed from 2^-s B,
+    where 2^s is the power of two that puts max |entry| in [1/2, 1)
+    (``frexp``); ``ldexp`` scales B and the result exactly, except for
+    entries too small for their scaled value to be normal, whose squares are
+    negligible below.  At every scale of B this gives s_max to a few ulps:
+
+    - No square overflows: each scaled entry is below 1, so each Gram entry
+      is below 2.
+    - Underflow does not matter: lambda_max >= max |entry|^2 >= 1/4, and a
+      square or product that underflows is off by at most 2^-1074, far less
+      than an ulp of lambda_max.
+    - Weyl's bound: each computed Gram entry is within about 2u (u the unit
+      roundoff) of the exact one relative to the same entry of |B|^T |B|.
+      Signature matrices on both sides turn B into |B| (its graph is a
+      path), so ||E||_2 <= 2u || |B|^T |B| ||_2 = 2u lambda_max for the
+      rounding E, and lambda_max moves by at most that, s_max by half of it.
+      ``dstebz`` with a zero tolerance bisects to about 2 ulps of lambda_max.
+
+    A NaN or infinite entry raises ValueError before bisection, a ``dstebz``
+    failure numpy.linalg.LinAlgError, and an s_max beyond the largest double
+    OverflowError; a zero B gives 0.0.
     """
-    if not np.isfinite(off).all():
+    peak = float(np.abs(off).max())  # NaN if any entry is NaN
+    if not math.isfinite(peak):
         raise ValueError("the bidiagonal matrix has a NaN or infinite entry")
-    n = off.size + 1
-    found, w, _, _, info = lapack.dstebz(np.zeros(n), off, 2, 0.0, 0.0, n, n, 0.0, "E")
+    if not peak:
+        return 0.0
+    scale = math.frexp(peak)[1]
+    scaled = np.ldexp(off, -scale)
+    d, e = scaled[0::2], scaled[1::2]
+    diag = d * d
+    diag[1:] += e * e
+    p = d.size
+    # the wrapper refuses an empty off-diagonal, and LAPACK reads none for p = 1
+    sub = d[:-1] * e if p > 1 else np.zeros(1)
+    found, w, _, _, info = lapack.dstebz(diag, sub, 2, 0.0, 0.0, p, p, 0.0, "E")
     if info < 0:
         raise ValueError(f"dstebz rejected argument {-info}")
     if info > 0 or found != 1:
         raise np.linalg.LinAlgError("bisection for the largest singular value of B failed")
-    return float(w[0])
+    return math.ldexp(math.sqrt(w[0]), scale)
 
 
 def bidiagonalize(J, L) -> BidiagonalFactors:

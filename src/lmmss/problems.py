@@ -267,7 +267,9 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
     sensitivity ``J(a) V = T^-1 diff(flux * halfpoints(V))`` with flux the
     differences of u: J is the sensitivity at V = I (one tridiagonal solve
     with n right-hand sides), and J v the same expression at the one column
-    v.  Evaluation fails when any a_i drops to the positivity floor ``A_MIN``.
+    v.  halfpoints(I) does not depend on a, so it is built once per problem,
+    read-only.  Evaluation fails when any a_i drops to the positivity floor
+    ``A_MIN``.
 
     The source ``f = 4 pi^2 cos(2 pi t)`` makes the flux vanish at the
     boundary, so the solution is least sensitive to boundary-adjacent
@@ -279,7 +281,8 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
     t = np.arange(1, n + 1) * h
     f = 4.0 * np.pi**2 * np.cos(2.0 * np.pi * t)
     rhs = h * h * f
-    identity = np.eye(n)
+    identity_halfpoints = _conductivity_halfpoints(np.eye(n))
+    identity_halfpoints.flags.writeable = False
 
     def state(a):
         # Flux-point conductivities and the forward solution.
@@ -288,27 +291,28 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
         am = _conductivity_halfpoints(a)
         return am, _conductivity_solve(am, rhs)
 
-    def sensitivity(a, V):
-        # J(a) V for one direction V or a matrix of them, along the first axis.
-        # T u = -diff(am * flux), flux the differences of u across the flux
-        # points; differentiating T u = rhs gives T^-1 diff(flux * halfpoints(V)).
+    def sensitivity(a, V_half):
+        # J(a) V for one direction V or a matrix of them, along the first axis,
+        # from V_half = halfpoints(V).  T u = -diff(am * flux), flux the
+        # differences of u across the flux points; differentiating T u = rhs
+        # gives T^-1 diff(flux * halfpoints(V)).
         am, u = state(a)
         ue = np.concatenate(([0.0], u, [0.0]))
         flux = ue[1:] - ue[:-1]
-        w = (flux * _conductivity_halfpoints(V).T).T
+        w = (flux * V_half.T).T
         return _conductivity_solve(am, w[1:] - w[:-1])
 
     a_dag = 1.0 + 0.5 * np.sin(np.pi * t)
     return InverseProblem(
         name="coefficient",
         eval_F=lambda a: state(a)[1],
-        eval_J=lambda a: sensitivity(a, identity),
+        eval_J=lambda a: sensitivity(a, identity_halfpoints),
         n=n,
         y_exact=state(a_dag)[1],
         x_dagger=a_dag,
         domain_hint=Box(lower=np.full(n, 0.05), upper=np.full(n, np.inf)),
         x0_default=np.ones(n),
-        eval_jvp=sensitivity,
+        eval_jvp=lambda a, v: sensitivity(a, _conductivity_halfpoints(v)),
     )
 
 

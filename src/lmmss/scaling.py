@@ -134,21 +134,29 @@ def from_spec(spec: str, n: int) -> ScalingOperator:
     )
 
 
+#: Below this sum of squares ``euclidean_norm`` takes nrm2.  Squares of
+#: entries below about 1e-154 are subnormal or zero, each off by at most
+#: 2^-1074, which against a sum of at least 1e-290 is far below an ulp.
+_TINY_SQUARE = 1e-290
+
+
 def euclidean_norm(v: np.ndarray) -> float:
-    """Return ``np.linalg.norm(v)`` of a float array, bit for bit, where that is finite.
+    """Return ``np.linalg.norm(v)`` of a float array, bit for bit, where its square is safe.
 
     It takes the same steps, the square root of BLAS ``ddot`` of
     ``v.ravel(order="K")`` with itself, without the general function's
     dispatch, which dominates its cost on the short vectors of the hot paths.
-    Where the square overflows (entries beyond about 1e154) it returns
-    ``frobenius(v)`` instead: nrm2 scales as it sums, so the norm stays
-    finite, and no RuntimeWarning is raised.  An empty ``v`` gives 0.0.
+    Where the square overflows (entries beyond about 1e154) or falls below
+    ``_TINY_SQUARE`` (where the squares of small entries underflow) it
+    returns ``frobenius(v)`` instead: nrm2 scales as it sums, so the norm
+    neither overflows nor underflows, and no RuntimeWarning is raised.  An
+    empty ``v`` gives 0.0.
     """
     v = v.ravel(order="K")
     if v.size == 0:
         return 0.0
     square = scipy.linalg.blas.ddot(v, v)
-    return math.sqrt(square) if math.isfinite(square) else frobenius(v)
+    return math.sqrt(square) if _TINY_SQUARE <= square < math.inf else frobenius(v)
 
 
 def frobenius(M: np.ndarray) -> float:

@@ -121,7 +121,8 @@ def select_lambda_q(split: _BidiagonalSplit, cfg: SolverConfig):
     ||r + J d(lam)||``, nondecreasing in lam, and its Newton iterate come
     from ``split.omega``, in O(p) per call; no lam is evaluated twice.  The
     search bracket is ``[1e-14 zeta_p^2, q/(1-q) zeta_p^2 (1 + tol)]`` with
-    ``split.zeta_p``, the largest singular value of B by bisection.
+    ``split.zeta_p``, the largest singular value of B, by bisection on the
+    p x p tridiagonal B^T B (``gsvd._largest_singular_value``).
 
     The floor comes first: omega within the tolerance of the target
     ``q ||r||`` there is an ``"equality"``, and omega at or above the target

@@ -1,6 +1,7 @@
 """The bidiagonal route: ``bidiagonalize`` for every scaling and its use in ``solve``."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -324,6 +325,74 @@ def test_non_finite_bidiagonal_rejected():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="NaN or infinite"):
             _largest_singular_value(np.array([bad, 1.0, 1.0]))
+
+
+def _eigenvalues_below(off, x):
+    """How many eigenvalues of B's Golub–Kahan tridiagonal lie below x > 0, exactly.
+
+    ``off`` = (d_1, e_1, ..., d_p) is that 2p x 2p tridiagonal's
+    off-diagonal (its diagonal is zero), with eigenvalues +-s_i(B).  Every
+    float is an integer times 2^E, so in units of the smallest such 2^E the
+    leading principal minors D_k of T - x I obey the integer recurrence
+    D_k = -X D_{k-1} - C_{k-1}^2 D_{k-2}; the units change no sign.  D_k /
+    D_{k-1} is the k-th pivot of T - x I, so by Sylvester's law of inertia
+    the count is the number of sign changes in D_0, ..., D_2p.
+    """
+    parts = [math.frexp(v) for v in (x, *map(float, off))]
+    ints = [(int(math.ldexp(m, 53)), e - 53) for m, e in parts]
+    unit = min(e for m, e in ints if m)
+    X, *C = [m << (e - unit) if m else 0 for m, e in ints]
+    prev, cur, changes = 0, 1, 0
+    for c2 in [0] + [c * c for c in C]:
+        prev, cur = cur, -X * cur - c2 * prev
+        assert cur, "a leading minor of T - x I vanished"
+        changes += (cur < 0) != (prev < 0)
+    return changes
+
+
+def _exact_within_ulps(off, s, ulps):
+    """Whether s_max(B) lies within ``ulps`` spacings of s, decided exactly."""
+    step = ulps * np.spacing(s)
+    n = off.size + 1
+    above_lo = s <= step or _eigenvalues_below(off, s - step) <= n - 1
+    return above_lo and _eigenvalues_below(off, s + step) == n
+
+
+def _scaled_bidiagonals():
+    # (p, kind, scale): kind "mixed" spreads the entries over 2^-60..1 before
+    # scaling, so at 2^-1000 some of them are subnormal; at 2^-1060 every
+    # entry is subnormal, and some mixed ones round to 0
+    for p in (1, 2, 3, 17, 128, 200):
+        for kind in ("normal", "mixed"):
+            for scale in (-1060, -1000, -537, -1, 0, 211, 1000):
+                yield p, kind, scale
+
+
+@pytest.mark.parametrize("p, kind, scale", list(_scaled_bidiagonals()))
+def test_largest_singular_value_at_every_scale(p, kind, scale):
+    # B^T B is formed from B scaled into [1/2, 1), so no square overflows and
+    # none that underflows can move the result.  The reference is exact (a
+    # Sturm count in integer arithmetic): numpy.linalg.svd is itself up to
+    # 15 ulps off s_max at p = 128-200.
+    rng = np.random.default_rng([p, scale + 2000, kind == "mixed"])
+    base = rng.standard_normal(2 * p - 1)
+    if kind == "mixed":
+        base *= np.exp2(-rng.integers(0, 61, base.size))
+    base = np.ldexp(base, -math.frexp(np.abs(base).max())[1])  # max in [1/2, 1)
+    off = np.ldexp(base, scale)
+    s = _largest_singular_value(off)
+    assert s > 0.0
+    assert _exact_within_ulps(off, s, 4)
+    # the exact check does reject a value 64 ulps off
+    assert not _exact_within_ulps(off, s + 64 * np.spacing(s), 4)
+    if -1000 < scale < 1000:
+        want = np.linalg.svd(np.diag(off[0::2]) + np.diag(off[1::2], 1), compute_uv=False)[0]
+        assert s == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("size", [1, 3, 255])
+def test_largest_singular_value_of_zero_bidiagonal(size):
+    assert _largest_singular_value(np.zeros(size)) == 0.0
 
 
 def test_singular_augmented_system_is_a_linalg_error():

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -323,12 +324,26 @@ class TestJacobianVectorProduct:
     @pytest.mark.parametrize("n", [8, 32, 128])
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_jacobian_columns_are_hook_products_bit_for_bit(self, name, n):
-        # J is the product's matrix: column j has the bytes of J e_j
+        # J is the product's matrix: column j has the bytes of J e_j, at a
+        # point other than x0, and a second J has the first one's bytes
         prob = make_problem(name, n)
         x, _ = in_domain_point_and_direction(prob, 11)
+        assert not np.array_equal(x, prob.x0_default)
         J = prob.evaluate_J(x)
         for j, e_j in enumerate(np.eye(n)):
             assert J[:, j].tobytes() == prob.evaluate_jvp(x, e_j).tobytes(), j
+        assert prob.evaluate_J(x).tobytes() == J.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_coefficient_identity_halfpoints_built_once_read_only(self, n):
+        # J's halfpoints(I) does not depend on the point, so the problem keeps
+        # one, which no evaluation may change
+        prob = problem_coefficient_identification(n)
+        kept = inspect.getclosurevars(prob.eval_J).nonlocals["identity_halfpoints"]
+        assert not kept.flags.writeable
+        np.testing.assert_array_equal(kept, _conductivity_halfpoints(np.eye(n)))
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 2.0
 
     def test_from_files_has_hook(self, tmp_path):
         rng = np.random.default_rng(4)

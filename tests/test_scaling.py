@@ -206,6 +206,18 @@ def test_euclidean_norm_does_not_overflow():
     assert euclidean_norm(np.array([1e200, np.inf])) == np.inf
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_euclidean_norm_does_not_underflow():
+    # the squares of entries below about 1e-154 underflow a dot product (to 0
+    # here); nrm2 scales as it sums
+    assert euclidean_norm(np.array([1e-170])) == 1e-170
+    assert euclidean_norm(np.array([3e-170, 4e-170])) == pytest.approx(5e-170, rel=1e-15)
+    assert euclidean_norm(np.full(4, 1e-320)) == pytest.approx(2e-320, abs=5e-324)
+    # a sum of squares above the threshold keeps numpy's bits
+    v = 1e-144 * np.random.default_rng(6).standard_normal(97)
+    assert np.float64(euclidean_norm(v)).tobytes() == np.linalg.norm(v).tobytes()
+
+
 @pytest.mark.parametrize("shape", [(0,), (48, 0), (0, 3)], ids=["0", "48x0", "0x3"])
 def test_frobenius_of_an_empty_array_is_zero(shape):
     # W_0 R_0^-1 of a square L is n x 0; BLAS nrm2 refuses an empty array

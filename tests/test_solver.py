@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -462,6 +463,26 @@ class TestSolve:
         assert run.k_star == 0
         assert len(run.trace) == 1
         assert run.zeta_hat is None
+
+    def test_tiny_scaled_data_is_not_a_discrepancy_stop_at_start(self):
+        # (A, y, delta) scaled by 2^-560: every entry of the residual is below
+        # 1e-154, so its squares underflow, and a norm summed from them reads
+        # 0, which would stop the run by discrepancy at k = 0 with x = x0.  The
+        # residual norm must be the unscaled one scaled.
+        prob = make_problem("linear", 32)
+        data = make_noisy_data(prob.y_exact, 1e-3, seed=1)
+        A = np.ldexp(prob.evaluate_J(prob.x0_default), -560)
+        scaled = InverseProblem(
+            name="linear-scaled", eval_F=lambda x: A @ x, eval_J=lambda x: A, n=32,
+            y_exact=np.ldexp(prob.y_exact, -560),
+        )
+        scaled_data = NoisyData(y_delta=np.ldexp(data.y_delta, -560),
+                                delta=math.ldexp(1e-3, -560), seed=1)
+        cfg = SolverConfig(q=0.6, tau=3.5)
+        run = solve(scaled, scaled_data, identity(32), np.zeros(32), cfg)
+        want = solve(prob, data, identity(32), np.zeros(32), cfg).trace[0].res_norm
+        assert run.trace[0].res_norm == pytest.approx(math.ldexp(want, -560), rel=1e-15)
+        assert (run.stop_reason, run.k_star) != ("discrepancy", 0)
 
     def test_discrepancy_contract_and_lambda_interval(self):
         prob = make_problem("coefficient", 12)
