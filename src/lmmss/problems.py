@@ -262,14 +262,26 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
     Steady state ``-(a u')' = f`` on (0, 1) with homogeneous Dirichlet
     boundary, discretized by finite differences on n interior nodes; the
     unknowns are the nodal conductivities a_i (flux points by averaging,
-    constant extension at the boundary).  The forward solve is one
-    tridiagonal system T(a) u = h^2 f.  The derivative is stated once, as the
-    sensitivity ``J(a) V = T^-1 diff(flux * halfpoints(V))`` with flux the
-    differences of u: J is the sensitivity at V = I (one tridiagonal solve
-    with n right-hand sides), and J v the same expression at the one column
-    v.  halfpoints(I) does not depend on a, so it is built once per problem,
-    read-only.  Evaluation fails when any a_i drops to the positivity floor
-    ``A_MIN``.
+    constant extension at the boundary).  The forward map solves the
+    tridiagonal system T(a) u = h^2 f by LAPACK ptsv; J and J v solve
+    nothing further.
+
+    The derivative is the sensitivity ``J(a) V = T^-1 diff(flux * halfpoints(V))``
+    with flux the differences of u (differentiate T u = -diff(am * flux) =
+    h^2 f), and it has a closed form.  T = D^T diag(am) D with D the
+    difference onto the flux points, so x = T^-1 diff(w) solves
+    am * D x = c - w for the constant c that makes the right boundary
+    value 0: x = cumsum(R * (c - w))[:n] with the resistances R = 1/am and
+    c = sum(R w) / sum(R).  ``J v`` evaluates it at w = flux * halfpoints(v)
+    as cumsum(R)[:n] c - cumsum(R w)[:n], c the ratio of the two last
+    partial sums.  J evaluates it at V = I, where halfpoints(I) has two
+    nonzeros per column, on the diagonal and below it, so the partial sums of
+    R w are known: J = outer(cumsum(R)[:n], c) - S, with S_ij = 0 above the
+    diagonal, top_j on it and top_j + bottom_j below it, top and bottom the
+    two nonzeros of column j of R w.  Column j has the bytes of ``J e_j``.
+    The weights of halfpoints(I) and the strictly lower mask do not depend on
+    a, so they are built once per problem, read-only.  Evaluation fails when
+    any a_i drops to the positivity floor ``A_MIN``.
 
     The source ``f = 4 pi^2 cos(2 pi t)`` makes the flux vanish at the
     boundary, so the solution is least sensitive to boundary-adjacent
@@ -282,7 +294,12 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
     f = 4.0 * np.pi**2 * np.cos(2.0 * np.pi * t)
     rhs = h * h * f
     identity_halfpoints = _conductivity_halfpoints(np.eye(n))
-    identity_halfpoints.flags.writeable = False
+    halfpoint_weights = np.stack(
+        [identity_halfpoints.diagonal(), identity_halfpoints[1:].diagonal()]
+    )
+    strictly_lower = np.tri(n, k=-1, dtype=bool)
+    halfpoint_weights.flags.writeable = False
+    strictly_lower.flags.writeable = False
 
     def state(a):
         # Flux-point conductivities and the forward solution.
@@ -291,28 +308,44 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
         am = _conductivity_halfpoints(a)
         return am, _conductivity_solve(am, rhs)
 
-    def sensitivity(a, V_half):
-        # J(a) V for one direction V or a matrix of them, along the first axis,
-        # from V_half = halfpoints(V).  T u = -diff(am * flux), flux the
-        # differences of u across the flux points; differentiating T u = rhs
-        # gives T^-1 diff(flux * halfpoints(V)).
+    def resistances(a):
+        # The partial sums of the resistances R = 1/am (the last is sum(R)),
+        # and R * flux, flux the differences of the forward solution.
         am, u = state(a)
-        ue = np.concatenate(([0.0], u, [0.0]))
-        flux = ue[1:] - ue[:-1]
-        w = (flux * V_half.T).T
-        return _conductivity_solve(am, w[1:] - w[:-1])
+        flux = np.empty(n + 1)
+        flux[0], flux[n] = u[0], -u[-1]
+        np.subtract(u[1:], u[:-1], out=flux[1:n])
+        R = 1.0 / am
+        return R.cumsum(), R * flux
+
+    def eval_jvp(a, v):
+        CR, Rflux = resistances(a)
+        CRw = (Rflux * _conductivity_halfpoints(v)).cumsum()
+        return CR[:n] * (CRw[n] / CR[n]) - CRw[:n]
+
+    def eval_J(a):
+        # Column j of R w is top_j in row j and bottom_j in row j + 1, so every
+        # sum eval_jvp(a, e_j) forms adds only zeros to these two: column j
+        # has its bytes.
+        CR, Rflux = resistances(a)
+        top = Rflux[:n] * halfpoint_weights[0]
+        below = top + Rflux[1:] * halfpoint_weights[1]
+        J = CR[:n, None] * (below / CR[n])
+        np.subtract(J, below, out=J, where=strictly_lower)
+        J.ravel()[:: n + 1] -= top
+        return J
 
     a_dag = 1.0 + 0.5 * np.sin(np.pi * t)
     return InverseProblem(
         name="coefficient",
         eval_F=lambda a: state(a)[1],
-        eval_J=lambda a: sensitivity(a, identity_halfpoints),
+        eval_J=eval_J,
         n=n,
         y_exact=state(a_dag)[1],
         x_dagger=a_dag,
         domain_hint=Box(lower=np.full(n, 0.05), upper=np.full(n, np.inf)),
         x0_default=np.ones(n),
-        eval_jvp=lambda a, v: sensitivity(a, _conductivity_halfpoints(v)),
+        eval_jvp=eval_jvp,
     )
 
 

@@ -22,7 +22,7 @@ from lmmss import (
     problem_linear_illposed,
 )
 from lmmss.problems import A_MIN, _conductivity_halfpoints, _conductivity_solve
-from helpers import central_diff_jacobian
+from helpers import central_diff_jacobian, coefficient_sensitivity_reference
 
 ALL_NAMES = ("linear", "autoconvolution", "coefficient")
 
@@ -198,13 +198,56 @@ class TestCoefficientProblem:
         assert got.shape == want.shape
         assert got.tobytes(order="A") == want.tobytes(order="A")
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="np.longdouble is no wider than double here: no extended-precision reference",
+    )
+    @pytest.mark.parametrize("point", ["x0", "perturbed-x-dagger", "log-uniform"])
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_jacobian_matches_extended_precision_elimination(self, n, point):
+        # J and J v against a long-double elimination at the problem's own
+        # forward solution.  The reference's pivots subtract nothing, so its
+        # error is a small multiple of n eps_ld (eps_ld = 1.1e-19), below
+        # 1e-18 against 60-digit arithmetic at these points.  The closed form
+        # rounds R, w and c a bounded number of times and sums positive
+        # resistances, so to first order |dJ_ij| <= (i + 5) u M_ij, with
+        # u = 1.1e-16 and M = CR |c|^T + |S| where c and S are formed from
+        # |top| and |bottom|.  The normwise error is then at most
+        # (n + 5) u kappa, and kappa = ||M||_F / ||J||_F is 2.7 to 3.4 here.
+        # Rounding errors of a sum grow like sqrt(n) rather than n in
+        # practice, which puts the expected error near sqrt(n + 5) u kappa,
+        # 4.4e-15 at most; it is 7.2e-16 or less at all six points.  The 1e-14
+        # gate keeps a factor two over that estimate.
+        prob = problem_coefficient_identification(n)
+        rng = np.random.default_rng(17)
+        a = {
+            "x0": prob.x0_default,
+            "perturbed-x-dagger": prob.x_dagger * (1.0 + 0.1 * rng.standard_normal(n)),
+            "log-uniform": 10.0 ** rng.uniform(-3.0, 3.0, n),
+        }[point]
+        v = rng.standard_normal(n)
+        u = prob.evaluate_F(a)
+        for got, V in ((prob.evaluate_J(a), np.eye(n)), (prob.evaluate_jvp(a, v), v)):
+            want = coefficient_sensitivity_reference(a, u, V)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
     def test_nan_conductivity_is_an_evaluation_failure(self):
+        # a NaN or infinite conductivity, at the boundary or inside, makes the
+        # forward solve non-finite, and J and J v are built on it; the
+        # Jacobian's resistance 1/inf = 0 is finite, so the refusal comes from
+        # the forward solution alone
         prob = problem_coefficient_identification(8)
-        bad = np.ones(8)
-        bad[3] = np.nan
-        for evaluate in (prob.evaluate_F, prob.evaluate_J):
-            with pytest.raises(EvaluationFailure, match="returned non-finite values"):
-                evaluate(bad)
+        for value in (np.nan, np.inf):
+            for where in (0, 3):
+                bad = np.ones(8)
+                bad[where] = value
+                for evaluate in (
+                    prob.evaluate_F,
+                    prob.evaluate_J,
+                    lambda x: prob.evaluate_jvp(x, np.ones(8)),
+                ):
+                    with pytest.raises(EvaluationFailure, match="returned non-finite values"):
+                        evaluate(bad)
 
     def test_positivity_floor(self):
         prob = problem_coefficient_identification(8)
@@ -336,14 +379,23 @@ class TestJacobianVectorProduct:
 
     @pytest.mark.parametrize("n", [8, 128])
     def test_coefficient_identity_halfpoints_built_once_read_only(self, n):
-        # J's halfpoints(I) does not depend on the point, so the problem keeps
-        # one, which no evaluation may change
+        # J reads halfpoints(I) through its two nonzeros per column, the
+        # weights on the diagonal and below it, and places the partial sums
+        # below the diagonal by a strictly lower mask; neither depends on the
+        # point, so the problem keeps one of each, which no evaluation may
+        # change
         prob = problem_coefficient_identification(n)
-        kept = inspect.getclosurevars(prob.eval_J).nonlocals["identity_halfpoints"]
-        assert not kept.flags.writeable
-        np.testing.assert_array_equal(kept, _conductivity_halfpoints(np.eye(n)))
-        with pytest.raises(ValueError, match="read-only"):
-            kept[0, 0] = 2.0
+        kept = inspect.getclosurevars(prob.eval_J).nonlocals
+        weights = kept["halfpoint_weights"]
+        np.testing.assert_array_equal(
+            np.eye(n + 1, n) * weights[0] + np.eye(n + 1, n, k=-1) * weights[1],
+            _conductivity_halfpoints(np.eye(n)),
+        )
+        np.testing.assert_array_equal(kept["strictly_lower"], np.tri(n, k=-1, dtype=bool))
+        for array in (weights, kept["strictly_lower"]):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = array[0, 0]
 
     def test_from_files_has_hook(self, tmp_path):
         rng = np.random.default_rng(4)
