@@ -17,16 +17,15 @@ both kept by ``ScalingOperator``.  For p < n a QR
 ``A W_0 = [Q_0 Q_perp] [R_0; 0]`` (LAPACK ``geqrf``) splits off the part of
 A that L does not see.  Q is never formed: ``ormqr`` applies its Householder
 reflectors, as Q^T to A L^+ (and in ``gsvd`` as Q to assemble U), and
-``trtrs`` gives W_0 R_0^-1; an exactly singular R_0 refuses the pair there.
+``trtrs`` gives W_0 R_0^-1.  Completeness, N(A) ∩ N(L) = {0}, is two
+relative rank decisions: L's, by ``ScalingOperator``, and for p < n
+A W_0's, on R_0 (``NULL_SPACE_RTOL``); neither depends on the scale of A or L.
 The form is the p-column operator ``Q_perp^T A L^+``, W_0 R_0^-1 and
 G = L^+ - W_0 R_0^-1 Q_0^T A L^+; when L^+ is exactly I_n
 (``ScalingOperator.inverse_is_identity``) G is None and no product with L^+
 is made.  ``gsvd`` takes one thin SVD (``gesdd``) of the operator, which
 gives the zeta_i, U's leading block and, since L L^+ = I_p, V itself; then
-X = [G V diag(mu), W_0 R_0^-1].  Completeness is decided by
-``scaling.completeness_holds`` from bounds on the singular values of [A; L]
-taken from ||X||_F and the norms of A and L; the exact singular values of
-[A; L] are computed only when the bounds cannot decide.
+X = [G V diag(mu), W_0 R_0^-1].
 
 ``gsvd`` serves ``lmmss gsvd`` and ``validate``; the solver factors each
 Jacobian by ``bidiagonalize`` alone.  It needs neither U, V nor X, nor even
@@ -41,8 +40,7 @@ as it applies Q's (P_B's row reflectors transposed once into columns),
 without any SVD: bisection (``stebz``) on B's p x p Gram tridiagonal B^T B,
 formed from B scaled by a power of two, gives zeta_p, and a tridiagonal
 augmented system on B (``gtsv``) gives the linearized residual and the
-step.  Its completeness bound needs no V; a pair that bound cannot decide
-is decided on the exact singular values of [J; L].
+step.
 """
 
 from __future__ import annotations
@@ -55,12 +53,23 @@ from scipy.linalg import lapack
 
 from . import _lapack
 from .errors import CompletenessViolated, DimensionMismatch, NonFiniteInput, NonpositiveLambda
-from .scaling import ScalingOperator, completeness_holds, euclidean_norm, frobenius
+from .scaling import ScalingOperator, euclidean_norm, frobenius
 
-#: The bounds accept a pair only if it passes the rule with s_min^2 divided by
-#: this factor, so rounding in X cannot accept a pair the exact singular
-#: values reject.
-_BOUND_MARGIN = 2.0
+#: For p < n, ``_standard_form`` refuses (A, L) unless sigma_min(A W_0) =
+#: sigma_min(R_0) > NULL_SPACE_RTOL ||A||_F.  For L of full row rank,
+#: N(A) ∩ N(L) = {0} exactly when A W_0 has full column rank, and W_0
+#: depends on N(L) alone, so the decision, like the step, is unchanged when
+#: A or L is scaled.  A refusal gives a unit z with ||A W_0 z|| <= this
+#: times ||A||_F, and L W_0 z = 0; an acceptance rules out a unit v with
+#: ||A v|| <= eta ||A||_2 and ||L v|| <= eta ||L||_2 for eta below about
+#: this times ``scaling.RANK_RTOL``, since sigma_p(L) > RANK_RTOL ||L||_2
+#: puts such a v within eta / RANK_RTOL of N(L).  ||A||_F (nrm2, a few
+#: ulps) exceeds ||A||_2 by at most sqrt(n), which errs toward refusal.
+#: The value sits about five decades from both sides: an exactly deficient
+#: pair (I - 1 1^T / n with d2) reads 9.5e-16 at n = 48 and 6.6e-14 at
+#: n = 1024 from rounding, which RANK_RTOL = 1e-12 would clear by only 15x,
+#: and the bundled problems at x0 read 0.137-0.82 (n = 32-512, d1 and d2).
+NULL_SPACE_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +153,10 @@ def _standard_form(A, L: ScalingOperator):
     W_0 R_0^-1 and G = L^+ - W_0 R_0^-1 Q_0^T A L^+.  For p = n there is no
     QR: ``(None, None, A L^+, L^+, n x 0 array)``.  When L^+ is exactly I_n,
     A itself stands for A L^+ and G is None, so no product with L^+ is made.
-    An exact zero on R_0's diagonal (A W_0 singular) refuses the pair here,
-    on the exact singular values of [A; L] (CompletenessViolated).
+    Completeness is decided here (CompletenessViolated), as L's rank was by
+    the ScalingOperator: nothing is left for p = n, and for p < n
+    ``NULL_SPACE_RTOL`` decides on R_0.  A W_0 R_0^-1 that overflows (||A||_F
+    below about 1e-300) is refused too.
     """
     k = L.n - L.p
     AL = A if L.inverse_is_identity else A @ L.right_inverse
@@ -153,11 +164,20 @@ def _standard_form(A, L: ScalingOperator):
         G = None if L.inverse_is_identity else L.right_inverse
         return None, None, AL, G, np.empty((L.n, 0))
     qr, tau, _, _ = lapack.dgeqrf(A @ L.null_basis, overwrite_a=1)
-    # R_0 is the upper k x k triangle of qr; W_0 R_0^-1 = (R_0^-T W_0^T)^T
-    R0invT_W0T, info = lapack.dtrtrs(qr, L.null_basis.T, trans=1)
+    # R_0 is the upper k x k triangle of qr
+    _, s, _, info = lapack.dgesdd(np.triu(qr[:k, :k]), compute_uv=0)
     if info > 0:
-        _require_complete(A, L.matrix, usable=False)
-    W0_R0inv = R0invT_W0T.T
+        raise np.linalg.LinAlgError("SVD did not converge")
+    a_norm = frobenius(A)
+    if not s[-1] > NULL_SPACE_RTOL * a_norm:
+        ratio = s[-1] / a_norm if a_norm else 0.0
+        raise CompletenessViolated(
+            f"N(A) and N(L) intersect: sigma_min(A W_0) / ||A||_F = {ratio:.3e}"
+        )
+    # W_0 R_0^-1 = (R_0^-T W_0^T)^T
+    W0_R0inv = lapack.dtrtrs(qr, L.null_basis.T, trans=1)[0].T
+    if not np.isfinite(W0_R0inv).all():
+        raise CompletenessViolated("N(A) and N(L) intersect: W_0 R_0^-1 is not finite")
     QtAL = _apply_q("T", qr, tau, AL)
     return qr, tau, QtAL[k:], L.right_inverse - W0_R0inv @ QtAL[:k], W0_R0inv
 
@@ -169,10 +189,8 @@ def gsvd(A, L) -> GsvdFactors:
     when p = n) and one thin SVD of its ``Q_perp^T A L^+``, whose right
     factor is V; L^+ and W_0 are the ScalingOperator's ``right_inverse`` and
     ``null_basis``.  The factors do not depend on the memory layout of A.
-    Completeness is decided by ``scaling.completeness_holds``: first by
-    ``_norm_bound_complete`` on ||X||_F, and on the exact singular values of
-    [A; L] only when that bound cannot prove the rule.  A raw L array is
-    wrapped in a ScalingOperator, which checks its shape, entries and rank.
+    Completeness is decided in ``_standard_form``, scale-free.  A raw L array
+    is wrapped in a ScalingOperator, which checks its shape, entries and rank.
 
     Parameters
     ----------
@@ -188,8 +206,8 @@ def gsvd(A, L) -> GsvdFactors:
     RankDeficientL
         If L does not have full row rank.
     CompletenessViolated
-        If the stacked pair [A; L] fails the completeness rule, i.e. the
-        null spaces of A and L intersect numerically.
+        If the null spaces of A and L intersect numerically (for p < n,
+        sigma_min(A W_0) <= ``NULL_SPACE_RTOL`` ||A||_F), or W_0 R_0^-1 overflows.
     numpy.linalg.LinAlgError
         If the SVD does not converge ("SVD did not converge").
     """
@@ -210,10 +228,9 @@ def gsvd(A, L) -> GsvdFactors:
     sigma = zeta * mu
     Vmu = V * mu
 
-    # X = [G V diag(mu), W_0 R_0^-1].  It comes before the completeness
-    # decision because its norm bounds s_min.  Its first block is
-    # C-contiguous for every G: the layout of X sets the rounding of every
-    # later X @ v, and Vmu itself is strided like V.
+    # X = [G V diag(mu), W_0 R_0^-1].  Its first block is C-contiguous for
+    # every G: the layout of X sets the rounding of every later X @ v, and
+    # Vmu itself is strided like V.
     GVmu = np.ascontiguousarray(Vmu) if G is None else G @ Vmu
     if not k:
         U, X = Ub, GVmu
@@ -224,51 +241,7 @@ def gsvd(A, L) -> GsvdFactors:
         U[:k, p:] = np.eye(k)
         U = _apply_q("N", qr, tau, U, overwrite=True)
         X = np.hstack([GVmu, W0_R0inv])
-    # ||X||_F >= ||X||_2; nrm2 passes a NaN or infinite entry on, which
-    # leaves the bound undecided.
-    if not _norm_bound_complete(np.hypot(frobenius(A), L.spectral_norm), frobenius(X)):
-        # A pair that passes the rule has a finite X in exact arithmetic; one
-        # whose X is unusable anyway is refused rather than returned.
-        _require_complete(A, L.matrix, usable=np.isfinite(X).all())
-
     return GsvdFactors(U=U, V=V, X=X, sigma=sigma, mu=mu)
-
-
-def _require_complete(A, Lmat, usable: bool = True):
-    """Raise CompletenessViolated unless the exact singular values of [A; L] pass the rule.
-
-    A pair that passes is still refused when ``usable`` is False.  The values
-    are those of the stacked [A; L], not the reciprocals of those of X: X can
-    be ill-conditioned where [A; L] is not, and the tests check every refusal
-    against the stacked values.
-    """
-    s = np.linalg.svd(np.vstack([A, Lmat]), compute_uv=False)
-    if not completeness_holds(s) or not usable:
-        with np.errstate(over="ignore"):  # a refused pair can have s_min above 1e154
-            s_min_sq = s[-1] ** 2
-        raise CompletenessViolated(f"N(A) and N(L) intersect: s_min^2 = {s_min_sq:.3e}")
-
-
-def _norm_bound_complete(s_max_up, x_norm_up) -> bool:
-    """Whether bounds on the singular values of [A; L] prove the completeness rule.
-
-    [A; L] X has orthonormal columns for the GSVD's X, so s_min = 1 / ||X||_2,
-    and the caller passes ``x_norm_up >= ||X||_2`` and
-    ``s_max_up = hypot(||A||_F, ||L||_2) >= s_max``, since
-    ||[A; L]||_2 <= hypot(||A||_2, ||L||_2).  The bounds go through
-    ``completeness_holds`` with s_min^2 divided by ``_BOUND_MARGIN``.  A NaN
-    or infinite ``x_norm_up`` (nrm2 passes a NaN or infinite entry on) is
-    undecided: False.
-
-    Rounding: ||L||_2 is ``ScalingOperator.spectral_norm``, the largest
-    singular value from ``svdvals``, which can fall a few ulps below the true
-    one; the nrm2 norms of A and X are rounded too.  An s_max understated by
-    a relative eps lowers the rule's threshold by at most that eps, while the
-    margin raises it by a factor sqrt(2), so rounding this small cannot
-    accept a pair the exact singular values reject.
-    """
-    s_min_low = 1.0 / (np.sqrt(_BOUND_MARGIN) * x_norm_up)
-    return completeness_holds((s_max_up, s_min_low))
 
 
 class BidiagonalFactors:
@@ -495,40 +468,17 @@ def bidiagonalize(J, L) -> BidiagonalFactors:
     """Factor the pair (J, L) by one Householder bidiagonalization (``dgebrd``).
 
     Per call: ``_standard_form``, which ``gsvd`` takes too (for p < n a QR
-    of J W_0 kept as reflectors; it refuses a singular J W_0), and one
-    ``dgebrd`` of its (m - k) x p operator Q_perp^T J L^+.  Input is checked
-    as ``gsvd`` checks it.
-
-    Completeness needs no V: ``_x_norm_bound`` bounds ||X||_2 from the
-    form's G and W_0 R_0^-1 (1 for L = I), and that bound and
-    s_max <= hypot(||J||_F, ||L||_2) go through ``_norm_bound_complete``.  G
-    forms X's first block in ``gsvd`` too, so the rounding argument there
-    holds here.  A pair the bound cannot decide (as for d2 at n = 512 or
-    ||J||_F above about 5e4 with L = I) is decided on the exact singular
-    values of [J; L] (``_require_complete``), which refuse it with the
-    CompletenessViolated message ``gsvd`` gives.
+    of J W_0 kept as reflectors, on whose triangle it decides completeness),
+    and one ``dgebrd`` of its (m - k) x p operator Q_perp^T J L^+.  Input is
+    checked as ``gsvd`` checks it, and a pair is refused as ``gsvd`` refuses
+    it, with the same CompletenessViolated message.
 
     Raises what ``gsvd`` raises on its input and on a refused pair.
     """
     a, L = _checked_pair(J, L)
     qr, tau, abar, G, W0_R0inv = _standard_form(a, L)
-    if not _norm_bound_complete(np.hypot(frobenius(a), L.spectral_norm),
-                                _x_norm_bound(G, W0_R0inv)):
-        _require_complete(a, L.matrix)
     abar = np.array(abar, order="F")  # a copy: dgebrd overwrites it
     return BidiagonalFactors(a.shape, abar, _lapack.dgebrd(abar), qr, tau, G, W0_R0inv)
-
-
-def _x_norm_bound(G, W0_R0inv) -> float:
-    """An upper bound on ||X||_2, for the GSVD's X of the pair, that needs no V.
-
-    X = [G V diag(mu), W_0 R_0^-1] with ``_standard_form``'s G, V orthogonal
-    and mu_i <= 1, so ||X||_2 <= hypot(||G||_F, ||W_0 R_0^-1||_F); for
-    L^+ = I (G None, k = 0) X = V diag(mu) and the bound is 1 exactly.
-    """
-    if G is None:
-        return 1.0
-    return float(np.hypot(frobenius(G), frobenius(W0_R0inv)))
 
 
 def generalized_singular_values(f: GsvdFactors) -> np.ndarray:

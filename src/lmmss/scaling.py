@@ -1,4 +1,4 @@
-"""Scaling operators for seminorm regularization and the completeness rule.
+"""Scaling operators for seminorm regularization.
 
 A scaling operator is a p-by-n matrix L with full row rank, 1 <= p <= n.  It
 induces the seminorm ``||v||_L = ||L v||_2``, which vanishes exactly on the
@@ -34,9 +34,9 @@ class ScalingOperator:
     records whether ``right_inverse`` came out exactly I_n (as it does for
     L = I_n), so that ``gsvd._standard_form`` skips the products with it for
     both; it is read off the matrix, not off ``kind``.  ``spectral_norm`` is
-    ||L||_2, the largest singular value of R_L from the rank check, which
-    bounds s_max in the completeness decisions and enters
-    ``diagnostics.check_euclidean_bound``.  The derived fields cannot be set.
+    ||L||_2, the largest singular value of R_L from the rank check; its one
+    reader is ``diagnostics.check_euclidean_bound``.  The derived fields
+    cannot be set.
     Instances compare and hash by identity.
     """
 
@@ -176,15 +176,3 @@ def seminorm(L: ScalingOperator, v) -> float:
     if v.shape != (L.n,):
         raise DimensionMismatch(f"expected vector of length {L.n}, got shape {v.shape}")
     return euclidean_norm(L.matrix @ v)
-
-
-def completeness_holds(s) -> bool:
-    """The completeness rule on the singular values ``s`` of [J; L], largest first.
-
-    N(J) ∩ N(L) = {0} numerically when s_min^2 (the smallest eigenvalue of
-    J^T J + L^T L) exceeds 1e-10 (1 + 2 s_max^2) >= 1e-10 (1 + ||J||^2 + ||L||^2).
-    It is compared as s_min > 1e-5 hypot(1, s_max, s_max), so that no
-    singular value is squared and a pair with large entries does not overflow.
-    """
-    return bool(s[-1] > 1e-5 * math.hypot(1.0, s[0], s[0]))
-

@@ -5,10 +5,11 @@ the generalized singular values come from a symmetric-definite eigenvalue
 problem, Jacobian checks from central differences, the LM step and the
 q-condition residual from a stacked least-squares solve.  ``gsvd_reference``
 is the exception: the earlier stacked-QR form of ``lmmss.gsvd``, kept to
-check that the library still makes the same completeness decisions and
-computes the same sigma and mu.  ``SpectralOracle`` reads only ``gsvd``'s
-public factors, to check the bidiagonal route's damping search and step
-against the spectral sums of the GSVD.
+check that the library still computes the same sigma and mu, with a
+completeness decision of its own against the library's ``NULL_SPACE_RTOL``.
+``SpectralOracle`` reads only ``gsvd``'s public factors, to check the
+bidiagonal route's damping search and step against the spectral sums of the
+GSVD.
 """
 
 from dataclasses import fields
@@ -25,8 +26,7 @@ from lmmss import (
     RunRecord,
     ScalingOperator,
 )
-from lmmss.gsvd import gsvd
-from lmmss.scaling import completeness_holds
+from lmmss.gsvd import NULL_SPACE_RTOL, gsvd
 
 
 def pencil_gsv_squared(A, L):
@@ -49,19 +49,25 @@ def pencil_gsv_squared(A, L):
 def gsvd_reference(A, L):
     """``lmmss.gsvd`` by a QR of [A; L] and a cosine-sine split of Q.
 
-    It decides completeness from the exact singular values of the stacked R
-    factor before anything else and fixes signs one column at a time.  The
-    library must reach the same decision with the same error message, and
-    the same sigma and mu up to rounding.
+    It decides completeness before anything else, on its own basis of N(L)
+    (``scipy.linalg.null_space``): for p < n the pair is refused unless
+    sigma_min(A N) > ``NULL_SPACE_RTOL`` ||A||_F, and for p = n it is
+    accepted.  Signs are fixed one column at a time.  The library must reach
+    the same decision, and the same sigma and mu up to rounding.
     """
     A = np.asarray(A, dtype=float)
     Lmat = np.asarray(L, dtype=float)
     m, n = A.shape
     p = ScalingOperator(Lmat).p
+    if p < n:
+        s_min = np.linalg.svd(A @ scipy.linalg.null_space(Lmat), compute_uv=False)[-1]
+        a_norm = np.linalg.norm(A)
+        if not s_min > NULL_SPACE_RTOL * a_norm:
+            ratio = s_min / a_norm if a_norm else 0.0
+            raise CompletenessViolated(
+                f"N(A) and N(L) intersect: sigma_min(A W_0) / ||A||_F = {ratio:.3e}"
+            )
     Q, R = np.linalg.qr(np.vstack([A, Lmat]))
-    s = np.linalg.svd(R, compute_uv=False)
-    if not completeness_holds(s):
-        raise CompletenessViolated(f"N(A) and N(L) intersect: s_min^2 = {s[-1] ** 2:.3e}")
     V, mu, Wt = np.linalg.svd(Q[m:], full_matrices=True)
     W = Wt.T
     U, Ru = np.linalg.qr(Q[:m] @ W)

@@ -10,10 +10,9 @@ from lmmss import (
     seminorm,
     validate,
 )
-from lmmss.gsvd import gsvd
+from lmmss.gsvd import bidiagonalize, gsvd
 from lmmss.scaling import (
     ScalingOperator,
-    completeness_holds,
     euclidean_norm,
     first_difference,
     frobenius,
@@ -237,34 +236,26 @@ def test_seminorm_vanishes_exactly_on_null_space():
     assert seminorm(L, np.full(6, -1.3)) == 0.0
 
 
-def stacked_singular_values(J, L):
-    """Singular values of [J; L], largest first: the input of the exact rule."""
-    return np.linalg.svd(np.vstack([J, L.matrix]), compute_uv=False)
+def assert_complete(J, L, holds):
+    """Both factorizations accept (J, L) when ``holds``, and both refuse it otherwise."""
+    for factor in (gsvd, bidiagonalize):
+        if holds:
+            factor(J, L)
+        else:
+            with pytest.raises(CompletenessViolated):
+                factor(J, L)
 
 
 def test_completeness_identity_pair():
-    J, L = np.eye(2), identity(2)
-    s = stacked_singular_values(J, L)
-    assert completeness_holds(s)
-    assert s[-1] ** 2 == pytest.approx(2.0)
-    gsvd(J, L)
+    assert_complete(np.eye(2), identity(2), True)
 
 
 def test_completeness_complementary_pair():
-    J, L = np.array([[1.0, 0.0], [0.0, 0.0]]), from_matrix([[0.0, 1.0]])
-    s = stacked_singular_values(J, L)
-    assert completeness_holds(s)
-    assert s[-1] ** 2 == pytest.approx(1.0)
-    gsvd(J, L)
+    assert_complete(np.array([[1.0, 0.0], [0.0, 0.0]]), from_matrix([[0.0, 1.0]]), True)
 
 
 def test_completeness_shared_null_vector():
-    J, L = np.array([[1.0, 0.0], [0.0, 0.0]]), from_matrix([[1.0, 0.0]])
-    s = stacked_singular_values(J, L)
-    assert not completeness_holds(s)
-    assert s[-1] ** 2 == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(CompletenessViolated):
-        gsvd(J, L)
+    assert_complete(np.array([[1.0, 0.0], [0.0, 0.0]]), from_matrix([[1.0, 0.0]]), False)
 
 
 def test_completeness_fewer_rows_than_unknowns():
@@ -273,10 +264,7 @@ def test_completeness_fewer_rows_than_unknowns():
         gsvd(np.ones((1, 4)), from_matrix(np.eye(4)[:2]))
     # a square J whose rows span one direction: [J; L] has rank 3 < 4, so
     # N(J) ∩ N(L) cannot be trivial
-    J, L = np.ones((4, 4)), from_matrix(np.eye(4)[:2])
-    assert not completeness_holds(stacked_singular_values(J, L))
-    with pytest.raises(CompletenessViolated):
-        gsvd(J, L)
+    assert_complete(np.ones((4, 4)), from_matrix(np.eye(4)[:2]), False)
 
 
 def test_completeness_shape_check():
@@ -301,12 +289,7 @@ def test_first_difference_completeness_random_and_adversarial():
     n = 8
     L = first_difference(n)
     for _ in range(10):
-        J = rng.standard_normal((n, n))
-        assert completeness_holds(stacked_singular_values(J, L))
-        gsvd(J, L)
+        assert_complete(rng.standard_normal((n, n)), L, True)
     # J annihilating constants shares the null space of the stencil
     B = rng.standard_normal((n, n))
-    J = B @ (np.eye(n) - np.full((n, n), 1.0 / n))
-    assert not completeness_holds(stacked_singular_values(J, L))
-    with pytest.raises(CompletenessViolated):
-        gsvd(J, L)
+    assert_complete(B @ (np.eye(n) - np.full((n, n), 1.0 / n)), L, False)

@@ -20,7 +20,7 @@ from lmmss import (
     solve,
 )
 from lmmss.gsvd import _BidiagonalSplit, bidiagonalize, gsvd
-from lmmss.scaling import completeness_holds, first_difference, from_matrix, from_spec, identity
+from lmmss.scaling import first_difference, from_matrix, from_spec, identity
 from helpers import (
     assert_runs_bitwise_equal,
     in_range_residual,
@@ -717,39 +717,36 @@ class TestLambdaContinuity:
 
 
 class TestCompletenessRule:
-    # [J; L] has singular values 1 and t, so the rule
-    # s_min^2 > 1e-10 (1 + 2 s_max^2) reads t^2 > 3e-10.
+    # [J; L] has singular values 1 and t, but N(L) = span(e_1) and J e_1 =
+    # e_1, so the pair is complete at every t.  A floor on the stacked values,
+    # s_min^2 > 1e-10 (1 + 2 s_max^2), would read t^2 > 3e-10 and refuse
+    # two of these pairs; the rule on J W_0 accepts all three, as the
+    # hypothesis N(J) ∩ N(L) = {0} does.
     @pytest.mark.parametrize(
-        "t2, holds",
+        "t2, above_floor",
         [
             (3.003e-10, True),
             (2.997e-10, False),
-            (2.5e-10, False),  # accepted by the earlier normal-equations rule
+            (2.5e-10, False),
         ],
     )
-    def test_gsvd_check_and_solve_agree(self, t2, holds):
+    def test_gsvd_check_and_solve_agree(self, t2, above_floor):
         u = np.sqrt(t2 / 2.0)
         J = np.array([[1.0, 0.0], [0.0, u]])
         L = from_matrix([[0.0, u]])
-        # the earlier rule, gamma > 1e-10 (1 + ||J||^2 + ||L||^2), passed all three
-        assert t2 > 1e-10 * (1.0 + np.linalg.norm(J, 2) ** 2 + np.linalg.norm(L.matrix, 2) ** 2)
-        # the exact rule, on the singular values of [J; L]
         s = np.linalg.svd(np.vstack([J, L.matrix]), compute_uv=False)
         assert s[-1] ** 2 == pytest.approx(t2, rel=1e-12)
-        assert completeness_holds(s) is holds
+        assert bool(s[-1] ** 2 > 1e-10 * (1.0 + 2.0 * s[0] ** 2)) is above_floor
+        gsvd(J, L)
+        r = np.array([1.0, -1.0])
+        np.testing.assert_allclose(bidiagonalize(J, L).split(r).step(0.5),
+                                   lm_step_reference(J, r, L, 0.5), rtol=1e-12)
         prob = InverseProblem(
             name="near-floor", eval_F=lambda x: J @ x, eval_J=lambda x: J,
             n=2, y_exact=np.array([1.0, 1.0]),
         )
         cfg = SolverConfig(q=0.5, tau=2.5, max_iter=3)
-        if holds:
-            gsvd(J, L)
-            assert solve(prob, None, L, np.zeros(2), cfg).stop_reason == "max_iter"
-        else:
-            with pytest.raises(lmmss.CompletenessViolated):
-                gsvd(J, L)
-            with pytest.raises(lmmss.CompletenessViolated, match="^iterate 0: "):
-                solve(prob, None, L, np.zeros(2), cfg)
+        assert solve(prob, None, L, np.zeros(2), cfg).stop_reason == "max_iter"
 
 
 @pytest.mark.parametrize("seed", [1, 2])
