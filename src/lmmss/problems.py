@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -244,44 +243,46 @@ def _conductivity_halfpoints(a: np.ndarray) -> np.ndarray:
     return am
 
 
-def _conductivity_solve(am: np.ndarray, rhs):
-    # Symmetric positive definite tridiagonal solve by LAPACK ptsv, the routine
-    # scipy.linalg.solveh_banded calls for a two-row band, without its checks:
-    # a NaN or infinite conductivity gives a non-finite result, which the
-    # evaluation guard reports.
-    n = am.size - 1
-    _, _, x, info = scipy.linalg.lapack.dptsv(am[:n] + am[1:], -am[1:n], rhs)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
-    return x
+def _resistance_solve(CR: np.ndarray, Rw: np.ndarray) -> np.ndarray:
+    # T^-1 diff(w) from the partial sums CR of the resistances and R w
+    # (problem_coefficient_identification).
+    CRw = Rw.cumsum()
+    return CR[:-1] * (CRw[-1] / CR[-1]) - CRw[:-1]
+
+
+def _conductivity_forward(am: np.ndarray, S: np.ndarray):
+    # The resistances R = 1/am, their partial sums and u = T^-1 diff(S).  A
+    # NaN or infinite am makes R NaN or 0 and u finite, so it is refused.
+    R = 1.0 / am
+    if not (R > 0.0).all():
+        raise EvaluationFailure("conductivity is NaN or infinite")
+    CR = R.cumsum()
+    return R, CR, _resistance_solve(CR, R * S)
 
 
 def problem_coefficient_identification(n: int) -> InverseProblem:
     """Recover a 1-D conductivity profile from interior solution values.
 
-    Steady state ``-(a u')' = f`` on (0, 1) with homogeneous Dirichlet
+    The steady equation ``-(a u')' = f`` on (0, 1) with homogeneous Dirichlet
     boundary, discretized by finite differences on n interior nodes; the
     unknowns are the nodal conductivities a_i (flux points by averaging,
-    constant extension at the boundary).  The forward map solves the
-    tridiagonal system T(a) u = h^2 f by LAPACK ptsv; J and J v solve
-    nothing further.
-
-    The derivative is the sensitivity ``J(a) V = T^-1 diff(flux * halfpoints(V))``
-    with flux the differences of u (differentiate T u = -diff(am * flux) =
-    h^2 f), and it has a closed form.  T = D^T diag(am) D with D the
-    difference onto the flux points, so x = T^-1 diff(w) solves
-    am * D x = c - w for the constant c that makes the right boundary
-    value 0: x = cumsum(R * (c - w))[:n] with the resistances R = 1/am and
-    c = sum(R w) / sum(R).  ``J v`` evaluates it at w = flux * halfpoints(v)
-    as cumsum(R)[:n] c - cumsum(R w)[:n], c the ratio of the two last
-    partial sums.  J evaluates it at V = I, where halfpoints(I) has two
-    nonzeros per column, on the diagonal and below it, so the partial sums of
-    R w are known: J = outer(cumsum(R)[:n], c) - S, with S_ij = 0 above the
-    diagonal, top_j on it and top_j + bottom_j below it, top and bottom the
-    two nonzeros of column j of R w.  Column j has the bytes of ``J e_j``.
-    The weights of halfpoints(I) and the strictly lower mask do not depend on
-    a, so they are built once per problem, read-only.  Evaluation fails when
-    any a_i drops to the positivity floor ``A_MIN``.
+    constant extension at the boundary).  T = D^T diag(am) D, D the difference
+    onto the flux points, so T^-1 diff(w) = cumsum(R * (c - w))[:n] =
+    cumsum(R)[:n] c - cumsum(R w)[:n] with the resistances R = 1/am and the
+    c = sum(R w) / sum(R) that makes the right boundary value 0.  F, J and
+    J v are this one expression, which solves nothing and adds no two
+    conductivities.  F takes w = S = [0, cumsum(h^2 f)], so diff(S) = h^2 f.
+    The derivative is ``J(a) V = T^-1 diff(flux * halfpoints(V))``, flux the
+    differences of u, so ``J v`` takes w = flux * halfpoints(v).  J takes
+    V = I, where halfpoints(I) has two nonzeros per column, on the
+    diagonal and below it, so the partial sums of R w are known:
+    J = outer(cumsum(R)[:n], c) - P, with P_ij = 0 above the diagonal, top_j
+    on it and top_j + bottom_j below it, top and bottom the two nonzeros of
+    column j of R w.  Column j has the bytes of ``J e_j``.  The weights of
+    halfpoints(I) and the strictly lower mask do not depend on a, so they are
+    built once per problem, read-only.  Evaluation fails when any a_i drops
+    to the positivity floor ``A_MIN`` (NonpositiveCoefficient) or is NaN or
+    infinite (EvaluationFailure).
 
     The source ``f = 4 pi^2 cos(2 pi t)`` makes the flux vanish at the
     boundary, so the solution is least sensitive to boundary-adjacent
@@ -292,7 +293,7 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
     h = 1.0 / (n + 1)
     t = np.arange(1, n + 1) * h
     f = 4.0 * np.pi**2 * np.cos(2.0 * np.pi * t)
-    rhs = h * h * f
+    S = np.concatenate(([0.0], (h * h * f).cumsum()))
     identity_halfpoints = _conductivity_halfpoints(np.eye(n))
     halfpoint_weights = np.stack(
         [identity_halfpoints.diagonal(), identity_halfpoints[1:].diagonal()]
@@ -301,27 +302,23 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
     halfpoint_weights.flags.writeable = False
     strictly_lower.flags.writeable = False
 
-    def state(a):
-        # Flux-point conductivities and the forward solution.
+    def forward(a):
         if (a <= A_MIN).any():
             raise NonpositiveCoefficient(f"conductivity at or below {A_MIN}")
-        am = _conductivity_halfpoints(a)
-        return am, _conductivity_solve(am, rhs)
+        return _conductivity_forward(_conductivity_halfpoints(a), S)
 
     def resistances(a):
-        # The partial sums of the resistances R = 1/am (the last is sum(R)),
-        # and R * flux, flux the differences of the forward solution.
-        am, u = state(a)
+        # The partial sums of the resistances (the last is sum(R)), and
+        # R * flux, flux the differences of u.
+        R, CR, u = forward(a)
         flux = np.empty(n + 1)
         flux[0], flux[n] = u[0], -u[-1]
         np.subtract(u[1:], u[:-1], out=flux[1:n])
-        R = 1.0 / am
-        return R.cumsum(), R * flux
+        return CR, R * flux
 
     def eval_jvp(a, v):
         CR, Rflux = resistances(a)
-        CRw = (Rflux * _conductivity_halfpoints(v)).cumsum()
-        return CR[:n] * (CRw[n] / CR[n]) - CRw[:n]
+        return _resistance_solve(CR, Rflux * _conductivity_halfpoints(v))
 
     def eval_J(a):
         # Column j of R w is top_j in row j and bottom_j in row j + 1, so every
@@ -338,10 +335,10 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
     a_dag = 1.0 + 0.5 * np.sin(np.pi * t)
     return InverseProblem(
         name="coefficient",
-        eval_F=lambda a: state(a)[1],
+        eval_F=lambda a: forward(a)[2],
         eval_J=eval_J,
         n=n,
-        y_exact=state(a_dag)[1],
+        y_exact=forward(a_dag)[2],
         x_dagger=a_dag,
         domain_hint=Box(lower=np.full(n, 0.05), upper=np.full(n, np.inf)),
         x0_default=np.ones(n),

@@ -203,8 +203,9 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
     Stop reasons: ``discrepancy``, ``res_tol``, ``stagnation``, ``max_iter``
     and ``qcond_unsolvable_hard`` (the search's ZeroGradient: J^T r = 0 at
     r != 0, once the pair passed its completeness check and k < ``max_iter``).
-    Any other LmmssError from a step's factorization or damping selection is
-    re-raised as the same type with its message prefixed by ``iterate k:``.
+    Any other LmmssError raised while working on iterate k (evaluating F or
+    J, factoring, selecting the damping, stepping) is re-raised as the same
+    type with its message prefixed by ``iterate k:``.
 
     ``stagnation`` (exact mode only): the search ends with
     ``"fallback-floor"``, omega(floor) >= q ||r||.  omega is nondecreasing,
@@ -234,35 +235,35 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
     stop = None
     res = np.inf
     for k in range(cfg.max_iter + 1):
-        r = problem.evaluate_F(x) - y
-        res = euclidean_norm(r)
-        if res_tol is None:
-            res_tol = 1e-10 * res
-        if noisy and res <= cfg.tau * delta:
-            stop = "discrepancy"
-            break
-        if not noisy and res <= res_tol:
-            stop = "res_tol"
-            break
-        if k == cfg.max_iter:
-            stop = "max_iter"
-            break
-        J = problem.evaluate_J(x)
         try:
+            r = problem.evaluate_F(x) - y
+            res = euclidean_norm(r)
+            if res_tol is None:
+                res_tol = 1e-10 * res
+            if noisy and res <= cfg.tau * delta:
+                stop = "discrepancy"
+                break
+            if not noisy and res <= res_tol:
+                stop = "res_tol"
+                break
+            if k == cfg.max_iter:
+                stop = "max_iter"
+                break
+            J = problem.evaluate_J(x)
             if not np.array_equal(J, J_factored):
                 factors = bidiagonalize(J, L)
                 np.copyto(J_factored, J)  # eval_J may hand back one buffer it rewrites
             split = factors.split(r)
             lam, kind, omega_evals = select_lambda_q(split, cfg)
+            if not noisy and kind == "fallback-floor":
+                stop = "stagnation"
+                break
+            d = split.step(lam)
         except ZeroGradient:
             stop = "qcond_unsolvable_hard"
             break
         except LmmssError as exc:
             raise type(exc)(f"iterate {k}: {exc}") from exc
-        if not noisy and kind == "fallback-floor":
-            stop = "stagnation"
-            break
-        d = split.step(lam)
         lin_res = euclidean_norm(r + J @ d)
         trace.append(
             IterateRecord(

@@ -190,15 +190,21 @@ def central_diff_jacobian(F, x, step=None):
     return np.column_stack(cols)
 
 
-def coefficient_sensitivity_reference(a, u, V):
-    """The coefficient problem's ``J(a) V`` by tridiagonal elimination in np.longdouble.
+def _halfpoints_ld(x):
+    # flux-point values in np.longdouble, as lmmss.problems averages them
+    n = len(x)
+    xm = np.empty((n + 1,) + x.shape[1:], dtype=np.longdouble)
+    xm[0], xm[n] = x[0], x[-1]
+    xm[1:n] = (x[:-1] + x[1:]) / 2
+    return xm
 
-    ``J(a) V = T(a)^-1 diff(flux * halfpoints(V))``, flux the differences of
-    the forward solution ``u`` (taken as given, so this checks the
-    sensitivity and not the forward solve) and T(a) the tridiagonal matrix
-    with diagonal am_i + am_{i+1} and off-diagonal -am_{i+1}, am the
-    flux-point conductivities.  V is one direction or a matrix of them along
-    the first axis.  T is symmetric positive definite, so the elimination is
+
+def _conductivity_elimination(a, y):
+    """Solve T(a) x = y in np.longdouble, y one right-hand side or several along the second axis.
+
+    T(a) is the coefficient problem's tridiagonal matrix, with diagonal
+    am_i + am_{i+1} and off-diagonal -am_{i+1}, am the flux-point
+    conductivities.  T is symmetric positive definite, so the elimination is
     LDL^T without pivoting.  Its pivots come from the recurrence
     d_i = am_{i+1} + g_i, g_0 = am_0, g_{i+1} = am_{i+1} g_i / d_i (g_i is the
     series conductivity of everything left of node i), not from
@@ -208,21 +214,10 @@ def coefficient_sensitivity_reference(a, u, V):
     1e-3..1e3 conductivity profile at n = 128.  The recurrence subtracts
     nothing.
     """
-    ld = np.longdouble
-    a = np.asarray(a, dtype=ld)
-    n = a.size
-
-    def halfpoints(x):
-        xm = np.empty((n + 1,) + x.shape[1:], dtype=ld)
-        xm[0], xm[n] = x[0], x[-1]
-        xm[1:n] = (x[:-1] + x[1:]) / 2
-        return xm
-
-    am = halfpoints(a)
-    ue = np.concatenate(([0.0], np.asarray(u, dtype=float), [0.0])).astype(ld)
-    w = (halfpoints(np.asarray(V, dtype=ld)).T * (ue[1:] - ue[:-1])).T
-    y = w[1:] - w[:-1]
-    d = np.empty(n, dtype=ld)
+    am = _halfpoints_ld(np.asarray(a, dtype=np.longdouble))
+    y = np.array(y, dtype=np.longdouble)
+    n = y.shape[0]
+    d = np.empty(n, dtype=np.longdouble)
     g = am[0]
     for i in range(n):
         d[i] = am[i + 1] + g
@@ -234,6 +229,31 @@ def coefficient_sensitivity_reference(a, u, V):
     for i in range(n - 2, -1, -1):
         x[i] = (y[i] + am[i + 1] * x[i + 1]) / d[i]
     return x
+
+
+def coefficient_forward_reference(a):
+    """The coefficient problem's forward solution ``T(a)^-1 h^2 f`` in np.longdouble.
+
+    The source h^2 f is formed in double as ``problem_coefficient_identification``
+    forms it, so this checks the solve and not the source.
+    """
+    n = len(a)
+    h = 1.0 / (n + 1)
+    t = np.arange(1, n + 1) * h
+    return _conductivity_elimination(a, h * h * (4.0 * np.pi**2 * np.cos(2.0 * np.pi * t)))
+
+
+def coefficient_sensitivity_reference(a, u, V):
+    """The coefficient problem's ``J(a) V`` by ``_conductivity_elimination``.
+
+    ``J(a) V = T(a)^-1 diff(flux * halfpoints(V))``, flux the differences of
+    the forward solution ``u`` (taken as given, so this checks the
+    sensitivity and not the forward solve).  V is one direction or a matrix
+    of them along the first axis.
+    """
+    ue = np.concatenate(([0.0], np.asarray(u, dtype=float), [0.0])).astype(np.longdouble)
+    w = (_halfpoints_ld(np.asarray(V, dtype=np.longdouble)).T * (ue[1:] - ue[:-1])).T
+    return _conductivity_elimination(a, w[1:] - w[:-1])
 
 
 def in_range_residual(rng, J, noise=0.05):

@@ -3,7 +3,6 @@ import inspect
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from lmmss import (
     DimensionMismatch,
@@ -21,8 +20,12 @@ from lmmss import (
     problem_from_files,
     problem_linear_illposed,
 )
-from lmmss.problems import A_MIN, _conductivity_halfpoints, _conductivity_solve
-from helpers import central_diff_jacobian, coefficient_sensitivity_reference
+from lmmss.problems import A_MIN, _conductivity_forward, _conductivity_halfpoints
+from helpers import (
+    central_diff_jacobian,
+    coefficient_forward_reference,
+    coefficient_sensitivity_reference,
+)
 
 ALL_NAMES = ("linear", "autoconvolution", "coefficient")
 
@@ -157,7 +160,8 @@ class TestCoefficientProblem:
         h = 1.0 / (n + 1)
         t = np.arange(1, n + 1) * h
         a0 = 1.7
-        u = _conductivity_solve(_conductivity_halfpoints(np.full(n, a0)), np.full(n, h * h))
+        S = np.arange(n + 1) * (h * h)  # the partial sums of h^2 f from 0
+        u = _conductivity_forward(_conductivity_halfpoints(np.full(n, a0)), S)[2]
         # the three-point stencil is exact for quadratics
         np.testing.assert_allclose(u, t * (1 - t) / (2 * a0), atol=1e-13)
 
@@ -185,19 +189,6 @@ class TestCoefficientProblem:
         assert norms[0] < norms[1] < norms[2]
         assert norms[-1] < norms[-2] < norms[-3]
 
-    @pytest.mark.parametrize("columns", [None, 1, 20])
-    def test_tridiagonal_solve_matches_solveh_banded(self, columns):
-        n = 20
-        rng = np.random.default_rng(3)
-        am = _conductivity_halfpoints(1.0 + rng.random(n))
-        rhs = rng.standard_normal(n if columns is None else (n, columns))
-        band = np.zeros((2, n))
-        band[0, 1:] = -am[1:n]
-        band[1, :] = am[:n] + am[1:]
-        got, want = _conductivity_solve(am, rhs), scipy.linalg.solveh_banded(band, rhs)
-        assert got.shape == want.shape
-        assert got.tobytes(order="A") == want.tobytes(order="A")
-
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(float).eps,
         reason="np.longdouble is no wider than double here: no extended-precision reference",
@@ -205,19 +196,30 @@ class TestCoefficientProblem:
     @pytest.mark.parametrize("point", ["x0", "perturbed-x-dagger", "log-uniform"])
     @pytest.mark.parametrize("n", [32, 128])
     def test_jacobian_matches_extended_precision_elimination(self, n, point):
-        # J and J v against a long-double elimination at the problem's own
-        # forward solution.  The reference's pivots subtract nothing, so its
-        # error is a small multiple of n eps_ld (eps_ld = 1.1e-19), below
-        # 1e-18 against 60-digit arithmetic at these points.  The closed form
-        # rounds R, w and c a bounded number of times and sums positive
-        # resistances, so to first order |dJ_ij| <= (i + 5) u M_ij, with
-        # u = 1.1e-16 and M = CR |c|^T + |S| where c and S are formed from
-        # |top| and |bottom|.  The normwise error is then at most
-        # (n + 5) u kappa, and kappa = ||M||_F / ||J||_F is 2.7 to 3.4 here.
-        # Rounding errors of a sum grow like sqrt(n) rather than n in
-        # practice, which puts the expected error near sqrt(n + 5) u kappa,
-        # 4.4e-15 at most; it is 7.2e-16 or less at all six points.  The 1e-14
-        # gate keeps a factor two over that estimate.
+        # F, J and J v against a long-double elimination; J and J v at the
+        # problem's own forward solution.  The reference's pivots subtract
+        # nothing, so its error is a small multiple of n eps_ld
+        # (eps_ld = 1.1e-19), below 1e-18 against 60-digit arithmetic at
+        # these points.  The closed form rounds R, w and c a bounded number
+        # of times and sums positive resistances, so to first order
+        # |dJ_ij| <= (i + 5) u M_ij, with u = 1.1e-16 and M = CR |c|^T + |P|
+        # where c and P are formed from |top| and |bottom|.  The normwise
+        # error is then at most (n + 5) u kappa, and
+        # kappa = ||M||_F / ||J||_F is 2.7 to 3.4 here.  Rounding errors of a
+        # sum grow like sqrt(n) rather than n in practice, which puts the
+        # expected error near sqrt(n + 5) u kappa, 4.4e-15 at most; it is
+        # 7.2e-16 or less at all six points.  The 1e-14 gate keeps a factor
+        # two over that estimate.
+        #
+        # F is the same expression at w = S, the partial sums of h^2 f, which
+        # change sign: the same analysis with M_i = CR_i sum(R |S|) / sum(R)
+        # + cumsum(R |S|)_i, |S| the partial sums of |h^2 f| (which also
+        # bound the rounding of S), gives kappa = ||M|| / ||u|| = 8.6 to 13.5
+        # and sqrt(n + 5) u kappa = 6.0e-15 to 1.3e-14; the error is 4.3e-16
+        # or less.  The 3e-14 gate keeps a factor two over that estimate.  A
+        # solve that assembles T's diagonal am_i + am_{i+1} rounds the smaller
+        # conductivity away and then cancels: on the log-uniform profile it
+        # is 4.3e-13 off at n = 32 and 8.6e-11 at n = 128.
         prob = problem_coefficient_identification(n)
         rng = np.random.default_rng(17)
         a = {
@@ -227,15 +229,16 @@ class TestCoefficientProblem:
         }[point]
         v = rng.standard_normal(n)
         u = prob.evaluate_F(a)
+        want = coefficient_forward_reference(a)
+        assert np.linalg.norm(u - want) <= 3e-14 * np.linalg.norm(want)
         for got, V in ((prob.evaluate_J(a), np.eye(n)), (prob.evaluate_jvp(a, v), v)):
             want = coefficient_sensitivity_reference(a, u, V)
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_nan_conductivity_is_an_evaluation_failure(self):
-        # a NaN or infinite conductivity, at the boundary or inside, makes the
-        # forward solve non-finite, and J and J v are built on it; the
-        # Jacobian's resistance 1/inf = 0 is finite, so the refusal comes from
-        # the forward solution alone
+        # a NaN or infinite conductivity, at the boundary or inside, makes a
+        # resistance NaN or 0; the resistance form would give a finite u on a
+        # zero resistance, so F, J and J v refuse it by name
         prob = problem_coefficient_identification(8)
         for value in (np.nan, np.inf):
             for where in (0, 3):
@@ -246,7 +249,7 @@ class TestCoefficientProblem:
                     prob.evaluate_J,
                     lambda x: prob.evaluate_jvp(x, np.ones(8)),
                 ):
-                    with pytest.raises(EvaluationFailure, match="returned non-finite values"):
+                    with pytest.raises(EvaluationFailure, match="^conductivity is NaN or infinite$"):
                         evaluate(bad)
 
     def test_positivity_floor(self):

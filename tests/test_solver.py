@@ -624,8 +624,24 @@ class TestSolve:
     def test_evaluation_failure_propagates(self):
         prob = make_problem("coefficient", 8)
         x0 = np.full(8, -1.0)  # below the positivity floor
-        with pytest.raises(lmmss.NonpositiveCoefficient):
+        with pytest.raises(lmmss.NonpositiveCoefficient, match="^iterate 0: conductivity"):
             solve(prob, None, identity(8), x0, SolverConfig(q=0.6, tau=3.5))
+
+    def test_step_refusal_names_the_iterate(self, monkeypatch):
+        # a refusal from the step, after the damping search, names its iterate too
+        step, calls = _BidiagonalSplit.step, []
+
+        def refuse(split, lam):  # takes step 0, refuses step 1
+            calls.append(lam)
+            if len(calls) == 1:
+                return step(split, lam)
+            raise lmmss.NonpositiveLambda("lambda must be positive and finite, got 0.0")
+
+        monkeypatch.setattr(_BidiagonalSplit, "step", refuse)
+        prob = make_problem("linear", 16)
+        data = make_noisy_data(prob.y_exact, 1e-3, seed=1)
+        with pytest.raises(lmmss.NonpositiveLambda, match="^iterate 1: lambda must be positive"):
+            solve(prob, data, identity(16), prob.x0_default, SolverConfig(q=0.6, tau=3.5))
 
     def test_noisy_zero_delta_behaves_as_exact(self):
         prob = make_problem("linear", 8)
