@@ -41,20 +41,25 @@ def dgebrd(a: np.ndarray):
     ``a = Q_B [B; 0] P_B^T`` with B upper bidiagonal.  Returns ``(d, e, tauq,
     taup)``: the diagonal and superdiagonal of B and the scalar factors of the
     reflectors of Q_B and P_B, which ``a`` now holds below and above the
-    diagonal.  ``a`` must be F-ordered float64.
+    diagonal.  ``a`` must be float64 and laid out as LAPACK reads it: F-ordered,
+    or an F-strided view (row stride 8 bytes, column stride a multiple of 8
+    and at least 8 m), whose column stride is passed as the leading dimension
+    ``lda``.  Anything else, and m < n, raises ValueError.
     """
     m, n = a.shape
-    if not (a.flags.f_contiguous and a.dtype == np.float64) or m < n:
-        raise ValueError("dgebrd needs an F-ordered float64 array with m >= n")
+    rows, cols = a.strides
+    strided = rows == 8 and cols % 8 == 0 and cols >= 8 * m
+    if a.dtype != np.float64 or not (a.flags.f_contiguous or strided) or m < n:
+        raise ValueError("dgebrd needs an F-strided float64 array with m >= n")
+    lda = cols // 8 if n > 1 else max(m, 1)  # a single column's stride is arbitrary
     d, tauq, taup = np.empty(n), np.empty(n), np.empty(n)
     e = np.empty(max(n - 1, 1))
     lwork = (m + n) * 64
     work = np.empty(lwork)
-    m_, n_, lwork_, info = (ctypes.c_int(v) for v in (m, n, lwork, 0))
+    m_, n_, lda_, lwork_, info = (ctypes.c_int(v) for v in (m, n, lda, lwork, 0))
     ref = ctypes.byref
-    _dgebrd(ref(m_), ref(n_), a.ctypes.data, ref(m_), d.ctypes.data, e.ctypes.data,
+    _dgebrd(ref(m_), ref(n_), a.ctypes.data, ref(lda_), d.ctypes.data, e.ctypes.data,
             tauq.ctypes.data, taup.ctypes.data, work.ctypes.data, ref(lwork_), ref(info))
     if info.value < 0:
         raise ValueError(f"dgebrd rejected argument {-info.value}")
     return d, e[: n - 1], tauq, taup
-

@@ -127,6 +127,7 @@ def _checked_pair(A, L):
     """
     # One layout for every input: a product of A with the few columns of W_0
     # rounds differently for C- and F-ordered A, and LAPACK reads F order.
+    # An F-ordered float A is taken as it is, any other copied once.
     A = np.asarray(A, dtype=float, order="F")
     Lmat = _as_matrix(L)
     if A.ndim != 2 or Lmat.ndim != 2:
@@ -251,8 +252,10 @@ class BidiagonalFactors:
     from the QR of J W_0 stays as reflectors) the p-column operator is
     bidiagonalized, ``Q_perp^T J L^+ = Q_B [B; 0] P_B^T``, with B upper
     bidiagonal and Q_B, P_B kept as ``dgebrd``'s reflectors, which ``ormqr``
-    applies on its unblocked path; P_B's row reflectors are transposed into
-    columns once, when the factors are made.  The form's
+    applies on its unblocked path.  ``dgebrd`` leaves them in
+    ``bidiagonalize``'s row-padded workspace; when the factors are made, Q_B's
+    are copied out once into a contiguous array and P_B's row reflectors
+    are transposed once into columns.  The form's
     W_0 R_0^-1 and G = L^+ - W_0 R_0^-1 C with C = Q_0^T J L^+ (k x p) are
     kept too; for L = I, B is J's own bidiagonal and G is None.  Neither U,
     V, X nor the SVD of B is formed; the factors answer:
@@ -283,8 +286,11 @@ class BidiagonalFactors:
 
     def __init__(self, shape, a, brd, qr, tau, G, W0_R0inv):
         (self.m, self.n), self.p = shape, a.shape[1]
-        self._a, self._qr, self._tau, self._G, self._W0_R0inv = a, qr, tau, G, W0_R0inv
+        self._qr, self._tau, self._G, self._W0_R0inv = qr, tau, G, W0_R0inv
         self._d, self._e, self._tauq, taup = brd
+        # Q_B's reflectors, below a's diagonal, contiguous: scipy's ormqr takes
+        # no leading dimension, so it would copy a strided a at every call
+        self._q_reflectors = np.asfortranarray(a)
         # P_B's reflectors, rows of a[:p-1, 1:] (ormbr's ormlq block), as ormqr's columns
         self._p_reflectors, self._taup = np.array(a[: self.p - 1, 1:].T, order="F"), taup[:-1]
         self._off = np.empty(2 * self.p - 1)  # the augmented system's off-diagonal
@@ -298,13 +304,14 @@ class BidiagonalFactors:
 
     def _apply_qb_transpose(self, c):
         """Q_B^T c, as a new array, for c of length m - k."""
-        return _apply_q("T", self._a, self._tauq, c, blocked=False)
+        return _apply_q("T", self._q_reflectors, self._tauq, c, blocked=False)
 
     def _apply_pb(self, z):
-        """P_B z, in place, for z of length p."""
+        """P_B z, as a new array, for z of length p; z is left as it is."""
+        y = z.copy()
         if self.p > 1:  # P_B = I for p = 1
-            z[1:] = _apply_q("N", self._p_reflectors, self._taup, z[1:], blocked=False)
-        return z
+            y[1:] = _apply_q("N", self._p_reflectors, self._taup, z[1:], blocked=False)
+        return y
 
 
 class _BidiagonalSplit:
@@ -341,6 +348,8 @@ class _BidiagonalSplit:
         grad = f._d * self.b  # B^T b, B upper bidiagonal
         grad[1:] += f._e * self.b[:-1]
         self.gradient_vanishes = not self.c0.any() and not grad.any()
+        self._rhs = _augmented_rhs(self.b)
+        self._solved = (None, None)  # the last (lam, z) that omega solved for
 
     def omega(self, lam, target=None):
         """``||r + J d(lam)||`` at lam; with a ``target``, ``(omega, lam_newton)``.
@@ -368,7 +377,8 @@ class _BidiagonalSplit:
         ``lam_newton`` is NaN.
         """
         f, root = self.factors, math.sqrt(lam)
-        z, t = _solve_augmented(f._off, f._sign * root, self.b)
+        z, t = _solve_augmented(f._off, f._sign * root, self._rhs)
+        self._solved = (lam, z)
         t_norm = euclidean_norm(t)
         gamma = root * t_norm
         val = float(np.hypot(self.rho_perp, gamma))
@@ -376,7 +386,7 @@ class _BidiagonalSplit:
             return val
         if not gamma:
             return val, np.nan
-        z_unit, _ = _solve_augmented(f._off, f._sign * root, t / t_norm)
+        z_unit, _ = _solve_augmented(f._off, f._sign * root, _augmented_rhs(t / t_norm))
         slope = float(lam / gamma * (z @ z_unit))
         if slope == 0.0:
             return val, np.nan
@@ -388,27 +398,40 @@ class _BidiagonalSplit:
     def step(self, lam) -> np.ndarray:
         """Solve ``(J^T J + lam L^T L) d = -J^T r``; see ``BidiagonalFactors``.
 
+        At the lam that ``omega`` last solved for, which is the damping the
+        search accepts unless it falls back, its z is reused: the solve is
+        the same, so is every bit of the step.
+
         Raises NonpositiveLambda unless lam is positive and finite.
         """
         if not 0.0 < lam < np.inf:
             raise NonpositiveLambda(f"lambda must be positive and finite, got {lam}")
         f = self.factors
-        z, _ = _solve_augmented(f._off, f._sign * math.sqrt(lam), self.b)
+        solved_lam, z = self._solved
+        if lam != solved_lam:
+            z, _ = _solve_augmented(f._off, f._sign * math.sqrt(lam), self._rhs)
         y = -f._apply_pb(z)
         if f._G is None:  # L^+ = I, so k = 0 and d = y
             return y
         return f._G @ y - f._W0_R0inv @ self.c0
 
 
-def _solve_augmented(off, diag, h):
-    """``(z, t)`` solving ``BidiagonalFactors``' augmented system for ``[h; 0]``.
+def _augmented_rhs(h):
+    """``[h; 0]`` in the augmented system's order: the (2p, 1) column (0, h_1, 0, h_2, ...)."""
+    rhs = np.zeros((2 * h.size, 1))
+    rhs[1::2, 0] = h
+    return rhs
+
+
+def _solve_augmented(off, diag, rhs):
+    """``(z, t)`` solving ``BidiagonalFactors``' augmented system for ``rhs``.
 
     ``off`` = (d_1, e_1, ..., d_p) holds B and is the system's off-diagonal;
     ``diag`` = sqrt(lam) (-1, 1, ..., -1, 1) is its diagonal, overwritten.
+    ``rhs`` comes from ``_augmented_rhs`` and is left as it is (``dgtsv``
+    copies it).
     """
-    rhs = np.zeros((diag.size, 1))
-    rhs[1::2, 0] = h
-    _, _, _, u, info = lapack.dgtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)
+    _, _, _, u, info = lapack.dgtsv(off, diag, off, rhs, overwrite_d=1)
     if info < 0:
         raise ValueError(f"dgtsv rejected argument {-info}")
     if info > 0:  # its eigenvalues are +-sqrt(zeta_i^2 + lam): only a lam lost to rounding
@@ -469,16 +492,22 @@ def bidiagonalize(J, L) -> BidiagonalFactors:
 
     Per call: ``_standard_form``, which ``gsvd`` takes too (for p < n a QR
     of J W_0 kept as reflectors, on whose triangle it decides completeness),
-    and one ``dgebrd`` of its (m - k) x p operator Q_perp^T J L^+.  Input is
-    checked as ``gsvd`` checks it, and a pair is refused as ``gsvd`` refuses
-    it, with the same CompletenessViolated message.
+    and one ``dgebrd`` of its (m - k) x p operator Q_perp^T J L^+.  An
+    F-ordered J is read where it lies; any other layout is copied into F
+    order once, and the factors do not depend on which.  ``dgebrd`` works on
+    a copy of the operator in a workspace one row taller than it, so its
+    column stride is never a power of two, at which ``dgebrd`` runs slower.
+    Input is checked as ``gsvd`` checks it, and a pair is refused as
+    ``gsvd`` refuses it, with the same CompletenessViolated message.
 
     Raises what ``gsvd`` raises on its input and on a refused pair.
     """
     a, L = _checked_pair(J, L)
     qr, tau, abar, G, W0_R0inv = _standard_form(a, L)
-    abar = np.array(abar, order="F")  # a copy: dgebrd overwrites it
-    return BidiagonalFactors(a.shape, abar, _lapack.dgebrd(abar), qr, tau, G, W0_R0inv)
+    rows, p = abar.shape
+    work = np.empty((rows + 1, p), order="F")[:rows]  # dgebrd overwrites it
+    work[...] = abar
+    return BidiagonalFactors(a.shape, work, _lapack.dgebrd(work), qr, tau, G, W0_R0inv)
 
 
 def generalized_singular_values(f: GsvdFactors) -> np.ndarray:

@@ -278,11 +278,12 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
     diagonal and below it, so the partial sums of R w are known:
     J = outer(cumsum(R)[:n], c) - P, with P_ij = 0 above the diagonal, top_j
     on it and top_j + bottom_j below it, top and bottom the two nonzeros of
-    column j of R w.  Column j has the bytes of ``J e_j``.  The weights of
-    halfpoints(I) and the strictly lower mask do not depend on a, so they are
-    built once per problem, read-only.  Evaluation fails when any a_i drops
-    to the positivity floor ``A_MIN`` (NonpositiveCoefficient) or is NaN or
-    infinite (EvaluationFailure).
+    column j of R w.  Column j has the bytes of ``J e_j``.  J is F-ordered,
+    the layout LAPACK reads, so ``bidiagonalize`` takes it without a copy.
+    The weights of halfpoints(I) and the strictly lower mask (F-ordered like
+    J) do not depend on a, so they are built once per problem, read-only.
+    Evaluation fails when any a_i drops to the positivity floor ``A_MIN``
+    (NonpositiveCoefficient) or is NaN or infinite (EvaluationFailure).
 
     The source ``f = 4 pi^2 cos(2 pi t)`` makes the flux vanish at the
     boundary, so the solution is least sensitive to boundary-adjacent
@@ -298,7 +299,7 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
     halfpoint_weights = np.stack(
         [identity_halfpoints.diagonal(), identity_halfpoints[1:].diagonal()]
     )
-    strictly_lower = np.tri(n, k=-1, dtype=bool)
+    strictly_lower = np.asfortranarray(np.tri(n, k=-1, dtype=bool))
     halfpoint_weights.flags.writeable = False
     strictly_lower.flags.writeable = False
 
@@ -327,9 +328,11 @@ def problem_coefficient_identification(n: int) -> InverseProblem:
         CR, Rflux = resistances(a)
         top = Rflux[:n] * halfpoint_weights[0]
         below = top + Rflux[1:] * halfpoint_weights[1]
-        J = CR[:n, None] * (below / CR[n])
+        J = np.empty((n, n), order="F")
+        np.multiply(CR[:n, None], below / CR[n], out=J)
         np.subtract(J, below, out=J, where=strictly_lower)
-        J.ravel()[:: n + 1] -= top
+        # a view of J in its own order: ravel() would copy it and drop the update
+        J.ravel(order="K")[:: n + 1] -= top
         return J
 
     a_dag = 1.0 + 0.5 * np.sin(np.pi * t)

@@ -214,8 +214,9 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
     ``"fallback-top"`` does not stop.
 
     The factors of (J, L) are reused while J is unchanged, entry by entry
-    against a copy of the last factored J, so a linear forward map costs one
-    bidiagonalization per solve; each step's residual is split once.
+    against a copy of the last factored J (in the first J's layout), so a
+    linear forward map costs one bidiagonalization per solve; each step's
+    residual is split once.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (problem.n,):
@@ -230,8 +231,7 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
     res_tol = cfg.res_tol
 
     trace: list[IterateRecord] = []
-    J_factored = np.full((problem.m, problem.n), np.nan)  # equals no J: step 0 factors
-    factors = None
+    J_factored = factors = None
     stop = None
     res = np.inf
     for k in range(cfg.max_iter + 1):
@@ -250,8 +250,10 @@ def solve(problem, data, L: ScalingOperator, x0, cfg: SolverConfig) -> RunRecord
                 stop = "max_iter"
                 break
             J = problem.evaluate_J(x)
-            if not np.array_equal(J, J_factored):
+            if factors is None or not np.array_equal(J, J_factored):
                 factors = bidiagonalize(J, L)
+                if J_factored is None:  # in J's layout, so the compare and copy stay flat
+                    J_factored = np.empty_like(J)
                 np.copyto(J_factored, J)  # eval_J may hand back one buffer it rewrites
             split = factors.split(r)
             lam, kind, omega_evals = select_lambda_q(split, cfg)

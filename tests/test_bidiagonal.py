@@ -416,6 +416,64 @@ def test_lapack_argument_errors_raise():
         _apply_q("T", np.ones((2, 3), order="F"), np.ones(3), np.ones(2), blocked=False)
 
 
+@pytest.mark.parametrize("pad", [1, 7])
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (33, 32), (126, 126), (128, 128), (130, 128)])
+def test_dgebrd_reads_a_row_padded_view(m, n, pad):
+    # An F-strided view with lda = m + pad (bidiagonalize pads by one row)
+    # gives the bytes of a contiguous array: d, e, tauq, taup and the
+    # overwritten block.  The pad rows hold NaN, which dgebrd must neither
+    # read nor overwrite.
+    a = np.random.default_rng(m + n).standard_normal((m, n))
+    padded = np.full((m + pad, n), np.nan, order="F")
+    view, dense = padded[:m], np.asfortranarray(a)
+    view[...] = a
+    assert not view.flags.f_contiguous or n == 1
+    for got, want in zip(_lapack.dgebrd(view), _lapack.dgebrd(dense)):
+        assert got.tobytes() == want.tobytes()
+    assert np.asfortranarray(view).tobytes() == dense.tobytes()
+    assert np.isnan(padded[m:]).all()
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.arange(12.0).reshape(4, 3),
+        np.ones((4, 3), dtype=np.float32, order="F"),
+        np.ones((8, 3), order="F")[::2],
+        np.ones((2, 3), order="F"),
+    ],
+    ids=["C order", "float32", "row-strided", "m<n"],
+)
+def test_dgebrd_refuses_what_lapack_cannot_read(a):
+    with pytest.raises(ValueError, match="dgebrd needs"):
+        _lapack.dgebrd(a)
+
+
+@pytest.mark.parametrize(
+    "source, spec, kind",
+    [("coefficient", "identity", "equality"), ("tall", "d2", "equality"),
+     ("coefficient", "d2", "fallback-top")],
+)
+def test_step_at_the_searched_lambda_reuses_its_solve(monkeypatch, source, spec, kind):
+    # The search ends an equality at a lam it solved the augmented system
+    # for, and the step reuses that z without writing into it: it makes no
+    # dgtsv call, and two steps and a fresh split's step agree bit for bit.
+    # A fallback lam was never evaluated, so its step solves for itself.
+    J, r = _tall_pair(64) if source == "tall" else _problem_pair(source, 64)
+    L = from_spec(spec, 64)
+    split = bidiagonalize(J, L).split(r)
+    lam, got_kind, _ = select_lambda_q(split, SolverConfig(q=0.6, tau=3.5))
+    assert got_kind == kind
+    fresh = bidiagonalize(J, L).split(r).step(lam)
+    calls, dgtsv = [], scipy.linalg.lapack.dgtsv
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv",
+                        lambda *args, **kwargs: calls.append(1) or dgtsv(*args, **kwargs))
+    first = split.step(lam)
+    assert len(calls) == (kind != "equality")
+    second = split.step(lam)
+    assert first.tobytes() == second.tobytes() == fresh.tobytes()
+
+
 def test_large_jacobian_accepted_as_gsvd_accepts():
     # ||J|| = 1e5 with zero columns: with L = I, N(L) = {0} and the pair is
     # complete at every scale of J, so both routes accept it, and the step

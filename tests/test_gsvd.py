@@ -232,6 +232,14 @@ def test_factors_do_not_depend_on_layout(name, scaling):
     c, f = gsvd(np.ascontiguousarray(J), L), gsvd(np.asfortranarray(J), L)
     for field in ("U", "V", "X", "sigma", "mu"):
         assert getattr(c, field).tobytes() == getattr(f, field).tobytes(), field
+    # and so do the bidiagonal factors' answers: zeta_p, omega and the step
+    r = np.random.default_rng(3).standard_normal(32)
+    c, f = (bidiagonalize(layout(J), L).split(r) for layout in (np.ascontiguousarray,
+                                                                 np.asfortranarray))
+    assert c.zeta_p == f.zeta_p
+    for lam in (1e-6 * f.zeta_p**2, f.zeta_p**2):
+        assert c.omega(lam) == f.omega(lam)
+        assert c.step(lam).tobytes() == f.step(lam).tobytes()
 
 
 @pytest.mark.parametrize("scaling", [first_difference, second_difference])

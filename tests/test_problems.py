@@ -371,11 +371,14 @@ class TestJacobianVectorProduct:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_jacobian_columns_are_hook_products_bit_for_bit(self, name, n):
         # J is the product's matrix: column j has the bytes of J e_j, at a
-        # point other than x0, and a second J has the first one's bytes
+        # point other than x0, and a second J has the first one's bytes.  The
+        # coefficient J comes in F order, as LAPACK reads it.
         prob = make_problem(name, n)
         x, _ = in_domain_point_and_direction(prob, 11)
         assert not np.array_equal(x, prob.x0_default)
         J = prob.evaluate_J(x)
+        if name == "coefficient":
+            assert J.flags.f_contiguous
         for j, e_j in enumerate(np.eye(n)):
             assert J[:, j].tobytes() == prob.evaluate_jvp(x, e_j).tobytes(), j
         assert prob.evaluate_J(x).tobytes() == J.tobytes()
