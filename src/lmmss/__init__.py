@@ -22,7 +22,6 @@ from .errors import (
     RankDeficientL,
     ZeroGradient,
 )
-from .gsvd import GsvdFactors, GsvdValidation, generalized_singular_values, validate
 from .scaling import (
     ScalingOperator,
     first_difference,

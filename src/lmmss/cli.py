@@ -1,4 +1,4 @@
-"""Command-line harness: single solves, noise sweeps, factor inspection, diagnostics.
+"""Command-line harness: single solves, noise sweeps, diagnostics.
 
 Configuration lives in flat INI files.  Every key also has a flag except
 ``lambda_root_tol``, ``res_tol``, ``lambda_fallback_factor``, ``tcc_rho``
@@ -22,7 +22,6 @@ import numpy as np
 
 from . import diagnostics, scaling
 from .errors import LmmssError
-from .gsvd import generalized_singular_values, gsvd, validate
 from .problems import make_noisy_data, make_problem, problem_from_files
 from .solver import IterateRecord, RunRecord, SolverConfig, solve
 
@@ -340,21 +339,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_gsvd(args) -> int:
-    A = np.loadtxt(args.matrix_a, ndmin=2)
-    Lmat = np.loadtxt(args.matrix_l, ndmin=2)
-    factors = gsvd(A, Lmat)
-    report = validate(factors, A, Lmat, tol=args.tol)
-    zeta = generalized_singular_values(factors)
-    print("sigma " + " ".join(_fmt(v) for v in factors.sigma))
-    print("mu " + " ".join(_fmt(v) for v in factors.mu))
-    print("zeta " + " ".join(_fmt(v) for v in zeta))
-    for name in ("recon_a", "recon_l", "orth_u", "orth_v", "normalization"):
-        print(f"{name} {_fmt(getattr(report, name))}")
-    print(f"passed {report.passed}")
-    return 0 if report.passed else 1
-
-
 def _reload_run(run_dir: Path, digest: str) -> RunRecord:
     """Rebuild a ``solve`` directory's RunRecord, bit for bit, from its artifacts alone.
 
@@ -532,11 +516,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("diagnose", help="verify the convergence guarantees on runs")
     _add_common(sp)
     sp.add_argument("--from-dir", dest="from_dir", help="reuse solve artifacts from a directory")
-
-    sp = sub.add_parser("gsvd", help="factor a matrix pair read from text files")
-    sp.add_argument("matrix_a", help="whitespace-delimited matrix A")
-    sp.add_argument("matrix_l", help="whitespace-delimited matrix L")
-    sp.add_argument("--tol", type=float, default=1e-10, help="validation tolerance")
 
     return parser
 

@@ -1,52 +1,40 @@
-"""Generalized singular value decomposition of a matrix pair (A, L).
+"""Factorization of a matrix pair (J, L) for the regularized step.
 
-For A (m x n), L (p x n) with m >= n >= p, rank(L) = p and
-N(A) ∩ N(L) = {0}, the pair factors as::
+For J (m x n), L (p x n) with m >= n >= p, rank(L) = p and
+N(J) ∩ N(L) = {0}, the pair has a generalized singular value decomposition
+whose generalized singular values zeta_i are those of the pencil
+J^T J - zeta^2 L^T L.  The step solve (J^T J + lam L^T L) d = -J^T r needs
+neither that decomposition nor every zeta_i: only zeta_p, the linearized
+residual ||r + J d(lam)|| for the damping search, and the step.
+``bidiagonalize``, the one factorization here, answers all three.
 
-    A = U * blockdiag(Sigma, I_{n-p}) * X^{-1}
-    L = V * [M  0] * X^{-1}
-
-with U (m x n) and V (p x p) having orthonormal columns, X (n x n)
-nonsingular, and diagonals sigma (nondecreasing, in [0, 1]) and mu
-(nonincreasing, in (0, 1]) normalized by sigma_i^2 + mu_i^2 = 1.  The ratios
-zeta_i = sigma_i / mu_i are the generalized singular values.
-
-Both factorizations start from Eldén's standard form x = L^+ y + W_0 z,
-built by ``_standard_form`` from L^+ and an orthonormal basis W_0 of N(L),
-both kept by ``ScalingOperator``.  For p < n a QR
-``A W_0 = [Q_0 Q_perp] [R_0; 0]`` (LAPACK ``geqrf``) splits off the part of
-A that L does not see.  Q is never formed: ``ormqr`` applies its Householder
-reflectors, as Q^T to A L^+ (and in ``gsvd`` as Q to assemble U), and
-``trtrs`` gives W_0 R_0^-1.  Completeness, N(A) ∩ N(L) = {0}, is two
+It starts from Eldén's standard form x = L^+ y + W_0 z, built by
+``_standard_form`` from L^+ and an orthonormal basis W_0 of N(L), both kept
+by ``ScalingOperator``.  For p < n a QR ``J W_0 = [Q_0 Q_perp] [R_0; 0]``
+(LAPACK ``geqrf``) splits off the part of J that L does not see.  Q is never
+formed: ``ormqr`` applies its Householder reflectors, as Q^T to J L^+ and to
+r, and ``trtrs`` gives W_0 R_0^-1.  Completeness, N(J) ∩ N(L) = {0}, is two
 relative rank decisions: L's, by ``ScalingOperator``, and for p < n
-A W_0's, on R_0 (``NULL_SPACE_RTOL``); neither depends on the scale of A or L.
-The form is the p-column operator ``Q_perp^T A L^+``, W_0 R_0^-1 and
-G = L^+ - W_0 R_0^-1 Q_0^T A L^+; when L^+ is exactly I_n
+J W_0's, on R_0 (``NULL_SPACE_RTOL``); neither depends on the scale of J or
+L.  The form is the p-column operator ``Q_perp^T J L^+``, W_0 R_0^-1 and
+G = L^+ - W_0 R_0^-1 Q_0^T J L^+; when L^+ is exactly I_n
 (``ScalingOperator.inverse_is_identity``) G is None and no product with L^+
-is made.  ``gsvd`` takes one thin SVD (``gesdd``) of the operator, which
-gives the zeta_i, U's leading block and, since L L^+ = I_p, V itself; then
-X = [G V diag(mu), W_0 R_0^-1].
+is made.
 
-``gsvd`` serves ``lmmss gsvd`` and ``validate``; the solver factors each
-Jacobian by ``bidiagonalize`` alone.  It needs neither U, V nor X, nor even
-every zeta_i: only zeta_p, the linearized residual ||r + J d(lam)|| for the
-damping search, and the step.  ``bidiagonalize``'s factors answer them
-through ``zeta_p`` and the split of the residual, ``split(r)``, whose
-``omega(lam)`` and ``step(lam)`` answer the other two, from the same
-standard form, G included, and one Householder bidiagonalization of the
+``bidiagonalize`` then takes one Householder bidiagonalization of the
 operator, ``Q_perp^T J L^+ = Q_B [B; 0] P_B^T`` (LAPACK ``gebrd``, in
-``_lapack``; for L = I it is J itself), whose reflectors ``ormqr`` applies
-as it applies Q's (P_B's row reflectors transposed once into columns),
-without any SVD: bisection (``stebz``) on B's p x p Gram tridiagonal B^T B,
-formed from B scaled by a power of two, gives zeta_p, and a tridiagonal
-augmented system on B (``gtsv``) gives the linearized residual and the
-step.
+``_lapack``; for L = I it is J itself), and ``ormqr`` applies its reflectors
+as it applies Q's (P_B's row reflectors transposed once into columns).  No
+SVD of the operator is taken: bisection (``stebz``) on B's p x p Gram
+tridiagonal B^T B, formed from B scaled by a power of two, gives zeta_p,
+and a tridiagonal augmented system on B (``gtsv``) gives the linearized
+residual and the step, through the split of the residual, ``split(r)``, and
+its ``omega(lam)`` and ``step(lam)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -72,55 +60,24 @@ from .scaling import ScalingOperator, euclidean_norm, frobenius
 NULL_SPACE_RTOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class GsvdFactors:
-    """Factors of a pair (A, L); see the module docstring for the layout.
-
-    Instances compare and hash by identity.
-    """
-
-    U: np.ndarray
-    V: np.ndarray
-    X: np.ndarray
-    sigma: np.ndarray
-    mu: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.V.shape[0]
-
-
-def _as_matrix(L) -> np.ndarray:
-    return np.asarray(getattr(L, "matrix", L), dtype=float)
-
-
-def _apply_q(trans: str, qr, tau, C, overwrite: bool = False, blocked: bool = True) -> np.ndarray:
-    """Q @ C (trans "N") or Q^T @ C ("T") for the m x m Q held in geqrf-style reflectors.
+def _apply_q(trans: str, qr, tau, C, blocked: bool = True) -> np.ndarray:
+    """Q @ C (trans "N") or Q^T @ C ("T"), as a new array, for the m x m Q held in geqrf-style reflectors.
 
     When ``blocked``, the workspace is the one ormqr asks for at its largest
     block size (64 columns plus the 65 x 64 block reflector), so it blocks
     whenever Q has enough reflectors for that to pay.  Otherwise it is LAPACK
     ormbr's 64 for one vector, which keeps ormqr on its unblocked path (the
-    blocked one rounds differently).  With ``overwrite`` an F-ordered C is
-    overwritten.
+    blocked one rounds differently).
     """
     lwork = 64 * C.shape[1] + 65 * 64 if blocked else 64
-    out, _, info = lapack.dormqr("L", trans, qr, tau, C, lwork, overwrite_c=overwrite)
+    out, _, info = lapack.dormqr("L", trans, qr, tau, C, lwork)
     if info:
         raise ValueError(f"dormqr rejected argument {-info}")
     return out
 
 
 def _checked_pair(A, L):
-    """Check the pair as ``gsvd`` documents; return A (F-ordered float) and L.
+    """Check the pair as ``bidiagonalize`` documents; return A (F-ordered float) and L.
 
     A raw L array is wrapped in a ScalingOperator, which checks its shape,
     entries and rank; a ScalingOperator is returned as it is.
@@ -129,7 +86,7 @@ def _checked_pair(A, L):
     # rounds differently for C- and F-ordered A, and LAPACK reads F order.
     # An F-ordered float A is taken as it is, any other copied once.
     A = np.asarray(A, dtype=float, order="F")
-    Lmat = _as_matrix(L)
+    Lmat = np.asarray(getattr(L, "matrix", L), dtype=float)
     if A.ndim != 2 or Lmat.ndim != 2:
         raise DimensionMismatch("A and L must be two-dimensional arrays")
     m, n = A.shape
@@ -147,8 +104,8 @@ def _checked_pair(A, L):
 def _standard_form(A, L: ScalingOperator):
     """Eldén's standard form of (A, L), x = L^+ y + W_0 z, with k = n - p.
 
-    Returns ``(qr, tau, Abar, G, W0_R0inv)``, from which ``gsvd`` and
-    ``bidiagonalize`` both work.  For p < n, ``qr`` and ``tau`` are
+    Returns ``(qr, tau, Abar, G, W0_R0inv)``, from which ``bidiagonalize``
+    works.  For p < n, ``qr`` and ``tau`` are
     ``geqrf``'s reflectors of ``A W_0 = Q [R_0; 0]`` with Q = [Q_0 Q_perp],
     ``Abar`` is the p-column operator Q_perp^T A L^+, ``W0_R0inv`` is
     W_0 R_0^-1 and G = L^+ - W_0 R_0^-1 Q_0^T A L^+.  For p = n there is no
@@ -181,68 +138,6 @@ def _standard_form(A, L: ScalingOperator):
         raise CompletenessViolated("N(A) and N(L) intersect: W_0 R_0^-1 is not finite")
     QtAL = _apply_q("T", qr, tau, AL)
     return qr, tau, QtAL[k:], L.right_inverse - W0_R0inv @ QtAL[:k], W0_R0inv
-
-
-def gsvd(A, L) -> GsvdFactors:
-    """Factor the pair (A, L).
-
-    Per call: ``_standard_form`` (a QR of A W_0 kept as reflectors, skipped
-    when p = n) and one thin SVD of its ``Q_perp^T A L^+``, whose right
-    factor is V; L^+ and W_0 are the ScalingOperator's ``right_inverse`` and
-    ``null_basis``.  The factors do not depend on the memory layout of A.
-    Completeness is decided in ``_standard_form``, scale-free.  A raw L array
-    is wrapped in a ScalingOperator, which checks its shape, entries and rank.
-
-    Parameters
-    ----------
-    A : (m, n) array
-    L : (p, n) array or ScalingOperator
-
-    Raises
-    ------
-    DimensionMismatch
-        If m < n, p > n, p < 1 or the column counts differ.
-    NonFiniteInput
-        If A or L has a NaN or infinite entry.
-    RankDeficientL
-        If L does not have full row rank.
-    CompletenessViolated
-        If the null spaces of A and L intersect numerically (for p < n,
-        sigma_min(A W_0) <= ``NULL_SPACE_RTOL`` ||A||_F), or W_0 R_0^-1 overflows.
-    numpy.linalg.LinAlgError
-        If the SVD does not converge ("SVD did not converge").
-    """
-    A, L = _checked_pair(A, L)
-    qr, tau, Abar, G, W0_R0inv = _standard_form(A, L)
-    m, n = A.shape
-    p = L.p
-    k = n - p
-
-    # The SVD of Q_perp^T A L^+ gives zeta = sigma / mu and V.
-    Ub, zeta, Vt, info = lapack.dgesdd(Abar, compute_uv=1, full_matrices=0)
-    if info > 0:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    # U's columns reversed into a new array: a reversed view would make every
-    # later U^T r and U w take numpy's loop instead of BLAS.
-    Ub, zeta, V = np.asfortranarray(Ub[:, ::-1]), zeta[::-1], Vt[::-1].T
-    mu = 1.0 / np.hypot(1.0, zeta)
-    sigma = zeta * mu
-    Vmu = V * mu
-
-    # X = [G V diag(mu), W_0 R_0^-1].  Its first block is C-contiguous for
-    # every G: the layout of X sets the rounding of every later X @ v, and
-    # Vmu itself is strided like V.
-    GVmu = np.ascontiguousarray(Vmu) if G is None else G @ Vmu
-    if not k:
-        U, X = Ub, GVmu
-    else:
-        # U = Q [[0, I_k], [U_b, 0]] = [Q_perp U_b, Q_0]
-        U = np.zeros((m, n), order="F")
-        U[k:, :p] = Ub
-        U[:k, p:] = np.eye(k)
-        U = _apply_q("N", qr, tau, U, overwrite=True)
-        X = np.hstack([GVmu, W0_R0inv])
-    return GsvdFactors(U=U, V=V, X=X, sigma=sigma, mu=mu)
 
 
 class BidiagonalFactors:
@@ -490,17 +385,36 @@ def _largest_singular_value(off) -> float:
 def bidiagonalize(J, L) -> BidiagonalFactors:
     """Factor the pair (J, L) by one Householder bidiagonalization (``dgebrd``).
 
-    Per call: ``_standard_form``, which ``gsvd`` takes too (for p < n a QR
-    of J W_0 kept as reflectors, on whose triangle it decides completeness),
-    and one ``dgebrd`` of its (m - k) x p operator Q_perp^T J L^+.  An
-    F-ordered J is read where it lies; any other layout is copied into F
-    order once, and the factors do not depend on which.  ``dgebrd`` works on
-    a copy of the operator in a workspace one row taller than it, so its
-    column stride is never a power of two, at which ``dgebrd`` runs slower.
-    Input is checked as ``gsvd`` checks it, and a pair is refused as
-    ``gsvd`` refuses it, with the same CompletenessViolated message.
+    Per call: ``_standard_form`` (for p < n a QR of J W_0 kept as
+    reflectors, on whose triangle it decides completeness) and one
+    ``dgebrd`` of its (m - k) x p operator Q_perp^T J L^+.  L^+ and W_0 are
+    the ScalingOperator's ``right_inverse`` and ``null_basis``; a raw L
+    array is wrapped in a ScalingOperator, which checks its shape, entries
+    and rank.  An F-ordered J is read where it lies; any other layout is
+    copied into F order once, and the factors do not depend on which.
+    ``dgebrd`` works on a copy of the operator in a workspace one row taller
+    than it, so its column stride is never a power of two, at which
+    ``dgebrd`` runs slower.
 
-    Raises what ``gsvd`` raises on its input and on a refused pair.
+    Parameters
+    ----------
+    J : (m, n) array
+    L : (p, n) array or ScalingOperator
+
+    Raises
+    ------
+    DimensionMismatch
+        If m < n, p > n, p < 1 or the column counts differ.
+    NonFiniteInput
+        If J or L has a NaN or infinite entry (named "A" and "L").
+    RankDeficientL
+        If L does not have full row rank.
+    CompletenessViolated
+        If the null spaces of J and L intersect numerically (for p < n,
+        sigma_min(J W_0) <= ``NULL_SPACE_RTOL`` ||J||_F), or W_0 R_0^-1 overflows.
+    numpy.linalg.LinAlgError
+        If the SVD of R_0 does not converge ("SVD did not converge"), or the
+        bisection for zeta_p fails.
     """
     a, L = _checked_pair(J, L)
     qr, tau, abar, G, W0_R0inv = _standard_form(a, L)
@@ -508,63 +422,3 @@ def bidiagonalize(J, L) -> BidiagonalFactors:
     work = np.empty((rows + 1, p), order="F")[:rows]  # dgebrd overwrites it
     work[...] = abar
     return BidiagonalFactors(a.shape, work, _lapack.dgebrd(work), qr, tau, G, W0_R0inv)
-
-
-def generalized_singular_values(f: GsvdFactors) -> np.ndarray:
-    """Return zeta_i = sigma_i / mu_i, nondecreasing and finite since mu_i > 0."""
-    return f.sigma / f.mu
-
-
-@dataclass(frozen=True)
-class GsvdValidation:
-    """Relative reconstruction and orthonormality residuals of a factorization."""
-
-    recon_a: float
-    recon_l: float
-    orth_u: float
-    orth_v: float
-    normalization: float
-    tol: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.recon_a, self.recon_l, self.orth_u, self.orth_v)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tol
-
-
-def validate(f: GsvdFactors, A, L, tol: float = 1e-10) -> GsvdValidation:
-    """Measure how well the factors reproduce (A, L).
-
-    Returns the Frobenius-relative reconstruction residuals of A and L, the
-    orthonormality defects of U and V, and the worst normalization defect
-    max_i |sigma_i^2 + mu_i^2 - 1|; ``passed`` compares the residual maximum
-    against ``tol``, which must be finite and positive (ValueError).
-    """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    A = np.asarray(A, dtype=float)
-    Lmat = _as_matrix(L)
-    if A.shape != (f.m, f.n):
-        raise DimensionMismatch(f"A has shape {A.shape}, factors expect {(f.m, f.n)}")
-    if Lmat.shape != (f.p, f.n):
-        raise DimensionMismatch(
-            f"L has shape {Lmat.shape}, factors expect {(f.p, f.n)}"
-        )
-    Xinv = np.linalg.inv(f.X)
-    d = np.concatenate([f.sigma, np.ones(f.n - f.p)])
-    recon_a = frobenius(A - (f.U * d) @ Xinv) / max(frobenius(A), 1e-300)
-    recon_l = frobenius(Lmat - (f.V * f.mu) @ Xinv[: f.p]) / max(frobenius(Lmat), 1e-300)
-    orth_u = frobenius(f.U.T @ f.U - np.eye(f.n))
-    orth_v = frobenius(f.V.T @ f.V - np.eye(f.p))
-    normalization = float(np.abs(f.sigma**2 + f.mu**2 - 1.0).max()) if f.p else 0.0
-    return GsvdValidation(
-        recon_a=float(recon_a),
-        recon_l=float(recon_l),
-        orth_u=float(orth_u),
-        orth_v=float(orth_v),
-        normalization=normalization,
-        tol=float(tol),
-    )

@@ -28,12 +28,12 @@ class ScalingOperator:
     (NonFiniteInput) and full row rank (RankDeficientL) once, the rank on the
     singular values of R_L in one complete QR ``L^T = [W_p W_0] [R_L; 0]``.
     L stays fixed while the Jacobian changes, so the standard-form factors
-    both factorizations need at every step are kept: ``right_inverse``
+    the factorization needs at every step are kept: ``right_inverse``
     = W_p R_L^-T, the Moore-Penrose inverse L^+ (L L^+ = I_p), and
     ``null_basis = W_0``, an orthonormal basis of N(L).  ``inverse_is_identity``
     records whether ``right_inverse`` came out exactly I_n (as it does for
-    L = I_n), so that ``gsvd._standard_form`` skips the products with it for
-    both; it is read off the matrix, not off ``kind``.  ``spectral_norm`` is
+    L = I_n), so that ``gsvd._standard_form`` skips the products with it;
+    it is read off the matrix, not off ``kind``.  ``spectral_norm`` is
     ||L||_2, the largest singular value of R_L from the rank check; its one
     reader is ``diagnostics.check_euclidean_bound``.  The derived fields
     cannot be set.

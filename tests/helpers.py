@@ -3,16 +3,16 @@
 The oracles here are intentionally independent of the library internals:
 the generalized singular values come from a symmetric-definite eigenvalue
 problem, Jacobian checks from central differences, the LM step and the
-q-condition residual from a stacked least-squares solve.  ``gsvd_reference``
-is the exception: the earlier stacked-QR form of ``lmmss.gsvd``, kept to
-check that the library still computes the same sigma and mu, with a
-completeness decision of its own against the library's ``NULL_SPACE_RTOL``.
-``SpectralOracle`` reads only ``gsvd``'s public factors, to check the
-bidiagonal route's damping search and step against the spectral sums of the
-GSVD.
+q-condition residual from a stacked least-squares solve.  Two are the
+exception.  ``gsvd_reference`` is a dense GSVD by a stacked QR, which
+checks that ``bidiagonalize`` reaches the same completeness decision and
+the same sigma and mu.  ``SpectralOracle`` takes the library's own standard
+form and an exact SVD of its operator, to check the bidiagonal route's
+damping search and step against the spectral sums of the GSVD.
 """
 
 from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -20,13 +20,12 @@ import scipy.linalg
 from lmmss import (
     CompletenessViolated,
     DimensionMismatch,
-    GsvdFactors,
     IterateRecord,
     NonpositiveLambda,
     RunRecord,
     ScalingOperator,
 )
-from lmmss.gsvd import NULL_SPACE_RTOL, gsvd
+from lmmss.gsvd import NULL_SPACE_RTOL, _apply_q, _checked_pair, _standard_form, bidiagonalize
 
 
 def pencil_gsv_squared(A, L):
@@ -46,14 +45,40 @@ def pencil_gsv_squared(A, L):
     return np.sort(nu / (1.0 - nu))[:p]
 
 
+#: ``gsvd_reference`` refuses factors that reproduce A or L worse than this,
+#: relative in the Frobenius norm.  Measured: random pairs read at most
+#: 1.3e-14, the bundled autoconvolution and coefficient Jacobians at x0 up
+#: to 6.6e-10 (n = 128, d2; coefficient d2 3.9e-10), and the bundled linear
+#: one (condition number about 1e16) 7e-7 to 3.6e-6 at n = 32 and 0.83-1.2
+#: from n = 48 on.
+REFERENCE_RECON_TOL = 1e-8
+
+
+class GsvdReference(NamedTuple):
+    """A = U diag(sigma, I_{n-p}) X^-1 and L = V [diag(mu) 0] X^-1, sigma^2 + mu^2 = 1."""
+
+    U: np.ndarray
+    V: np.ndarray
+    X: np.ndarray
+    sigma: np.ndarray
+    mu: np.ndarray
+
+
 def gsvd_reference(A, L):
-    """``lmmss.gsvd`` by a QR of [A; L] and a cosine-sine split of Q.
+    """The GSVD of (A, L) by a QR of [A; L] and a cosine-sine split of Q.
 
     It decides completeness before anything else, on its own basis of N(L)
     (``scipy.linalg.null_space``): for p < n the pair is refused unless
     sigma_min(A N) > ``NULL_SPACE_RTOL`` ||A||_F, and for p = n it is
-    accepted.  Signs are fixed one column at a time.  The library must reach
-    the same decision, and the same sigma and mu up to rounding.
+    accepted.  Signs are fixed one column at a time; sigma is nondecreasing.
+
+    It is an oracle only where [A; L] is well conditioned, since X = R^-1 W
+    with R the triangle of that QR, and where sigma_i > 0 for every i, since
+    U comes from an unpivoted QR of Q_A W, which leaves Q_A W's directions in
+    the wrong columns of U when a leading column vanishes.  It measures how
+    well its factors reproduce A and L and raises AssertionError above
+    ``REFERENCE_RECON_TOL``, so it cannot stand in silently on a pair it
+    does not resolve, such as the bundled linear problem from n = 48 on.
     """
     A = np.asarray(A, dtype=float)
     Lmat = np.asarray(L, dtype=float)
@@ -86,53 +111,89 @@ def gsvd_reference(A, L):
             U[:, j] = -U[:, j]
             if j < p:
                 V[:, j] = -V[:, j]
-    return GsvdFactors(U=U, V=V, X=X, sigma=sigma, mu=mu)
+    Xinv = np.linalg.inv(X)
+    recon_a = np.linalg.norm(A - (U * np.r_[sigma, np.ones(n - p)]) @ Xinv) / np.linalg.norm(A)
+    recon_l = np.linalg.norm(Lmat - (V * mu) @ Xinv[:p]) / np.linalg.norm(Lmat)
+    recon = max(recon_a, recon_l)
+    assert recon <= REFERENCE_RECON_TOL, f"gsvd_reference reproduces (A, L) only to {recon:.2e}"
+    return GsvdReference(U=U, V=V, X=X, sigma=sigma, mu=mu)
 
 
 class SpectralOracle:
     """zeta_p, the linearized residual and the step of (J, L) at r, by the GSVD's spectral sums.
 
-    Built from the public U, X, sigma and mu of ``gsvd(J, L)``: w = U^T r,
-    rho_perp = ||r - U w|| (not sqrt(||r||^2 - ||w||^2), which cancels when
-    U is square), the filter-factor step and the secular sum with its slope.
+    Built on the library's standard form (``_standard_form``, k = n - p) and
+    an exact SVD of its operator, Q_perp^T J L^+ = U_b diag(zeta) V^T:
+    c = Q^T r, c0 = c[:k] = Q_0^T r and w = U_b^T c[k:].  rho_perp =
+    ||c[k:] - U_b w||, not sqrt(||r||^2 - ||w||^2 - ||c0||^2), which cancels
+    when U_b is square.  The residual and its slope are the secular sums in
+    zeta, and the step is the filter-factor step.
     """
 
     def __init__(self, J, L, r):
-        self.f = f = gsvd(J, L)
-        self.zeta_p = float(f.sigma[-1] / f.mu[-1])
-        self.w = f.U.T @ r
-        self.rho_perp = float(np.linalg.norm(r - f.U @ self.w))
+        J, L = _checked_pair(J, L)
+        qr, tau, abar, self.G, self.W0_R0inv = _standard_form(J, L)
+        Ub, self.zeta, Vt = np.linalg.svd(abar, full_matrices=False)
+        self.V = Vt.T
+        self.zeta_p = float(self.zeta[0])
+        c = r if qr is None else _apply_q("T", qr, tau, r[:, None])[:, 0]
+        k = L.n - L.p
+        self.c0 = c[:k]
+        self.w = Ub.T @ c[k:]
+        self.rho_perp = float(np.linalg.norm(c[k:] - Ub @ self.w))
 
     def step(self, lam):
-        """``-X diag(g) w``, g_i = sigma_i / (sigma_i^2 + lam mu_i^2) for i <= p and 1 after."""
-        f = self.f
-        g = np.ones(f.n)
-        g[: f.p] = f.sigma / (f.sigma**2 + lam * f.mu**2)
-        return -(f.X @ (g * self.w))
+        """``-G V diag(zeta / (zeta^2 + lam)) w - W_0 R_0^-1 c0``; G is None for L^+ = I."""
+        y = -(self.V @ (self.zeta / (self.zeta**2 + lam) * self.w))
+        d = y if self.G is None else self.G @ y
+        return d - self.W0_R0inv @ self.c0
 
     def omega(self, lam, target=None):
         """``||r + J d(lam)||``; with ``target`` also the Newton iterate toward omega = target.
 
-        The residual is hypot(rho_perp, ||e||) with e_i = lam mu_i^2 w_i /
-        (sigma_i^2 + lam mu_i^2), and slope = sum (e_i / ||e||)^2 sigma_i^2 /
-        (sigma_i^2 + lam mu_i^2).  The Newton iterate on the secular equation
-        in Moré–Sorensen's reciprocal form is lam / (1 + (ratio - 1) / slope)
+        The residual is hypot(rho_perp, ||e||) with e_i = lam w_i /
+        (zeta_i^2 + lam), and slope = sum (e_i / ||e||)^2 zeta_i^2 /
+        (zeta_i^2 + lam).  The Newton iterate on the secular equation in
+        Moré–Sorensen's reciprocal form is lam / (1 + (ratio - 1) / slope)
         with ratio = ||e|| / sqrt(target^2 - rho_perp^2), and NaN where the
         slope vanishes.
         """
-        f = self.f
-        s2, m2 = f.sigma**2, f.mu**2
-        den = s2 + lam * m2
-        e = lam * m2 * self.w[: f.p] / den
+        z2 = self.zeta**2
+        den = z2 + lam
+        e = lam * self.w / den
         gamma = np.linalg.norm(e)
         val = float(np.hypot(self.rho_perp, gamma))
         if target is None:
             return val
-        slope = float(((e / gamma) ** 2) @ (s2 / den)) if gamma else 0.0
+        slope = float(((e / gamma) ** 2) @ (z2 / den)) if gamma else 0.0
         if slope == 0.0:
             return val, np.nan
         ratio = gamma / np.sqrt((target - self.rho_perp) * (target + self.rho_perp))
         return val, float(lam / (1.0 + (ratio - 1.0) / slope))
+
+
+def bidiagonal_reduction_defects(J, L):
+    """How far the factors' reflectors are from reducing Abar = Q_perp^T J L^+ to [B; 0].
+
+    Q_B^T and P_B are built column by column from the factors' own
+    applications to unit vectors (Q_B^T as ``split`` applies it, P_B as
+    ``step`` does).  Returns ||Q_B^T Abar P_B - [B; 0]|| / ||Abar|| and the
+    orthogonality defects ||Q_B^T Q_B - I|| and ||P_B^T P_B - I||, each
+    divided by the matrix's order.
+    """
+    J, L = _checked_pair(J, L)
+    abar = _standard_form(J, L)[2]
+    f = bidiagonalize(J, L)
+    rows, p = abar.shape
+    qbt = np.column_stack([f._apply_qb_transpose(e) for e in np.eye(rows)])
+    pb = np.column_stack([f._apply_pb(e) for e in np.eye(p)])
+    want = np.zeros((rows, p))
+    want[:p] = np.diag(f._d) + np.diag(f._e, 1)
+    return (
+        np.linalg.norm(qbt @ abar @ pb - want) / np.linalg.norm(abar),
+        np.linalg.norm(qbt.T @ qbt - np.eye(rows)) / rows,
+        np.linalg.norm(pb.T @ pb - np.eye(p)) / p,
+    )
 
 
 def lm_step_reference(J, r, L, lam):

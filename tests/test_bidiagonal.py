@@ -24,19 +24,19 @@ from lmmss.gsvd import (
     _largest_singular_value,
     _standard_form,
     bidiagonalize,
-    gsvd,
 )
 from lmmss.scaling import (
     first_difference,
     from_matrix,
     from_spec,
-    frobenius,
     identity,
     second_difference,
 )
 from helpers import (
     SpectralOracle,
+    bidiagonal_reduction_defects,
     cyclic_difference,
+    gsvd_reference,
     in_range_residual,
     lm_step_reference,
     omega_reference,
@@ -73,17 +73,17 @@ def test_omega_and_step_match_the_stacked_reference(source, n, spec):
     # with q = 0.6.  w itself is not compared: the signs of singular vectors
     # are a convention.  The step is as accurate as the condition number
     # zeta_p / sqrt(lam) of the regularized problem allows: at the floor of
-    # the linear problem (1e7) the gsvd step also differs from the stacked one
+    # the linear problem (1e7) the spectral step also differs from the stacked one
     # by 2.5e-9 (n = 48) and 3.3e-8 (n = 128), so beyond a condition number of
     # 1e3 the step's tolerance grows with it; omega and ||r + J d|| do not.
     # The tall source with d1 or d2 has m > n with p < n, so the projection
     # Q_perp^T J L^+ is taller than it is wide.  For p < n the standard form
     # itself can miss the stacked solution by more than these tolerances, and
-    # gsvd's factors by as much: with d2 on the tall source ([J; L] has
-    # condition number about 2e3) both routes agree to 7e-16 but sit 2.3e-11
-    # from the stacked omega at the floor, with a step error 1.8 times the
-    # tolerance.  There the bidiagonal route is held to twice the distance
-    # of gsvd's spectral sums (SpectralOracle).
+    # the spectral sums on the same form by as much: with d2 on the tall
+    # source ([J; L] has condition number about 2e3) both agree to 7e-16 but
+    # sit 2.3e-11 from the stacked omega at the floor, with a step error 1.8
+    # times the tolerance.  There the bidiagonal route is held to twice the
+    # distance of the spectral sums (SpectralOracle).
     J, r = _tall_pair(n) if source == "tall" else _problem_pair(source, n)
     L = from_spec(spec, n)
     f, g = bidiagonalize(J, L), SpectralOracle(J, L, r)
@@ -111,11 +111,11 @@ def test_spectrum_matches_gsvd(source, spec):
     f, g = bidiagonalize(J, L), SpectralOracle(J, L, r)
     assert f.zeta_p == pytest.approx(g.zeta_p, rel=1e-13)
     split = f.split(r)
-    # the trailing block of w, Q_0^T r, has no sign convention to differ by
-    np.testing.assert_allclose(split.c0, g.w[L.p:], rtol=1e-13,
+    # c0 = Q_0^T r has no sign convention to differ by
+    np.testing.assert_allclose(split.c0, g.c0, rtol=1e-13,
                                atol=1e-15 * np.linalg.norm(r))
-    # b = Q_B^T Q_perp^T r and w's leading block differ by the orthogonal U_B of B's SVD
-    assert np.linalg.norm(split.b) == pytest.approx(np.linalg.norm(g.w[: L.p]), rel=1e-12)
+    # b = Q_B^T Q_perp^T r and w = U_b^T Q_perp^T r differ by the orthogonal U_B of B's SVD
+    assert np.linalg.norm(split.b) == pytest.approx(np.linalg.norm(g.w), rel=1e-12)
     assert split.rho_perp == pytest.approx(g.rho_perp, rel=1e-10,
                                            abs=1e-14 * np.linalg.norm(r))
 
@@ -146,17 +146,9 @@ def test_reflectors_reduce_the_operator_to_b(case):
     # Q_perp^T J L^+ to [B; 0] within 1e-14 ||Abar||_F (measured: at most
     # 1.1e-14 and 8.4e-16).  A transposed or misordered P_B breaks the
     # reduction.
-    J, L = REFLECTOR_CASES[case]()
-    abar = _standard_form(np.asfortranarray(J), L)[2]
-    f = bidiagonalize(J, L)
-    rows, p = abar.shape
-    qbt = np.column_stack([f._apply_qb_transpose(e) for e in np.eye(rows)])
-    pb = np.column_stack([f._apply_pb(e) for e in np.eye(p)])
-    want = np.zeros((rows, p))
-    want[:p] = np.diag(f._d) + np.diag(f._e, 1)
-    assert np.linalg.norm(qbt @ abar @ pb - want) <= 1e-14 * np.linalg.norm(abar)
-    assert np.linalg.norm(qbt.T @ qbt - np.eye(rows)) <= 1e-15 * rows
-    assert np.linalg.norm(pb.T @ pb - np.eye(p)) <= 1e-15 * p
+    reduction, qb_orth, pb_orth = bidiagonal_reduction_defects(*REFLECTOR_CASES[case]())
+    assert reduction <= 1e-14
+    assert qb_orth <= 1e-15 and pb_orth <= 1e-15
 
 
 @pytest.mark.parametrize("name", ["linear", "autoconvolution", "coefficient"])
@@ -164,8 +156,8 @@ def test_reflectors_reduce_the_operator_to_b(case):
 @pytest.mark.parametrize("spec", ["identity", "d1", "d2"])
 def test_newton_iterate_matches_gsvd(spec, n, name):
     # Across the bracket of q = 0.6, omega(lam, target) gives the same omega
-    # and the same Newton iterate on the bidiagonal route as gsvd's spectral
-    # sums (SpectralOracle).  The iterate divides by the
+    # and the same Newton iterate on the bidiagonal route as the GSVD's
+    # spectral sums (SpectralOracle).  The iterate divides by the
     # slope, which the bidiagonal route takes from a second solve of the
     # augmented system, so it carries that system's condition number
     # zeta_p / sqrt(lam): at J(x0) the routes differ by at most 1.1e-14 times
@@ -176,15 +168,15 @@ def test_newton_iterate_matches_gsvd(spec, n, name):
     omega = f.split(r).omega
     target = 0.6 * np.linalg.norm(r)
     for lam in np.geomspace(1e-14 * f.zeta_p**2, 1.5 * f.zeta_p**2 * (1.0 + 1e-10), 9):
-        (val, newton), (val_gsvd, newton_gsvd) = omega(lam, target), g.omega(lam, target)
-        assert abs(val - val_gsvd) <= 1e-14 * np.linalg.norm(r)
+        (val, newton), (val_oracle, newton_oracle) = omega(lam, target), g.omega(lam, target)
+        assert abs(val - val_oracle) <= 1e-14 * np.linalg.norm(r)
         tol = 1e-12 + 3e-14 * f.zeta_p / np.sqrt(lam)
-        assert abs(newton - newton_gsvd) <= tol * abs(newton_gsvd)
+        assert abs(newton - newton_oracle) <= tol * abs(newton_oracle)
 
 
 def test_omega_matches_the_oracle_on_the_tall_pair():
     # Across the bracket of q = 0.6, m > n with p < n: omega without a target
-    # agrees with gsvd's spectral sums (SpectralOracle) as the Newton test's
+    # agrees with the GSVD's spectral sums (SpectralOracle) as the Newton test's
     # omega does.
     J, r = _tall_pair(64)
     L = from_spec("d2", 64)
@@ -198,7 +190,7 @@ def test_floor_regime_step_falls_back_as_the_oracle_predicts():
     # Iterate 8 of autoconvolution n = 128, d1, q = 0.05, q tau = 1.01,
     # delta = 1e-9 (seed 1), where that run's fallbacks start: omega at the
     # bracket floor is 0.095 ||r||, above q ||r||, on the bidiagonal factors
-    # and in gsvd's spectral sums (SpectralOracle) alike.
+    # and in the GSVD's spectral sums (SpectralOracle) alike.
     n, q = 128, 0.05
     prob = make_problem("autoconvolution", n)
     data = make_noisy_data(prob.y_exact, 1e-9, seed=1)
@@ -210,12 +202,12 @@ def test_floor_regime_step_falls_back_as_the_oracle_predicts():
     J, r = prob.evaluate_J(run.final_x), prob.evaluate_F(run.final_x) - data.y_delta
     f, g = bidiagonalize(J, L), SpectralOracle(J, L, r)
     floor = f.split(r).omega(1e-14 * f.zeta_p**2)
-    floor_gsvd = g.omega(1e-14 * g.zeta_p**2)
+    floor_oracle = g.omega(1e-14 * g.zeta_p**2)
     assert floor == pytest.approx(0.095 * np.linalg.norm(r), rel=0.01)
-    assert abs(floor - floor_gsvd) <= 1e-12 * floor_gsvd
+    assert abs(floor - floor_oracle) <= 1e-12 * floor_oracle
     # the search falls back at the floor: omega there is above the target
     # by more than the root tolerance
-    assert floor_gsvd - q * np.linalg.norm(r) > cfg.lambda_root_tol * np.linalg.norm(r)
+    assert floor_oracle - q * np.linalg.norm(r) > cfg.lambda_root_tol * np.linalg.norm(r)
     assert select_lambda_q(f.split(r), cfg)[1:] == ("fallback-floor", 1)
 
 
@@ -474,14 +466,13 @@ def test_step_at_the_searched_lambda_reuses_its_solve(monkeypatch, source, spec,
     assert first.tobytes() == second.tobytes() == fresh.tobytes()
 
 
-def test_large_jacobian_accepted_as_gsvd_accepts():
+def test_large_jacobian_with_zero_columns_accepted():
     # ||J|| = 1e5 with zero columns: with L = I, N(L) = {0} and the pair is
-    # complete at every scale of J, so both routes accept it, and the step
-    # is the stacked least-squares one
+    # complete at every scale of J, so it is accepted, and the step is the
+    # stacked least-squares one
     n = 48
     J = np.zeros((n, n))
     J[0, 0] = 1e5
-    gsvd(J, identity(n))
     r = np.ones(n)
     np.testing.assert_allclose(bidiagonalize(J, identity(n)).split(r).step(1.0),
                                lm_step_reference(J, r, identity(n), 1.0), rtol=1e-12)
@@ -511,26 +502,6 @@ def test_refusal_in_solve_names_the_iterate(monkeypatch):
         _run(prob, identity(48))
 
 
-@pytest.mark.parametrize("name", ["linear", "autoconvolution", "coefficient"])
-@pytest.mark.parametrize("n", [48, 128])
-@pytest.mark.parametrize("spec", ["d1", "d2"])
-def test_norm_bound_covers_gsvd_x(spec, n, name):
-    # Both routes read the one G of the standard form: gsvd's X starts with
-    # G V diag(mu), bit for bit, and ends with W_0 R_0^-1.  V is orthogonal
-    # and mu_i <= 1, so the form alone bounds ||X||_F by
-    # hypot(||G||_F, ||W_0 R_0^-1||_F).  Both routes accept J(x0) of every
-    # bundled problem.
-    prob = make_problem(name, n)
-    J = prob.evaluate_J(prob.x0_default)
-    L = from_spec(spec, n)
-    _, _, _, G, W0_R0inv = _standard_form(np.asfortranarray(J), L)
-    f = gsvd(J, L)
-    assert f.X[:, : L.p].tobytes() == (G @ (f.V * f.mu)).tobytes()
-    assert f.X[:, L.p :].tobytes() == W0_R0inv.tobytes()
-    assert np.hypot(frobenius(G), frobenius(W0_R0inv)) >= frobenius(f.X)
-    bidiagonalize(J, L)
-
-
 def test_undecided_pair_accepted_by_the_exact_values_stays_bidiagonal():
     # J = 3e4 I with d2 at n = 48: J W_0 has orthonormal columns scaled by
     # 3e4, so sigma_min(J W_0) / ||J||_F = 1 / sqrt(48) accepts the pair,
@@ -546,16 +517,18 @@ def test_constant_null_space_refused_as_gsvd_refuses():
     # J kills the constants, which d2 does too: N(J) and N(L) intersect.  The
     # computed sigma_min(J W_0) / ||J||_F is rounding that grows with n
     # (9.5e-16 at n = 48, 6.6e-14 at n = 1024); NULL_SPACE_RTOL stays
-    # decades above it, so both routes refuse.
+    # decades above it, so the reference GSVD, on its own basis of N(L), and
+    # the bidiagonal route both refuse.
     for n in (48, 1024):
         J = np.eye(n) - np.full((n, n), 1.0 / n)
         L = second_difference(n)
         with pytest.raises(CompletenessViolated) as want:
-            gsvd(J, L)
+            gsvd_reference(J, L.matrix)
         with pytest.raises(CompletenessViolated) as got:
             bidiagonalize(J, L)
-        assert str(got.value) == str(want.value)
-        assert float(str(got.value).split(" = ")[1]) <= 1e-3 * NULL_SPACE_RTOL
+        assert str(got.value).split(" = ")[0] == str(want.value).split(" = ")[0]
+        for exc in (got, want):
+            assert float(str(exc.value).split(" = ")[1]) <= 1e-3 * NULL_SPACE_RTOL
 
 
 def test_singular_jacobian_on_the_null_space_refused_in_solve():

@@ -127,8 +127,8 @@ class TestParserReuse:
     def test_command_looked_up_at_call_time(self, monkeypatch):
         # a command function rebound after the parser was built is the one run
         _build_parser()
-        monkeypatch.setattr(lmmss.cli, "cmd_gsvd", lambda args: 7)
-        assert main(["gsvd", "A.txt", "L.txt"]) == 7
+        monkeypatch.setattr(lmmss.cli, "cmd_solve", lambda args: 7)
+        assert main(["solve"]) == 7
 
     def test_consecutive_runs_share_no_state(self, tmp_path):
         common = ["--problem", "linear", "--n", "12", "--q", "0.5", "--tau", "2.5"]
@@ -240,38 +240,6 @@ class TestSweepCommand:
         assert rc == 1
         assert "not every run stopped by the discrepancy rule" in capsys.readouterr().err
         assert "all_discrepancy = False" in read(tmp_path / "sweep_summary.txt")
-
-
-class TestGsvdCommand:
-    def test_prints_factors_and_residuals(self, tmp_path, capsys):
-        rng = np.random.default_rng(5)
-        A = rng.standard_normal((8, 5))
-        L = rng.standard_normal((3, 5))
-        np.savetxt(tmp_path / "A.txt", A, fmt="%.17g")
-        np.savetxt(tmp_path / "L.txt", L, fmt="%.17g")
-        rc = main(["gsvd", str(tmp_path / "A.txt"), str(tmp_path / "L.txt")])
-        assert rc == 0
-        outlines = capsys.readouterr().out.strip().splitlines()
-        tags = [ln.split()[0] for ln in outlines]
-        assert tags[:3] == ["sigma", "mu", "zeta"]
-        sigma = np.array([float(v) for v in outlines[0].split()[1:]])
-        mu = np.array([float(v) for v in outlines[1].split()[1:]])
-        zeta = np.array([float(v) for v in outlines[2].split()[1:]])
-        np.testing.assert_allclose(zeta, sigma / mu, rtol=1e-12)
-        assert outlines[-1] == "passed True"
-
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
-    @pytest.mark.parametrize("operand", ["A", "L"])
-    def test_non_finite_input_is_bad_input(self, tmp_path, capsys, operand, bad):
-        files = {"A": "1 0\n0 1\n", "L": "1 0\n0 1\n"}
-        files[operand] = f"{bad} 0\n0 1\n"
-        for name, text in files.items():
-            (tmp_path / f"{name}.txt").write_text(text)
-        rc = main(["gsvd", str(tmp_path / "A.txt"), str(tmp_path / "L.txt")])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{operand} has a NaN or infinite entry" in captured.err
 
 
 class TestDiagnoseCommand:
@@ -665,22 +633,17 @@ class TestInputErrors:
              "scaling matrix has numerical rank below 2"),
             ("solve --problem file --matrix {tmp}/A23.txt --rhs {tmp}/y2.txt",
              "need m >= n, got m=2, n=3"),
-            ("gsvd {tmp}/A23.txt {tmp}/L3.txt", "need m >= n, got m=2, n=3"),
-            ("gsvd {tmp}/A8.txt {tmp}/Lrank.txt", "scaling matrix has numerical rank below 2"),
         ],
         ids=["linear-n", "sweep-linear-n", "autoconvolution-n", "scaling-columns",
-             "scaling-rank", "file-m-below-n", "gsvd-m-below-n", "gsvd-rank"],
+             "scaling-rank", "file-m-below-n"],
     )
     def test_bad_sizes_and_matrices_rejected(self, tmp_path, capsys, argv, message):
         np.savetxt(tmp_path / "L3.txt", np.eye(3))
         np.savetxt(tmp_path / "Lrank.txt", np.ones((2, 8)))
         np.savetxt(tmp_path / "A23.txt", np.ones((2, 3)))
         np.savetxt(tmp_path / "y2.txt", np.ones(2))
-        np.savetxt(tmp_path / "A8.txt", np.eye(8))
         out = tmp_path / "out"
-        argv = argv.format(tmp=tmp_path).split()
-        if argv[0] != "gsvd":
-            argv += ["--out", str(out)]
+        argv = argv.format(tmp=tmp_path).split() + ["--out", str(out)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert message in captured.err
@@ -690,21 +653,37 @@ class TestInputErrors:
     def test_completeness_violation_exits_1(self, tmp_path, capsys):
         # a pair that fails the completeness rule is not an input-format error
         np.savetxt(tmp_path / "A.txt", [[1.0, 0.0], [0.0, 0.0]])
+        np.savetxt(tmp_path / "y.txt", [1.0, 0.0])
         np.savetxt(tmp_path / "L.txt", [[1.0, 0.0]])
-        assert main(["gsvd", str(tmp_path / "A.txt"), str(tmp_path / "L.txt")]) == 1
-        assert "N(A) and N(L) intersect" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main([
+            "solve", "--problem", "file", "--matrix", str(tmp_path / "A.txt"),
+            "--rhs", str(tmp_path / "y.txt"), "--scaling", f"file:{tmp_path / 'L.txt'}",
+            "--delta", "1e-3", "--out", str(out),
+        ]) == 1
+        assert "iterate 0: N(A) and N(L) intersect" in capsys.readouterr().err
+        assert not out.exists()
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
-    def test_bad_gsvd_tol_rejected(self, tmp_path, capsys, tol):
-        # a tolerance no factorization can meet, or that every one meets, is
-        # bad input, not a verdict on the factors
-        np.savetxt(tmp_path / "A.txt", np.eye(4))
-        np.savetxt(tmp_path / "L.txt", np.eye(4)[:3])
-        rc = main(["gsvd", str(tmp_path / "A.txt"), str(tmp_path / "L.txt"), f"--tol={tol}"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scaling_file_rejected(self, tmp_path, capsys, bad):
+        L = np.diff(np.eye(8), axis=0)
+        L[0, 1] = bad
+        np.savetxt(tmp_path / "L.txt", L)
+        out = tmp_path / "out"
+        rc = main(["solve", "--problem", "linear", "--n", "8", "--scaling",
+                   f"file:{tmp_path / 'L.txt'}", "--delta", "1e-3", "--out", str(out)])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "tol must be finite and positive" in captured.err
+        assert "L has a NaN or infinite entry" in captured.err
+        assert not out.exists()
+
+    def test_gsvd_is_not_a_command(self, capsys):
+        # gsvd names no subcommand, so argparse refuses it as any unknown command
+        with pytest.raises(SystemExit) as exc:
+            main(["gsvd", "A.txt", "L.txt"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'gsvd'" in capsys.readouterr().err
 
     def test_non_finite_exact_solution_rejected(self, tmp_path, capsys):
         np.savetxt(tmp_path / "A.txt", np.eye(3))

@@ -8,9 +8,8 @@ from lmmss import (
     RankDeficientL,
     make_problem,
     seminorm,
-    validate,
 )
-from lmmss.gsvd import bidiagonalize, gsvd
+from lmmss.gsvd import bidiagonalize
 from lmmss.scaling import (
     ScalingOperator,
     euclidean_norm,
@@ -21,6 +20,7 @@ from lmmss.scaling import (
     identity,
     second_difference,
 )
+from helpers import lm_step_reference
 
 
 def test_first_difference_stencil():
@@ -114,34 +114,35 @@ def test_scaling_operator_keeps_standard_form_factors(ctor):
     np.testing.assert_allclose(L.null_basis @ (L.null_basis.T @ affine), affine, atol=1e-12)
 
 
-def _factor_arrays(f):
-    return (f.U, f.V, f.X, f.sigma, f.mu)
+def _answers(J, L, r):
+    """What the factors answer at r: zeta_p, and omega and the step at one lam."""
+    split = bidiagonalize(J, L).split(r)
+    lam = 0.01 * split.zeta_p**2
+    return split.zeta_p, split.omega(lam), split.step(lam)
 
 
 def test_identity_skip_decided_from_the_matrix():
     n = 16
     J = make_problem("coefficient", n).evaluate_J(np.ones(n))
+    r = np.random.default_rng(1).standard_normal(n)
     stock = identity(n)
     assert stock.inverse_is_identity
     # the same matrix from a file or array takes the same path, bit for bit
     wrapped = from_matrix(np.eye(n))
     assert wrapped.inverse_is_identity and wrapped.kind == "custom"
-    skipped = gsvd(J, stock)
-    for got, want in zip(_factor_arrays(gsvd(J, wrapped)), _factor_arrays(skipped)):
-        assert got.tobytes() == want.tobytes()
-    # multiplying through L^+ = I gives the same factors as skipping it
+    skipped = _answers(J, stock, r)
+    for got, want in zip(_answers(J, wrapped, r), skipped):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # multiplying through L^+ = I gives the same answers as skipping it
     through = identity(n)
     object.__setattr__(through, "inverse_is_identity", False)
-    multiplied = gsvd(J, through)
-    for got, want in zip(_factor_arrays(multiplied), _factor_arrays(skipped)):
-        assert got.tobytes() == want.tobytes()
+    for got, want in zip(_answers(J, through, r), skipped):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     # a kind tag does not decide the path: 2 I has L^+ = I / 2
     scaled = ScalingOperator(2.0 * np.eye(n), kind="identity")
     assert not scaled.inverse_is_identity
-    f = gsvd(J, scaled)
-    assert validate(f, J, scaled).passed
-    for factors in (skipped, multiplied, f):
-        assert factors.X.flags.c_contiguous
+    step = bidiagonalize(J, scaled).split(r).step(0.5)
+    np.testing.assert_allclose(step, lm_step_reference(J, r, scaled, 0.5), rtol=1e-12)
 
 
 def test_spectral_norm_is_derived():
@@ -237,13 +238,12 @@ def test_seminorm_vanishes_exactly_on_null_space():
 
 
 def assert_complete(J, L, holds):
-    """Both factorizations accept (J, L) when ``holds``, and both refuse it otherwise."""
-    for factor in (gsvd, bidiagonalize):
-        if holds:
-            factor(J, L)
-        else:
-            with pytest.raises(CompletenessViolated):
-                factor(J, L)
+    """``bidiagonalize`` accepts (J, L) when ``holds``, and refuses it otherwise."""
+    if holds:
+        bidiagonalize(J, L)
+    else:
+        with pytest.raises(CompletenessViolated):
+            bidiagonalize(J, L)
 
 
 def test_completeness_identity_pair():
@@ -259,9 +259,9 @@ def test_completeness_shared_null_vector():
 
 
 def test_completeness_fewer_rows_than_unknowns():
-    # gsvd needs J to have at least as many rows as unknowns
+    # the factorization needs J to have at least as many rows as unknowns
     with pytest.raises(DimensionMismatch, match="need m >= n"):
-        gsvd(np.ones((1, 4)), from_matrix(np.eye(4)[:2]))
+        bidiagonalize(np.ones((1, 4)), from_matrix(np.eye(4)[:2]))
     # a square J whose rows span one direction: [J; L] has rank 3 < 4, so
     # N(J) ∩ N(L) cannot be trivial
     assert_complete(np.ones((4, 4)), from_matrix(np.eye(4)[:2]), False)
@@ -269,7 +269,7 @@ def test_completeness_fewer_rows_than_unknowns():
 
 def test_completeness_shape_check():
     with pytest.raises(DimensionMismatch, match="column counts differ"):
-        gsvd(np.eye(3), identity(2))
+        bidiagonalize(np.eye(3), identity(2))
 
 
 def test_norm_equivalence_nonsingular_scaling():
